@@ -1,0 +1,69 @@
+"""Golden digests: pinned sha256 of metrics.csv + events.log over a small
+scenario matrix.
+
+Criterion 8 only shows that one build agrees with itself; these digests
+catch a refactor that quietly changes results between builds. A change that
+alters behaviour on purpose re-pins them and says why.
+
+The digests rely on CPython's `random` sequences for integer seeds
+(`random.Random(int)`, `getrandbits`, `randrange`, `uniform`), so they hold
+only on an interpreter that reproduces those sequences.
+"""
+
+import hashlib
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from cogmesh.cli import parse_scenario, write_run_outputs
+from cogmesh.engine import ScenarioConfig, World
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SIDE_200 = 1000.0 * math.sqrt(4)     # default density (50 SUs per km^2) at n=200
+
+BASES = {
+    "default": lambda: parse_scenario(str(SCENARIOS / "default.cfg")),
+    # periodic PUs hopping channel every 500 ticks
+    "dynamic_pus": lambda: parse_scenario(str(SCENARIOS / "dynamic_pus.cfg")),
+    "markov": lambda: ScenarioConfig(su_count=30, channel_count=4, pu_count=4,
+                                     pu_model="markov", duration_ticks=1500),
+    # criterion 7's single-channel formation setting
+    "single_channel": lambda: ScenarioConfig(
+        su_count=20, channel_count=1, area_width=700.0, area_height=700.0,
+        duration_ticks=1800, startup_spread_ticks=1200, reform_enabled=False),
+    "n200": lambda: ScenarioConfig(su_count=200, channel_count=8,
+                                   area_width=SIDE_200, area_height=SIDE_200,
+                                   duration_ticks=800),
+}
+
+GOLDEN = {
+    ("default", 1): "ead3728592c5394bb1810ab6e99e9f8eba70bcf97bc3e7432840b14b40c88cf0",
+    ("default", 2): "705373ef74811c39a31bba106f22126f8bb1317290cb03df2ecb61b9bcebe3dc",
+    ("default", 3): "9b470f3faf8e6cca349ad31364029d725f49d1b95c0cac12c286ae8324e970e7",
+    ("dynamic_pus", 1): "675fd6eb0521b7a9057877f70bcbd969d5c08a0b428ada651211a02a60ad0111",
+    ("dynamic_pus", 2): "f2c0e92634ab9c49ca8cf7c587fa4cc9dfb6bbba6be654e91d749f6a9d34f6fd",
+    ("dynamic_pus", 3): "4b7ba99d4a4db22b7544bf9d52d96f832c91aceee2fc5c8a914dc3e5e9e67506",
+    ("markov", 1): "3df5915d7cf4cf768d2976408f2becab4bc2f473291cff970517c5a2aae048e2",
+    ("markov", 2): "eaa212bb6c5bbb0cfdf18e18beb77f6c3bf177a701785e8e15ac8f770e3e76f0",
+    ("markov", 3): "608c23764f7171c8dabf61836a3b5d00983271796ac67730e204d0d37c896182",
+    ("single_channel", 1): "bf83d8e2c98187036e731e3d767f2663ce155e8b96aabf805cf8e59505c1001a",
+    ("single_channel", 2): "ecb080ea4540ee995415f0b77af67906926abd106da39a27faa30edcd43b86e1",
+    ("single_channel", 3): "e3431436dea6083959b66f3feb69f5eb1767c508dd19a59dcac65a6aada6020d",
+    ("n200", 1): "8ffd2f1ad3337328f6e5b1436bd3c0f002a135356d0d33a444f0562a97c34353",
+}
+
+
+def output_digest(cfg: ScenarioConfig, out_dir: Path) -> str:
+    write_run_outputs(World(cfg, validate=True).run(), str(out_dir))
+    h = hashlib.sha256()
+    h.update((out_dir / "metrics.csv").read_bytes())
+    h.update((out_dir / "events.log").read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+def test_golden_digest(name, seed, tmp_path):
+    cfg = replace(BASES[name](), seed=seed)
+    assert output_digest(cfg, tmp_path) == GOLDEN[(name, seed)]
