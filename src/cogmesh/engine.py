@@ -468,9 +468,6 @@ class World:
 
     # -- gateways --
 
-    def _cluster_nodes(self, rec: ClusterRecord):
-        return [rec.head] + sorted(rec.members)
-
     def _gateway_maintenance(self, tick: int):
         heads = sorted(self.clusters)
         alive = set(heads)
@@ -484,38 +481,46 @@ class World:
         for key in list(self.first_mutual):
             if key[0] not in alive or key[1] not in alive:
                 del self.first_mutual[key]
-        for i, ha in enumerate(heads):
+        for ha, hb in self._discovered_pairs():
             ra = self.clusters[ha]
-            nodes_a = self._cluster_nodes(ra)
-            ids_a = set(nodes_a)
-            for hb in heads[i + 1:]:
-                rb = self.clusters[hb]
-                if hb in ra.neighbor_clusters:
-                    continue
-                nodes_b = self._cluster_nodes(rb)
-                ids_b = set(nodes_b)
-                # actionable discovery: some cross pair is in a table at 1 hop
-                # (which also implies the pair is in radio range)
-                discovered = any(
-                    nid in ids_b and e.hops == 1
-                    for x in nodes_a for nid, e in tables[x].items()
-                ) or any(
-                    nid in ids_a and e.hops == 1
-                    for x in nodes_b for nid, e in tables[x].items()
-                )
-                if not discovered:
-                    continue
-                self.first_mutual.setdefault((ha, hb), tick)
-                link = select_gateways(ra, rb, tables, self.adjacent)
-                if link is None:
-                    continue
-                ra.neighbor_clusters[hb] = link
-                rb.neighbor_clusters[ha] = link
-                self.gateway_latencies.append(
-                    (ha, hb, self.first_mutual.pop((ha, hb)), tick))
-                self.log(tick, "gateway", cluster_a=ha, cluster_b=hb,
-                         nodes=":".join(str(x) for x in link.nodes))
+            rb = self.clusters[hb]
+            if hb in ra.neighbor_clusters:
+                continue
+            self.first_mutual.setdefault((ha, hb), tick)
+            link = select_gateways(ra, rb, tables, self.adjacent)
+            if link is None:
+                continue
+            ra.neighbor_clusters[hb] = link
+            rb.neighbor_clusters[ha] = link
+            self.gateway_latencies.append(
+                (ha, hb, self.first_mutual.pop((ha, hb)), tick))
+            self.log(tick, "gateway", cluster_a=ha, cluster_b=hb,
+                     nodes=":".join(str(x) for x in link.nodes))
         self._refresh_gateway_roles()
+
+    def _discovered_pairs(self) -> list:
+        """Head pairs (ha, hb), ha < hb, in sorted order, such that a node of
+        one cluster holds a node of the other in its table at 1 hop (which
+        also implies the two are in radio range).
+
+        A member that silently left stays listed by its old head's record
+        until the mini-slot TTL fires, so a node can have two owning heads.
+        """
+        owners = {}
+        for head, rec in self.clusters.items():
+            owners.setdefault(head, []).append(head)
+            for m in rec.members:
+                owners.setdefault(m, []).append(head)
+        pairs = set()
+        for x, mine in owners.items():
+            for nid, e in self.nodes[x].table.items():
+                if e.hops != 1:
+                    continue
+                for b in owners.get(nid, ()):
+                    for a in mine:
+                        if a != b:
+                            pairs.add((a, b) if a < b else (b, a))
+        return sorted(pairs)
 
     def _link_valid(self, link) -> bool:
         ra = self.clusters.get(link.cluster_a)

@@ -1,5 +1,6 @@
 """World construction, message delivery, metrics, and determinism."""
 
+import copy
 import math
 
 import pytest
@@ -13,7 +14,7 @@ from cogmesh.engine import (
     deliver_messages,
     run,
 )
-from cogmesh.protocol import Role
+from cogmesh.protocol import ClusterRecord, GatewayLink, NeighborEntry, Role
 
 
 class TestConfig:
@@ -190,3 +191,94 @@ class TestRun:
         for n in world.nodes:
             assert n.role is not None
             assert n.master is not None
+
+
+def scan_every_head_pair(world):
+    """Reference discovery: try every pair of heads and scan the table of
+    every node in both clusters for a 1-hop entry naming the other cluster."""
+    def knows(xs, ys):
+        return any(nid in ys and e.hops == 1
+                   for x in xs for nid, e in world.nodes[x].table.items())
+
+    heads = sorted(world.clusters)
+    pairs = []
+    for i, ha in enumerate(heads):
+        ids_a = {ha} | set(world.clusters[ha].members)
+        for hb in heads[i + 1:]:
+            ids_b = {hb} | set(world.clusters[hb].members)
+            if knows(ids_a, ids_b) or knows(ids_b, ids_a):
+                pairs.append((ha, hb))
+    return pairs
+
+
+def gateway_outcome(world, tick):
+    n_events = len(world.events)
+    n_latencies = len(world.gateway_latencies)
+    World._gateway_maintenance(world, tick)
+    return ([e.line() for e in world.events[n_events:]],
+            world.gateway_latencies[n_latencies:], sorted(world.first_mutual))
+
+
+def assert_matches_brute_force(world, tick):
+    """Gateway maintenance on `world` must give the same gateway events,
+    latencies and pending discoveries as on a copy whose discovery is the
+    brute-force scan over every pair of heads."""
+    twin = copy.deepcopy(world)
+    twin._discovered_pairs = lambda: scan_every_head_pair(twin)
+    expected = gateway_outcome(twin, tick)
+    assert gateway_outcome(world, tick) == expected
+    return expected
+
+
+class TestGatewayDiscovery:
+    def test_hand_built_clusters_match_brute_force(self):
+        # all ten nodes within range of each other, so tables alone decide
+        cfg = ScenarioConfig(su_count=10, channel_count=1, duration_ticks=100)
+        world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(10)])
+
+        def record(head, members):
+            rec = ClusterRecord(head=head, master=0,
+                                members={m: i for i, m in enumerate(members)},
+                                max_slots=cfg.max_slots, frame_offset=0)
+            world.clusters[head] = rec
+            return rec
+
+        def knows(x, nid, hops=1):
+            world.nodes[x].table[nid] = NeighborEntry(
+                id=nid, hops=hops, master=0, channels={}, last_seen=0)
+
+        record(0, [1, 2])
+        record(3, [4])
+        record(5, [6, 2])           # 2 left cluster 0; its record still lists it
+        link = GatewayLink(cluster_a=7, cluster_b=9, node_a=8, node_b=9)
+        record(7, [8]).neighbor_clusters[9] = link
+        record(9, []).neighbor_clusters[7] = link
+        knows(1, 4)                 # clusters 0 and 3
+        knows(1, 2)                 # clusters 0 and 5, through the stale member
+        knows(2, 8)                 # clusters 0 and 7, and 5 and 7
+        knows(4, 9, hops=2)         # 2 hops only: clusters 3 and 9 stay apart
+        knows(8, 9)                 # clusters 7 and 9 are already linked
+        world.first_mutual[(0, 7)] = 40
+
+        events, latencies, pending = assert_matches_brute_force(world, 50)
+        assert events == [
+            "tick=50 event=gateway cluster_a=0 cluster_b=3 nodes=1:4",
+            "tick=50 event=gateway cluster_a=0 cluster_b=5 nodes=1:2",
+            "tick=50 event=gateway cluster_a=0 cluster_b=7 nodes=2:8",
+            "tick=50 event=gateway cluster_a=5 cluster_b=7 nodes=2:8",
+        ]
+        assert latencies == [(0, 3, 50, 50), (0, 5, 50, 50), (0, 7, 40, 50),
+                             (5, 7, 50, 50)]
+        assert pending == []
+        assert world.clusters[7].neighbor_clusters[9] is link
+
+    def test_seeded_run_matches_brute_force_every_superframe(self):
+        side = 1000.0 * math.sqrt(2)
+        cfg = ScenarioConfig(su_count=100, channel_count=4, area_width=side,
+                             area_height=side, duration_ticks=700, seed=4)
+        world = World(cfg)
+        links = []
+        world._gateway_maintenance = lambda tick: links.extend(
+            assert_matches_brute_force(world, tick)[1])
+        world.run()
+        assert len(links) > 50
