@@ -214,6 +214,7 @@ def scan_every_head_pair(world):
 def gateway_outcome(world, tick):
     n_events = len(world.events)
     n_latencies = len(world.gateway_latencies)
+    # through the class: the seeded-run test wraps the instance attribute
     World._gateway_maintenance(world, tick)
     return ([e.line() for e in world.events[n_events:]],
             world.gateway_latencies[n_latencies:], sorted(world.first_mutual))
