@@ -10,5 +10,3 @@ with/without-swarm comparison harness.
 """
 
 __version__ = "0.1.0"
-
-from cogmesh.kernels import COMPILED as KERNELS_COMPILED  # noqa: F401

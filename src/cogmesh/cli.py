@@ -27,7 +27,6 @@ FINAL_WINDOW_FRACTION = 0.2
 class RunRequest:
     config_path: str
     out_dir: str
-    mode: str = "single"                 # single | sweep | compare
     seeds: tuple[int, ...] = ()
     seed: int | None = None
     ticks: int | None = None
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             req = RunRequest(config_path=args.config, out_dir=args.out,
-                             mode="single", seed=args.seed, ticks=args.ticks,
+                             seed=args.seed, ticks=args.ticks,
                              swarm=args.swarm)
             result = run_single(req)
             mean_std, mean_cloud, mean_clusters = window_means(result.samples)
@@ -230,13 +229,13 @@ def main(argv=None) -> int:
                   f"clusters {mean_clusters:.2f}")
         elif args.command == "sweep":
             req = RunRequest(config_path=args.config, out_dir=args.out,
-                             mode="sweep", seeds=_parse_seeds(args.seeds),
+                             seeds=_parse_seeds(args.seeds),
                              ticks=args.ticks, swarm=args.swarm)
             results = run_sweep(req)
             print(f"sweep complete: {len(results)} seeds -> {args.out}/sweep.csv")
         else:
             req = RunRequest(config_path=args.config, out_dir=args.out,
-                             mode="compare", seeds=_parse_seeds(args.seeds),
+                             seeds=_parse_seeds(args.seeds),
                              ticks=args.ticks)
             rows, means = run_compare(req)
             print("seed  stddev_on stddev_off cloud_on cloud_off")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 from random import Random
 
-from cogmesh import kernels, radio
+from cogmesh import radio
 from cogmesh.protocol import (
     MEMBER_ROLES,
     ClusterRecord,
@@ -225,6 +225,35 @@ class RunResult:
     final_cluster_count: int
 
 
+def largest_same_master_component(neighbors: list, masters: list) -> int:
+    """Largest connected component over edges whose endpoints share a master.
+
+    `neighbors[i]` lists node i's physical neighbors; `masters[i]` is the
+    node's master channel or -1 for none (such nodes are excluded).
+    """
+    n = len(masters)
+    seen = bytearray(n)
+    best = 0
+    stack = []
+    for start in range(n):
+        if seen[start] or masters[start] < 0:
+            continue
+        m = masters[start]
+        seen[start] = 1
+        stack.append(start)
+        size = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for v in neighbors[u]:
+                if not seen[v] and masters[v] == m:
+                    seen[v] = 1
+                    stack.append(v)
+        if size > best:
+            best = size
+    return best
+
+
 def compute_metrics(tick: int, masters: list, neighbors: list,
                     channel_count: int, cluster_count: int) -> MetricsSample:
     """Snapshot: per-channel master counts, their population standard
@@ -236,7 +265,7 @@ def compute_metrics(tick: int, masters: list, neighbors: list,
             counts[m] += 1
     mean = sum(counts) / channel_count
     var = sum((c - mean) ** 2 for c in counts) / channel_count
-    largest = kernels.largest_same_master_component(neighbors, masters)
+    largest = largest_same_master_component(neighbors, masters)
     return MetricsSample(tick=tick, counts=tuple(counts), stddev=math.sqrt(var),
                          largest_cloud=largest, cluster_count=cluster_count)
 

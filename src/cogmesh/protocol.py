@@ -490,8 +490,6 @@ class Node:
         self.join_queue: list = []
         self.lock = None               # (plan id, expiry tick) while reforming
 
-        self.settle_tick: int | None = None
-
     # -- helpers --
 
     def is_member(self) -> bool:

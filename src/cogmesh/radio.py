@@ -16,10 +16,8 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from random import Random
-
-from cogmesh import kernels
 
 ChannelId = int
 
@@ -159,7 +157,12 @@ def quantize(q_raw: float, q_max: float, stages: int) -> int:
         raise ValueError("q_max must be > 0")
     if stages < 2:
         raise ValueError("stages must be >= 2")
-    return kernels.quantize(q_raw, q_max, stages)
+    s = int(stages * q_raw / q_max)
+    if s >= stages:
+        return stages - 1
+    if s < 0:
+        return 0
+    return s
 
 
 def sense(env: RadioEnvironment, pos: tuple[float, float],
@@ -198,6 +201,6 @@ def sense(env: RadioEnvironment, pos: tuple[float, float],
             channel=ch,
             available=not blocked[ch],
             q_raw=q_raw,
-            q_stage=kernels.quantize(q_raw, env.q_max, env.quant_stages),
+            q_stage=quantize(q_raw, env.q_max, env.quant_stages),
         ))
     return out

@@ -51,7 +51,6 @@ class Negotiation:
     affected: dict               # head id -> frozenset(member ids incl. head)
     deadline: int
     acks: set = field(default_factory=set)
-    denied: bool = False
     commit_tick: int | None = None
     done: bool = False
 

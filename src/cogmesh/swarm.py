@@ -13,9 +13,8 @@ channel is simply the argmax weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from cogmesh import kernels
 from cogmesh.radio import ChannelObservation
 
 # channel id -> weight; invariant: values sum to 1 over the available set
@@ -66,8 +65,39 @@ class HelloMessage:
 
 
 def reward(delta_q: float, params: RewardParams) -> float:
-    """Reinforcement factor in [0, 1], monotone non-decreasing in delta_q."""
-    return kernels.reward(delta_q, params.a, params.b, params.c)
+    """Reinforcement factor in [0, 1], monotone non-decreasing in delta_q.
+
+    The clamp absorbs the rounding slack that `RewardParams` tolerates at
+    the limits of the curve.
+    """
+    r = (math.atan(params.a * delta_q) + params.b) / params.c
+    if r < 0.0:
+        return 0.0
+    if r > 1.0:
+        return 1.0
+    return r
+
+
+def hello_reinforce(weights: WeightList, master: int, r: float) -> WeightList:
+    """One pheromone update: boost `master` by r*(1-W), decay the rest by (1-r)."""
+    decay = 1.0 - r
+    out = {}
+    for ch, w in weights.items():
+        if ch == master:
+            out[ch] = w + r * (1.0 - w)
+        else:
+            out[ch] = w * decay
+    return out
+
+
+def blend_refresh(weights: WeightList, target: WeightList,
+                  alpha: float) -> WeightList:
+    """Convex blend (1-alpha)*W + alpha*target, channel by channel."""
+    keep = 1.0 - alpha
+    out = {}
+    for ch, w in weights.items():
+        out[ch] = keep * w + alpha * target[ch]
+    return out
 
 
 def select_master(weights: WeightList) -> int:
@@ -106,8 +136,8 @@ def apply_hello(weights: WeightList, hello: HelloMessage,
     reported = hello.stage_of(target)
     if reported is None:
         return weights
-    r = kernels.reward(float(reported - local_stage), params.a, params.b, params.c)
-    return kernels.hello_reinforce(weights, target, r)
+    r = reward(float(reported - local_stage), params)
+    return hello_reinforce(weights, target, r)
 
 
 def initial_weights(obs: list[ChannelObservation]) -> WeightList:
@@ -131,22 +161,13 @@ def refresh_from_sensing(weights: WeightList, obs: list[ChannelObservation],
     renormalized; newly available channels enter at weight zero; the result
     is then blended (1-alpha)*W + alpha*Q where Q is the stage vector scaled
     to sum one (uniform if all stages are zero). When no prior mass survives
-    the result is Q itself.
+    the result is Q itself. `alpha` must lie in [0, 1]; configuration
+    validation checks that, not each call.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    stages = {o.channel: o.q_stage for o in obs if o.available}
-    if not stages:
-        raise NoAvailableChannels("no available channels")
-    stage_total = sum(stages.values())
-    if stage_total == 0:
-        u = 1.0 / len(stages)
-        target = {ch: u for ch in stages}
-    else:
-        target = {ch: s / stage_total for ch, s in stages.items()}
-    kept = {ch: weights.get(ch, 0.0) for ch in stages}
+    target = initial_weights(obs)
+    kept = {ch: weights.get(ch, 0.0) for ch in target}
     mass = sum(kept.values())
     if mass <= 0.0:
-        return dict(target)
+        return target
     kept = {ch: w / mass for ch, w in kept.items()}
-    return kernels.blend_refresh(kept, target, alpha)
+    return blend_refresh(kept, target, alpha)

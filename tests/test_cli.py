@@ -114,7 +114,7 @@ class TestSweepAndCompare:
     def test_sweep_writes_per_seed_and_summary(self, tmp_path):
         cfg_path = write(tmp_path, BASIC)
         out = tmp_path / "sweep"
-        req = RunRequest(config_path=cfg_path, out_dir=str(out), mode="sweep",
+        req = RunRequest(config_path=cfg_path, out_dir=str(out),
                          seeds=(1, 2))
         results = run_sweep(req)
         assert len(results) == 2
@@ -125,7 +125,7 @@ class TestSweepAndCompare:
     def test_compare_needs_two_seeds(self, tmp_path):
         cfg_path = write(tmp_path, BASIC)
         req = RunRequest(config_path=cfg_path, out_dir=str(tmp_path / "c"),
-                         mode="compare", seeds=(1,))
+                         seeds=(1,))
         with pytest.raises(ConfigError, match="seeds"):
             run_compare(req)
 
@@ -133,7 +133,7 @@ class TestSweepAndCompare:
         cfg_path = write(tmp_path, BASIC)
         out = tmp_path / "cmp"
         req = RunRequest(config_path=cfg_path, out_dir=str(out),
-                         mode="compare", seeds=(1, 2))
+                         seeds=(1, 2))
         rows, means = run_compare(req)
         assert len(rows) == 2 and len(means) == 4
         lines = (out / "compare.csv").read_text().splitlines()

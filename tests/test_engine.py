@@ -2,9 +2,13 @@
 
 import copy
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cogmesh.cli import write_run_outputs
 from cogmesh.engine import (
     ConfigError,
     ScenarioConfig,
@@ -12,6 +16,7 @@ from cogmesh.engine import (
     compute_metrics,
     config_from_mapping,
     deliver_messages,
+    largest_same_master_component,
     run,
 )
 from cogmesh.protocol import ClusterRecord, GatewayLink, NeighborEntry, Role
@@ -127,6 +132,12 @@ class TestMetrics:
         s = compute_metrics(0, [-1, 2, -1], [[], [], []], 3, 1)
         assert s.counts == (0, 0, 1)
         assert s.largest_cloud == 1
+
+    def test_masterless_node_cuts_the_cloud(self):
+        assert largest_same_master_component([[1], [0, 2], [1]], [0, -1, 0]) == 1
+
+    def test_empty_graph_has_no_cloud(self):
+        assert largest_same_master_component([], []) == 0
 
 
 class TestRun:
@@ -283,3 +294,76 @@ class TestGatewayDiscovery:
             assert_matches_brute_force(world, tick)[1])
         world.run()
         assert len(links) > 50
+
+
+@st.composite
+def small_scenarios(draw):
+    """Small valid scenarios over both PU models and the superframe layout
+    extremes (one mini-slot, four detection blocks, public RA 2-6 ticks)."""
+    frame = dict(
+        max_slots=draw(st.integers(1, 8)),
+        public_ra_ticks=draw(st.integers(2, 6)),
+        detect_periods=draw(st.integers(1, 4)),
+    )
+    fixed = (ScenarioConfig.beacon_ticks + ScenarioConfig.intra_ra_ticks
+             + frame["max_slots"] + frame["public_ra_ticks"]
+             + frame["detect_periods"] * ScenarioConfig.detect_ticks)
+    room = ScenarioConfig.max_superframe_ticks - fixed
+    frame["data_ticks"] = draw(st.integers(1, min(8, room)))
+    side = draw(st.floats(200.0, 1000.0))
+    return ScenarioConfig(
+        area_width=side, area_height=side,
+        su_count=draw(st.integers(0, 40)),
+        channel_count=draw(st.integers(1, 8)),
+        pu_count=draw(st.integers(0, 6)),
+        pu_model=draw(st.sampled_from(["periodic", "markov"])),
+        pu_period_ticks=draw(st.integers(1, 150)),
+        pu_duty=draw(st.floats(0.0, 1.0)),
+        pu_hop=draw(st.booleans()),
+        pu_p_on=draw(st.floats(0.0, 1.0)),
+        pu_p_off=draw(st.floats(0.0, 1.0)),
+        sensing_window_ticks=draw(st.integers(1, 3)),
+        swarm_enabled=draw(st.booleans()),
+        reform_enabled=draw(st.booleans()),
+        reform_cadence=draw(st.integers(1, 5)),
+        frame_jitter_max=0,
+        startup_spread_ticks=draw(st.integers(0, 100)),
+        metrics_period=draw(st.integers(1, 50)),
+        duration_ticks=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2**32)),
+        **frame,
+    )
+
+
+def run_recording_heads(cfg):
+    """Run with per-sample validation; also count HEAD nodes at each sample."""
+    world = World(cfg, validate=True)
+    heads = []
+    take_sample = world._sample
+
+    def sample_and_count(tick):
+        take_sample(tick)
+        heads.append(sum(n.role is Role.HEAD for n in world.nodes))
+
+    world._sample = sample_and_count
+    return world.run(), heads
+
+
+def output_bytes(result):
+    with tempfile.TemporaryDirectory() as out:
+        write_run_outputs(result, out)
+        return b"".join((Path(out) / name).read_bytes()
+                        for name in ("metrics.csv", "events.log"))
+
+
+class TestScenarioFuzz:
+    @given(small_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_random_valid_scenarios_keep_invariants(self, cfg):
+        result, heads = run_recording_heads(cfg)
+        assert len(result.samples) == cfg.duration_ticks // cfg.metrics_period
+        for sample, n_heads in zip(result.samples, heads):
+            assert sum(sample.counts) <= cfg.su_count
+            assert sample.cluster_count == n_heads
+        replay, _ = run_recording_heads(cfg)
+        assert output_bytes(replay) == output_bytes(result)

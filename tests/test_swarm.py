@@ -6,13 +6,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogmesh import kernels
 from cogmesh.radio import ChannelObservation
 from cogmesh.swarm import (
     HelloMessage,
     NoAvailableChannels,
     RewardParams,
     apply_hello,
+    hello_reinforce,
     initial_weights,
     refresh_from_sensing,
     reward,
@@ -46,6 +46,12 @@ class TestReward:
         assert 0.0 <= reward(-1e300, DEFAULTS) <= 1.0
         assert 0.0 <= reward(1e300, DEFAULTS) <= 1.0
 
+    def test_clamps_within_validation_tolerance(self):
+        # RewardParams accepts curves that overshoot [0, 1] by rounding slack;
+        # unclamped, the second value would read 1.0000000000000318
+        assert reward(-1e308, RewardParams(b=math.pi / 2 - 1e-13)) == 0.0
+        assert reward(1e308, RewardParams(b=math.pi / 2 + 1e-13)) == 1.0
+
     @given(st.floats(min_value=-50, max_value=50),
            st.floats(min_value=-50, max_value=50))
     def test_monotone(self, d1, d2):
@@ -68,7 +74,7 @@ class TestReward:
 class TestApplyHello:
     def test_zero_reward_is_identity(self):
         w = {0: 0.3, 1: 0.7}
-        assert kernels.hello_reinforce(w, 0, 0.0) == w
+        assert hello_reinforce(w, 0, 0.0) == w
 
     def test_hand_evaluated_update(self):
         # equal stages make delta_q = 0, so r = 0.5 with defaults
@@ -80,7 +86,7 @@ class TestApplyHello:
         assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_capture_at_unit_reward(self):
-        out = kernels.hello_reinforce({0: 0.5, 1: 0.5}, 0, 1.0)
+        out = hello_reinforce({0: 0.5, 1: 0.5}, 0, 1.0)
         assert out == {0: 1.0, 1: 0.0}
 
     def test_unavailable_master_changes_nothing(self):
