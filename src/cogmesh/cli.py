@@ -61,14 +61,16 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 
 def apply_overrides(cfg: ScenarioConfig, req: RunRequest) -> ScenarioConfig:
+    """Apply the command-line flags; the result is validated once, when the
+    run builds its World."""
+    changes = {}
     if req.seed is not None:
-        cfg = replace(cfg, seed=req.seed)
+        changes["seed"] = req.seed
     if req.ticks is not None:
-        cfg = replace(cfg, duration_ticks=req.ticks)
+        changes["duration_ticks"] = req.ticks
     if req.swarm is not None:
-        cfg = replace(cfg, swarm_enabled=(req.swarm == "on"))
-    cfg.validate()
-    return cfg
+        changes["swarm_enabled"] = req.swarm == "on"
+    return replace(cfg, **changes)
 
 
 def final_window(samples):

@@ -752,13 +752,12 @@ class World:
     def _apply_commit(self, neg: Negotiation, tick: int):
         if neg.done:
             return
+        if not self._commit_valid(neg):
+            self._cancel(neg, tick)
+            return
         neg.done = True
         self._release_locks(neg)
         self.neg_by_working.pop(neg.working, None)
-        if not self._commit_valid(neg):
-            self.log(tick, "reform", working=neg.working, status="cancelled",
-                     gain=neg.plan.gain)
-            return
         pre = len(neg.affected)
         post = len(neg.plan.clusters)
         old_offsets = {}
@@ -775,9 +774,10 @@ class World:
             rec = ClusterRecord(head=head, master=master, members=slot_map,
                                 max_slots=self.cfg.max_slots, frame_offset=offset)
             self.clusters[head] = rec
-            self._install_head(self.nodes[head], rec, tick)
+            self.nodes[head].become_head(
+                rec, _next_boundary(tick, offset, self.frame_len))
             for m, slot in slot_map.items():
-                self._install_member(self.nodes[m], head, master, slot, grace)
+                self.nodes[m].become_member(head, master, slot, grace)
         for rec in self.clusters.values():
             for other in list(rec.neighbor_clusters):
                 if other in neg.affected or rec.head in neg.affected:
@@ -785,50 +785,6 @@ class World:
         self._refresh_gateway_roles()
         self.log(tick, "reform", working=neg.working, status="committed",
                  gain=neg.plan.gain, pre=pre, post=post)
-
-    def _install_head(self, node: Node, rec: ClusterRecord, tick: int):
-        node.role = Role.HEAD
-        node.master = rec.master
-        node.cluster = rec
-        node.head_id = None
-        node.slot = None
-        node.sched = None
-        node.frame_start = _next_boundary(tick, rec.frame_offset, self.frame_len)
-        node.frames_in_cluster = 0
-        node.have_beacon = False
-        node.beacons_missed = 0
-        node.member_grace = None
-        node.heard_members = set()
-        node.member_miss = {m: 0 for m in rec.members}
-        node.join_queue = []
-        node.scan = None
-        node.join_target = None
-        node.join_tx_tick = None
-        node.join_deadline = None
-        node.exch_tx_tick = None
-        node.offscan_seen = set()
-        node.lock = None
-
-    def _install_member(self, node: Node, head: int, master: int, slot: int,
-                        grace: int):
-        node.role = Role.ORDINARY
-        node.master = master
-        node.cluster = None
-        node.head_id = head
-        node.slot = slot
-        node.sched = None
-        node.frame_start = None
-        node.frames_in_cluster = 0
-        node.have_beacon = False
-        node.beacons_missed = 0
-        node.member_grace = grace
-        node.scan = None
-        node.join_target = None
-        node.join_tx_tick = None
-        node.join_deadline = None
-        node.exch_tx_tick = None
-        node.offscan_seen = set()
-        node.lock = None
 
 
 def run(config: ScenarioConfig, su_positions=None, validate=True) -> RunResult:

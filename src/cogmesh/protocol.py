@@ -458,37 +458,11 @@ class Node:
         self.listen: int | None = None
         self.master: int | None = None
         self.weights: dict = {}
-        self.obs: dict = {}
         self.obs_list: list = []
         self.available: frozenset = frozenset()
         self.table: dict = {}
-
-        self.scan: ScanState | None = None
-        self.join_target: int | None = None
-        self.join_tx_tick: int | None = None
-        self.join_attempts = 0
-        self.join_deadline: int | None = None
-        self.exch_tx_tick: int | None = None
-        self.exch_done: set = set()
-
-        # member/cluster frame state (heads use the same frame fields)
-        self.head_id: int | None = None
-        self.slot: int | None = None
-        self.sched: SuperframeSchedule | None = None
-        self.frame_start: int | None = None
         self.frame_gap = params.frame_len
-        self.have_beacon = False
-        self.beacons_missed = 0
-        self.frames_in_cluster = 0
-        self.offscan_ch: int | None = None
-        self.offscan_seen: set = set()
-        self.member_grace: int | None = None
-
-        self.cluster: ClusterRecord | None = None
-        self.heard_members: set = set()
-        self.member_miss: dict = {}
-        self.join_queue: list = []
-        self.lock = None               # (plan id, expiry tick) while reforming
+        self._clear_role_state()
 
     # -- helpers --
 
@@ -500,7 +474,6 @@ class Node:
 
     def apply_observations(self, observations):
         self.obs_list = observations
-        self.obs = {o.channel: o for o in observations}
         self.available = frozenset(o.channel for o in observations if o.available)
 
     def _select_current(self) -> int | None:
@@ -531,6 +504,57 @@ class Node:
 
     # -- lifecycle --
 
+    def _clear_role_state(self):
+        """Reset everything scoped to one role: scan and join progress, the
+        cluster frame, and a head's member bookkeeping. Every role entry
+        starts from here; what persists across roles (channel choice,
+        weights, observations, neighbor table) is left alone."""
+        self.scan: ScanState | None = None
+        self.join_target: int | None = None
+        self.join_tx_tick: int | None = None
+        self.join_attempts = 0
+        self.join_deadline: int | None = None
+        self.exch_tx_tick: int | None = None
+        self.exch_done: set = set()
+
+        # member/cluster frame state (heads use the same frame fields)
+        self.head_id: int | None = None
+        self.slot: int | None = None
+        self.sched: SuperframeSchedule | None = None
+        self.frame_start: int | None = None
+        self.have_beacon = False
+        self.beacons_missed = 0
+        self.frames_in_cluster = 0
+        self.offscan_ch: int | None = None
+        self.offscan_seen: set = set()
+        self.member_grace: int | None = None
+
+        self.cluster: ClusterRecord | None = None
+        self.heard_members: set = set()
+        self.member_miss: dict = {}
+        self.join_queue: list = []
+        self.lock = None               # (plan id, expiry tick) while reforming
+
+    def become_head(self, rec: ClusterRecord, frame_start: int):
+        """Head the cluster `rec`; its first frame starts at `frame_start`."""
+        self._clear_role_state()
+        self.role = Role.HEAD
+        self.master = rec.master
+        self.cluster = rec
+        self.frame_start = frame_start
+        self.member_miss = dict.fromkeys(rec.members, 0)
+
+    def become_member(self, head: int, master: int, slot: int,
+                      grace: int | None):
+        """Member of `head`'s cluster in mini-slot `slot`; with a `grace` tick
+        the node rescans unless a beacon arrives before it."""
+        self._clear_role_state()
+        self.role = Role.ORDINARY
+        self.master = master
+        self.head_id = head
+        self.slot = slot
+        self.member_grace = grace
+
     def activate(self, tick: int, ctx):
         self.role = Role.SCANNING
         self.apply_observations(ctx.sense(self))
@@ -539,24 +563,8 @@ class Node:
     def _restart_scan(self, first_channel: int | None, tick: int):
         """(Re-)enter scanning; with no channels the node idles dormant."""
         self.role = Role.SCANNING
-        self.head_id = None
-        self.slot = None
-        self.sched = None
-        self.frame_start = None
-        self.cluster = None
-        self.have_beacon = False
-        self.beacons_missed = 0
-        self.member_grace = None
-        self.join_target = None
-        self.join_tx_tick = None
-        self.join_attempts = 0
-        self.join_deadline = None
-        self.exch_tx_tick = None
-        self.exch_done = set()
-        self.offscan_ch = None
-        self.lock = None
+        self._clear_role_state()
         if not self.available:
-            self.scan = None
             self.master = None
             self.weights = {}
             return
@@ -656,11 +664,15 @@ class Node:
                 self.join_deadline = tick + 2 * self.p.frame_len
             if tick < self.join_deadline:
                 return
-            s.rejections.add(self.join_target)
-            self.join_target = None
-            self.join_tx_tick = None
-            self.join_deadline = None
+            self._give_up_join(self.join_target)
         self._advance_scan(tick, ctx)
+
+    def _give_up_join(self, head: int):
+        """Drop the join in flight and never ask `head` again this scan."""
+        self.scan.rejections.add(head)
+        self.join_target = None
+        self.join_tx_tick = None
+        self.join_deadline = None
 
     def _advance_scan(self, tick: int, ctx):
         s = self.scan
@@ -696,26 +708,13 @@ class Node:
             self.master = outcome.channel
 
     def _form_cluster(self, channel: int, tick: int, ctx):
-        self.role = Role.HEAD
-        self.master = channel
         offset = self.rng.randrange(self.p.frame_len)
-        self.cluster = ClusterRecord(
+        rec = ClusterRecord(
             head=self.id, master=channel, members={},
             max_slots=self.p.frame.max_slots, frame_offset=offset,
         )
-        ctx.register_cluster(self.cluster)
-        self.frame_start = _next_boundary(tick + 1, offset, self.p.frame_len)
-        self.sched = None
-        self.frames_in_cluster = 0
-        self.heard_members = set()
-        self.member_miss = {}
-        self.join_queue = []
-        self.offscan_seen = set()
-        self.scan = None
-        self.join_target = None
-        self.join_tx_tick = None
-        self.join_deadline = None
-        self.exch_tx_tick = None
+        ctx.register_cluster(rec)
+        self.become_head(rec, _next_boundary(tick + 1, offset, self.p.frame_len))
         self.listen = channel
         ctx.log(tick, "form", node=self.id, channel=channel)
         ctx.node_settled(self, tick)
@@ -914,10 +913,7 @@ class Node:
             self._complete_join(b, members[self.id], tick, ctx)
             return
         if self.id in b.rejects and b.head == self.join_target:
-            s.rejections.add(b.head)
-            self.join_target = None
-            self.join_tx_tick = None
-            self.join_deadline = None
+            self._give_up_join(b.head)
             self.master = self._choice_or(s.current)
             ctx.log(tick, "reject", node=self.id, head=b.head, channel=b.master)
             return
@@ -931,9 +927,7 @@ class Node:
         elif self.join_target == b.head and (self.join_tx_tick is None
                                              or self.join_tx_tick < tick):
             if self.join_attempts >= self.p.join_attempt_limit:
-                s.rejections.add(b.head)
-                self.join_target = None
-                self.join_deadline = None
+                self._give_up_join(b.head)
                 self.master = self._choice_or(s.current)
             else:
                 self.join_attempts += 1
@@ -944,23 +938,8 @@ class Node:
         return b.frame_start + sched.pra_start + self.rng.randrange(sched.pra_len)
 
     def _complete_join(self, b: Beacon, slot: int, tick: int, ctx):
-        self.role = Role.ORDINARY
-        self.head_id = b.head
-        self.slot = slot
-        self.master = b.master
-        self.sched = b.schedule
-        self.frame_start = b.frame_start
-        self.frame_gap = b.gap
-        self.have_beacon = True
-        self.beacons_missed = 0
-        self.frames_in_cluster = 0
-        self.offscan_seen = set()
-        self.member_grace = None
-        self.scan = None
-        self.join_target = None
-        self.join_tx_tick = None
-        self.join_deadline = None
-        self.exch_tx_tick = None
+        self.become_member(b.head, b.master, slot, None)
+        self._follow_beacon(b, slot)
         ctx.log(tick, "join", node=self.id, head=b.head, channel=b.master,
                 slot=slot)
         ctx.node_settled(self, tick)
@@ -971,7 +950,11 @@ class Node:
             new = self._select_current()
             self._leave_for(new, tick, ctx)
             return
-        self.slot = members[self.id]
+        self._follow_beacon(b, members[self.id])
+
+    def _follow_beacon(self, b: Beacon, slot: int):
+        """Adopt the frame the head's beacon announces."""
+        self.slot = slot
         self.sched = b.schedule
         self.frame_start = b.frame_start
         self.frame_gap = b.gap

@@ -157,6 +157,16 @@ class TestMain:
         assert code == 1
         assert "su_count" in capsys.readouterr().err
 
+    def test_invalid_override_exits_nonzero_before_writing(self, tmp_path,
+                                                           capsys):
+        cfg_path = write(tmp_path, BASIC)
+        out = tmp_path / "out"
+        code = main(["run", "--config", cfg_path, "--ticks", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "duration_ticks" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")])

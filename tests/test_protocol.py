@@ -17,6 +17,8 @@ from cogmesh.protocol import (
     ContinueScan,
     FormCluster,
     NeighborEntry,
+    Node,
+    ProtocolParams,
     RequestJoin,
     Role,
     ScanState,
@@ -280,6 +282,78 @@ class TestSelectGateways:
 
     def test_disjoint_clusters_have_no_link(self):
         assert select_gateways(self.a, self.b, {}, lambda x, y: True) is None
+
+
+class TestRoleEntry:
+    # attributes that outlive a role: identity, clocking, channel choice,
+    # sensing and the neighbor table, and the last frame gap heard
+    PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
+                  "master", "weights", "obs_list", "available", "table",
+                  "frame_gap"}
+
+    def busy_node(self):
+        """A node caught mid-join while still holding head bookkeeping."""
+        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        node.role = Role.SCANNING
+        node.scan = ScanState(visited={0, 1}, current=1, interval_remaining=5)
+        node.join_target = 7
+        node.join_tx_tick = 40
+        node.join_attempts = 2
+        node.join_deadline = 90
+        node.exch_tx_tick = 41
+        node.exch_done = {5}
+        node.offscan_ch = 3
+        node.offscan_seen = {3}
+        node.cluster = ClusterRecord(head=0, master=1, members={4: 0},
+                                     max_slots=8, frame_offset=2)
+        node.heard_members = {4}
+        node.member_miss = {4: 2}
+        node.join_queue = [(38, 6)]
+        node.lock = ((0, 30), 200)
+        return node
+
+    def test_become_member_leaves_no_join_scan_or_head_state(self):
+        node = self.busy_node()
+        node.become_member(head=9, master=2, slot=1, grace=120)
+        assert node.role is Role.ORDINARY
+        assert (node.head_id, node.master, node.slot, node.member_grace) \
+            == (9, 2, 1, 120)
+        assert node.scan is None
+        assert node.join_target is None and node.join_tx_tick is None
+        assert node.join_attempts == 0 and node.join_deadline is None
+        assert node.exch_tx_tick is None and node.exch_done == set()
+        assert node.offscan_ch is None and node.offscan_seen == set()
+        assert node.cluster is None and node.heard_members == set()
+        assert node.member_miss == {} and node.join_queue == []
+        assert node.lock is None
+        assert node.sched is None and node.frame_start is None
+
+    def test_become_head_tracks_every_listed_member(self):
+        node = self.busy_node()
+        rec = ClusterRecord(head=0, master=2, members={5: 0, 8: 1},
+                            max_slots=8, frame_offset=4)
+        node.become_head(rec, frame_start=54)
+        assert node.role is Role.HEAD
+        assert node.cluster is rec and node.master == 2
+        assert node.frame_start == 54
+        assert node.member_miss == {5: 0, 8: 0}
+        assert node.heard_members == set() and node.join_queue == []
+        assert node.scan is None and node.join_target is None
+        assert node.head_id is None and node.slot is None
+        assert node.lock is None
+
+    def test_clear_role_state_resets_every_role_scoped_attribute(self):
+        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        role_scoped = set(vars(node)) - self.PERSISTENT
+        assert role_scoped and self.PERSISTENT <= set(vars(node))
+        stale, kept = object(), object()
+        for name in role_scoped:
+            setattr(node, name, stale)
+        for name in self.PERSISTENT:
+            setattr(node, name, kept)
+        node._clear_role_state()
+        assert sorted(n for n in role_scoped if getattr(node, n) is stale) == []
+        assert all(getattr(node, n) is kept for n in self.PERSISTENT)
 
 
 class TestFormationWalkthrough:
