@@ -54,10 +54,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}", f"duplicate key {key!r}")
         mapping[key] = value
-    try:
-        return config_from_mapping(mapping, source=path)
-    except ConfigError as exc:
-        raise ConfigError(exc.key, f"{exc} (in {path})") from exc
+    return config_from_mapping(mapping, source=path)
 
 
 def apply_overrides(cfg: ScenarioConfig, req: RunRequest) -> ScenarioConfig:

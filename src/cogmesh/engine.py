@@ -32,6 +32,7 @@ from cogmesh.swarm import RewardParams
 class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         self.key = key
+        self.message = message
         super().__init__(f"{key}: {message}")
 
 
@@ -87,6 +88,9 @@ class ScenarioConfig:
             if not cond:
                 raise ConfigError(key, msg)
 
+        for f in dc_fields(self):
+            if f.type == "float":
+                need(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
         need(self.area_width > 0, "area_width", "must be > 0")
         need(self.area_height > 0, "area_height", "must be > 0")
         need(self.su_count >= 0, "su_count", "must be >= 0")
@@ -141,7 +145,6 @@ class ScenarioConfig:
             alpha=self.alpha,
             reward=RewardParams(self.reward_a, self.reward_b, self.reward_c),
             swarm_enabled=self.swarm_enabled,
-            sensing_window_ticks=self.sensing_window_ticks,
             reform_enabled=self.reform_enabled,
             reform_cadence=self.reform_cadence,
             frame_jitter_max=self.frame_jitter_max,
@@ -155,17 +158,20 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 def config_from_mapping(mapping: dict, source: str = "config") -> ScenarioConfig:
     """Build a config from key -> value (strings accepted), rejecting unknown
-    keys and out-of-range values with diagnostics that name the key."""
+    keys and out-of-range values with diagnostics that name the key and the
+    source."""
     cfg = ScenarioConfig()
-    for key, value in mapping.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(key, f"unknown key in {source}")
-        ftype = _FIELD_TYPES[key]
-        try:
-            setattr(cfg, key, _coerce(value, ftype))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
-    cfg.validate()
+    try:
+        for key, value in mapping.items():
+            if key not in _FIELD_TYPES:
+                raise ConfigError(key, "unknown key")
+            try:
+                setattr(cfg, key, _coerce(value, _FIELD_TYPES[key]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(exc.key, f"{exc.message} (in {source})") from exc
     return cfg
 
 
@@ -222,7 +228,6 @@ class RunResult:
     start_ticks: dict
     settle_ticks: dict
     gateway_latencies: list    # (head_a, head_b, discovered_tick, linked_tick)
-    final_cluster_count: int
 
 
 def largest_same_master_component(neighbors: list, masters: list) -> int:
@@ -270,13 +275,14 @@ def compute_metrics(tick: int, masters: list, neighbors: list,
                          largest_cloud=largest, cluster_count=cluster_count)
 
 
-def deliver_messages(transmissions: list, listening: dict, adjacency: dict):
+def deliver_messages(transmissions: list, listening: dict, adjacency):
     """Resolve one tick of the ether.
 
     A transmission on channel c reaches exactly the in-range nodes tuned to c
     (transmitters must be mapped to None in `listening`); two or more
     same-channel arrivals at one receiver collide and are all dropped there.
-    Returns (delivered, dropped) as (receiver, message) lists.
+    `adjacency[i]` lists node i's in-range nodes. Returns (delivered,
+    dropped) as (receiver, message) lists.
     """
     arrivals = {}
     for sender, channel, _msg in transmissions:
@@ -353,8 +359,8 @@ class World:
             for i in range(config.su_count)
         ]
         r2 = config.comm_range * config.comm_range
-        self.adjacency = {}
-        self.adj_sets = {}
+        # indexed by node id: in-range nodes in id order, and the same as a set
+        self.adjacency: list[list[int]] = []
         for a in self.nodes:
             near = []
             ax, ay = a.pos
@@ -364,9 +370,8 @@ class World:
                 bx, by = b.pos
                 if (ax - bx) ** 2 + (ay - by) ** 2 <= r2:
                     near.append(b.id)
-            self.adjacency[a.id] = near
-            self.adj_sets[a.id] = frozenset(near)
-        self.neighbor_lists = [self.adjacency[i] for i in range(config.su_count)]
+            self.adjacency.append(near)
+        self.adj_sets = [frozenset(near) for near in self.adjacency]
 
         self.tick = 0
         self.clusters: dict[int, ClusterRecord] = {}
@@ -439,12 +444,11 @@ class World:
             config=cfg, samples=self.samples, events=self.events,
             start_ticks=self.start_ticks, settle_ticks=self.settle_ticks,
             gateway_latencies=self.gateway_latencies,
-            final_cluster_count=len(self.clusters),
         )
 
     def _sample(self, tick: int):
         masters = [(-1 if n.master is None else n.master) for n in self.nodes]
-        sample = compute_metrics(tick, masters, self.neighbor_lists,
+        sample = compute_metrics(tick, masters, self.adjacency,
                                  self.cfg.channel_count, len(self.clusters))
         self.samples.append(sample)
         if self.validate_samples:
@@ -456,7 +460,8 @@ class World:
         A member that silently left keeps its stale record entry until the
         head times it out (the mini-slot TTL rule), so node-vs-record
         consistency is enforced for mutually consistent pairs; slot layout,
-        adjacency, and the heads' own state are enforced unconditionally.
+        adjacency, and the heads' own state are enforced unconditionally. An
+        unexpired reform lock must belong to a negotiation still in progress.
         """
         for head in self.clusters:
             rec = self.clusters[head]
@@ -487,6 +492,7 @@ class World:
                         and mn.master != rec.master:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} master disagrees with cluster")
+        live = {neg.plan_id for neg in self.negotiations if not neg.done}
         for n in self.nodes:
             if n.role in MEMBER_ROLES and n.head_id is None:
                 raise SimulationInvariantError(
@@ -494,6 +500,14 @@ class World:
             if n.role is not None and n.available and n.master is None:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} has channels but no master choice")
+            if n.lock is not None and n.lock[0] not in live \
+                    and n.lock[1] > self.tick:
+                raise SimulationInvariantError(
+                    f"t={tick}: node {n.id} holds a lock of a finished plan")
+        for working, neg in self.neg_by_working.items():
+            if neg.done:
+                raise SimulationInvariantError(
+                    f"t={tick}: working node {working} keeps a finished plan")
 
     # -- gateways --
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 from cogmesh import swarm
@@ -35,6 +36,9 @@ PUBLIC_RA = "public_ra"
 
 PUBLIC_RA_MIN = 2
 PUBLIC_RA_MAX = 6
+
+# join requests a scanning node sends to one cluster before it gives up on it
+JOIN_ATTEMPT_LIMIT = 4
 
 
 class Role(enum.Enum):
@@ -58,7 +62,7 @@ class SuperframeParams:
     detect_ticks: int = 2
     max_superframe_ticks: int = 32
 
-    @property
+    @cached_property
     def frame_len(self) -> int:
         return (self.beacon_ticks + self.max_slots + self.data_ticks
                 + self.intra_ra_ticks + self.public_ra_ticks
@@ -84,7 +88,6 @@ class SuperframeSchedule:
     """One superframe layout: (kind, start, length) periods in tick order."""
 
     periods: tuple[tuple[str, int, int], ...]
-    frame_len: int
     nd_start: int
     data_start: int
     data_len: int
@@ -92,9 +95,6 @@ class SuperframeSchedule:
     pra_len: int
     detect_ticks: frozenset[int]
     first_detect: int
-
-    def slot_tick(self, slot: int) -> int:
-        return self.nd_start + slot
 
 
 def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedule:
@@ -130,7 +130,7 @@ def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedul
             detect.extend(range(start, start + length))
         start += length
     return SuperframeSchedule(
-        periods=tuple(periods), frame_len=start, nd_start=nd_start,
+        periods=tuple(periods), nd_start=nd_start,
         data_start=data_start, data_len=data_len,
         pra_start=pra_start, pra_len=pra_len,
         detect_ticks=frozenset(detect), first_detect=min(detect),
@@ -142,7 +142,7 @@ class NeighborEntry:
     id: int
     hops: int                      # 1 or 2
     master: int
-    channels: dict                 # channel -> q_stage (None when unreported)
+    channels: tuple[int, ...]      # sorted channel ids, as on the wire
     last_seen: int
     relay: int | None = None       # 1-hop relay that reported a 2-hop entry
     cluster_head: int | None = None
@@ -174,7 +174,6 @@ class ClusterRecord:
 class BeaconSummary:
     head: int
     master: int
-    frame_start: int
 
 
 @dataclass
@@ -183,7 +182,7 @@ class ScanState:
     current: int
     interval_remaining: int
     heard_beacon: BeaconSummary | None = None
-    heard_hellos: list = field(default_factory=list)
+    heard_hello: bool = False
     rejections: set = field(default_factory=set)
 
 
@@ -215,7 +214,6 @@ class Beacon:
     gap: int                               # ticks to the next frame start
     schedule: SuperframeSchedule
     members: tuple[tuple[int, int], ...]   # (node id, mini-slot)
-    max_slots: int
     rejects: tuple[int, ...]
     hello: HelloMessage
 
@@ -268,12 +266,10 @@ def finish_scan_interval(state: ScanState, available, rng: Random):
     been visited without a home, the node starts its own cluster on a
     uniformly random available channel.
     """
-    if state.interval_remaining > 0:
-        raise ValueError("scan interval still running")
     beacon = state.heard_beacon
     if beacon is not None and beacon.head not in state.rejections:
         return RequestJoin(head=beacon.head, channel=beacon.master)
-    if beacon is None and not state.heard_hellos and state.current in available:
+    if beacon is None and not state.heard_hello and state.current in available:
         return FormCluster(channel=state.current)
     nxt = next_scan_channel(state, available)
     if nxt is not None:
@@ -299,7 +295,7 @@ def emit_hello(node_id: int, master: int, observations, table) -> HelloMessage:
     channels = tuple(sorted((o.channel, o.q_stage) for o in observations
                             if o.available))
     neighbors = tuple(
-        (e.id, e.master, tuple(sorted(e.channels)))
+        (e.id, e.master, e.channels)
         for e in sorted(table.values(), key=lambda e: e.id) if e.hops == 1
     )
     return HelloMessage(sender=node_id, master=master, channels=channels,
@@ -313,7 +309,7 @@ def upsert_from_hello(table: dict, hello: HelloMessage, tick: int,
     sender unless it is already known at 1 hop."""
     table[hello.sender] = NeighborEntry(
         id=hello.sender, hops=1, master=hello.master,
-        channels={ch: stage for ch, stage in hello.channels},
+        channels=tuple(ch for ch, _ in hello.channels),
         last_seen=tick, relay=None, cluster_head=cluster_head,
     )
     for nid, nmaster, nchannels in hello.neighbor_list:
@@ -324,7 +320,7 @@ def upsert_from_hello(table: dict, hello: HelloMessage, tick: int,
             continue
         table[nid] = NeighborEntry(
             id=nid, hops=2, master=nmaster,
-            channels={ch: None for ch in nchannels},
+            channels=nchannels,
             last_seen=tick, relay=hello.sender, cluster_head=None,
         )
 
@@ -409,15 +405,13 @@ class ProtocolParams:
     alpha: float = 0.1
     reward: RewardParams = RewardParams()
     swarm_enabled: bool = True
-    sensing_window_ticks: int = 1
     reform_enabled: bool = True
     reform_cadence: int = 5
-    join_attempt_limit: int = 4
     # heads stretch each frame by up to this many ticks so that the frames of
     # unsynchronized clusters cannot stay collision-aligned forever
     frame_jitter_max: int = 2
 
-    @property
+    @cached_property
     def frame_len(self) -> int:
         return self.frame.frame_len
 
@@ -426,19 +420,10 @@ class ProtocolParams:
         return self.neighbor_ttl_superframes * self.frame_len
 
     def validate(self):
+        """Superframe layout only; `ScenarioConfig.validate` checks the rest."""
         self.frame.validate()
-        if self.frame_jitter_max < 0:
-            raise ValueError("frame_jitter_max must be >= 0")
         if self.frame_len + self.frame_jitter_max > self.frame.max_superframe_ticks:
             raise ValueError("superframe plus jitter exceeds max_superframe_ticks")
-        if self.scan_interval_ticks <= self.frame.max_superframe_ticks:
-            raise ValueError("scan interval must exceed the longest superframe")
-        if self.neighbor_ttl_superframes < 1:
-            raise ValueError("neighbor_ttl_superframes must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.reform_cadence < 1:
-            raise ValueError("reform_cadence must be >= 1")
 
 
 class Node:
@@ -465,9 +450,6 @@ class Node:
         self._clear_role_state()
 
     # -- helpers --
-
-    def is_member(self) -> bool:
-        return self.role in MEMBER_ROLES
 
     def stages(self) -> dict:
         return {o.channel: o.q_stage for o in self.obs_list if o.available}
@@ -695,7 +677,7 @@ class Node:
             s.current = outcome.channel
             s.interval_remaining = self.p.scan_interval_ticks
             s.heard_beacon = None
-            s.heard_hellos = []
+            s.heard_hello = False
             self.master = self._choice_or(outcome.channel)
             self.listen = outcome.channel
         else:
@@ -785,9 +767,8 @@ class Node:
             self.frame_gap += self.rng.randrange(self.p.frame_jitter_max + 1)
         beacon = Beacon(
             head=self.id, master=self.master, frame_start=tick,
-            gap=self.frame_gap,
-            schedule=self.sched, members=tuple(sorted(c.members.items())),
-            max_slots=c.max_slots, rejects=tuple(rejects),
+            gap=self.frame_gap, schedule=self.sched,
+            members=tuple(sorted(c.members.items())), rejects=tuple(rejects),
             hello=emit_hello(self.id, self.master, self.obs_list, self.table),
         )
         ctx.transmit(self, self.master, beacon)
@@ -823,7 +804,7 @@ class Node:
                 self._frame_end(tick, ctx)
             return
         sched = self.sched
-        if rel == sched.slot_tick(self.slot):
+        if rel == sched.nd_start + self.slot:
             hello = emit_hello(self.id, self.master, self.obs_list, self.table)
             ctx.transmit(self, self.master, HelloFrame(
                 hello, cluster_head=self.head_id,
@@ -883,7 +864,7 @@ class Node:
         if self.role is Role.HEAD and hello.sender in self.cluster.members:
             self.heard_members.add(hello.sender)
         if self.role is Role.SCANNING and self.scan is not None:
-            self.scan.heard_hellos.append(hello)
+            self.scan.heard_hello = True
             if (frame.cluster_head is not None and frame.pra_start is not None
                     and frame.cluster_head not in self.exch_done
                     and self.exch_tx_tick is None):
@@ -898,7 +879,7 @@ class Node:
         self._absorb_pheromone(b.hello)
         if self.role is Role.SCANNING:
             self._scan_beacon(b, tick, ctx)
-        elif self.is_member() and b.head == self.head_id:
+        elif self.role in MEMBER_ROLES and b.head == self.head_id:
             self._sync_with_beacon(b, tick, ctx)
 
     def _scan_beacon(self, b: Beacon, tick: int, ctx):
@@ -906,8 +887,7 @@ class Node:
             return
         s = self.scan
         if s.heard_beacon is None:
-            s.heard_beacon = BeaconSummary(head=b.head, master=b.master,
-                                           frame_start=b.frame_start)
+            s.heard_beacon = BeaconSummary(head=b.head, master=b.master)
         members = dict(b.members)
         if self.id in members and b.head == self.join_target:
             self._complete_join(b, members[self.id], tick, ctx)
@@ -926,7 +906,7 @@ class Node:
             self.join_tx_tick = self._pra_backoff(b, tick)
         elif self.join_target == b.head and (self.join_tx_tick is None
                                              or self.join_tx_tick < tick):
-            if self.join_attempts >= self.p.join_attempt_limit:
+            if self.join_attempts >= JOIN_ATTEMPT_LIMIT:
                 self._give_up_join(b.head)
                 self.master = self._choice_or(s.current)
             else:

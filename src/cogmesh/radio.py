@@ -11,6 +11,9 @@ interference that lowers the channel quality value.
 All operations are functional: `step_environment` returns a new environment,
 environments are never mutated in place, so replays with the same seed are
 bit-identical.
+
+Scenario values are validated once, by `engine.ScenarioConfig.validate`;
+nothing here checks its arguments again.
 """
 
 from __future__ import annotations
@@ -31,12 +34,6 @@ class PeriodicActivity:
     duty_fraction: float = 1.0
     hop: bool = False
 
-    def validate(self):
-        if self.period_ticks < 1:
-            raise ValueError("period_ticks must be >= 1")
-        if not 0.0 <= self.duty_fraction <= 1.0:
-            raise ValueError("duty_fraction must be in [0, 1]")
-
 
 @dataclass(frozen=True)
 class MarkovActivity:
@@ -44,10 +41,6 @@ class MarkovActivity:
 
     p_on: float
     p_off: float
-
-    def validate(self):
-        if not (0.0 <= self.p_on <= 1.0 and 0.0 <= self.p_off <= 1.0):
-            raise ValueError("p_on and p_off must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -61,13 +54,6 @@ class PrimaryUser:
     active: bool = False
     # (channel, active) for the last `history_ticks` ticks, newest last
     history: tuple[tuple[int, bool], ...] = ()
-
-    def validate(self):
-        self.model.validate()
-        if self.protection_radius <= 0:
-            raise ValueError("protection_radius must be > 0")
-        if self.interference_power < 0:
-            raise ValueError("interference_power must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,18 +73,6 @@ class RadioEnvironment:
     quant_stages: int = 4
     history_ticks: int = 1
     tick: int = 0
-
-    def validate(self):
-        if self.channel_count < 1:
-            raise ValueError("channel_count must be >= 1")
-        if self.quant_stages < 2:
-            raise ValueError("quant_stages must be >= 2")
-        if self.pathloss_exponent <= 0:
-            raise ValueError("pathloss_exponent must be > 0")
-        if self.q_max <= 0:
-            raise ValueError("q_max must be > 0")
-        for pu in self.pus:
-            pu.validate()
 
 
 def _periodic_state(model: PeriodicActivity, tick: int, channel: int, n: int):
@@ -120,12 +94,10 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0, q_max=1.0,
             ch, active = pu.channel, pu.active
         seeded.append(replace(pu, channel=ch, active=active,
                               history=((ch, active),)))
-    env = RadioEnvironment(channel_count=channel_count, pus=tuple(seeded),
-                           pathloss_exponent=pathloss_exponent, q_max=q_max,
-                           quant_stages=quant_stages,
-                           history_ticks=max(1, history_ticks))
-    env.validate()
-    return env
+    return RadioEnvironment(channel_count=channel_count, pus=tuple(seeded),
+                            pathloss_exponent=pathloss_exponent, q_max=q_max,
+                            quant_stages=quant_stages,
+                            history_ticks=history_ticks)
 
 
 def step_environment(env: RadioEnvironment, rng: Random) -> RadioEnvironment:
@@ -153,10 +125,6 @@ def step_environment(env: RadioEnvironment, rng: Random) -> RadioEnvironment:
 
 def quantize(q_raw: float, q_max: float, stages: int) -> int:
     """Quality value -> stage index in [0, stages-1], uniform bins, monotone."""
-    if q_max <= 0:
-        raise ValueError("q_max must be > 0")
-    if stages < 2:
-        raise ValueError("stages must be >= 2")
     s = int(stages * q_raw / q_max)
     if s >= stages:
         return stages - 1
@@ -174,8 +142,6 @@ def sense(env: RadioEnvironment, pos: tuple[float, float],
     power/(1+d^exponent) per tick to the accumulated interference; quality is
     q_max/(1+I) and is then quantized.
     """
-    if window_ticks < 1:
-        raise ValueError("window_ticks must be >= 1")
     window = min(window_ticks, env.history_ticks)
     x, y = pos
     blocked = [False] * env.channel_count

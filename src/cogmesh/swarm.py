@@ -49,7 +49,10 @@ class RewardParams:
 @dataclass(frozen=True)
 class HelloMessage:
     """Pheromone carrier: sender id, its master channel, its quantized
-    channel qualities, and its one-hop neighbor list."""
+    channel qualities, and its one-hop neighbor list.
+
+    `protocol.emit_hello` builds every HELLO on the wire, so `channels` and
+    each neighbor's channel tuple are sorted by channel id."""
 
     sender: int
     master: int

@@ -167,6 +167,19 @@ class TestMain:
         assert "duration_ticks" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "nan"), ("q_max", "inf"), ("area_height", "1e400")])
+    def test_non_finite_value_names_the_key_once(self, tmp_path, capsys,
+                                                 key, value):
+        bad = write(tmp_path, f"{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", bad, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count(f"{key}:") == 1 and bad in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")])

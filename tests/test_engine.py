@@ -50,6 +50,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="superframe"):
             config_from_mapping({"data_ticks": "30"})
 
+    # the radio layer trusts these values; only the config checks them
+    @pytest.mark.parametrize("key, value", [
+        ("q_max", "0"), ("quant_stages", "1"), ("channel_count", "0"),
+        ("pathloss_exponent", "0"), ("pu_period_ticks", "0"),
+        ("pu_duty", "1.5"), ("pu_p_on", "1.5"), ("pu_p_off", "-0.1"),
+        ("pu_protection_radius", "0"), ("pu_power", "-1"),
+    ] + [(key, value) for key in ("area_width", "area_height", "q_max", "alpha")
+         for value in ("inf", "-inf", "nan", "1e400")])
+    def test_value_rejected_at_the_boundary(self, key, value):
+        with pytest.raises(ConfigError, match=key) as info:
+            config_from_mapping({key: value})
+        assert info.value.key == key
+
+    def test_non_finite_float_rejected_in_code_built_config(self):
+        with pytest.raises(ConfigError, match="q_max"):
+            World(ScenarioConfig(q_max=math.inf))
+
     def test_string_coercion(self):
         cfg = config_from_mapping({"su_count": "12", "comm_range": "180.5",
                                    "swarm_enabled": "off", "pu_model": "markov"})
@@ -257,7 +274,7 @@ class TestGatewayDiscovery:
 
         def knows(x, nid, hops=1):
             world.nodes[x].table[nid] = NeighborEntry(
-                id=nid, hops=hops, master=0, channels={}, last_seen=0)
+                id=nid, hops=hops, master=0, channels=(), last_seen=0)
 
         record(0, [1, 2])
         record(3, [4])

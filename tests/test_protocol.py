@@ -55,7 +55,7 @@ def static_pu(pid, pos, channel, radius, power=0.01):
 class TestSuperframe:
     def test_default_layout_totals_25_ticks(self):
         sched = build_superframe(SuperframeParams(), Random(0))
-        assert sched.frame_len == 25
+        assert sum(length for _, _, length in sched.periods) == 25
         lengths = {kind: 0 for kind, _, _ in sched.periods}
         for kind, _, length in sched.periods:
             lengths[kind] += length
@@ -63,15 +63,15 @@ class TestSuperframe:
                            PUBLIC_RA: 4, DETECT: 2}
 
     def test_main_period_order_with_detect_between(self):
+        params = SuperframeParams(detect_periods=3)
         for seed in range(20):
-            sched = build_superframe(SuperframeParams(detect_periods=3),
-                                     Random(seed))
+            sched = build_superframe(params, Random(seed))
             mains = [kind for kind, _, _ in sched.periods if kind != DETECT]
             assert mains == [BEACON, ND, DATA, INTRA_RA, PUBLIC_RA]
             # detection blocks sit strictly between the main periods
             assert sched.periods[0][0] == BEACON
             assert sched.periods[-1][0] == PUBLIC_RA
-            assert sched.pra_start + sched.pra_len == sched.frame_len
+            assert sched.pra_start + sched.pra_len == params.frame_len
 
     def test_single_mini_slot(self):
         params = SuperframeParams(max_slots=1)
@@ -114,28 +114,26 @@ class TestScanning:
 
     def test_case2_beacon_requests_join(self):
         state = ScanState(visited={0}, current=0, interval_remaining=0,
-                          heard_beacon=BeaconSummary(head=9, master=0,
-                                                     frame_start=10))
+                          heard_beacon=BeaconSummary(head=9, master=0))
         out = finish_scan_interval(state, {0, 1}, Random(0))
         assert out == RequestJoin(head=9, channel=0)
 
     def test_case3_hellos_continue_to_next_channel(self):
         state = ScanState(visited={0}, current=0, interval_remaining=0,
-                          heard_hellos=[HelloMessage(5, 0, ((0, 3),))])
+                          heard_hello=True)
         out = finish_scan_interval(state, {0, 1, 2}, Random(0))
         assert out == ContinueScan(channel=1)
 
     def test_rejected_beacon_moves_on(self):
         state = ScanState(visited={0}, current=0, interval_remaining=0,
-                          heard_beacon=BeaconSummary(head=9, master=0,
-                                                     frame_start=10),
+                          heard_beacon=BeaconSummary(head=9, master=0),
                           rejections={9})
         out = finish_scan_interval(state, {0, 3}, Random(0))
         assert out == ContinueScan(channel=3)
 
     def test_all_visited_forms_on_random_available(self):
         state = ScanState(visited={0, 1, 2}, current=2, interval_remaining=0,
-                          heard_hellos=[HelloMessage(5, 2, ((2, 3),))],
+                          heard_hello=True,
                           rejections={9})
         picks = {finish_scan_interval(state, {0, 1, 2}, Random(s)).channel
                  for s in range(40)}
@@ -170,10 +168,10 @@ class TestNeighborTables:
         hello = HelloMessage(sender=2, master=0, channels=((0, 3), (1, 2)),
                              neighbor_list=((3, 0, (0, 1)),))
         upsert_from_hello(table, hello, tick=50, cluster_head=0, self_id=1)
-        assert table[2].hops == 1 and table[2].channels == {0: 3, 1: 2}
+        assert table[2].hops == 1 and table[2].channels == (0, 1)
         assert table[2].cluster_head == 0
         assert table[3].hops == 2 and table[3].relay == 2
-        assert table[3].channels == {0: None, 1: None}
+        assert table[3].channels == (0, 1)
 
     def test_one_hop_dominates_two_hop(self):
         table = {}
@@ -212,12 +210,12 @@ class TestNeighborTables:
 
 class TestOffMasterScan:
     def test_unscanned_two_hop_channel_first(self):
-        table = {5: NeighborEntry(5, 2, 3, {3: None}, 0, relay=2)}
+        table = {5: NeighborEntry(5, 2, 3, (3,), 0, relay=2)}
         ch = select_offmaster_scan(0, {0: 3, 1: 3, 3: 3}, table, set(), Random(0))
         assert ch == 3
 
     def test_visited_two_hop_channel_falls_through(self):
-        table = {5: NeighborEntry(5, 2, 3, {3: None}, 0, relay=2)}
+        table = {5: NeighborEntry(5, 2, 3, (3,), 0, relay=2)}
         picks = {select_offmaster_scan(0, {0: 3, 1: 3, 3: 3}, table, {3},
                                        Random(s)) for s in range(30)}
         assert 0 not in picks and picks <= {1, 3}
@@ -236,7 +234,7 @@ class TestOffMasterScan:
 
 
 def entry(nid, hops, seen_by=None):
-    return NeighborEntry(nid, hops, 0, {0: 3}, 0)
+    return NeighborEntry(nid, hops, 0, (0,), 0)
 
 
 class TestSelectGateways:

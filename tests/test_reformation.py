@@ -32,7 +32,7 @@ def graph_from_edges(n, edges, control=0, clusters=None):
 
 
 def table_with(one_hop):
-    return {nid: NeighborEntry(nid, 1, 0, {0: 3}, 0) for nid in one_hop}
+    return {nid: NeighborEntry(nid, 1, 0, (0,), 0) for nid in one_hop}
 
 
 class TestBuildLocalGraph:
