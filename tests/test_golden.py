@@ -36,6 +36,15 @@ BASES = {
     "n200": lambda: ScenarioConfig(su_count=200, channel_count=8,
                                    area_width=SIDE_200, area_height=SIDE_200,
                                    duration_ticks=800),
+    # Markov PUs sensed over an 8-tick window, two detection periods
+    "markov_window": lambda: ScenarioConfig(
+        su_count=30, channel_count=8, pu_count=16, pu_model="markov",
+        pu_p_on=0.01, pu_p_off=0.02, sensing_window_ticks=8, detect_periods=2,
+        pu_protection_radius=200.0),
+    # PUs hop every 2 ticks, so each 3-tick window spans two channels
+    "hop_window": lambda: ScenarioConfig(
+        su_count=30, channel_count=6, pu_count=3, pu_model="periodic",
+        pu_period_ticks=2, pu_duty=1.0, pu_hop=True, sensing_window_ticks=3),
 }
 
 GOLDEN = {
@@ -52,6 +61,12 @@ GOLDEN = {
     ("single_channel", 2): "ecb080ea4540ee995415f0b77af67906926abd106da39a27faa30edcd43b86e1",
     ("single_channel", 3): "e3431436dea6083959b66f3feb69f5eb1767c508dd19a59dcac65a6aada6020d",
     ("n200", 1): "8ffd2f1ad3337328f6e5b1436bd3c0f002a135356d0d33a444f0562a97c34353",
+    ("markov_window", 1): "472b08ee73c99b3f97c5c02172f0c6ff9efda17ef8e9f876bc2c1ee93a912a30",
+    ("markov_window", 2): "5a657a5aafeb3eb2e0a817817df002093d4700497d8bd1750fff9a3ac7a7bdac",
+    ("markov_window", 3): "f8c53a0b9a5f02a54b6012a3b2327a7b733aeb25bffb94dd3e9b821f363fb63b",
+    ("hop_window", 1): "103a0b812f3e27ac41afb21931f9b383d96a4dafa88e7080d4ab5f9a69a97647",
+    ("hop_window", 2): "3c3523f6f95f44222b1e501a002e9b9a5317e484b75c991628feaf7306e82c1d",
+    ("hop_window", 3): "72f96a2e7e3373f77167f38e5b3311ad71f00e5863dedfc8c23b2723f7bbbec6",
 }
 
 
