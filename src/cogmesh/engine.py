@@ -17,6 +17,7 @@ from cogmesh import radio
 from cogmesh.protocol import (
     MEMBER_ROLES,
     ClusterRecord,
+    ConfigError,
     Node,
     ProtocolParams,
     Role,
@@ -27,13 +28,6 @@ from cogmesh.protocol import (
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
 from cogmesh.reformation import Negotiation, build_local_graph, greedy_mds, plan_is_feasible
 from cogmesh.swarm import RewardParams
-
-
-class ConfigError(ValueError):
-    def __init__(self, key: str, message: str):
-        self.key = key
-        self.message = message
-        super().__init__(f"{key}: {message}")
 
 
 class SimulationInvariantError(AssertionError):
@@ -123,10 +117,7 @@ class ScenarioConfig:
         need(self.frame_jitter_max >= 0, "frame_jitter_max", "must be >= 0")
         need(self.scan_interval_ticks > self.max_superframe_ticks,
              "scan_interval_ticks", "must exceed max_superframe_ticks")
-        try:
-            self.protocol_params().validate()
-        except ValueError as exc:
-            raise ConfigError("superframe", str(exc)) from exc
+        self.protocol_params().validate()
 
     def superframe_params(self) -> SuperframeParams:
         return SuperframeParams(
@@ -392,7 +383,7 @@ class World:
     # -- ctx services used by nodes --
 
     def sense(self, node: Node):
-        return radio.sense(self.env, node.pos, self.cfg.sensing_window_ticks)
+        return radio.sense(self.env, node.pos)
 
     def transmit(self, node: Node, channel: int, msg):
         self.txs.append((node.id, channel, msg))
@@ -421,7 +412,7 @@ class World:
         for t in range(cfg.duration_ticks):
             self.tick = t
             if have_pus:
-                self.env = radio.step_environment(self.env, self.env_rng)
+                radio.step_environment(self.env, self.env_rng)
             if self.reform_inbox or self.negotiations:
                 self._reform_timers(t)
             self.txs = []

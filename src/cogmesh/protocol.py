@@ -37,6 +37,16 @@ PUBLIC_RA = "public_ra"
 PUBLIC_RA_MIN = 2
 PUBLIC_RA_MAX = 6
 
+
+class ConfigError(ValueError):
+    """An out-of-range scenario value; `key` names the offending key."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}")
+
+
 # join requests a scanning node sends to one cluster before it gives up on it
 JOIN_ATTEMPT_LIMIT = 4
 
@@ -69,18 +79,20 @@ class SuperframeParams:
                 + self.detect_periods * self.detect_ticks)
 
     def validate(self):
-        if self.beacon_ticks < 1 or self.max_slots < 1 or self.data_ticks < 1:
-            raise ValueError("beacon, mini-slot and data periods must be >= 1 tick")
-        if self.intra_ra_ticks < 1 or self.detect_ticks < 1:
-            raise ValueError("intra-cluster RA and detection periods must be >= 1 tick")
+        """Raise `ConfigError` naming the first period length out of range."""
+        for key in ("beacon_ticks", "max_slots", "data_ticks", "intra_ra_ticks",
+                    "detect_ticks"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, "must be >= 1 tick")
         if not PUBLIC_RA_MIN <= self.public_ra_ticks <= PUBLIC_RA_MAX:
-            raise ValueError("public_ra_ticks must lie in [%d, %d]"
-                             % (PUBLIC_RA_MIN, PUBLIC_RA_MAX))
+            raise ConfigError("public_ra_ticks", "must lie in [%d, %d]"
+                              % (PUBLIC_RA_MIN, PUBLIC_RA_MAX))
         if not 1 <= self.detect_periods <= 4:
-            raise ValueError("detect_periods must lie in [1, 4]")
+            raise ConfigError("detect_periods", "must lie in [1, 4]")
         if self.frame_len > self.max_superframe_ticks:
-            raise ValueError("superframe (%d ticks) exceeds max_superframe_ticks"
-                             % self.frame_len)
+            raise ConfigError("max_superframe_ticks",
+                              "is shorter than the superframe (%d ticks)"
+                              % self.frame_len)
 
 
 @dataclass(frozen=True)
@@ -423,7 +435,10 @@ class ProtocolParams:
         """Superframe layout only; `ScenarioConfig.validate` checks the rest."""
         self.frame.validate()
         if self.frame_len + self.frame_jitter_max > self.frame.max_superframe_ticks:
-            raise ValueError("superframe plus jitter exceeds max_superframe_ticks")
+            raise ConfigError("frame_jitter_max",
+                              "superframe (%d ticks) plus jitter exceeds "
+                              "max_superframe_ticks (%d)"
+                              % (self.frame_len, self.frame.max_superframe_ticks))
 
 
 class Node:

@@ -50,6 +50,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="superframe"):
             config_from_mapping({"data_ticks": "30"})
 
+    # each superframe check names the key that is wrong
+    @pytest.mark.parametrize("values, key", [
+        ({"beacon_ticks": "0"}, "beacon_ticks"),
+        ({"max_slots": "0"}, "max_slots"),
+        ({"data_ticks": "0"}, "data_ticks"),
+        ({"intra_ra_ticks": "0"}, "intra_ra_ticks"),
+        ({"detect_ticks": "0"}, "detect_ticks"),
+        ({"public_ra_ticks": "1"}, "public_ra_ticks"),
+        ({"public_ra_ticks": "9"}, "public_ra_ticks"),
+        ({"detect_periods": "0"}, "detect_periods"),
+        ({"detect_periods": "5"}, "detect_periods"),
+        ({"data_ticks": "30"}, "max_superframe_ticks"),
+        ({"max_superframe_ticks": "24"}, "max_superframe_ticks"),
+        ({"frame_jitter_max": "20"}, "frame_jitter_max"),
+        ({"max_superframe_ticks": "26", "frame_jitter_max": "2"},
+         "frame_jitter_max"),
+    ])
+    def test_superframe_error_names_its_key(self, values, key):
+        with pytest.raises(ConfigError) as info:
+            config_from_mapping(values)
+        assert info.value.key == key
+
     # the radio layer trusts these values; only the config checks them
     @pytest.mark.parametrize("key, value", [
         ("q_max", "0"), ("quant_stages", "1"), ("channel_count", "0"),
@@ -315,18 +337,23 @@ class TestGatewayDiscovery:
 
 @st.composite
 def small_scenarios(draw):
-    """Small valid scenarios over both PU models and the superframe layout
-    extremes (one mini-slot, four detection blocks, public RA 2-6 ticks)."""
+    """Small valid scenarios over both PU models, sensing windows of 1-8
+    ticks, frame jitter, and the superframe layout extremes (one mini-slot,
+    four detection blocks, public RA 2-6 ticks)."""
     frame = dict(
         max_slots=draw(st.integers(1, 8)),
         public_ra_ticks=draw(st.integers(2, 6)),
         detect_periods=draw(st.integers(1, 4)),
+        max_superframe_ticks=draw(st.sampled_from([32, 40, 48])),
+        frame_jitter_max=draw(st.integers(0, 4)),
     )
     fixed = (ScenarioConfig.beacon_ticks + ScenarioConfig.intra_ra_ticks
              + frame["max_slots"] + frame["public_ra_ticks"]
              + frame["detect_periods"] * ScenarioConfig.detect_ticks)
-    room = ScenarioConfig.max_superframe_ticks - fixed
+    room = frame["max_superframe_ticks"] - frame["frame_jitter_max"] - fixed
     frame["data_ticks"] = draw(st.integers(1, min(8, room)))
+    frame["scan_interval_ticks"] = (frame["max_superframe_ticks"]
+                                    + draw(st.integers(1, 10)))
     side = draw(st.floats(200.0, 1000.0))
     return ScenarioConfig(
         area_width=side, area_height=side,
@@ -339,11 +366,11 @@ def small_scenarios(draw):
         pu_hop=draw(st.booleans()),
         pu_p_on=draw(st.floats(0.0, 1.0)),
         pu_p_off=draw(st.floats(0.0, 1.0)),
-        sensing_window_ticks=draw(st.integers(1, 3)),
+        sensing_window_ticks=draw(st.integers(1, 8)),
+        neighbor_ttl_superframes=draw(st.integers(1, 4)),
         swarm_enabled=draw(st.booleans()),
         reform_enabled=draw(st.booleans()),
         reform_cadence=draw(st.integers(1, 5)),
-        frame_jitter_max=0,
         startup_spread_ticks=draw(st.integers(0, 100)),
         metrics_period=draw(st.integers(1, 50)),
         duration_ticks=draw(st.integers(1, 300)),

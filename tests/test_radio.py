@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cogmesh.radio import (
     MarkovActivity,
@@ -28,7 +28,7 @@ def make_pu(channel=0, model=None, pos=(0.0, 0.0), radius=150.0, power=1.0,
 def advance(env, ticks, seed=0):
     rng = Random(seed)
     for _ in range(ticks):
-        env = step_environment(env, rng)
+        step_environment(env, rng)
     return env
 
 
@@ -46,7 +46,7 @@ class TestStepEnvironment:
         pu = make_pu(model=MarkovActivity(p_on=0.0, p_off=1.0), active=False)
         env = make_environment(2, [pu])
         for _ in range(200):
-            env = step_environment(env, Random(1))
+            step_environment(env, Random(1))
             assert not env.pus[0].active
 
     def test_markov_stationary_fraction(self):
@@ -58,7 +58,7 @@ class TestStepEnvironment:
         active = 0
         ticks = 10**5
         for _ in range(ticks):
-            env = step_environment(env, rng)
+            step_environment(env, rng)
             active += env.pus[0].active
         assert abs(active / ticks - 2 / 3) < 0.02
 
@@ -67,7 +67,7 @@ class TestStepEnvironment:
         env = make_environment(2, [pu])
         states = []
         for _ in range(20):
-            env = step_environment(env, Random(0))
+            step_environment(env, Random(0))
             states.append(env.pus[0].active)
         # ticks 1..20: active during the first half of each period
         assert states == [True] * 4 + [False] * 5 + [True] * 5 + [False] * 5 + [True]
@@ -78,7 +78,7 @@ class TestStepEnvironment:
         env = make_environment(n, [pu])
         seen = []
         for _ in range(7 * n):
-            env = step_environment(env, Random(0))
+            step_environment(env, Random(0))
             seen.append(env.pus[0].channel)
         visits = {ch: sum(1 for c in set_range if c == ch)
                   for set_range in [seen[::7]] for ch in range(n)}
@@ -107,7 +107,7 @@ class TestSense:
         pu = make_pu(channel=1, pos=(0.0, 0.0), radius=5.0, power=100.0,
                      model=PeriodicActivity(10, 1.0))
         env = make_environment(2, [pu], pathloss_exponent=2.0, q_max=1.0)
-        obs = sense(env, (10.0, 0.0), window_ticks=1)
+        obs = sense(env, (10.0, 0.0))
         assert obs[1].available
         assert obs[1].q_raw == pytest.approx(101.0 / 201.0, rel=1e-12)
         assert obs[0].q_raw == 1.0
@@ -121,11 +121,11 @@ class TestSense:
     def test_window_accumulates_over_history(self):
         pu = make_pu(channel=0, pos=(0.0, 0.0), radius=5.0, power=100.0,
                      model=PeriodicActivity(10, 1.0))
-        env = make_environment(1, [pu], history_ticks=3)
-        env = advance(env, 2)
-        one = sense(env, (10.0, 0.0), window_ticks=1)[0]
-        three = sense(env, (10.0, 0.0), window_ticks=3)[0]
-        assert three.q_raw < one.q_raw
+        one = advance(make_environment(1, [pu], history_ticks=1), 2)
+        three = advance(make_environment(1, [pu], history_ticks=3), 2)
+        q_one = sense(one, (10.0, 0.0))[0].q_raw
+        q_three = sense(three, (10.0, 0.0))[0].q_raw
+        assert q_three < q_one
 
     def test_removing_a_pu_never_hurts(self):
         # availability monotonicity: dropping a PU keeps channels available
@@ -158,11 +158,133 @@ class TestSense:
             rng = Random(42)
             trace = []
             for _ in range(50):
-                env = step_environment(env, rng)
+                step_environment(env, rng)
                 trace.append(tuple((o.available, o.q_raw, o.q_stage)
                                    for o in sense(env, (20.0, 30.0))))
             streams.append(trace)
         assert streams[0] == streams[1]
+
+
+
+@st.composite
+def pu_worlds(draw):
+    """A few PUs of both models on at most four channels (so channels are
+    often shared), in a 300 m square where protection radii of 10-150 m put
+    sensing positions both inside and outside them. Powers reach 1000, so
+    that interference sums are large enough for a last-bit difference in
+    them to survive into q_raw."""
+    channel_count = draw(st.integers(1, 4))
+    coord = st.floats(0.0, 300.0)
+    pus = []
+    for i in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            model = PeriodicActivity(draw(st.integers(1, 6)),
+                                     draw(st.sampled_from([0.0, 0.34, 0.5, 1.0])),
+                                     hop=draw(st.booleans()))
+        else:
+            model = MarkovActivity(p_on=draw(st.floats(0.0, 1.0)),
+                                   p_off=draw(st.floats(0.0, 1.0)))
+        pus.append(PrimaryUser(
+            id=i, pos=(draw(coord), draw(coord)),
+            channel=draw(st.integers(0, channel_count - 1)), model=model,
+            protection_radius=draw(st.floats(10.0, 150.0)),
+            interference_power=draw(st.floats(0.0, 1000.0)),
+            active=draw(st.booleans())))
+    positions = [pu.pos for pu in pus] + draw(
+        st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    return channel_count, pus, positions
+
+
+def reference_trace(pus, channel_count, steps, seed):
+    """(channel, active) of every PU at ticks 0..steps, straight from the
+    models: the periodic formula, and Markov draws in PU order."""
+    rng = Random(seed)
+    state = []
+    for pu in pus:
+        if isinstance(pu.model, PeriodicActivity):
+            state.append([pu.channel, None])
+        else:
+            state.append([pu.channel, pu.active])
+    trace = []
+    for tick in range(steps + 1):
+        for pu, s in zip(pus, state):
+            m = pu.model
+            if isinstance(m, PeriodicActivity):
+                phase = tick % m.period_ticks
+                if m.hop and phase == 0 and tick > 0:
+                    s[0] = (s[0] + 1) % channel_count
+                s[1] = phase < m.duty_fraction * m.period_ticks
+            elif tick > 0:
+                s[1] = rng.random() >= m.p_off if s[1] else rng.random() < m.p_on
+        trace.append([tuple(s) for s in state])
+    return trace
+
+
+def reference_sense(pus, window, pos, channel_count, exponent, q_max, stages):
+    """Brute force: every PU, every tick of the window, oldest tick first."""
+    x, y = pos
+    blocked = [False] * channel_count
+    acc = [0.0] * channel_count
+    for i, pu in enumerate(pus):
+        px, py = pu.pos
+        d2 = (x - px) * (x - px) + (y - py) * (y - py)
+        inside = d2 <= pu.protection_radius * pu.protection_radius
+        contrib = pu.interference_power / (1.0 + math.sqrt(d2) ** exponent)
+        for states in window:
+            ch, active = states[i]
+            if active and inside:
+                blocked[ch] = True
+            elif active:
+                acc[ch] += contrib
+    return [(ch, not blocked[ch], q_max / (1.0 + acc[ch]),
+             quantize(q_max / (1.0 + acc[ch]), q_max, stages))
+            for ch in range(channel_count)]
+
+
+class TestSenseMatchesReference:
+    @given(pu_worlds(), st.integers(1, 8), st.integers(0, 60),
+           st.integers(0, 2**32), st.sampled_from([0.5, 2.0, 3.5]),
+           st.sampled_from([1.0, 2.5]), st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_every_tick_at_every_position(self, world, history_ticks, steps,
+                                          seed, exponent, q_max, stages):
+        channel_count, pus, positions = world
+        env = make_environment(channel_count, pus, pathloss_exponent=exponent,
+                               q_max=q_max, quant_stages=stages,
+                               history_ticks=history_ticks)
+        expected = reference_trace(pus, channel_count, steps, seed)
+        rng = Random(seed)
+        for tick in range(steps + 1):
+            if tick:
+                step_environment(env, rng)
+            assert [(s.channel, s.active) for s in env.pus] == expected[tick]
+            window = expected[max(0, tick + 1 - history_ticks):tick + 1]
+            for pos in positions:
+                got = [(o.channel, o.available, o.q_raw, o.q_stage)
+                       for o in sense(env, pos)]
+                assert got == reference_sense(pus, window, pos, channel_count,
+                                              exponent, q_max, stages)
+
+    def test_environments_built_from_one_pu_list_share_no_state(self):
+        pus = [make_pu(channel=1, model=MarkovActivity(0.5, 0.5), power=2.0),
+               PrimaryUser(id=1, pos=(40.0, 0.0), channel=0,
+                           model=PeriodicActivity(3, 0.5, hop=True))]
+        pos = (200.0, 0.0)
+        a = make_environment(3, pus, history_ticks=4)
+        b = make_environment(3, pus, history_ticks=4)
+        fresh = sense(b, pos)
+        advance(a, 30, seed=5)
+        assert b.tick == 0
+        assert [(s.channel, s.active, list(s.window), s.active_ticks)
+                for s in b.pus] == [
+            (s.channel, s.active, list(s.window), s.active_ticks)
+            for s in make_environment(3, pus, history_ticks=4).pus]
+        assert sense(b, pos) == fresh
+        advance(b, 30, seed=5)
+        assert sense(b, pos) == sense(a, pos)
+        assert all(sa.window is not sb.window
+                   and sa.active_ticks is not sb.active_ticks
+                   for sa, sb in zip(a.pus, b.pus))
 
 
 class TestQuantize:
