@@ -25,6 +25,9 @@ SIDE_200 = 1000.0 * math.sqrt(4)     # default density (50 SUs per km^2) at n=20
 
 BASES = {
     "default": lambda: parse_scenario(str(SCENARIOS / "default.cfg")),
+    # the same 50 SUs choosing masters by best sensed stage, without the swarm
+    "default_swarm_off": lambda: replace(
+        parse_scenario(str(SCENARIOS / "default.cfg")), swarm_enabled=False),
     # periodic PUs hopping channel every 500 ticks
     "dynamic_pus": lambda: parse_scenario(str(SCENARIOS / "dynamic_pus.cfg")),
     "markov": lambda: ScenarioConfig(su_count=30, channel_count=4, pu_count=4,
@@ -51,6 +54,9 @@ GOLDEN = {
     ("default", 1): "ead3728592c5394bb1810ab6e99e9f8eba70bcf97bc3e7432840b14b40c88cf0",
     ("default", 2): "705373ef74811c39a31bba106f22126f8bb1317290cb03df2ecb61b9bcebe3dc",
     ("default", 3): "9b470f3faf8e6cca349ad31364029d725f49d1b95c0cac12c286ae8324e970e7",
+    ("default_swarm_off", 1): "5a009c3027e635483beab5ff22764f766892c5e5331792d592f9080c1d0e18ec",
+    ("default_swarm_off", 2): "4f1b6ab23aec13f326d06313c6fe999d067e2cfd884b4b1aec30b2ad5dcb7236",
+    ("default_swarm_off", 3): "e0951c9cd2f385b2ecb45ed1ce1e50c92c6496aec386c310b9a1877d99bc8f85",
     ("dynamic_pus", 1): "675fd6eb0521b7a9057877f70bcbd969d5c08a0b428ada651211a02a60ad0111",
     ("dynamic_pus", 2): "f2c0e92634ab9c49ca8cf7c587fa4cc9dfb6bbba6be654e91d749f6a9d34f6fd",
     ("dynamic_pus", 3): "4b7ba99d4a4db22b7544bf9d52d96f832c91aceee2fc5c8a914dc3e5e9e67506",
