@@ -1,10 +1,14 @@
 """Deterministic discrete-time world.
 
-Per tick: the radio environment advances, every node's state machine steps in
-id order (scheduling its transmissions and its listening channel), messages
-are delivered under the channel/tuning/collision rules, and metrics are
-sampled on a fixed period. All randomness flows from one 64-bit seed through
-named substreams, so a (config, seed) pair replays bit-identically.
+Per tick: the radio environment advances, every node's state machine is
+clocked in id order (scheduling its transmissions and its listening channel),
+messages are delivered under the channel/tuning/collision rules, and metrics
+are sampled on a fixed period. A node returns at once from a tick before its
+`wake` tick and keeps listening where it listened; role entries (including
+the reformation commits made here), adopted beacons and newly armed
+exchanges reset `wake` (see `protocol`). All randomness flows from one 64-bit
+seed through named substreams, so a (config, seed) pair replays
+bit-identically.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from cogmesh.protocol import (
 )
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
 from cogmesh.reformation import Negotiation, build_local_graph, greedy_mds, plan_is_feasible
-from cogmesh.swarm import RewardParams
+from cogmesh.swarm import RewardParamError, RewardParams
 
 
 class SimulationInvariantError(AssertionError):
@@ -111,13 +115,13 @@ class ScenarioConfig:
              "must be >= 1")
         need(self.startup_spread_ticks >= 0, "startup_spread_ticks", "must be >= 0")
         try:
-            RewardParams(self.reward_a, self.reward_b, self.reward_c)
-        except ValueError as exc:
-            raise ConfigError("reward_a/reward_b/reward_c", str(exc)) from exc
+            params = self.protocol_params()
+        except RewardParamError as exc:
+            raise ConfigError(f"reward_{exc.param}", exc.message) from exc
         need(self.frame_jitter_max >= 0, "frame_jitter_max", "must be >= 0")
         need(self.scan_interval_ticks > self.max_superframe_ticks,
              "scan_interval_ticks", "must exceed max_superframe_ticks")
-        self.protocol_params().validate()
+        params.validate()
 
     def superframe_params(self) -> SuperframeParams:
         return SuperframeParams(
@@ -429,6 +433,8 @@ class World:
                     self.nodes[receiver].on_message(msg, t, self)
             if t > 0 and t % self.frame_len == 0:
                 self._gateway_maintenance(t)
+                if self.validate_samples:
+                    self._validate_links(t)
             if (t + 1) % cfg.metrics_period == 0:
                 self._sample(t + 1)
         return RunResult(
@@ -500,6 +506,20 @@ class World:
                 raise SimulationInvariantError(
                     f"t={tick}: working node {working} keeps a finished plan")
 
+    def _validate_links(self, tick: int):
+        """Right after gateway maintenance, every link joins two live
+        clusters through valid gateway nodes and is listed by both records.
+        (Between passes records may keep links that have gone stale.)"""
+        for head, rec in self.clusters.items():
+            for other, link in rec.neighbor_clusters.items():
+                peer = self.clusters.get(other)
+                if ({link.cluster_a, link.cluster_b} != {head, other}
+                        or peer is None or peer.neighbor_clusters.get(head) != link
+                        or (head < other and not self._link_valid(link))):
+                    raise SimulationInvariantError(
+                        f"t={tick}: gateway link {head}-{other} is stale or "
+                        f"one-sided after maintenance")
+
     # -- gateways --
 
     def _gateway_maintenance(self, tick: int):
@@ -561,10 +581,10 @@ class World:
         rb = self.clusters.get(link.cluster_b)
         if ra is None or rb is None:
             return False
-        pool = {ra.head, rb.head} | set(ra.members) | set(rb.members)
         if link.node_b is None:
             x = link.node_a
-            return (x in pool and x not in (ra.head, rb.head)
+            return ((x in ra.members or x in rb.members)
+                    and x not in (ra.head, rb.head)
                     and self.adjacent(x, ra.head) and self.adjacent(x, rb.head))
         a, b = link.node_a, link.node_b
         in_a = a == ra.head or a in ra.members

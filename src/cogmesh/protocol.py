@@ -14,11 +14,24 @@ cluster's public random-access period; only HELLOs -> record the neighbors,
 answer through the public period, and move to the next channel. A node that
 iterates all channels without joining or forming starts its own cluster on a
 random available channel.
+
+The engine clocks every node on every tick, but a node acts only at the
+edges of what it is doing: its start tick, the end of a scan interval or a
+join wait, its own transmissions, and, inside a cluster frame, the period
+edges of the superframe it follows (`SuperframeSchedule.edges`), its own
+mini-slot and the frame end. Each full step therefore records the next such
+tick in `Node.wake`, and `step` returns at once before it. Whatever changes a
+node's plans from outside its own step clears `wake` so that its next step
+runs in full: every role entry (`_clear_role_state`, hence `become_head`,
+`become_member`, `_restart_scan` and the engine's reformation commits), a
+beacon adopted (`_follow_beacon`) or heard while scanning (`_scan_beacon`,
+`_give_up_join`), and a HELLO that arms a public-RA exchange (`_on_hello`).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
@@ -107,6 +120,10 @@ class SuperframeSchedule:
     pra_len: int
     detect_ticks: frozenset[int]
     first_detect: int
+    # ticks into the frame where a node stops doing what it did the tick
+    # before: rel 1, detection-block and data-period edges, the frame's last
+    # tick; sorted
+    edges: tuple[int, ...]
 
 
 def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedule:
@@ -130,26 +147,42 @@ def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedul
     start = 0
     nd_start = data_start = data_len = pra_start = pra_len = 0
     detect = []
+    edges = {1}
     for kind, length in seq:
         periods.append((kind, start, length))
         if kind == ND:
             nd_start = start
         elif kind == DATA:
             data_start, data_len = start, length
+            edges.update((start, start + length))
         elif kind == PUBLIC_RA:
             pra_start, pra_len = start, length
         elif kind == DETECT:
             detect.extend(range(start, start + length))
+            edges.update((start, start + length))
         start += length
+    edges.add(start - 1)
     return SuperframeSchedule(
         periods=tuple(periods), nd_start=nd_start,
         data_start=data_start, data_len=data_len,
         pra_start=pra_start, pra_len=pra_len,
         detect_ticks=frozenset(detect), first_detect=min(detect),
+        edges=tuple(sorted(edges)),
     )
 
 
-@dataclass
+def frame_breaks(sched: SuperframeSchedule, gap: int,
+                 slot: int | None = None) -> tuple[int, ...]:
+    """Sorted ticks into a frame at which a node following `sched` has to
+    step: the schedule's edges, a member's HELLO mini-slot and the tick after
+    it, and `gap`, the start of the next frame."""
+    if slot is None:
+        return sched.edges + (gap,)
+    own = sched.nd_start + slot
+    return tuple(sorted({*sched.edges, own, own + 1, gap}))
+
+
+@dataclass(slots=True)
 class NeighborEntry:
     id: int
     hops: int                      # 1 or 2
@@ -192,7 +225,7 @@ class BeaconSummary:
 class ScanState:
     visited: set
     current: int
-    interval_remaining: int
+    interval_end: int              # tick at which the scan interval is over
     heard_beacon: BeaconSummary | None = None
     heard_hello: bool = False
     rejections: set = field(default_factory=set)
@@ -258,7 +291,7 @@ def start_scan(observations: list[ChannelObservation],
     if not available:
         raise NoAvailableChannels("no available channels to scan")
     current = first_channel if first_channel in available else available[0]
-    return ScanState(visited={current}, current=current, interval_remaining=0)
+    return ScanState(visited={current}, current=current, interval_end=0)
 
 
 def next_scan_channel(state: ScanState, available) -> int | None:
@@ -306,10 +339,9 @@ def emit_hello(node_id: int, master: int, observations, table) -> HelloMessage:
     and the one-hop neighbor list with each neighbor's channel set."""
     channels = tuple(sorted((o.channel, o.q_stage) for o in observations
                             if o.available))
-    neighbors = tuple(
-        (e.id, e.master, e.channels)
-        for e in sorted(table.values(), key=lambda e: e.id) if e.hops == 1
-    )
+    # ids are unique, so the tuples sort by id alone
+    neighbors = tuple(sorted(
+        (e.id, e.master, e.channels) for e in table.values() if e.hops == 1))
     return HelloMessage(sender=node_id, master=master, channels=channels,
                         neighbor_list=neighbors)
 
@@ -318,23 +350,32 @@ def upsert_from_hello(table: dict, hello: HelloMessage, tick: int,
                       cluster_head: int | None = None, self_id: int | None = None):
     """Fold one received HELLO into a neighbor table: the sender becomes (or
     stays) a 1-hop entry, each listed neighbor becomes a 2-hop entry via the
-    sender unless it is already known at 1 hop."""
-    table[hello.sender] = NeighborEntry(
-        id=hello.sender, hops=1, master=hello.master,
-        channels=tuple(ch for ch, _ in hello.channels),
-        last_seen=tick, relay=None, cluster_head=cluster_head,
-    )
+    sender unless it is already known at 1 hop. Known entries are updated
+    in place, so the table keeps its order."""
+    sender = hello.sender
+    e = table.get(sender)
+    if e is None:
+        table[sender] = NeighborEntry(sender, 1, hello.master, hello.channel_ids,
+                                      tick, None, cluster_head)
+    else:
+        e.hops = 1
+        e.master = hello.master
+        e.channels = hello.channel_ids
+        e.last_seen = tick
+        e.relay = None
+        e.cluster_head = cluster_head
     for nid, nmaster, nchannels in hello.neighbor_list:
-        if nid == self_id or nid == hello.sender:
+        if nid == self_id or nid == sender:
             continue
-        existing = table.get(nid)
-        if existing is not None and existing.hops == 1:
-            continue
-        table[nid] = NeighborEntry(
-            id=nid, hops=2, master=nmaster,
-            channels=nchannels,
-            last_seen=tick, relay=hello.sender, cluster_head=None,
-        )
+        e = table.get(nid)
+        if e is None:
+            table[nid] = NeighborEntry(nid, 2, nmaster, nchannels, tick, sender)
+        elif e.hops == 2:
+            e.master = nmaster
+            e.channels = nchannels
+            e.last_seen = tick
+            e.relay = sender
+            e.cluster_head = None
 
 
 def evict_stale(table: dict, tick: int, ttl_ticks: int):
@@ -444,7 +485,8 @@ class ProtocolParams:
 class Node:
     """One secondary user. The engine clocks it through step()/on_message();
     everything it knows is local: observations, weights, neighbor table, and
-    whatever beacons told it about its cluster's frame."""
+    whatever beacons told it about its cluster's frame. `step` returns at
+    once before the `wake` tick (see the module docstring)."""
 
     def __init__(self, node_id: int, pos, rng: Random, params: ProtocolParams,
                  start_tick: int = 0):
@@ -505,7 +547,9 @@ class Node:
         """Reset everything scoped to one role: scan and join progress, the
         cluster frame, and a head's member bookkeeping. Every role entry
         starts from here; what persists across roles (channel choice,
-        weights, observations, neighbor table) is left alone."""
+        weights, observations, neighbor table) is left alone. The next step
+        runs in full."""
+        self.wake = 0
         self.scan: ScanState | None = None
         self.join_target: int | None = None
         self.join_tx_tick: int | None = None
@@ -518,6 +562,7 @@ class Node:
         self.head_id: int | None = None
         self.slot: int | None = None
         self.sched: SuperframeSchedule | None = None
+        self.breaks: tuple[int, ...] = ()   # frame_breaks of the frame followed
         self.frame_start: int | None = None
         self.have_beacon = False
         self.beacons_missed = 0
@@ -556,6 +601,9 @@ class Node:
         self.role = Role.SCANNING
         self.apply_observations(ctx.sense(self))
         self._restart_scan(None, tick)
+        if self.scan is not None:
+            # the activation tick itself counts toward the first interval
+            self.scan.interval_end -= 1
 
     def _restart_scan(self, first_channel: int | None, tick: int):
         """(Re-)enter scanning; with no channels the node idles dormant."""
@@ -573,14 +621,18 @@ class Node:
             else:
                 self.weights = swarm.initial_weights(self.obs_list)
         self.scan = start_scan(self.obs_list, first_channel)
-        self.scan.interval_remaining = self.p.scan_interval_ticks
+        self.scan.interval_end = tick + self.p.scan_interval_ticks
         self.master = (self.scan.current if first_channel is not None
                        else self._choice_or(self.scan.current))
 
     def step(self, tick: int, ctx):
+        if tick < self.wake:
+            return
+        self.wake = tick + 1
         if self.role is None:
             if tick < self.start_tick:
                 self.listen = None
+                self.wake = self.start_tick
                 return
             self.activate(tick, ctx)
         if self.role is Role.SCANNING:
@@ -642,6 +694,7 @@ class Node:
                 self._restart_scan(None, tick)
             return
         s = self.scan
+        sent = True
         if self.join_tx_tick == tick and self.join_target is not None:
             ctx.transmit(self, s.current, JoinRequest(self.id, self.join_target))
             self.listen = None
@@ -652,20 +705,34 @@ class Node:
             self.exch_tx_tick = None
         else:
             self.listen = s.current
-        s.interval_remaining -= 1
-        if s.interval_remaining > 0:
+            sent = False
+        if tick < s.interval_end:
+            if not sent:
+                self._sleep_scanning(tick, s.interval_end)
             return
         if self.join_target is not None:
             # request in flight: allow the response window to play out
             if self.join_deadline is None:
                 self.join_deadline = tick + 2 * self.p.frame_len
             if tick < self.join_deadline:
+                if not sent:
+                    self._sleep_scanning(tick, self.join_deadline)
                 return
             self._give_up_join(self.join_target)
         self._advance_scan(tick, ctx)
 
+    def _sleep_scanning(self, tick: int, until: int):
+        """Listen on the scan channel up to `until` or the node's next
+        transmission, whichever comes first."""
+        wake = until
+        for t in (self.join_tx_tick, self.exch_tx_tick):
+            if t is not None and tick < t < wake:
+                wake = t
+        self.wake = wake
+
     def _give_up_join(self, head: int):
         """Drop the join in flight and never ask `head` again this scan."""
+        self.wake = 0
         self.scan.rejections.add(head)
         self.join_target = None
         self.join_tx_tick = None
@@ -690,7 +757,7 @@ class Node:
         elif isinstance(outcome, ContinueScan):
             s.visited.add(outcome.channel)
             s.current = outcome.channel
-            s.interval_remaining = self.p.scan_interval_ticks
+            s.interval_end = tick + self.p.scan_interval_ticks
             s.heard_beacon = None
             s.heard_hello = False
             self.master = self._choice_or(outcome.channel)
@@ -721,6 +788,7 @@ class Node:
     def _step_head(self, tick: int, ctx):
         if tick < self.frame_start:
             self.listen = self.master
+            self.wake = self.frame_start
             return
         rel = tick - self.frame_start
         if rel >= self.frame_gap:
@@ -729,6 +797,7 @@ class Node:
         if rel == 0:
             self._head_frame_start(tick, ctx)
             return
+        self._sleep_in_frame(rel)
         sched = self.sched
         if rel in sched.detect_ticks:
             self.listen = None
@@ -780,6 +849,7 @@ class Node:
         self.frame_gap = self.p.frame_len
         if self.p.frame_jitter_max:
             self.frame_gap += self.rng.randrange(self.p.frame_jitter_max + 1)
+        self.breaks = frame_breaks(self.sched, self.frame_gap)
         beacon = Beacon(
             head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
@@ -795,8 +865,11 @@ class Node:
         if self.sched is None:
             # freshly (re)assigned: wait for the first beacon on the master
             self.listen = self.master
-            if self.member_grace is not None and tick >= self.member_grace:
-                self._leave_for(self._select_current(), tick, ctx)
+            if self.member_grace is not None:
+                if tick >= self.member_grace:
+                    self._leave_for(self._select_current(), tick, ctx)
+                else:
+                    self.wake = self.member_grace
             return
         rel = tick - self.frame_start
         if rel >= self.frame_gap:
@@ -808,6 +881,7 @@ class Node:
         if rel == 0:
             self.listen = self.master
             return
+        self._sleep_in_frame(rel)
         if rel == 1 and not self.have_beacon:
             self.beacons_missed += 1
             if self.beacons_missed >= self.p.neighbor_ttl_superframes:
@@ -843,6 +917,11 @@ class Node:
             self.listen = self.master
         if rel == self.p.frame_len - 1:
             self._frame_end(tick, ctx)
+
+    def _sleep_in_frame(self, rel: int):
+        """Keep doing what this tick does until the frame's next break."""
+        breaks = self.breaks
+        self.wake = self.frame_start + breaks[bisect_right(breaks, rel)]
 
     def _frame_end(self, tick: int, ctx):
         evict_stale(self.table, tick, self.p.ttl_ticks)
@@ -887,6 +966,7 @@ class Node:
                 if t0 > tick and t0 != self.join_tx_tick:
                     self.exch_tx_tick = t0
                     self.exch_done.add(frame.cluster_head)
+                    self.wake = 0
 
     def _on_beacon(self, b: Beacon, tick: int, ctx):
         upsert_from_hello(self.table, b.hello, tick, cluster_head=b.head,
@@ -900,6 +980,7 @@ class Node:
     def _scan_beacon(self, b: Beacon, tick: int, ctx):
         if self.scan is None:
             return
+        self.wake = 0
         s = self.scan
         if s.heard_beacon is None:
             s.heard_beacon = BeaconSummary(head=b.head, master=b.master)
@@ -949,8 +1030,10 @@ class Node:
 
     def _follow_beacon(self, b: Beacon, slot: int):
         """Adopt the frame the head's beacon announces."""
+        self.wake = 0
         self.slot = slot
         self.sched = b.schedule
+        self.breaks = frame_breaks(b.schedule, b.gap, slot)
         self.frame_start = b.frame_start
         self.frame_gap = b.gap
         self.have_beacon = True

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from cogmesh.radio import ChannelObservation
 
@@ -23,6 +24,15 @@ WeightList = dict[int, float]
 
 class NoAvailableChannels(RuntimeError):
     """Raised when an operation needs at least one available channel."""
+
+
+class RewardParamError(ValueError):
+    """An invalid reward constant; `param` names it ("a", "b" or "c")."""
+
+    def __init__(self, param: str, message: str):
+        self.param = param
+        self.message = message
+        super().__init__(f"reward param {param} {message}")
 
 
 @dataclass(frozen=True)
@@ -38,12 +48,15 @@ class RewardParams:
     c: float = math.pi
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("reward params a and c must be > 0")
+        if self.a <= 0:
+            raise RewardParamError("a", "must be > 0")
+        if self.c <= 0:
+            raise RewardParamError("c", "must be > 0")
         lo = (-math.pi / 2 + self.b) / self.c
         hi = (math.pi / 2 + self.b) / self.c
         if lo < -1e-12 or hi > 1.0 + 1e-12:
-            raise ValueError("reward curve leaves [0, 1] at the limits")
+            raise RewardParamError("b", "puts the reward curve outside [0, 1] "
+                                        "at the limits")
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,11 @@ class HelloMessage:
     channels: tuple[tuple[int, int], ...]           # (channel, q_stage)
     neighbor_list: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
     # entries: (neighbor id, neighbor master, neighbor channels)
+
+    @cached_property
+    def channel_ids(self) -> tuple[int, ...]:
+        """The advertised channel ids, built once per message."""
+        return tuple(ch for ch, _ in self.channels)
 
     def stage_of(self, channel: int):
         for ch, stage in self.channels:

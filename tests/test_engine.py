@@ -3,15 +3,19 @@
 import copy
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogmesh import engine
 from cogmesh.cli import write_run_outputs
 from cogmesh.engine import (
     ConfigError,
     ScenarioConfig,
+    SimulationInvariantError,
     World,
     compute_metrics,
     config_from_mapping,
@@ -19,7 +23,7 @@ from cogmesh.engine import (
     largest_same_master_component,
     run,
 )
-from cogmesh.protocol import ClusterRecord, GatewayLink, NeighborEntry, Role
+from cogmesh.protocol import ClusterRecord, GatewayLink, NeighborEntry, Node, Role
 
 
 class TestConfig:
@@ -69,6 +73,21 @@ class TestConfig:
     ])
     def test_superframe_error_names_its_key(self, values, key):
         with pytest.raises(ConfigError) as info:
+            config_from_mapping(values)
+        assert info.value.key == key
+
+    # a ≤ 0 and c ≤ 0 each concern one key; a curve leaving [0, 1] is b's
+    @pytest.mark.parametrize("values, key", [
+        ({"reward_a": "-1"}, "reward_a"),
+        ({"reward_a": "0", "reward_c": "0"}, "reward_a"),
+        ({"reward_c": "0"}, "reward_c"),
+        ({"reward_c": "-3.1"}, "reward_c"),
+        ({"reward_b": "0"}, "reward_b"),
+        ({"reward_b": "10"}, "reward_b"),
+        ({"reward_c": "1"}, "reward_b"),
+    ])
+    def test_reward_error_names_its_key(self, values, key):
+        with pytest.raises(ConfigError, match=key) as info:
             config_from_mapping(values)
         assert info.value.key == key
 
@@ -335,6 +354,43 @@ class TestGatewayDiscovery:
         assert len(links) > 50
 
 
+class TestGatewayLinkInvariant:
+    def world_with_link(self, link):
+        """Clusters 0 {1} and 3 {4}, all nodes in range, joined by `link`."""
+        cfg = ScenarioConfig(su_count=6, channel_count=1, duration_ticks=100)
+        world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(6)])
+        for head, members in ((0, [1]), (3, [4])):
+            world.clusters[head] = ClusterRecord(
+                head=head, master=0, members={m: i for i, m in enumerate(members)},
+                max_slots=cfg.max_slots, frame_offset=0)
+            world.nodes[head].become_head(world.clusters[head], 0)
+        world.clusters[0].neighbor_clusters[3] = link
+        world.clusters[3].neighbor_clusters[0] = link
+        return world
+
+    def test_valid_link_passes(self):
+        world = self.world_with_link(GatewayLink(0, 3, node_a=1, node_b=4))
+        world._validate_links(32)
+
+    @pytest.mark.parametrize("link", [
+        GatewayLink(0, 3, node_a=1, node_b=5),    # 5 belongs to neither cluster
+        GatewayLink(0, 3, node_a=5),              # single gateway not a member
+        GatewayLink(0, 9, node_a=1, node_b=4),    # names a cluster it does not join
+    ])
+    def test_dead_link_trips_the_check_until_maintenance_prunes_it(self, link):
+        world = self.world_with_link(link)
+        with pytest.raises(SimulationInvariantError, match="gateway link"):
+            world._validate_links(32)
+        world._gateway_maintenance(32)
+        world._validate_links(32)
+
+    def test_one_sided_link_trips_the_check(self):
+        world = self.world_with_link(GatewayLink(0, 3, node_a=1, node_b=4))
+        del world.clusters[3].neighbor_clusters[0]
+        with pytest.raises(SimulationInvariantError, match="gateway link"):
+            world._validate_links(32)
+
+
 @st.composite
 def small_scenarios(draw):
     """Small valid scenarios over both PU models, sensing windows of 1-8
@@ -393,11 +449,69 @@ def run_recording_heads(cfg):
     return world.run(), heads
 
 
-def output_bytes(result):
+def output_files(result):
+    """metrics.csv and events.log of a run, by name."""
     with tempfile.TemporaryDirectory() as out:
         write_run_outputs(result, out)
-        return b"".join((Path(out) / name).read_bytes()
-                        for name in ("metrics.csv", "events.log"))
+        return {name: (Path(out) / name).read_bytes()
+                for name in ("metrics.csv", "events.log")}
+
+
+@st.composite
+def long_scenarios(draw):
+    """Up to 80 SUs over 200-1500 ticks at about the default density, long
+    and crowded enough for reformation commits and gateway links."""
+    cfg = draw(small_scenarios())
+    n = draw(st.integers(20, 80))
+    side = 1000.0 * math.sqrt(n / 50) * draw(st.floats(0.7, 1.3))
+    return replace(cfg, su_count=n, area_width=side, area_height=side,
+                   duration_ticks=draw(st.integers(200, 1500)),
+                   reform_enabled=True)
+
+
+def run_capturing_ether(cfg, always_awake):
+    """Outputs of one validated run, plus what the ether saw on every tick
+    with a transmission: (transmissions, listening map). `always_awake`
+    clears each node's wake tick before its step, so every step runs in
+    full."""
+    ether = []
+    deliver = engine.deliver_messages
+    step = Node.step
+
+    def deliver_and_record(txs, listening, adjacency):
+        ether.append((list(txs), dict(listening)))
+        return deliver(txs, listening, adjacency)
+
+    def step_awake(node, tick, ctx):
+        node.wake = 0
+        step(node, tick, ctx)
+
+    with mock.patch.object(engine, "deliver_messages", deliver_and_record), \
+            mock.patch.object(Node, "step", step_awake if always_awake else step):
+        result = World(cfg, validate=True).run()
+    return ether, output_files(result)
+
+
+class TestWakeGuard:
+    """A node that skips the steps before its wake tick must act exactly like
+    one stepped in full on every tick."""
+
+    def assert_same_as_always_awake(self, cfg):
+        ether, files = run_capturing_ether(cfg, always_awake=False)
+        ether_awake, files_awake = run_capturing_ether(cfg, always_awake=True)
+        assert files["metrics.csv"] == files_awake["metrics.csv"]
+        assert files["events.log"] == files_awake["events.log"]
+        assert ether == ether_awake
+
+    @given(small_scenarios())
+    @settings(max_examples=50, deadline=None)
+    def test_small_scenarios(self, cfg):
+        self.assert_same_as_always_awake(cfg)
+
+    @given(long_scenarios())
+    @settings(max_examples=12, deadline=None)
+    def test_long_scenarios(self, cfg):
+        self.assert_same_as_always_awake(cfg)
 
 
 class TestScenarioFuzz:
@@ -410,4 +524,4 @@ class TestScenarioFuzz:
             assert sum(sample.counts) <= cfg.su_count
             assert sample.cluster_count == n_heads
         replay, _ = run_recording_heads(cfg)
-        assert output_bytes(replay) == output_bytes(result)
+        assert output_files(replay) == output_files(result)

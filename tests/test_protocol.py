@@ -108,31 +108,31 @@ class TestScanning:
         assert start_scan([obs(0), obs(2)], first_channel=7).current == 0
 
     def test_case1_silence_forms_here(self):
-        state = ScanState(visited={0}, current=0, interval_remaining=0)
+        state = ScanState(visited={0}, current=0, interval_end=0)
         out = finish_scan_interval(state, {0, 1}, Random(0))
         assert out == FormCluster(channel=0)
 
     def test_case2_beacon_requests_join(self):
-        state = ScanState(visited={0}, current=0, interval_remaining=0,
+        state = ScanState(visited={0}, current=0, interval_end=0,
                           heard_beacon=BeaconSummary(head=9, master=0))
         out = finish_scan_interval(state, {0, 1}, Random(0))
         assert out == RequestJoin(head=9, channel=0)
 
     def test_case3_hellos_continue_to_next_channel(self):
-        state = ScanState(visited={0}, current=0, interval_remaining=0,
+        state = ScanState(visited={0}, current=0, interval_end=0,
                           heard_hello=True)
         out = finish_scan_interval(state, {0, 1, 2}, Random(0))
         assert out == ContinueScan(channel=1)
 
     def test_rejected_beacon_moves_on(self):
-        state = ScanState(visited={0}, current=0, interval_remaining=0,
+        state = ScanState(visited={0}, current=0, interval_end=0,
                           heard_beacon=BeaconSummary(head=9, master=0),
                           rejections={9})
         out = finish_scan_interval(state, {0, 3}, Random(0))
         assert out == ContinueScan(channel=3)
 
     def test_all_visited_forms_on_random_available(self):
-        state = ScanState(visited={0, 1, 2}, current=2, interval_remaining=0,
+        state = ScanState(visited={0, 1, 2}, current=2, interval_end=0,
                           heard_hello=True,
                           rejections={9})
         picks = {finish_scan_interval(state, {0, 1, 2}, Random(s)).channel
@@ -293,7 +293,7 @@ class TestRoleEntry:
         """A node caught mid-join while still holding head bookkeeping."""
         node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
         node.role = Role.SCANNING
-        node.scan = ScanState(visited={0, 1}, current=1, interval_remaining=5)
+        node.scan = ScanState(visited={0, 1}, current=1, interval_end=5)
         node.join_target = 7
         node.join_tx_tick = 40
         node.join_attempts = 2
