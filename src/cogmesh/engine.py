@@ -1,18 +1,21 @@
 """Deterministic discrete-time world.
 
-Per tick: the radio environment advances, every node's state machine is
-clocked in id order (scheduling its transmissions and its listening channel),
-messages are delivered under the channel/tuning/collision rules, and metrics
-are sampled on a fixed period. A node returns at once from a tick before its
-`wake` tick and keeps listening where it listened; role entries (including
-the reformation commits made here), adopted beacons and newly armed
-exchanges reset `wake` (see `protocol`). All randomness flows from one 64-bit
-seed through named substreams, so a (config, seed) pair replays
+Per tick: the radio environment advances, due reformation entries run, every
+node's state machine is clocked in id order (scheduling its transmissions and
+setting `Node.listen`), messages are delivered to the in-range nodes whose
+`listen` matches, senders excepted, and metrics are sampled on a fixed
+period. A node returns at once from a tick before its `wake` tick and keeps
+listening where it listened; role entries (including the reformation commits
+made here), adopted beacons and newly armed exchanges reset `wake` (see
+`protocol`). Reformation runs off one timed queue (`World._reform_timers`);
+`neg_by_working` holds the live negotiations. All randomness flows from one
+64-bit seed through named substreams, so a (config, seed) pair replays
 bit-identically.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, fields as dc_fields
 from random import Random
@@ -270,31 +273,30 @@ def compute_metrics(tick: int, masters: list, neighbors: list,
                          largest_cloud=largest, cluster_count=cluster_count)
 
 
-def deliver_messages(transmissions: list, listening: dict, adjacency):
+def deliver_messages(transmissions: list, nodes, adjacency):
     """Resolve one tick of the ether.
 
-    A transmission on channel c reaches exactly the in-range nodes tuned to c
-    (transmitters must be mapped to None in `listening`); two or more
-    same-channel arrivals at one receiver collide and are all dropped there.
-    `adjacency[i]` lists node i's in-range nodes. Returns (delivered,
-    dropped) as (receiver, message) lists.
+    A transmission on channel c reaches exactly the in-range nodes whose
+    `listen` is c, except the tick's senders (one half-duplex radio each);
+    two or more arrivals at one receiver collide and are all dropped there.
+    `nodes[i].listen` is node i's channel, `adjacency[i]` lists its in-range
+    nodes. Returns (delivered, dropped) as (receiver, message) lists.
     """
+    senders = {sender for sender, _, _ in transmissions}
+    heard = []
     arrivals = {}
-    for sender, channel, _msg in transmissions:
-        for r in adjacency[sender]:
-            if listening.get(r) == channel:
-                key = (r, channel)
-                arrivals[key] = arrivals.get(key, 0) + 1
-    delivered = []
-    dropped = []
     for sender, channel, msg in transmissions:
         for r in adjacency[sender]:
-            if listening.get(r) == channel:
-                if arrivals[(r, channel)] == 1:
-                    delivered.append((r, msg))
-                else:
-                    dropped.append((r, msg))
+            if nodes[r].listen == channel and r not in senders:
+                heard.append((r, msg))
+                arrivals[r] = arrivals.get(r, 0) + 1
+    delivered = [hit for hit in heard if arrivals[hit[0]] == 1]
+    dropped = [hit for hit in heard if arrivals[hit[0]] > 1]
     return delivered, dropped
+
+
+# order of the reformation entries due on one tick
+_PHASE = {"commit": 0, "req": 1, "ack": 1, "deny": 1, "deadline": 2}
 
 
 class World:
@@ -373,15 +375,12 @@ class World:
         self.events: list[Event] = []
         self.samples: list[MetricsSample] = []
         self.txs: list = []
-        self.transmitting: set = set()
         self.start_ticks = {n.id: n.start_tick for n in self.nodes}
         self.settle_ticks: dict = {}
         self.first_mutual: dict = {}
         self.gateway_latencies: list = []
-        self.negotiations: list[Negotiation] = []
-        self.neg_by_working: dict = {}
-        self.reform_inbox: list = []
-        self.pending_commits: list = []
+        self.neg_by_working: dict = {}     # working node id -> live negotiation
+        self.reform_queue: list = []       # heap, see `_push`
         self._seq = 0
 
     # -- ctx services used by nodes --
@@ -391,7 +390,6 @@ class World:
 
     def transmit(self, node: Node, channel: int, msg):
         self.txs.append((node.id, channel, msg))
-        self.transmitting.add(node.id)
 
     def log(self, tick: int, kind: str, **fields):
         self.events.append(Event(tick=tick, kind=kind, fields=tuple(fields.items())))
@@ -413,22 +411,18 @@ class World:
     def run(self) -> RunResult:
         cfg = self.cfg
         have_pus = bool(self.env.pus)
+        queue = self.reform_queue
         for t in range(cfg.duration_ticks):
             self.tick = t
             if have_pus:
                 radio.step_environment(self.env, self.env_rng)
-            if self.reform_inbox or self.negotiations:
+            if queue and queue[0][0] <= t:
                 self._reform_timers(t)
             self.txs = []
-            self.transmitting = set()
             for node in self.nodes:
                 node.step(t, self)
             if self.txs:
-                listening = {
-                    n.id: (None if n.id in self.transmitting else n.listen)
-                    for n in self.nodes
-                }
-                delivered, _ = deliver_messages(self.txs, listening, self.adjacency)
+                delivered, _ = deliver_messages(self.txs, self.nodes, self.adjacency)
                 for receiver, msg in delivered:
                     self.nodes[receiver].on_message(msg, t, self)
             if t > 0 and t % self.frame_len == 0:
@@ -489,7 +483,7 @@ class World:
                         and mn.master != rec.master:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} master disagrees with cluster")
-        live = {neg.plan_id for neg in self.negotiations if not neg.done}
+        live = {neg.plan_id for neg in self.neg_by_working.values()}
         for n in self.nodes:
             if n.role in MEMBER_ROLES and n.head_id is None:
                 raise SimulationInvariantError(
@@ -652,26 +646,29 @@ class World:
         )
         self.log(tick, "reform", working=node.id, status="proposed",
                  gain=plan.gain)
-        self.negotiations.append(neg)
         self.neg_by_working[node.id] = neg
+        self._push(neg.deadline + 1, "deadline", neg)
         for head in sorted(neg.affected):
             if head == node.id:
                 neg.acks.add(head)
                 node.lock = (neg.plan_id, tick + 6 * self.frame_len)
                 continue
             when = self._next_pra_start(self.clusters[head], tick)
-            self._push_reform(when, head, ("req", neg))
+            self._push(when, "req", neg, head)
         if neg.all_acked():
             self._schedule_commit(neg, tick)
 
     def cancel_reform(self, node: Node):
         neg = self.neg_by_working.get(node.id)
-        if neg is not None and not neg.done:
+        if neg is not None:
             self._cancel(neg, self.tick)
 
-    def _push_reform(self, when: int, target: int, payload):
+    def _push(self, when: int, kind: str, neg: Negotiation, head: int | None = None):
+        """Queue (when, phase, seq, kind, neg, head); `head` is the cluster
+        head a req goes to or an ack/deny comes from."""
         self._seq += 1
-        self.reform_inbox.append((when, self._seq, target, payload))
+        heapq.heappush(self.reform_queue,
+                       (when, _PHASE[kind], self._seq, kind, neg, head))
 
     def _next_pra_start(self, rec: ClusterRecord, tick: int) -> int:
         frame_start = _next_boundary(tick + 1, rec.frame_offset, self.frame_len)
@@ -681,47 +678,43 @@ class World:
         return pra
 
     def _reform_timers(self, tick: int):
-        if self.pending_commits:
-            due = [neg for when, neg in self.pending_commits if when <= tick]
-            self.pending_commits = [(when, neg) for when, neg in self.pending_commits
-                                    if when > tick]
-            for neg in due:
+        """Run the queued entries due by `tick` of live negotiations:
+        commits, then req/ack/deny in send order, then the deadline checks
+        (a negotiation without a scheduled commit times out at deadline + 1)."""
+        queue = self.reform_queue
+        while queue and queue[0][0] <= tick:
+            _, _, _, kind, neg, head = heapq.heappop(queue)
+            if neg.done:
+                continue
+            if kind == "commit":
                 self._apply_commit(neg, tick)
-        if self.reform_inbox:
-            due = sorted(item for item in self.reform_inbox if item[0] <= tick)
-            self.reform_inbox = [item for item in self.reform_inbox if item[0] > tick]
-            for _, _, target, payload in due:
-                self._route_reform(target, payload, tick)
-        for neg in self.negotiations:
-            if not neg.done and neg.commit_tick is None and tick > neg.deadline:
-                self._cancel(neg, tick)
-        self.negotiations = [n for n in self.negotiations if not n.done]
+            elif kind == "deadline":
+                if neg.commit_tick is None:
+                    self._cancel(neg, tick)
+            else:
+                self._route_reform(kind, neg, head, tick)
 
-    def _route_reform(self, target: int, payload, tick: int):
-        kind, neg = payload[0], payload[1]
-        if neg.done:
-            return
-        node = self.nodes[target]
+    def _route_reform(self, kind: str, neg: Negotiation, head: int, tick: int):
         if kind == "req":
-            if node.role is not Role.HEAD or target not in self.clusters:
+            node = self.nodes[head]
+            if node.role is not Role.HEAD or head not in self.clusters:
                 return                              # silence -> timeout
-            if node.lock is not None or target in self.neg_by_working:
+            if node.lock is not None or head in self.neg_by_working:
                 return                              # busy head stays silent
-            rec = self.clusters[target]
-            current = frozenset({target} | set(rec.members))
+            rec = self.clusters[head]
+            current = frozenset({head} | set(rec.members))
             # the decision goes back out in the tail of the same public RA
             reply_at = tick + 1
-            if current != neg.affected.get(target):
-                self._push_reform(reply_at, neg.working, ("deny", neg, target))
+            if current != neg.affected.get(head):
+                self._push(reply_at, "deny", neg, head)
                 return
             node.lock = (neg.plan_id, tick + 6 * self.frame_len)
-            self._push_reform(reply_at, neg.working, ("ack", neg, target))
+            self._push(reply_at, "ack", neg, head)
         elif kind == "ack":
-            head = payload[2]
             neg.acks.add(head)
             if neg.all_acked() and neg.commit_tick is None:
                 self._schedule_commit(neg, tick)
-        elif kind == "deny":
+        else:                                       # deny
             self._cancel(neg, tick)
 
     def _schedule_commit(self, neg: Negotiation, tick: int):
@@ -731,18 +724,19 @@ class World:
             self._cancel(neg, tick)
             return
         neg.commit_tick = _next_boundary(tick + 1, host.frame_offset, self.frame_len)
-        self.pending_commits.append((neg.commit_tick, neg))
+        self._push(neg.commit_tick, "commit", neg)
 
-    def _release_locks(self, neg: Negotiation):
+    def _finish(self, neg: Negotiation):
+        """Retire a live negotiation and release the locks it holds."""
+        neg.done = True
+        self.neg_by_working.pop(neg.working, None)
         for head in neg.affected:
             node = self.nodes[head]
             if node.lock is not None and node.lock[0] == neg.plan_id:
                 node.lock = None
 
     def _cancel(self, neg: Negotiation, tick: int):
-        neg.done = True
-        self._release_locks(neg)
-        self.neg_by_working.pop(neg.working, None)
+        self._finish(neg)
         self.log(tick, "reform", working=neg.working, status="cancelled",
                  gain=neg.plan.gain)
 
@@ -775,14 +769,10 @@ class World:
         return True
 
     def _apply_commit(self, neg: Negotiation, tick: int):
-        if neg.done:
-            return
         if not self._commit_valid(neg):
             self._cancel(neg, tick)
             return
-        neg.done = True
-        self._release_locks(neg)
-        self.neg_by_working.pop(neg.working, None)
+        self._finish(neg)
         pre = len(neg.affected)
         post = len(neg.plan.clusters)
         old_offsets = {}

@@ -15,6 +15,10 @@ answer through the public period, and move to the next channel. A node that
 iterates all channels without joining or forming starts its own cluster on a
 random available channel.
 
+Past the beacon, heads and members share one in-frame path (`_in_frame`);
+a member adds only its HELLO in its ND mini-slot. Every sensing round goes
+through `_do_sensing`.
+
 The engine clocks every node on every tick, but a node acts only at the
 edges of what it is doing: its start tick, the end of a scan interval or a
 join wait, its own transmissions, and, inside a cluster frame, the period
@@ -614,12 +618,10 @@ class Node:
             self.weights = {}
             return
         if self.p.swarm_enabled:
-            if self.weights:
-                # prune channels that are gone; alpha 0 keeps the mix as-is
-                self.weights = swarm.refresh_from_sensing(self.weights,
-                                                          self.obs_list, 0.0)
-            else:
-                self.weights = swarm.initial_weights(self.obs_list)
+            # prune channels that are gone; alpha 0 keeps the mix as-is (and
+            # gives a node without weights its initial ones)
+            self.weights = swarm.refresh_from_sensing(self.weights,
+                                                      self.obs_list, 0.0)
         self.scan = start_scan(self.obs_list, first_channel)
         self.scan.interval_end = tick + self.p.scan_interval_ticks
         self.master = (self.scan.current if first_channel is not None
@@ -741,16 +743,8 @@ class Node:
     def _advance_scan(self, tick: int, ctx):
         s = self.scan
         self.exch_tx_tick = None
-        self.apply_observations(ctx.sense(self))
-        if not self.available:
-            self._lose_channels(tick, ctx)
+        if not self._do_sensing(tick, ctx):
             return
-        if self.p.swarm_enabled:
-            if self.weights:
-                self.weights = swarm.refresh_from_sensing(
-                    self.weights, self.obs_list, self.p.alpha)
-            else:
-                self.weights = swarm.initial_weights(self.obs_list)
         outcome = finish_scan_interval(s, self.available, self.rng)
         if isinstance(outcome, FormCluster):
             self._form_cluster(outcome.channel, tick, ctx)
@@ -798,25 +792,7 @@ class Node:
             self._head_frame_start(tick, ctx)
             return
         self._sleep_in_frame(rel)
-        sched = self.sched
-        if rel in sched.detect_ticks:
-            self.listen = None
-            if rel == sched.first_detect:
-                self._do_sensing(tick, ctx)
-            return
-        if (not self.cluster.members and sched.data_start <= rel
-                < sched.data_start + sched.data_len):
-            if rel == sched.data_start:
-                self.offscan_ch = select_offmaster_scan(
-                    self.master, self.stages(), self.table,
-                    self.offscan_seen, self.rng)
-                if self.offscan_ch is not None:
-                    self.offscan_seen.add(self.offscan_ch)
-            self.listen = self.offscan_ch if self.offscan_ch is not None else self.master
-        else:
-            self.listen = self.master
-        if rel == self.p.frame_len - 1:
-            self._frame_end(tick, ctx)
+        self._in_frame(rel, tick, ctx, offscan=not self.cluster.members)
 
     def _head_frame_start(self, tick: int, ctx):
         c = self.cluster
@@ -900,12 +876,20 @@ class Node:
                 pra_start=self.frame_start + sched.pra_start,
                 pra_len=sched.pra_len))
             self.listen = None
-        elif rel in sched.detect_ticks:
+        else:
+            self._in_frame(rel, tick, ctx, offscan=True)
+
+    def _in_frame(self, rel: int, tick: int, ctx, offscan: bool):
+        """Sense in the detection blocks (never a frame's last tick), listen
+        off the master through the data period when `offscan` and on it
+        otherwise, and close the frame on its last tick."""
+        sched = self.sched
+        if rel in sched.detect_ticks:
             self.listen = None
             if rel == sched.first_detect:
-                if not self._do_sensing(tick, ctx):
-                    return
-        elif sched.data_start <= rel < sched.data_start + sched.data_len:
+                self._do_sensing(tick, ctx)
+            return
+        if offscan and sched.data_start <= rel < sched.data_start + sched.data_len:
             if rel == sched.data_start:
                 self.offscan_ch = select_offmaster_scan(
                     self.master, self.stages(), self.table,

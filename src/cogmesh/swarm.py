@@ -182,8 +182,9 @@ def refresh_from_sensing(weights: WeightList, obs: list[ChannelObservation],
     renormalized; newly available channels enter at weight zero; the result
     is then blended (1-alpha)*W + alpha*Q where Q is the stage vector scaled
     to sum one (uniform if all stages are zero). When no prior mass survives
-    the result is Q itself. `alpha` must lie in [0, 1]; configuration
-    validation checks that, not each call.
+    the result is Q itself, so `refresh_from_sensing({}, obs, alpha)` equals
+    `initial_weights(obs)` for every alpha. `alpha` must lie in [0, 1];
+    configuration validation checks that, not each call.
     """
     target = initial_weights(obs)
     kept = {ch: weights.get(ch, 0.0) for ch in target}

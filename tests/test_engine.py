@@ -5,6 +5,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -117,53 +118,69 @@ class TestConfig:
         assert cfg.pu_model == "markov"
 
 
+def tuned(channels):
+    """Stand-in nodes by id, each with only the `listen` channel that
+    delivery reads."""
+    return {i: SimpleNamespace(listen=ch) for i, ch in channels.items()}
+
+
 class TestDeliverMessages:
     def test_single_listener_delivery(self):
         delivered, dropped = deliver_messages(
-            [(0, 2, "msg")], {1: 2}, {0: [1], 1: [0]})
+            [(0, 2, "msg")], tuned({0: None, 1: 2}), {0: [1], 1: [0]})
         assert delivered == [(1, "msg")] and dropped == []
 
     def test_same_channel_collision_drops_both(self):
         delivered, dropped = deliver_messages(
             [(0, 1, "a"), (2, 1, "b")],
-            {1: 1}, {0: [1], 2: [1], 1: [0, 2]})
+            tuned({0: None, 1: 1, 2: None}), {0: [1], 2: [1], 1: [0, 2]})
         assert delivered == []
         assert sorted(m for _, m in dropped) == ["a", "b"]
 
     def test_wrong_channel_not_delivered(self):
         delivered, dropped = deliver_messages(
-            [(0, 2, "msg")], {1: 3}, {0: [1], 1: [0]})
+            [(0, 2, "msg")], tuned({0: None, 1: 3}), {0: [1], 1: [0]})
         assert delivered == [] and dropped == []
 
     def test_transmitter_never_receives(self):
         delivered, _ = deliver_messages(
             [(0, 1, "a"), (1, 1, "b")],
-            {0: None, 1: None, 2: 1}, {0: [1, 2], 1: [0, 2], 2: [0, 1]})
+            tuned({0: None, 1: None, 2: 1}), {0: [1, 2], 1: [0, 2], 2: [0, 1]})
         assert delivered == []
+
+    def test_sender_tuned_to_its_own_channel_hears_nothing(self):
+        # one half-duplex radio: a sender hears nothing on the tick it sends,
+        # even with `listen` left on its send channel (the scan path can
+        # leave it so); only the bystander 2 hears node 1
+        delivered, dropped = deliver_messages(
+            [(0, 1, "a"), (1, 1, "b")],
+            tuned({0: 1, 1: 1, 2: 1}), {0: [1], 1: [0, 2], 2: [1]})
+        assert delivered == [(2, "b")] and dropped == []
 
     def test_out_of_range_not_delivered(self):
         delivered, _ = deliver_messages(
-            [(0, 1, "a")], {5: 1}, {0: [], 5: []})
+            [(0, 1, "a")], tuned({0: None, 5: 1}), {0: [], 5: []})
         assert delivered == []
 
     def test_different_channels_do_not_collide(self):
         delivered, _ = deliver_messages(
             [(0, 1, "a"), (2, 2, "b")],
-            {1: 1, 3: 2}, {0: [1], 2: [3], 1: [0], 3: [2]})
+            tuned({0: None, 1: 1, 2: None, 3: 2}),
+            {0: [1], 2: [3], 1: [0], 3: [2]})
         assert sorted(delivered) == [(1, "a"), (3, "b")]
 
     def test_delivery_is_symmetric_under_relabeling(self):
         # outcomes depend on channel/range/tuning/overlap, never on node ids
         txs = [(0, 1, "a"), (1, 1, "b"), (2, 2, "c")]
-        listening = {3: 1, 4: 2, 5: 1}
+        listening = {0: None, 1: None, 2: None, 3: 1, 4: 2, 5: 1}
         adjacency = {0: [3, 5], 1: [3], 2: [4], 3: [0, 1], 4: [2], 5: [0]}
-        base_d, base_x = deliver_messages(txs, listening, adjacency)
+        base_d, base_x = deliver_messages(txs, tuned(listening), adjacency)
         relabel = {0: 10, 1: 11, 2: 12, 3: 13, 4: 14, 5: 15}
         txs2 = [(relabel[s], ch, m) for s, ch, m in txs]
         listening2 = {relabel[r]: ch for r, ch in listening.items()}
         adjacency2 = {relabel[a]: [relabel[b] for b in bs]
                       for a, bs in adjacency.items()}
-        d2, x2 = deliver_messages(txs2, listening2, adjacency2)
+        d2, x2 = deliver_messages(txs2, tuned(listening2), adjacency2)
         assert sorted((relabel[r], m) for r, m in base_d) == sorted(d2)
         assert sorted((relabel[r], m) for r, m in base_x) == sorted(x2)
 
@@ -471,16 +488,18 @@ def long_scenarios(draw):
 
 def run_capturing_ether(cfg, always_awake):
     """Outputs of one validated run, plus what the ether saw on every tick
-    with a transmission: (transmissions, listening map). `always_awake`
-    clears each node's wake tick before its step, so every step runs in
-    full."""
+    with a transmission: (transmissions, node id -> channel listened on, None
+    for the senders). `always_awake` clears each node's wake tick before its
+    step, so every step runs in full."""
     ether = []
     deliver = engine.deliver_messages
     step = Node.step
 
-    def deliver_and_record(txs, listening, adjacency):
-        ether.append((list(txs), dict(listening)))
-        return deliver(txs, listening, adjacency)
+    def deliver_and_record(txs, nodes, adjacency):
+        senders = {sender for sender, _, _ in txs}
+        ether.append((list(txs), {n.id: (None if n.id in senders else n.listen)
+                                  for n in nodes}))
+        return deliver(txs, nodes, adjacency)
 
     def step_awake(node, tick, ctx):
         node.wake = 0

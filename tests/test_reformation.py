@@ -10,6 +10,7 @@ from cogmesh.engine import ScenarioConfig, World
 from cogmesh.protocol import ClusterRecord, NeighborEntry, Role
 from cogmesh.reformation import (
     LocalGraph,
+    Negotiation,
     build_local_graph,
     greedy_mds,
     plan_is_feasible,
@@ -215,8 +216,7 @@ class TestNegotiationScenarios:
         snapshot = {h: (r.master, dict(r.members))
                     for h, r in world.clusters.items()}
         world.try_reform(working, world.tick)
-        assert world.negotiations
-        neg = world.negotiations[0]
+        neg = world.neg_by_working[working.id]
         for t in range(world.tick, world.tick + 5 * 27):
             world.tick = t
             world._reform_timers(t)
@@ -235,7 +235,7 @@ class TestNegotiationScenarios:
         world.run()
         working = world.nodes[1]
         world.try_reform(working, world.tick)
-        neg = world.negotiations[0]
+        neg = world.neg_by_working[working.id]
         # membership changes under the plan's feet
         victim = [h for h in neg.affected if h != working.id][0]
         world.clusters[victim].members[99] = 7
@@ -268,3 +268,66 @@ class TestNegotiationScenarios:
         proposals = [e for e in res.events if e.kind == "reform"
                      and e.get("status") == "proposed" and e.tick > after]
         assert proposals == []
+
+
+class TestReformQueue:
+    """One timed queue drives every reformation step."""
+
+    def test_same_tick_order(self):
+        world = World(ScenarioConfig(su_count=3, duration_ticks=1))
+        seen = []
+        world._apply_commit = lambda neg, tick: seen.append(("commit", neg.working))
+        world._route_reform = lambda kind, neg, head, tick: seen.append(
+            (kind, neg.working, head))
+        world._cancel = lambda neg, tick: seen.append(("timeout", neg.working))
+
+        def negotiation(working, commit_tick=None, done=False):
+            return Negotiation(plan_id=(working, 0), working=working, plan=None,
+                               affected={}, deadline=9, commit_tick=commit_tick,
+                               done=done)
+
+        late = negotiation(0)
+        committing = negotiation(1, commit_tick=10)
+        talking = negotiation(2)
+        finished = negotiation(3, done=True)
+        # pushed against phase order, so only the queue puts them right
+        world._push(10, "deadline", late)
+        world._push(10, "ack", talking, 7)
+        world._push(10, "deadline", committing)
+        world._push(10, "deny", talking, 8)
+        world._push(10, "commit", finished)
+        world._push(10, "commit", committing)
+        world._push(10, "req", talking, 9)
+        world._push(11, "req", talking, 6)
+        world._reform_timers(10)
+        assert seen == [("commit", 1), ("ack", 2, 7), ("deny", 2, 8),
+                        ("req", 2, 9), ("timeout", 0)]
+        assert [entry[0] for entry in world.reform_queue] == [11]
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_timeout_exactly_after_deadline(self, scheduled):
+        # three singleton clusters in a row; node 0 is locked by a foreign
+        # plan, so the request to it dies in silence
+        cfg = ScenarioConfig(su_count=3, channel_count=1, comm_range=160.0,
+                             duration_ticks=600, startup_spread_ticks=0,
+                             reform_enabled=False, seed=2)
+        world = World(cfg, su_positions=[(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)])
+        world.run()
+        world.nodes[0].lock = (("foreign", 0), 10**9)
+        working = world.nodes[1]
+        world.try_reform(working, world.tick)
+        neg = world.neg_by_working[working.id]
+        if scheduled:
+            # as `_schedule_commit` leaves it for a commit due after the deadline
+            neg.commit_tick = neg.deadline + 5
+        for t in range(world.tick, neg.deadline + 1):
+            world._reform_timers(t)
+        assert not neg.done and working.id in world.neg_by_working
+        world._reform_timers(neg.deadline + 1)
+        assert neg.done is not scheduled
+        last = world.events[-1]
+        if scheduled:
+            assert last.get("status") == "proposed"
+        else:
+            assert (last.tick, last.get("status")) == (neg.deadline + 1, "cancelled")
+            assert working.id not in world.neg_by_working

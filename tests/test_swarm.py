@@ -171,6 +171,17 @@ class TestRefreshFromSensing:
         out = refresh_from_sensing(w, observations, alpha)
         assert abs(sum(out.values()) - 1.0) < 1e-9
 
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                              st.booleans()), min_size=1, max_size=8)
+           .filter(lambda chans: any(avail for _, avail in chans)),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=100)
+    def test_refresh_of_no_weights_is_initial_weights(self, chans, alpha):
+        # a node without weights enters the swarm through the same call
+        observations = [obs(c, s, available=a) for c, (s, a) in enumerate(chans)]
+        assert (refresh_from_sensing({}, observations, alpha)
+                == initial_weights(observations))
+
 
 class TestSelectMaster:
     def test_strict_argmax(self):
