@@ -48,6 +48,14 @@ BASES = {
     "hop_window": lambda: ScenarioConfig(
         su_count=30, channel_count=6, pu_count=3, pu_model="periodic",
         pu_period_ticks=2, pu_duty=1.0, pu_hop=True, sensing_window_ticks=3),
+    # comm_range beyond the area's diagonal: every SU hears every other
+    "one_cell": lambda: ScenarioConfig(
+        su_count=30, channel_count=4, area_width=400.0, area_height=400.0,
+        comm_range=600.0, duration_ticks=1000),
+    # a long thin strip whose in-range pairs cross many comm_range borders
+    "long_thin": lambda: ScenarioConfig(
+        su_count=60, channel_count=8, area_width=4000.0, area_height=250.0,
+        duration_ticks=1000),
 }
 
 GOLDEN = {
@@ -73,6 +81,8 @@ GOLDEN = {
     ("hop_window", 1): "103a0b812f3e27ac41afb21931f9b383d96a4dafa88e7080d4ab5f9a69a97647",
     ("hop_window", 2): "3c3523f6f95f44222b1e501a002e9b9a5317e484b75c991628feaf7306e82c1d",
     ("hop_window", 3): "72f96a2e7e3373f77167f38e5b3311ad71f00e5863dedfc8c23b2723f7bbbec6",
+    ("one_cell", 1): "40a14b18cf6a0f500cb96ea0c3b353515136ae92dec3b31d8ea7e7992526db1e",
+    ("long_thin", 1): "d50f254e04e964b5224a0d9f2a8f4dd2be8fc4b9f1e4f5b09820237256e5a5bf",
 }
 
 
