@@ -295,6 +295,50 @@ def deliver_messages(transmissions: list, nodes, adjacency):
     return delivered, dropped
 
 
+# Cells per axis at most: a cell index this small is computed to within about
+# 2**-40 of a cell, far inside the 1e-9 margin on the side.
+_MAX_CELLS = 4096
+# Squares of differences below about 1.5e-154 fall in or under the subnormal
+# range, so at a tiny comm_range the predicate accepts pairs that far apart;
+# no cell is narrower.
+_MIN_SIDE = 1e-150
+
+
+def in_range_lists(positions, comm_range: float) -> list[list[int]]:
+    """For each position, the indices of the other positions within
+    `comm_range`, in ascending order.
+
+    A pair is in range when `(ax - bx) ** 2 + (ay - by) ** 2 <= r2`. The
+    positions are bucketed into square cells whose side exceeds comm_range by
+    a relative 1e-9, more than that predicate and a cell index can be off by
+    rounding, so an in-range pair lies in the same or adjacent cells, and
+    each position is tested only against the 3 x 3 block of cells around its
+    own. Coordinates are halved first, so that the span of any finite
+    coordinates is finite.
+    """
+    if not positions:
+        return []
+    r2 = comm_range * comm_range
+    hxs = [x * 0.5 for x, _ in positions]
+    hys = [y * 0.5 for _, y in positions]
+    x0, y0 = min(hxs), min(hys)
+    span = max(max(hxs) - x0, max(hys) - y0)
+    side = max(comm_range * 0.5 * (1.0 + 1e-9), _MIN_SIDE, span / _MAX_CELLS)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (hx, hy) in enumerate(zip(hxs, hys)):
+        cells.setdefault((int((hx - x0) / side), int((hy - y0) / side)), []).append(i)
+    adjacency: list[list[int]] = [[] for _ in positions]
+    for (cx, cy), members in cells.items():
+        cand = sorted(j for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
+                      for j in cells.get((gx, gy), ()))
+        near = [(j, positions[j]) for j in cand]
+        for i in members:
+            ax, ay = positions[i]
+            adjacency[i] = [j for j, (bx, by) in near
+                            if j != i and (ax - bx) ** 2 + (ay - by) ** 2 <= r2]
+    return adjacency
+
+
 # order of the reformation entries due on one tick
 _PHASE = {"commit": 0, "req": 1, "ack": 1, "deny": 1, "deadline": 2}
 
@@ -305,6 +349,14 @@ class World:
     def __init__(self, config: ScenarioConfig, su_positions=None,
                  su_start_ticks=None, pus=None, validate=True):
         config.validate()
+        for key, given in (("su_positions", su_positions),
+                           ("su_start_ticks", su_start_ticks)):
+            if given is not None and len(given) != config.su_count:
+                raise ConfigError(key, f"has {len(given)} entries, "
+                                       f"su_count is {config.su_count}")
+        if su_positions is not None and not all(
+                math.isfinite(x) and math.isfinite(y) for x, y in su_positions):
+            raise ConfigError("su_positions", "coordinates must be finite")
         self.cfg = config
         self.params = config.protocol_params()
         self.frame_len = self.params.frame_len
@@ -355,19 +407,8 @@ class World:
                  start_tick=start_ticks[i])
             for i in range(config.su_count)
         ]
-        r2 = config.comm_range * config.comm_range
         # indexed by node id: in-range nodes in id order, and the same as a set
-        self.adjacency: list[list[int]] = []
-        for a in self.nodes:
-            near = []
-            ax, ay = a.pos
-            for b in self.nodes:
-                if a.id == b.id:
-                    continue
-                bx, by = b.pos
-                if (ax - bx) ** 2 + (ay - by) ** 2 <= r2:
-                    near.append(b.id)
-            self.adjacency.append(near)
+        self.adjacency = in_range_lists([n.pos for n in self.nodes], config.comm_range)
         self.adj_sets = [frozenset(near) for near in self.adjacency]
 
         self.tick = 0

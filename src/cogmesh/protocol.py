@@ -38,6 +38,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from random import Random
 
 from cogmesh import swarm
@@ -95,6 +96,13 @@ class SuperframeParams:
                 + self.intra_ra_ticks + self.public_ra_ticks
                 + self.detect_periods * self.detect_ticks)
 
+    @cached_property
+    def layouts(self) -> dict[tuple[int, ...], SuperframeSchedule]:
+        """The frame laid out once for each sorted set of detection-block
+        gaps that `build_superframe` can draw."""
+        return {gaps: lay_out_superframe(self, gaps)
+                for gaps in combinations(range(1, 5), self.detect_periods)}
+
     def validate(self):
         """Raise `ConfigError` naming the first period length out of range."""
         for key in ("beacon_ticks", "max_slots", "data_ticks", "intra_ra_ticks",
@@ -131,8 +139,15 @@ class SuperframeSchedule:
 
 
 def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedule:
-    """Lay out one superframe; spectrum-detection blocks land in gaps between
-    the five main periods at positions drawn fresh each frame."""
+    """One superframe; spectrum-detection blocks land in gaps between the
+    five main periods at positions drawn fresh each frame."""
+    return params.layouts[tuple(sorted(rng.sample(range(1, 5), params.detect_periods)))]
+
+
+def lay_out_superframe(params: SuperframeParams,
+                       gaps: tuple[int, ...]) -> SuperframeSchedule:
+    """The superframe with one detection block before each main period whose
+    index is in `gaps` (sorted, each in 1..4)."""
     main = [
         (BEACON, params.beacon_ticks),
         (ND, params.max_slots),
@@ -140,11 +155,9 @@ def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedul
         (INTRA_RA, params.intra_ra_ticks),
         (PUBLIC_RA, params.public_ra_ticks),
     ]
-    gaps = sorted(rng.sample(range(1, 5), params.detect_periods))
     seq = []
     for i, period in enumerate(main):
-        while gaps and gaps[0] == i:
-            gaps.pop(0)
+        if i in gaps:
             seq.append((DETECT, params.detect_ticks))
         seq.append(period)
     periods = []

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogmesh import engine
 from cogmesh.cli import write_run_outputs
@@ -116,6 +116,72 @@ class TestConfig:
         assert cfg.comm_range == 180.5
         assert cfg.swarm_enabled is False
         assert cfg.pu_model == "markov"
+
+    @pytest.mark.parametrize("key, given", [
+        ("su_positions", [(0.0, 0.0)] * 2),
+        ("su_positions", [(0.0, 0.0)] * 4),
+        ("su_start_ticks", [0] * 2),
+        ("su_start_ticks", [0] * 4),
+    ])
+    def test_wrong_length_argument_rejected(self, key, given):
+        with pytest.raises(ConfigError, match=key) as info:
+            World(ScenarioConfig(su_count=3), **{key: given})
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_position_rejected(self, bad, axis):
+        corner = [0.0, 0.0]
+        corner[axis] = bad
+        with pytest.raises(ConfigError, match="su_positions"):
+            World(ScenarioConfig(su_count=2), su_positions=[(5.0, 5.0), tuple(corner)])
+
+
+def brute_force_adjacency(positions, comm_range):
+    r2 = comm_range * comm_range
+    return [[j for j, (bx, by) in enumerate(positions)
+             if j != i and (ax - bx) ** 2 + (ay - by) ** 2 <= r2]
+            for i, (ax, ay) in enumerate(positions)]
+
+
+@st.composite
+def placements(draw):
+    """A comm_range and SU positions in the square of side 2000 m around the
+    origin, some on exact multiples of comm_range (cell borders), plus pairs
+    exactly comm_range apart. A range of 1e4 exceeds the square's diagonal."""
+    r = draw(st.sampled_from([1e-310, 0.3, 250.0, 1e4]))
+    k, near = int(min(8.0, 1000.0 / r)), min(4 * r, 1000.0)
+    coordinate = st.one_of(st.integers(-k, k).map(lambda i: i * r),
+                           st.floats(-near, near),
+                           st.floats(-1000.0, 1000.0))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), max_size=40))
+    for x, y in draw(st.lists(st.sampled_from(points), max_size=10)) if points else ():
+        dx, dy = draw(st.sampled_from([(r, 0.0), (0.0, r), (-r, 0.0), (0.6 * r, 0.8 * r)]))
+        points.append((x + dx, y + dy))
+    return r, draw(st.permutations(points))
+
+
+class TestAdjacency:
+    @given(placements())
+    # squares that underflow at a tiny range, a pair on two cell borders that
+    # rounding puts two cells apart when the side is exactly comm_range, and
+    # finite coordinates whose span is not
+    @example((1e-310, [(0.0, 0.0), (1e-200, 0.0), (1000.0, 1000.0), (-5e-324, 0.0)]))
+    @example((0.3, [(0.0, 0.0), (0.0, -0.3), (0.0, -3 * 0.3)]))
+    @example((250.0, [(-1e308, 0.0), (1e308, 0.0), (1e308, 100.0)]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_brute_force(self, placement):
+        comm_range, positions = placement
+        world = World(ScenarioConfig(su_count=len(positions), comm_range=comm_range),
+                      su_positions=positions)
+        assert world.adjacency == brute_force_adjacency(positions, comm_range)
+        assert world.adj_sets == [frozenset(near) for near in world.adjacency]
+
+    @pytest.mark.parametrize("comm_range", [1e-310, 250.0])
+    def test_generated_positions(self, comm_range):
+        world = World(ScenarioConfig(su_count=60, comm_range=comm_range))
+        positions = [n.pos for n in world.nodes]
+        assert world.adjacency == brute_force_adjacency(positions, comm_range)
 
 
 def tuned(channels):

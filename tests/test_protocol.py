@@ -1,5 +1,6 @@
 """Scanning, joining, superframes, neighbor tables, and gateway selection."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -24,6 +25,7 @@ from cogmesh.protocol import (
     ScanState,
     SuperframeParams,
     build_superframe,
+    lay_out_superframe,
     emit_hello,
     evict_stale,
     finish_scan_interval,
@@ -83,6 +85,29 @@ class TestSuperframe:
         a = [build_superframe(SuperframeParams(), Random(99)) for _ in range(5)]
         b = [build_superframe(SuperframeParams(), Random(99)) for _ in range(5)]
         assert a == b
+
+    @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
+    def test_cached_layout_per_gap_set(self, detect_periods):
+        params = SuperframeParams(detect_periods=detect_periods)
+        mains = [BEACON, ND, DATA, INTRA_RA, PUBLIC_RA]
+        assert list(params.layouts) == list(combinations(range(1, 5), detect_periods))
+        for gaps, sched in params.layouts.items():
+            assert sched == lay_out_superframe(SuperframeParams(detect_periods=detect_periods),
+                                               gaps)
+            kinds = [kind for kind, _, _ in sched.periods]
+            # one detection block right before each main period named in gaps
+            assert [mains.index(kinds[k + 1]) for k, kind in enumerate(kinds)
+                    if kind == DETECT] == list(gaps)
+
+    @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
+    def test_draw_consumes_the_rng_as_one_sample(self, detect_periods):
+        params = SuperframeParams(detect_periods=detect_periods)
+        for seed in range(10):
+            drawn, reference = Random(seed), Random(seed)
+            sched = build_superframe(params, drawn)
+            gaps = tuple(sorted(reference.sample(range(1, 5), detect_periods)))
+            assert sched is params.layouts[gaps]
+            assert drawn.getstate() == reference.getstate()
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(ValueError):
