@@ -25,11 +25,11 @@ from cogmesh.protocol import (
     ScanState,
     SuperframeParams,
     build_superframe,
-    lay_out_superframe,
     emit_hello,
     evict_stale,
     finish_scan_interval,
     handle_join_request,
+    lay_out_superframe,
     select_gateways,
     select_offmaster_scan,
     start_scan,
