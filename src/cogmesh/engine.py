@@ -103,6 +103,7 @@ class ScenarioConfig:
         need(self.quant_stages >= 2, "quant_stages", "must be >= 2")
         need(self.q_max > 0, "q_max", "must be > 0")
         need(self.pathloss_exponent > 0, "pathloss_exponent", "must be > 0")
+        self._validate_magnitudes()
         need(self.sensing_window_ticks >= 1, "sensing_window_ticks", "must be >= 1")
         need(self.pu_model in ("periodic", "markov"), "pu_model",
              "must be 'periodic' or 'markov'")
@@ -125,6 +126,35 @@ class ScenarioConfig:
         need(self.scan_interval_ticks > self.max_superframe_ticks,
              "scan_interval_ticks", "must exceed max_superframe_ticks")
         params.validate()
+
+    def _validate_magnitudes(self):
+        """Bound the physical floats by the arithmetic that uses them, so that
+        an accepted config never overflows. Positions lie in the area, so no
+        squared distance exceeds the squared diagonal, and no distance the
+        diagonal."""
+        w, h = self.area_width, self.area_height
+        try:
+            # squared as `in_range_lists` (**) and `radio._geometry` (*) do
+            diag2 = max(w ** 2 + h ** 2, w * w + h * h)
+        except OverflowError:
+            diag2 = math.inf
+        if diag2 == math.inf:
+            raise ConfigError("area_width" if w >= h else "area_height",
+                              "area_width**2 + area_height**2 must be finite")
+        try:
+            # the far-field term of `radio._geometry` at the largest distance
+            math.sqrt(w * w + h * h) ** self.pathloss_exponent
+        except OverflowError:
+            raise ConfigError("pathloss_exponent",
+                              "the area's diagonal to this power must be "
+                              "finite") from None
+        try:
+            # `radio.quantize` scales the best quality, q_max, by the stages
+            scaled = self.quant_stages * self.q_max
+        except OverflowError:
+            raise ConfigError("quant_stages", "is too large for a float") from None
+        if scaled == math.inf:
+            raise ConfigError("q_max", "times quant_stages must be finite")
 
     def superframe_params(self) -> SuperframeParams:
         return SuperframeParams(
@@ -602,9 +632,7 @@ class World:
                 owners.setdefault(m, []).append(head)
         pairs = set()
         for x, mine in owners.items():
-            for nid, e in self.nodes[x].table.items():
-                if e.hops != 1:
-                    continue
+            for nid in self.nodes[x].table:
                 for b in owners.get(nid, ()):
                     for a in mine:
                         if a != b:
@@ -655,18 +683,15 @@ class World:
         host = self._host_record(node)
         if host is None:
             return
-        cands = sorted({
-            e.cluster_head for e in node.table.values()
-            if e.hops == 1 and e.cluster_head is not None
-        })
+        table = node.table
+        cands = sorted({e.cluster_head for e in table.values()
+                        if e.cluster_head is not None})
         records = [host]
         for h in cands:
             rec = self.clusters.get(h)
             if rec is None or rec is host or rec.master != host.master:
                 continue
-            neighbor_ids = {rec.head} | set(rec.members)
-            if any(e.id in neighbor_ids and e.hops == 1
-                   for e in node.table.values()):
+            if rec.head in table or not table.keys().isdisjoint(rec.members):
                 records.append(rec)
         if len(records) == 1 and len(host.members) == 0:
             return

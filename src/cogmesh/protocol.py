@@ -201,12 +201,12 @@ def frame_breaks(sched: SuperframeSchedule, gap: int,
 
 @dataclass(slots=True)
 class NeighborEntry:
+    """A 1-hop neighbor as its last HELLO or beacon described it."""
+
     id: int
-    hops: int                      # 1 or 2
     master: int
     channels: tuple[int, ...]      # sorted channel ids, as on the wire
     last_seen: int
-    relay: int | None = None       # 1-hop relay that reported a 2-hop entry
     cluster_head: int | None = None
 
 
@@ -268,7 +268,7 @@ class ContinueScan:
 
 # --- wire records ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beacon:
     head: int
     master: int
@@ -280,7 +280,7 @@ class Beacon:
     hello: HelloMessage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HelloFrame:
     """HELLO on the wire: pheromone payload plus the sender's cluster head and
     the absolute window of the current public random-access period (the Frame
@@ -292,7 +292,7 @@ class HelloFrame:
     pra_len: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinRequest:
     sender: int
     head: int
@@ -351,72 +351,65 @@ def handle_join_request(cluster: ClusterRecord, requester: int) -> int | None:
     return None
 
 
-def emit_hello(node_id: int, master: int, observations, table) -> HelloMessage:
-    """Build this node's HELLO: quantized qualities of the available channels
-    and the one-hop neighbor list with each neighbor's channel set."""
-    channels = tuple(sorted((o.channel, o.q_stage) for o in observations
-                            if o.available))
+def emit_hello(node_id: int, master: int, channels: tuple, table) -> HelloMessage:
+    """Build this node's HELLO: `channels`, the sorted (channel, q_stage)
+    pairs of its available channels (`Node.hello_channels`), and the one-hop
+    neighbor list with each neighbor's channel set."""
     # ids are unique, so the tuples sort by id alone
     neighbors = tuple(sorted(
-        (e.id, e.master, e.channels) for e in table.values() if e.hops == 1))
-    return HelloMessage(sender=node_id, master=master, channels=channels,
-                        neighbor_list=neighbors)
+        [(e.id, e.master, e.channels) for e in table.values()]))
+    return HelloMessage(node_id, master, channels, neighbors)
 
 
-def upsert_from_hello(table: dict, hello: HelloMessage, tick: int,
+def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int,
                       cluster_head: int | None = None, self_id: int | None = None):
-    """Fold one received HELLO into a neighbor table: the sender becomes (or
-    stays) a 1-hop entry, each listed neighbor becomes a 2-hop entry via the
-    sender unless it is already known at 1 hop. Known entries are updated
-    in place, so the table keeps its order."""
+    """Fold one received HELLO into a node's neighbor maps.
+
+    The sender becomes (or stays) a 1-hop entry in `table` and leaves
+    `two_hop`. Each listed neighbor other than the receiver `self_id`
+    enters `two_hop` as id -> (master, tick) unless `table` holds it, so a
+    report never downgrades a 1-hop entry and no id is in both maps. Known
+    1-hop entries are updated in place."""
     sender = hello.sender
     e = table.get(sender)
     if e is None:
-        table[sender] = NeighborEntry(sender, 1, hello.master, hello.channel_ids,
-                                      tick, None, cluster_head)
+        table[sender] = NeighborEntry(sender, hello.master, hello.channel_ids,
+                                      tick, cluster_head)
+        two_hop.pop(sender, None)
     else:
-        e.hops = 1
         e.master = hello.master
         e.channels = hello.channel_ids
         e.last_seen = tick
-        e.relay = None
         e.cluster_head = cluster_head
-    for nid, nmaster, nchannels in hello.neighbor_list:
-        if nid == self_id or nid == sender:
-            continue
-        e = table.get(nid)
-        if e is None:
-            table[nid] = NeighborEntry(nid, 2, nmaster, nchannels, tick, sender)
-        elif e.hops == 2:
-            e.master = nmaster
-            e.channels = nchannels
-            e.last_seen = tick
-            e.relay = sender
-            e.cluster_head = None
+    for nid, nmaster, _ in hello.neighbor_list:
+        if nid not in table and nid != self_id:
+            two_hop[nid] = (nmaster, tick)
 
 
-def evict_stale(table: dict, tick: int, ttl_ticks: int):
-    """Drop entries not refreshed within the TTL window."""
+def evict_stale(table: dict, two_hop: dict, tick: int, ttl_ticks: int):
+    """Drop the entries of both maps not refreshed within the TTL window."""
     dead = [nid for nid, e in table.items() if tick - e.last_seen > ttl_ticks]
     for nid in dead:
         del table[nid]
+    dead = [nid for nid, (_, seen) in two_hop.items() if tick - seen > ttl_ticks]
+    for nid in dead:
+        del two_hop[nid]
 
 
-def select_offmaster_scan(master: int, stages: dict, table: dict,
+def select_offmaster_scan(master: int, stages: dict, two_hop: dict,
                           visited: set, rng: Random) -> int | None:
     """Pick a non-master channel for this frame's listening excursion.
 
-    Channels where known 2-hop neighbors live and that were not yet visited
-    come first (lowest index); otherwise sample the remaining channels with
-    probability proportional to (q_stage + 1).
+    Channels where known 2-hop neighbors live (`two_hop` maps id ->
+    (master, last seen)) and that were not yet visited come first (lowest
+    index); otherwise sample the remaining channels with probability
+    proportional to (q_stage + 1).
     """
-    two_hop = sorted(
-        e.master for e in table.values()
-        if e.hops == 2 and e.master in stages and e.master != master
-        and e.master not in visited
-    )
-    if two_hop:
-        return two_hop[0]
+    near = stages.keys() & {m for m, _ in two_hop.values()}
+    near.discard(master)
+    near -= visited
+    if near:
+        return min(near)
     cands = sorted(ch for ch in stages if ch != master)
     if not cands:
         return None
@@ -440,9 +433,7 @@ def select_gateways(cluster_a: ClusterRecord, cluster_b: ClusterRecord,
     link. Heads themselves only ever appear in the pair form.
     """
     def knows(x, y):
-        ex = tables.get(x, {}).get(y)
-        ey = tables.get(y, {}).get(x)
-        return (ex is not None and ex.hops == 1) or (ey is not None and ey.hops == 1)
+        return y in tables.get(x, ()) or x in tables.get(y, ())
 
     def linked(x, y):
         return x != y and knows(x, y) and adjacent(x, y)
@@ -501,9 +492,13 @@ class ProtocolParams:
 
 class Node:
     """One secondary user. The engine clocks it through step()/on_message();
-    everything it knows is local: observations, weights, neighbor table, and
+    everything it knows is local: observations, weights, neighbor maps, and
     whatever beacons told it about its cluster's frame. `step` returns at
-    once before the `wake` tick (see the module docstring)."""
+    once before the `wake` tick (see the module docstring).
+
+    `table` maps each 1-hop neighbor's id to its `NeighborEntry`, and
+    `two_hop` maps each id heard only in neighbor lists to (master, last
+    seen); no id is in both."""
 
     def __init__(self, node_id: int, pos, rng: Random, params: ProtocolParams,
                  start_tick: int = 0):
@@ -518,19 +513,28 @@ class Node:
         self.master: int | None = None
         self.weights: dict = {}
         self.obs_list: list = []
+        # derived from obs_list by apply_observations
         self.available: frozenset = frozenset()
+        self.stages: dict = {}             # available channel -> q_stage
+        self.hello_channels: tuple = ()    # sorted (channel, q_stage) pairs
         self.table: dict = {}
+        self.two_hop: dict = {}
         self.frame_gap = params.frame_len
         self._clear_role_state()
 
     # -- helpers --
 
-    def stages(self) -> dict:
-        return {o.channel: o.q_stage for o in self.obs_list if o.available}
-
     def apply_observations(self, observations):
+        """Adopt a sensing result and derive, once per list, what the node
+        reads of it. A list already adopted is skipped: `sense` hands out
+        one shared list for every quiet window, and no list is mutated."""
+        if observations is self.obs_list:
+            return
         self.obs_list = observations
-        self.available = frozenset(o.channel for o in observations if o.available)
+        stages = {o.channel: o.q_stage for o in observations if o.available}
+        self.stages = stages
+        self.available = frozenset(stages)
+        self.hello_channels = tuple(sorted(stages.items()))
 
     def _select_current(self) -> int | None:
         """The node's standing channel choice under the active arm."""
@@ -538,7 +542,7 @@ class Node:
             if not self.weights:
                 return None
             return swarm.select_master(self.weights)
-        stages = self.stages()
+        stages = self.stages
         if not stages:
             return None
         best = max(stages.values())
@@ -564,7 +568,7 @@ class Node:
         """Reset everything scoped to one role: scan and join progress, the
         cluster frame, and a head's member bookkeeping. Every role entry
         starts from here; what persists across roles (channel choice,
-        weights, observations, neighbor table) is left alone. The next step
+        weights, observations, neighbor maps) is left alone. The next step
         runs in full."""
         self.wake = 0
         self.scan: ScanState | None = None
@@ -714,7 +718,7 @@ class Node:
             ctx.transmit(self, s.current, JoinRequest(self.id, self.join_target))
             self.listen = None
         elif self.exch_tx_tick == tick:
-            hello = emit_hello(self.id, self.master, self.obs_list, self.table)
+            hello = emit_hello(self.id, self.master, self.hello_channels, self.table)
             ctx.transmit(self, s.current, HelloFrame(hello))
             self.listen = None
             self.exch_tx_tick = None
@@ -843,7 +847,7 @@ class Node:
             head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
             members=tuple(sorted(c.members.items())), rejects=tuple(rejects),
-            hello=emit_hello(self.id, self.master, self.obs_list, self.table),
+            hello=emit_hello(self.id, self.master, self.hello_channels, self.table),
         )
         ctx.transmit(self, self.master, beacon)
         self.listen = None
@@ -883,7 +887,7 @@ class Node:
             return
         sched = self.sched
         if rel == sched.nd_start + self.slot:
-            hello = emit_hello(self.id, self.master, self.obs_list, self.table)
+            hello = emit_hello(self.id, self.master, self.hello_channels, self.table)
             ctx.transmit(self, self.master, HelloFrame(
                 hello, cluster_head=self.head_id,
                 pra_start=self.frame_start + sched.pra_start,
@@ -905,7 +909,7 @@ class Node:
         if offscan and sched.data_start <= rel < sched.data_start + sched.data_len:
             if rel == sched.data_start:
                 self.offscan_ch = select_offmaster_scan(
-                    self.master, self.stages(), self.table,
+                    self.master, self.stages, self.two_hop,
                     self.offscan_seen, self.rng)
                 if self.offscan_ch is not None:
                     self.offscan_seen.add(self.offscan_ch)
@@ -921,7 +925,7 @@ class Node:
         self.wake = self.frame_start + breaks[bisect_right(breaks, rel)]
 
     def _frame_end(self, tick: int, ctx):
-        evict_stale(self.table, tick, self.p.ttl_ticks)
+        evict_stale(self.table, self.two_hop, tick, self.p.ttl_ticks)
         new = self._select_current()
         if new is not None and new != self.master:
             self._leave_for(new, tick, ctx)
@@ -933,10 +937,10 @@ class Node:
     # -- message handling ----------------------------------------------------------
 
     def on_message(self, msg, tick: int, ctx):
-        if isinstance(msg, Beacon):
-            self._on_beacon(msg, tick, ctx)
-        elif isinstance(msg, HelloFrame):
+        if isinstance(msg, HelloFrame):
             self._on_hello(msg, tick, ctx)
+        elif isinstance(msg, Beacon):
+            self._on_beacon(msg, tick, ctx)
         elif isinstance(msg, JoinRequest):
             self._on_join_request(msg, tick)
 
@@ -949,8 +953,8 @@ class Node:
 
     def _on_hello(self, frame: HelloFrame, tick: int, ctx):
         hello = frame.hello
-        upsert_from_hello(self.table, hello, tick,
-                          cluster_head=frame.cluster_head, self_id=self.id)
+        upsert_from_hello(self.table, self.two_hop, hello, tick,
+                          frame.cluster_head, self.id)
         self._absorb_pheromone(hello)
         if self.role is Role.HEAD and hello.sender in self.cluster.members:
             self.heard_members.add(hello.sender)
@@ -966,8 +970,8 @@ class Node:
                     self.wake = 0
 
     def _on_beacon(self, b: Beacon, tick: int, ctx):
-        upsert_from_hello(self.table, b.hello, tick, cluster_head=b.head,
-                          self_id=self.id)
+        upsert_from_hello(self.table, self.two_hop, b.hello, tick, b.head,
+                          self.id)
         self._absorb_pheromone(b.hello)
         if self.role is Role.SCANNING:
             self._scan_beacon(b, tick, ctx)

@@ -65,7 +65,7 @@ class PrimaryUser:
     active: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelObservation:
     channel: ChannelId
     available: bool
@@ -238,13 +238,11 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> list[ChannelObserv
                 total += contrib
             acc[ch] = total
     q_max, stages = env.q_max, env.quant_stages
+    top = stages - 1
     out = []
     for ch in range(env.channel_count):
         q_raw = q_max / (1.0 + acc[ch])
-        out.append(ChannelObservation(
-            channel=ch,
-            available=not blocked[ch],
-            q_raw=q_raw,
-            q_stage=quantize(q_raw, q_max, stages),
-        ))
+        s = int(stages * q_raw / q_max)         # `quantize`, inlined
+        out.append(ChannelObservation(ch, not blocked[ch], q_raw,
+                                      top if s > top else 0 if s < 0 else s))
     return out

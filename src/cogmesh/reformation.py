@@ -62,8 +62,8 @@ def build_local_graph(working_id: int, records, tables, availability) -> LocalGr
     """Assemble the local graph from cluster records and neighbor tables.
 
     `records` lists the host cluster first, then the 1-hop neighbor clusters;
-    edges come from the nodes' own tables (either endpoint listing the other
-    at 1 hop), so stale knowledge yields a stale graph that commit-time
+    edges come from the nodes' own 1-hop tables (either endpoint listing the
+    other), so stale knowledge yields a stale graph that commit-time
     validation will reject.
     """
     nodes = {}
@@ -73,16 +73,11 @@ def build_local_graph(working_id: int, records, tables, availability) -> LocalGr
         clusters.append((rec.head, rec.master, ids))
         for nid in ids:
             nodes[nid] = (rec.master, availability.get(nid, frozenset()))
-    ids = sorted(nodes)
-    edges = {nid: set() for nid in ids}
-    for i, a in enumerate(ids):
-        ta = tables.get(a, {})
-        for b in ids[i + 1:]:
-            ea = ta.get(b)
-            eb = tables.get(b, {}).get(a)
-            if ((ea is not None and ea.hops == 1)
-                    or (eb is not None and eb.hops == 1)):
-                edges[a].add(b)
+    edges = {nid: set() for nid in sorted(nodes)}
+    for a, near in edges.items():
+        for b in tables.get(a, ()):
+            if b in edges and b != a:
+                near.add(b)
                 edges[b].add(a)
     if working_id not in nodes:
         raise ValueError("working node missing from its own local graph")

@@ -13,8 +13,7 @@ channel is simply the argmax weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from cogmesh.radio import ChannelObservation
 
@@ -41,11 +40,14 @@ class RewardParams:
 
     Validated so the curve stays inside [0, 1] at both limits; the defaults
     span the full (0, 1) range and give r = 0.5 at equal quality.
+    `rewards` memoises `reward` by stage difference for `apply_hello`.
     """
 
     a: float = 1.0
     b: float = math.pi / 2
     c: float = math.pi
+    rewards: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.a <= 0:
@@ -59,30 +61,29 @@ class RewardParams:
                                         "at the limits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HelloMessage:
     """Pheromone carrier: sender id, its master channel, its quantized
     channel qualities, and its one-hop neighbor list.
 
-    `protocol.emit_hello` builds every HELLO on the wire, so `channels` and
-    each neighbor's channel tuple are sorted by channel id."""
+    `protocol.emit_hello` builds every HELLO on the wire, so `channels`
+    lists each channel once and it and each neighbor's channel tuple are
+    sorted by channel id. `stages` (channel -> stage) and `channel_ids` are
+    derived from `channels` when the message is built."""
 
     sender: int
     master: int
     channels: tuple[tuple[int, int], ...]           # (channel, q_stage)
     neighbor_list: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
     # entries: (neighbor id, neighbor master, neighbor channels)
+    channel_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    stages: dict = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def channel_ids(self) -> tuple[int, ...]:
-        """The advertised channel ids, built once per message."""
-        return tuple(ch for ch, _ in self.channels)
-
-    def stage_of(self, channel: int):
-        for ch, stage in self.channels:
-            if ch == channel:
-                return stage
-        return None
+    def __post_init__(self):
+        put = object.__setattr__            # the record is frozen
+        stages = dict(self.channels)
+        put(self, "stages", stages)
+        put(self, "channel_ids", tuple(stages))
 
 
 def reward(delta_q: float, params: RewardParams) -> float:
@@ -97,28 +98,6 @@ def reward(delta_q: float, params: RewardParams) -> float:
     if r > 1.0:
         return 1.0
     return r
-
-
-def hello_reinforce(weights: WeightList, master: int, r: float) -> WeightList:
-    """One pheromone update: boost `master` by r*(1-W), decay the rest by (1-r)."""
-    decay = 1.0 - r
-    out = {}
-    for ch, w in weights.items():
-        if ch == master:
-            out[ch] = w + r * (1.0 - w)
-        else:
-            out[ch] = w * decay
-    return out
-
-
-def blend_refresh(weights: WeightList, target: WeightList,
-                  alpha: float) -> WeightList:
-    """Convex blend (1-alpha)*W + alpha*target, channel by channel."""
-    keep = 1.0 - alpha
-    out = {}
-    for ch, w in weights.items():
-        out[ch] = keep * w + alpha * target[ch]
-    return out
 
 
 def select_master(weights: WeightList) -> int:
@@ -138,27 +117,39 @@ def apply_hello(weights: WeightList, hello: HelloMessage,
                 params: RewardParams) -> WeightList:
     """Update a weight list from one received HELLO.
 
-    The advertised master is reinforced and all other channels decay, keeping
-    the sum at one. The quality difference compares the sender's reported
-    stage of its master against the locally sensed stage of the local
-    standing choice (the current argmax). A HELLO for a channel that is not
-    locally available changes nothing: a node cannot adopt a channel it
-    cannot use.
+    The advertised master is reinforced by r*(1-W) and every other channel
+    decays by (1-r), keeping the sum at one. r is `reward` of the sender's
+    reported stage of its master minus the locally sensed stage of the
+    local standing choice (the `select_master` argmax). A HELLO for a
+    channel that is not locally available, or whose stage the sender does
+    not report, changes nothing: a node cannot adopt a channel it cannot
+    use.
     """
     target = hello.master
     if target not in weights:
         return weights
-    local_ref = select_master(weights)
+    reported = hello.stages.get(target)
+    if reported is None:
+        return weights
+    local_ref = -1
+    best_w = -1.0
+    for ch, w in weights.items():
+        if w > best_w or (w == best_w and ch < local_ref):
+            local_ref, best_w = ch, w
     local_stage = 0
     for obs in local_obs:
         if obs.channel == local_ref:
             local_stage = obs.q_stage
             break
-    reported = hello.stage_of(target)
-    if reported is None:
-        return weights
-    r = reward(float(reported - local_stage), params)
-    return hello_reinforce(weights, target, r)
+    delta = reported - local_stage
+    r = params.rewards.get(delta)
+    if r is None:
+        r = params.rewards[delta] = reward(float(delta), params)
+    decay = 1.0 - r
+    out = {ch: w * decay for ch, w in weights.items()}
+    w = weights[target]
+    out[target] = w + r * (1.0 - w)
+    return out
 
 
 def initial_weights(obs: list[ChannelObservation]) -> WeightList:
@@ -186,10 +177,17 @@ def refresh_from_sensing(weights: WeightList, obs: list[ChannelObservation],
     `initial_weights(obs)` for every alpha. `alpha` must lie in [0, 1];
     configuration validation checks that, not each call.
     """
-    target = initial_weights(obs)
-    kept = {ch: weights.get(ch, 0.0) for ch in target}
-    mass = sum(kept.values())
+    stages = {o.channel: o.q_stage for o in obs if o.available}
+    if not stages:
+        raise NoAvailableChannels("no available channels")
+    kept = [weights.get(ch, 0.0) for ch in stages]
+    mass = sum(kept)
     if mass <= 0.0:
-        return target
-    kept = {ch: w / mass for ch, w in kept.items()}
-    return blend_refresh(kept, target, alpha)
+        return initial_weights(obs)
+    keep = 1.0 - alpha
+    total = sum(stages.values())
+    if total == 0:
+        u = 1.0 / len(stages)
+        return {ch: keep * (w / mass) + alpha * u for ch, w in zip(stages, kept)}
+    return {ch: keep * (w / mass) + alpha * (s / total)
+            for (ch, s), w in zip(stages.items(), kept)}

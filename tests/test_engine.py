@@ -2,6 +2,7 @@
 
 import copy
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +104,40 @@ class TestConfig:
     def test_value_rejected_at_the_boundary(self, key, value):
         with pytest.raises(ConfigError, match=key) as info:
             config_from_mapping({key: value})
+        assert info.value.key == key
+
+    # finite values that `validate` once accepted and whose run overflowed:
+    # a squared distance, the far-field term, and the quantizer's scaling
+    @pytest.mark.parametrize("values, key", [
+        ({"area_width": 1e200, "area_height": 1e200, "comm_range": 1e200},
+         "area_width"),
+        ({"pathloss_exponent": 1e300, "pu_count": 4}, "pathloss_exponent"),
+        ({"q_max": 1e308, "pu_count": 4}, "q_max"),
+        ({"quant_stages": 10**400}, "quant_stages"),
+    ])
+    def test_overflowing_magnitude_names_its_key(self, values, key):
+        with pytest.raises(ConfigError, match=key) as info:
+            World(ScenarioConfig(su_count=20, duration_ticks=200, **values))
+        assert info.value.key == key
+
+    # just inside each bound a run completes; just outside it is rejected
+    @pytest.mark.parametrize("key, inside, outside", [
+        ("area_width", math.sqrt(sys.float_info.max / 2) * (1 - 1e-15),
+         math.sqrt(sys.float_info.max / 2) * (1 + 1e-15)),
+        ("pathloss_exponent",
+         math.log(sys.float_info.max) / math.log(math.hypot(1000.0, 1000.0)) * (1 - 1e-12),
+         math.log(sys.float_info.max) / math.log(math.hypot(1000.0, 1000.0)) * (1 + 1e-12)),
+        ("q_max", sys.float_info.max / 4 * (1 - 1e-15),
+         sys.float_info.max / 4 * (1 + 1e-15)),
+    ])
+    def test_bound_lies_at_the_overflow(self, key, inside, outside):
+        values = {key: inside}
+        if key == "area_width":
+            values.update(area_height=inside, comm_range=inside)
+        cfg = ScenarioConfig(su_count=20, pu_count=4, duration_ticks=200, **values)
+        assert len(World(cfg).run().samples) == 8
+        with pytest.raises(ConfigError) as info:
+            World(replace(cfg, **{k: outside for k in values}))
         assert info.value.key == key
 
     def test_non_finite_float_rejected_in_code_built_config(self):
@@ -349,8 +384,7 @@ def scan_every_head_pair(world):
     """Reference discovery: try every pair of heads and scan the table of
     every node in both clusters for a 1-hop entry naming the other cluster."""
     def knows(xs, ys):
-        return any(nid in ys and e.hops == 1
-                   for x in xs for nid, e in world.nodes[x].table.items())
+        return any(nid in ys for x in xs for nid in world.nodes[x].table)
 
     heads = sorted(world.clusters)
     pairs = []
@@ -396,9 +430,12 @@ class TestGatewayDiscovery:
             world.clusters[head] = rec
             return rec
 
-        def knows(x, nid, hops=1):
+        def knows(x, nid):
             world.nodes[x].table[nid] = NeighborEntry(
-                id=nid, hops=hops, master=0, channels=(), last_seen=0)
+                id=nid, master=0, channels=(), last_seen=0)
+
+        def knows_two_hop(x, nid):
+            world.nodes[x].two_hop[nid] = (0, 0)
 
         record(0, [1, 2])
         record(3, [4])
@@ -409,7 +446,7 @@ class TestGatewayDiscovery:
         knows(1, 4)                 # clusters 0 and 3
         knows(1, 2)                 # clusters 0 and 5, through the stale member
         knows(2, 8)                 # clusters 0 and 7, and 5 and 7
-        knows(4, 9, hops=2)         # 2 hops only: clusters 3 and 9 stay apart
+        knows_two_hop(4, 9)         # 2 hops only: clusters 3 and 9 stay apart
         knows(8, 9)                 # clusters 7 and 9 are already linked
         world.first_mutual[(0, 7)] = 40
 

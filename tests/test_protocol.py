@@ -1,9 +1,11 @@
-"""Scanning, joining, superframes, neighbor tables, and gateway selection."""
+"""Scanning, joining, superframes, neighbor maps, and gateway selection."""
 
+from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogmesh.engine import ScenarioConfig, World
 from cogmesh.protocol import (
@@ -188,60 +190,239 @@ class TestJoinAdmission:
 
 class TestNeighborTables:
     def test_one_and_two_hop_upserts(self):
-        # B hears C's HELLO listing D: C becomes 1-hop, D 2-hop via C
-        table = {}
+        # B hears C's HELLO listing D: C becomes 1-hop, D 2-hop (C reported
+        # it on master 0)
+        table, two_hop = {}, {}
         hello = HelloMessage(sender=2, master=0, channels=((0, 3), (1, 2)),
                              neighbor_list=((3, 0, (0, 1)),))
-        upsert_from_hello(table, hello, tick=50, cluster_head=0, self_id=1)
-        assert table[2].hops == 1 and table[2].channels == (0, 1)
-        assert table[2].cluster_head == 0
-        assert table[3].hops == 2 and table[3].relay == 2
-        assert table[3].channels == (0, 1)
+        upsert_from_hello(table, two_hop, hello, tick=50, cluster_head=0, self_id=1)
+        assert table == {2: NeighborEntry(2, 0, (0, 1), 50, 0)}
+        assert two_hop == {3: (0, 50)}
 
     def test_one_hop_dominates_two_hop(self):
-        table = {}
-        upsert_from_hello(table, HelloMessage(3, 0, ((0, 3),)), tick=10)
-        upsert_from_hello(table, HelloMessage(2, 0, ((0, 3),),
-                                              ((3, 0, (0,)),)), tick=20)
-        assert table[3].hops == 1
+        table, two_hop = {}, {}
+        upsert_from_hello(table, two_hop, HelloMessage(3, 0, ((0, 3),)), tick=10)
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+                                                       ((3, 0, (0,)),)), tick=20)
+        assert 3 not in two_hop
         assert table[3].last_seen == 10
+        # and a 2-hop id heard directly moves to the 1-hop table
+        upsert_from_hello(table, two_hop, HelloMessage(4, 1, ((1, 3),),
+                                                       ((5, 1, (1,)),)), tick=30)
+        assert two_hop == {5: (1, 30)}
+        upsert_from_hello(table, two_hop, HelloMessage(5, 1, ((1, 3),)), tick=31)
+        assert two_hop == {} and table[5].last_seen == 31
 
     def test_self_never_enters_own_table(self):
-        table = {}
-        upsert_from_hello(table, HelloMessage(2, 0, ((0, 3),),
-                                              ((1, 0, (0,)),)),
+        table, two_hop = {}, {}
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+                                                       ((1, 0, (0,)),)),
                           tick=5, self_id=1)
-        assert 1 not in table
+        assert 1 not in table and 1 not in two_hop
 
     def test_stale_entries_evicted(self):
-        table = {}
-        upsert_from_hello(table, HelloMessage(2, 0, ((0, 3),)), tick=0)
-        upsert_from_hello(table, HelloMessage(4, 0, ((0, 3),)), tick=70)
-        evict_stale(table, tick=100, ttl_ticks=75)
+        table, two_hop = {}, {}
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+                                                       ((6, 0, (0,)),)), tick=0)
+        upsert_from_hello(table, two_hop, HelloMessage(4, 0, ((0, 3),),
+                                                       ((7, 0, (0,)),)), tick=70)
+        evict_stale(table, two_hop, tick=100, ttl_ticks=75)
         assert 2 not in table and 4 in table
+        assert 6 not in two_hop and 7 in two_hop
+        # exactly the TTL old is still fresh
+        evict_stale(table, two_hop, tick=145, ttl_ticks=75)
+        assert 4 in table and 7 in two_hop
 
     def test_emit_hello_contents(self):
+        node = Node(1, (0.0, 0.0), Random(0), ProtocolParams())
+        node.apply_observations([obs(1, stage=2), obs(0), obs(2, available=False)])
+        assert node.hello_channels == ((0, 3), (1, 2))
         table = {}
-        hello = emit_hello(1, 0, [obs(0), obs(1, stage=2)], table)
+        hello = emit_hello(1, 0, node.hello_channels, table)
         assert hello.neighbor_list == ()
         assert hello.channels == ((0, 3), (1, 2))
-        upsert_from_hello(table, HelloMessage(2, 1, ((1, 2),)), tick=0)
-        upsert_from_hello(table, HelloMessage(9, 0, ((0, 1),),
-                                              ((8, 0, (0,)),)), tick=0)
-        hello = emit_hello(1, 0, [obs(0)], table)
+        two_hop = {}
+        upsert_from_hello(table, two_hop, HelloMessage(2, 1, ((1, 2),)), tick=0)
+        upsert_from_hello(table, two_hop, HelloMessage(9, 0, ((0, 1),),
+                                                       ((8, 0, (0,)),)), tick=0)
+        hello = emit_hello(1, 0, ((0, 3),), table)
         # only 1-hop entries are listed, sorted by id, with channel sets
         assert hello.neighbor_list == ((2, 1, (1,)), (9, 0, (0,)))
 
 
+@dataclass
+class OneTableEntry:
+    """An entry of the single neighbor table the two maps replaced."""
+
+    id: int
+    hops: int
+    master: int
+    channels: tuple
+    last_seen: int
+    relay: int | None = None
+    cluster_head: int | None = None
+
+
+def one_table_upsert(table, hello, tick, cluster_head=None, self_id=None):
+    """Oracle: HELLO ingest into one table holding 1- and 2-hop entries."""
+    sender = hello.sender
+    e = table.get(sender)
+    if e is None:
+        table[sender] = OneTableEntry(sender, 1, hello.master, hello.channel_ids,
+                                      tick, None, cluster_head)
+    else:
+        e.hops = 1
+        e.master = hello.master
+        e.channels = hello.channel_ids
+        e.last_seen = tick
+        e.relay = None
+        e.cluster_head = cluster_head
+    for nid, nmaster, nchannels in hello.neighbor_list:
+        if nid == self_id or nid == sender:
+            continue
+        e = table.get(nid)
+        if e is None:
+            table[nid] = OneTableEntry(nid, 2, nmaster, nchannels, tick, sender)
+        elif e.hops == 2:
+            e.master = nmaster
+            e.channels = nchannels
+            e.last_seen = tick
+            e.relay = sender
+            e.cluster_head = None
+
+
+def one_table_evict(table, tick, ttl_ticks):
+    dead = [nid for nid, e in table.items() if tick - e.last_seen > ttl_ticks]
+    for nid in dead:
+        del table[nid]
+
+
+def one_table_offmaster(master, stages, table, visited, rng):
+    two_hop = sorted(
+        e.master for e in table.values()
+        if e.hops == 2 and e.master in stages and e.master != master
+        and e.master not in visited
+    )
+    if two_hop:
+        return two_hop[0]
+    cands = sorted(ch for ch in stages if ch != master)
+    if not cands:
+        return None
+    weights = [stages[ch] + 1 for ch in cands]
+    pick = rng.random() * sum(weights)
+    acc = 0.0
+    for ch, w in zip(cands, weights):
+        acc += w
+        if pick < acc:
+            return ch
+    return cands[-1]
+
+
+SELF = 0
+node_ids = st.integers(min_value=0, max_value=9)
+channels = st.integers(min_value=0, max_value=4)
+stage_maps = st.dictionaries(channels, st.integers(min_value=0, max_value=3),
+                             max_size=4)
+channel_sets = st.lists(channels, unique=True, max_size=3).map(lambda c: tuple(sorted(c)))
+
+
+def wire_hello(sender, master, stages, listed):
+    return HelloMessage(sender, master, tuple(sorted(stages.items())),
+                        tuple((nid, m, c) for nid, (m, c) in sorted(listed.items())))
+
+
+# (kind, ticks since the last step, HELLO or TTL, cluster head); a HELLO may
+# list the receiver and even its own sender, and both must be skipped
+hello_steps = st.tuples(
+    st.just("hello"), st.integers(min_value=0, max_value=40),
+    st.builds(wire_hello, st.integers(min_value=1, max_value=9), channels,
+              stage_maps,
+              st.dictionaries(node_ids, st.tuples(channels, channel_sets), max_size=6)),
+    st.one_of(st.none(), node_ids))
+evict_steps = st.tuples(st.just("evict"), st.integers(min_value=0, max_value=40),
+                        st.integers(min_value=0, max_value=60), st.none())
+# (master, available channel -> stage, visited, rng seed)
+scan_queries = st.tuples(channels, stage_maps, st.sets(channels, max_size=3),
+                         st.integers(min_value=0, max_value=2**16))
+
+
+class TestNeighborMapsOracle:
+    """The 1-hop table plus the 2-hop map against the single table they
+    replaced, over random HELLO and eviction sequences."""
+
+    @given(st.lists(st.one_of(hello_steps, evict_steps), max_size=40),
+           st.lists(scan_queries, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_replay_matches_one_table_oracle(self, steps, queries):
+        table, two_hop, oracle = {}, {}, {}
+        tick = 0
+        for kind, advance, payload, head in steps:
+            tick += advance
+            if kind == "hello":
+                upsert_from_hello(table, two_hop, payload, tick, head, SELF)
+                one_table_upsert(oracle, payload, tick, head, SELF)
+            else:
+                evict_stale(table, two_hop, tick, payload)
+                one_table_evict(oracle, tick, payload)
+            assert ({nid: (e.id, e.master, e.channels, e.last_seen, e.cluster_head)
+                     for nid, e in table.items()}
+                    == {nid: (e.id, e.master, e.channels, e.last_seen, e.cluster_head)
+                        for nid, e in oracle.items() if e.hops == 1})
+            assert two_hop == {nid: (e.master, e.last_seen)
+                               for nid, e in oracle.items() if e.hops == 2}
+            assert SELF not in table and SELF not in two_hop
+            assert (emit_hello(SELF, 0, (), table).neighbor_list
+                    == tuple(sorted((e.id, e.master, e.channels)
+                                    for e in oracle.values() if e.hops == 1)))
+            for master, stages, visited, seed in queries:
+                rng, oracle_rng = Random(seed), Random(seed)
+                assert (select_offmaster_scan(master, stages, two_hop, visited, rng)
+                        == one_table_offmaster(master, stages, oracle, visited,
+                                               oracle_rng))
+                assert rng.getstate() == oracle_rng.getstate()
+
+
+class TestObservationState:
+    def test_same_list_keeps_the_derived_state(self):
+        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        observations = [obs(0, 1), obs(1, 3), obs(2, available=False)]
+        node.apply_observations(observations)
+        derived = (node.available, node.stages, node.hello_channels)
+        assert derived == (frozenset({0, 1}), {0: 1, 1: 3}, ((0, 1), (1, 3)))
+        node.apply_observations(observations)
+        assert node.obs_list is observations
+        assert all(a is b for a, b in
+                   zip((node.available, node.stages, node.hello_channels), derived))
+
+    def test_new_list_recomputes_the_derived_state(self):
+        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        node.apply_observations([obs(0, 1), obs(1, 3)])
+        stages = node.stages
+        equal = [obs(0, 1), obs(1, 3)]
+        node.apply_observations(equal)
+        assert node.obs_list is equal and node.stages is not stages
+        node.apply_observations([obs(0, 2, available=False), obs(1, 0), obs(3, 2)])
+        assert node.available == frozenset({1, 3})
+        assert node.stages == {1: 0, 3: 2}
+        assert node.hello_channels == ((1, 0), (3, 2))
+
+    def test_quiet_windows_hand_out_one_list(self):
+        # the shared clean list is what the identity skip relies on
+        world = World(ScenarioConfig(su_count=2, pu_count=0))
+        a, b = world.nodes
+        assert world.sense(a) is world.sense(b) is world.env.clean
+
+
 class TestOffMasterScan:
     def test_unscanned_two_hop_channel_first(self):
-        table = {5: NeighborEntry(5, 2, 3, (3,), 0, relay=2)}
-        ch = select_offmaster_scan(0, {0: 3, 1: 3, 3: 3}, table, set(), Random(0))
+        two_hop = {5: (3, 0), 6: (4, 0)}
+        ch = select_offmaster_scan(0, {0: 3, 1: 3, 3: 3, 4: 3}, two_hop, set(),
+                                   Random(0))
         assert ch == 3
 
     def test_visited_two_hop_channel_falls_through(self):
-        table = {5: NeighborEntry(5, 2, 3, (3,), 0, relay=2)}
-        picks = {select_offmaster_scan(0, {0: 3, 1: 3, 3: 3}, table, {3},
+        two_hop = {5: (3, 0)}
+        picks = {select_offmaster_scan(0, {0: 3, 1: 3, 3: 3}, two_hop, {3},
                                        Random(s)) for s in range(30)}
         assert 0 not in picks and picks <= {1, 3}
 
@@ -258,8 +439,8 @@ class TestOffMasterScan:
         assert select_offmaster_scan(0, {0: 3}, {}, set(), Random(0)) is None
 
 
-def entry(nid, hops, seen_by=None):
-    return NeighborEntry(nid, hops, 0, (0,), 0)
+def entry(nid):
+    return NeighborEntry(nid, 0, (0,), 0)
 
 
 class TestSelectGateways:
@@ -276,7 +457,7 @@ class TestSelectGateways:
     def tables_from(self, one_hop):
         tables = {}
         for a, b in one_hop:
-            tables.setdefault(a, {})[b] = entry(b, 1)
+            tables.setdefault(a, {})[b] = entry(b)
         return tables
 
     def test_single_gateway_one_hop_to_both_heads(self):
@@ -309,10 +490,11 @@ class TestSelectGateways:
 
 class TestRoleEntry:
     # attributes that outlive a role: identity, clocking, channel choice,
-    # sensing and the neighbor table, and the last frame gap heard
+    # sensing and what is derived from it, both neighbor maps, and the last
+    # frame gap heard
     PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
-                  "master", "weights", "obs_list", "available", "table",
-                  "frame_gap"}
+                  "master", "weights", "obs_list", "available", "stages",
+                  "hello_channels", "table", "two_hop", "frame_gap"}
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""
@@ -430,9 +612,11 @@ class TestFormationWalkthrough:
     def test_one_and_two_hop_knowledge(self):
         world, res = self.build()
         b = world.nodes[1]
-        assert b.table[2].hops == 1          # C heard directly
-        assert b.table[3].hops == 2          # D via A's or C's neighbor list
-        assert b.table[3].relay in (0, 2)
+        assert 2 in b.table                  # C heard directly
+        assert 3 in b.two_hop and 3 not in b.table
+        # D via A's or C's neighbor list, on D's master
+        assert b.two_hop[3][0] == 0
+        assert any(3 in world.nodes[x].table for x in (0, 2) if x in b.table)
 
     def test_second_cluster_and_off_master_discovery(self):
         world, res = self.build()
@@ -442,10 +626,11 @@ class TestFormationWalkthrough:
         assert joins[5].get("head") == 4
         assert joins[6].get("head") == 4
         b = world.nodes[1]
-        assert b.table[4].hops == 1          # E found by off-master listening
-        assert b.table[5].hops == 1
-        assert b.table[6].hops == 2          # G relayed by E or F
-        hello = emit_hello(1, b.master, b.obs_list, b.table)
+        assert 4 in b.table                  # E found by off-master listening
+        assert 5 in b.table
+        assert 6 in b.two_hop                # G relayed by E or F
+        assert b.two_hop[6][0] == 1
+        hello = emit_hello(1, b.master, b.hello_channels, b.table)
         listed = {nid for nid, _, _ in hello.neighbor_list}
         assert {4, 5} <= listed
 
@@ -456,9 +641,9 @@ class TestFormationWalkthrough:
         assert forms[8].get("channel") == 2
         assert joins[7].get("head") == 8     # H ends up in cluster I
         b = world.nodes[1]
-        assert 7 in b.table and b.table[7].hops == 1   # H's PublicRA exchange
+        assert 7 in b.table and 7 not in b.two_hop     # H's PublicRA exchange
         c = world.nodes[2]
-        assert 7 in c.table and c.table[7].hops == 2   # relayed through B
+        assert 7 in c.two_hop and 7 not in c.table     # relayed through B
 
     def test_gateway_bridges_the_two_clusters(self):
         world, res = self.build()
@@ -472,14 +657,12 @@ class TestFormationWalkthrough:
         assert link.node_a == 1 and link.node_b is None
         assert world.nodes[1].role is Role.GATEWAY
 
-    def test_two_hop_entries_are_witnessed_by_their_relay(self):
+    def test_neighbor_maps_are_disjoint_and_exclude_self(self):
         world, res = self.build()
         for node in world.nodes:
-            for e in node.table.values():
-                if e.hops == 2:
-                    assert e.relay is not None
-                    relay = node.table.get(e.relay)
-                    assert relay is not None and relay.hops == 1
+            assert node.table.keys().isdisjoint(node.two_hop)
+            assert node.id not in node.table and node.id not in node.two_hop
+            assert all(e.id == nid for nid, e in node.table.items())
 
 
 class TestJoinContention:

@@ -5,6 +5,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogmesh.engine import ScenarioConfig, World
 from cogmesh.protocol import ClusterRecord, NeighborEntry, Role
@@ -33,7 +34,7 @@ def graph_from_edges(n, edges, control=0, clusters=None):
 
 
 def table_with(one_hop):
-    return {nid: NeighborEntry(nid, 1, 0, (0,), 0) for nid in one_hop}
+    return {nid: NeighborEntry(nid, 0, (0,), 0) for nid in one_hop}
 
 
 class TestBuildLocalGraph:
@@ -66,6 +67,22 @@ class TestBuildLocalGraph:
         avail = {0: frozenset({0}), 1: frozenset({0})}
         g = build_local_graph(0, [host], tables, avail)
         assert g.edges[0] == {1}
+
+    @given(st.dictionaries(st.integers(0, 9), st.sets(st.integers(0, 12), max_size=6),
+                           max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_edges_match_the_pairwise_scan(self, listed):
+        # tables may name nodes outside the graph, and even their owner
+        host = ClusterRecord(head=0, master=0, members={i: i for i in range(1, 5)},
+                             max_slots=8, frame_offset=0)
+        other = ClusterRecord(head=5, master=0, members={6: 0, 7: 1},
+                              max_slots=8, frame_offset=0)
+        tables = {nid: table_with(ids) for nid, ids in listed.items()}
+        g = build_local_graph(0, [host, other], tables, {})
+        ids = sorted(g.nodes)
+        expected = {a: {b for b in ids if b != a and (
+            b in tables.get(a, {}) or a in tables.get(b, {}))} for a in ids}
+        assert g.edges == expected
 
 
 class TestGreedyMds:

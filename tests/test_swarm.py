@@ -1,10 +1,16 @@
-"""Weight lists, the reward map, HELLO reinforcement, and master selection."""
+"""Weight lists, the reward map, HELLO reinforcement, and master selection.
+
+`apply_hello` and `refresh_from_sensing` each work in one pass; the
+oracles below are the compositions they replaced, kept here so that every
+result can be required to match them bit for bit."""
+
+from dataclasses import FrozenInstanceError
 
 import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogmesh.radio import ChannelObservation
 from cogmesh.swarm import (
@@ -12,7 +18,6 @@ from cogmesh.swarm import (
     NoAvailableChannels,
     RewardParams,
     apply_hello,
-    hello_reinforce,
     initial_weights,
     refresh_from_sensing,
     reward,
@@ -30,6 +35,85 @@ def obs(channel, stage, available=True):
 def hello(master, stages, sender=99):
     return HelloMessage(sender=sender, master=master,
                         channels=tuple(sorted(stages.items())))
+
+
+# --- oracles: the multi-step forms of the swarm kernels ----------------------
+
+def hello_reinforce(weights, master, r):
+    """One pheromone update: boost `master` by r*(1-W), decay the rest by (1-r)."""
+    decay = 1.0 - r
+    out = {}
+    for ch, w in weights.items():
+        if ch == master:
+            out[ch] = w + r * (1.0 - w)
+        else:
+            out[ch] = w * decay
+    return out
+
+
+def blend_refresh(weights, target, alpha):
+    """Convex blend (1-alpha)*W + alpha*target, channel by channel."""
+    keep = 1.0 - alpha
+    out = {}
+    for ch, w in weights.items():
+        out[ch] = keep * w + alpha * target[ch]
+    return out
+
+
+def composed_apply_hello(weights, msg, local_obs, params):
+    """`select_master` + `reward` + `hello_reinforce`, as apply_hello was."""
+    target = msg.master
+    if target not in weights:
+        return weights
+    local_ref = select_master(weights)
+    local_stage = 0
+    for o in local_obs:
+        if o.channel == local_ref:
+            local_stage = o.q_stage
+            break
+    reported = None
+    for ch, stage in msg.channels:
+        if ch == target:
+            reported = stage
+            break
+    if reported is None:
+        return weights
+    r = reward(float(reported - local_stage), params)
+    return hello_reinforce(weights, target, r)
+
+
+def composed_refresh(weights, observations, alpha):
+    """`initial_weights` + renormalization + `blend_refresh`, as
+    refresh_from_sensing was."""
+    target = initial_weights(observations)
+    kept = {ch: weights.get(ch, 0.0) for ch in target}
+    mass = sum(kept.values())
+    if mass <= 0.0:
+        return target
+    kept = {ch: w / mass for ch, w in kept.items()}
+    return blend_refresh(kept, target, alpha)
+
+
+def same_bits(a, b):
+    """Equal keys in equal order with bit-identical weights."""
+    return ([(ch, w.hex()) for ch, w in a.items()]
+            == [(ch, w.hex()) for ch, w in b.items()])
+
+
+channel_ids = st.integers(min_value=0, max_value=9)
+stage_values = st.integers(min_value=0, max_value=7)
+weight_values = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                          st.sampled_from([0.0, 0.5, 1.0, 5e-324]))
+weight_lists = st.dictionaries(channel_ids, weight_values, max_size=8)
+observation_lists = st.lists(
+    st.builds(obs, channel_ids, stage_values, st.booleans()), max_size=10)
+hellos = st.builds(hello, channel_ids,
+                   st.dictionaries(channel_ids, stage_values, max_size=8),
+                   st.integers(min_value=0, max_value=50))
+reward_params = st.one_of(
+    st.just(DEFAULTS),
+    st.builds(RewardParams, st.floats(min_value=1e-3, max_value=1e3)),
+    st.just(RewardParams(a=1e308)))
 
 
 class TestReward:
@@ -72,9 +156,15 @@ class TestReward:
 
 
 class TestApplyHello:
+    # with a = 1e308 the curve is a step: r is exactly 0 below equal quality
+    # and exactly 1 above it
+    STEP = RewardParams(a=1e308)
+
     def test_zero_reward_is_identity(self):
+        # local choice ch1 at stage 3; the sender reports stage 2 -> r = 0
         w = {0: 0.3, 1: 0.7}
-        assert hello_reinforce(w, 0, 0.0) == w
+        local = [obs(0, 3), obs(1, 3)]
+        assert apply_hello(w, hello(0, {0: 2}), local, self.STEP) == w
 
     def test_hand_evaluated_update(self):
         # equal stages make delta_q = 0, so r = 0.5 with defaults
@@ -86,7 +176,10 @@ class TestApplyHello:
         assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_capture_at_unit_reward(self):
-        out = hello_reinforce({0: 0.5, 1: 0.5}, 0, 1.0)
+        # the tie picks ch0 (stage 1) as the local choice; the sender
+        # reports stage 2 for it -> r = 1
+        local = [obs(0, 1), obs(1, 3)]
+        out = apply_hello({0: 0.5, 1: 0.5}, hello(0, {0: 2}), local, self.STEP)
         assert out == {0: 1.0, 1: 0.0}
 
     def test_unavailable_master_changes_nothing(self):
@@ -115,6 +208,39 @@ class TestApplyHello:
             assert abs(sum(w2.values()) - 1.0) < 1e-9
             assert all(0.0 <= v <= 1.0 for v in w2.values())
             w = w2
+
+    @given(weight_lists, hellos, observation_lists, reward_params)
+    @example({0: 0.5, 1: 0.5}, hello(1, {1: 2}), [obs(0, 3, available=False)],
+             DEFAULTS)
+    # a tie listed highest channel first: the local choice is still ch1
+    @example({3: 0.5, 1: 0.5}, hello(3, {3: 2}), [obs(1, 0), obs(3, 3)], DEFAULTS)
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_the_composition(self, weights, msg, local, params):
+        # reuses `params`, so later draws also read its reward memo
+        got = apply_hello(weights, msg, local, params)
+        want = composed_apply_hello(weights, msg, local, params)
+        assert same_bits(got, want)
+        # a HELLO that changes nothing hands back the same list
+        assert (got is weights) == (want is weights)
+
+    @given(weight_lists.filter(bool), st.lists(hellos, max_size=30),
+           observation_lists, reward_params)
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_over_sequences(self, weights, msgs, local, params):
+        got = want = weights
+        for msg in msgs:
+            got = apply_hello(got, msg, local, params)
+            want = composed_apply_hello(want, msg, local, params)
+            assert same_bits(got, want)
+
+    def test_reward_memo_holds_the_reward_of_each_stage_gap(self):
+        params = RewardParams(a=0.7)
+        w = {0: 0.2, 1: 0.8}
+        for reported in range(4):
+            apply_hello(w, hello(0, {0: reported}), [obs(0, 0), obs(1, 2)], params)
+        assert params.rewards == {d: reward(float(d), params) for d in (-2, -1, 0, 1)}
+        # the memo is no part of the constants' identity
+        assert params == RewardParams(a=0.7) and hash(params) == hash(RewardParams(a=0.7))
 
     def test_single_channel_absorbs(self):
         w = {3: 1.0}
@@ -170,6 +296,17 @@ class TestRefreshFromSensing:
         w = initial_weights(observations)
         out = refresh_from_sensing(w, observations, alpha)
         assert abs(sum(out.values()) - 1.0) < 1e-9
+
+    @given(weight_lists,
+           observation_lists.filter(lambda os: any(o.available for o in os)),
+           st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                     st.sampled_from([0.0, 0.1, 1.0])))
+    @example({0: 0.0, 1: 0.0}, [obs(0, 2), obs(1, 1)], 0.3)
+    @example({0: 1.0}, [obs(0, 0), obs(1, 0)], 0.5)
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_the_composition(self, weights, observations, alpha):
+        assert same_bits(refresh_from_sensing(weights, observations, alpha),
+                         composed_refresh(weights, observations, alpha))
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
                               st.booleans()), min_size=1, max_size=8)
@@ -232,3 +369,23 @@ class TestSelectMaster:
                 switch = k
                 break
         assert switch == oracle_switch
+
+
+class TestRecords:
+    def test_hello_derives_its_channel_ids_and_stages(self):
+        msg = HelloMessage(sender=4, master=2, channels=((0, 1), (2, 3), (5, 0)))
+        assert msg.channel_ids == (0, 2, 5)
+        assert msg.stages == {0: 1, 2: 3, 5: 0}
+        # derived fields are not compared, so equal payloads stay equal
+        assert msg == HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0)))
+        assert hash(msg) == hash(HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0))))
+
+    @pytest.mark.parametrize("record, name", [
+        (HelloMessage(1, 0, ((0, 2),)), "master"),
+        (HelloMessage(1, 0, ((0, 2),)), "stages"),
+        (ChannelObservation(0, True, 1.0, 3), "q_stage"),
+    ])
+    def test_frozen(self, record, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 7)
+        assert not hasattr(record, "__dict__")
