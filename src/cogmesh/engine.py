@@ -11,24 +11,32 @@ made here), adopted beacons and newly armed exchanges reset `wake` (see
 `neg_by_working` holds the live negotiations. All randomness flows from one
 64-bit seed through named substreams, so a (config, seed) pair replays
 bit-identically.
+
+`ScenarioConfig` is the one frozen parameter object. It declares every
+scenario default, is validated once at the boundary (`config_from_mapping`,
+or `World` for a config built in code), and is handed as it is to every
+`Node` and to the superframe builder, which read the values derived from it
+(`frame_len`, `ttl_ticks`, `layouts`, `reward`) as cached properties.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, fields as dc_fields
+import sys
+from dataclasses import dataclass, fields as dc_fields, replace
+from functools import cached_property
+from itertools import combinations
 from random import Random
 
 from cogmesh import radio
 from cogmesh.protocol import (
     MEMBER_ROLES,
     ClusterRecord,
-    ConfigError,
     Node,
-    ProtocolParams,
     Role,
-    SuperframeParams,
+    SuperframeSchedule,
+    lay_out_superframe,
     select_gateways,
     _next_boundary,
 )
@@ -37,12 +45,29 @@ from cogmesh.reformation import Negotiation, build_local_graph, greedy_mds, plan
 from cogmesh.swarm import RewardParamError, RewardParams
 
 
+PUBLIC_RA_MIN = 2
+PUBLIC_RA_MAX = 6
+
+
+class ConfigError(ValueError):
+    """An out-of-range scenario value; `key` names the offending key."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}")
+
+
 class SimulationInvariantError(AssertionError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """Every scenario value and its default. The engine, each `Node` and the
+    superframe builder all read this one object; derive a variant with
+    `dataclasses.replace`."""
+
     area_width: float = 1000.0
     area_height: float = 1000.0
     su_count: int = 20
@@ -76,6 +101,8 @@ class ScenarioConfig:
     detect_periods: int = 1
     detect_ticks: int = 2
     max_superframe_ticks: int = 32
+    # heads stretch each frame by up to this many ticks so that the frames of
+    # unsynchronized clusters cannot stay collision-aligned forever
     frame_jitter_max: int = 2
     scan_interval_ticks: int = 33
     metrics_period: int = 25
@@ -105,9 +132,17 @@ class ScenarioConfig:
         need(self.pathloss_exponent > 0, "pathloss_exponent", "must be > 0")
         self._validate_magnitudes()
         need(self.sensing_window_ticks >= 1, "sensing_window_ticks", "must be >= 1")
+        # the size of the radio's history deque
+        need(self.sensing_window_ticks <= sys.maxsize, "sensing_window_ticks",
+             f"must be <= {sys.maxsize}")
         need(self.pu_model in ("periodic", "markov"), "pu_model",
              "must be 'periodic' or 'markov'")
         need(self.pu_period_ticks >= 1, "pu_period_ticks", "must be >= 1")
+        try:
+            # `radio._periodic_state` scales the period by the duty fraction
+            float(self.pu_period_ticks)
+        except OverflowError:
+            raise ConfigError("pu_period_ticks", "is too large for a float") from None
         need(0.0 <= self.pu_duty <= 1.0, "pu_duty", "must be in [0, 1]")
         need(0.0 <= self.pu_p_on <= 1.0, "pu_p_on", "must be in [0, 1]")
         need(0.0 <= self.pu_p_off <= 1.0, "pu_p_off", "must be in [0, 1]")
@@ -119,13 +154,23 @@ class ScenarioConfig:
              "must be >= 1")
         need(self.startup_spread_ticks >= 0, "startup_spread_ticks", "must be >= 0")
         try:
-            params = self.protocol_params()
+            self.reward                     # built, and so checked, once
         except RewardParamError as exc:
             raise ConfigError(f"reward_{exc.param}", exc.message) from exc
         need(self.frame_jitter_max >= 0, "frame_jitter_max", "must be >= 0")
         need(self.scan_interval_ticks > self.max_superframe_ticks,
              "scan_interval_ticks", "must exceed max_superframe_ticks")
-        params.validate()
+        for key in ("beacon_ticks", "max_slots", "data_ticks", "intra_ra_ticks",
+                    "detect_ticks"):
+            need(getattr(self, key) >= 1, key, "must be >= 1 tick")
+        need(PUBLIC_RA_MIN <= self.public_ra_ticks <= PUBLIC_RA_MAX,
+             "public_ra_ticks", "must lie in [%d, %d]" % (PUBLIC_RA_MIN, PUBLIC_RA_MAX))
+        need(1 <= self.detect_periods <= 4, "detect_periods", "must lie in [1, 4]")
+        need(self.frame_len <= self.max_superframe_ticks, "max_superframe_ticks",
+             "is shorter than the superframe (%d ticks)" % self.frame_len)
+        need(self.frame_len + self.frame_jitter_max <= self.max_superframe_ticks,
+             "frame_jitter_max", "superframe (%d ticks) plus jitter exceeds "
+             "max_superframe_ticks (%d)" % (self.frame_len, self.max_superframe_ticks))
 
     def _validate_magnitudes(self):
         """Bound the physical floats by the arithmetic that uses them, so that
@@ -156,27 +201,27 @@ class ScenarioConfig:
         if scaled == math.inf:
             raise ConfigError("q_max", "times quant_stages must be finite")
 
-    def superframe_params(self) -> SuperframeParams:
-        return SuperframeParams(
-            beacon_ticks=self.beacon_ticks, max_slots=self.max_slots,
-            data_ticks=self.data_ticks, intra_ra_ticks=self.intra_ra_ticks,
-            public_ra_ticks=self.public_ra_ticks,
-            detect_periods=self.detect_periods, detect_ticks=self.detect_ticks,
-            max_superframe_ticks=self.max_superframe_ticks,
-        )
+    @cached_property
+    def frame_len(self) -> int:
+        return (self.beacon_ticks + self.max_slots + self.data_ticks
+                + self.intra_ra_ticks + self.public_ra_ticks
+                + self.detect_periods * self.detect_ticks)
 
-    def protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(
-            frame=self.superframe_params(),
-            scan_interval_ticks=self.scan_interval_ticks,
-            neighbor_ttl_superframes=self.neighbor_ttl_superframes,
-            alpha=self.alpha,
-            reward=RewardParams(self.reward_a, self.reward_b, self.reward_c),
-            swarm_enabled=self.swarm_enabled,
-            reform_enabled=self.reform_enabled,
-            reform_cadence=self.reform_cadence,
-            frame_jitter_max=self.frame_jitter_max,
-        )
+    @cached_property
+    def ttl_ticks(self) -> int:
+        return self.neighbor_ttl_superframes * self.frame_len
+
+    @cached_property
+    def layouts(self) -> dict[tuple[int, ...], SuperframeSchedule]:
+        """The frame laid out once for each sorted set of detection-block
+        gaps that `protocol.build_superframe` can draw."""
+        return {gaps: lay_out_superframe(self, gaps)
+                for gaps in combinations(range(1, 5), self.detect_periods)}
+
+    @cached_property
+    def reward(self) -> RewardParams:
+        """The one reward curve every node of a run shares (and memoises)."""
+        return RewardParams(self.reward_a, self.reward_b, self.reward_c)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dc_fields(ScenarioConfig)}
@@ -188,15 +233,16 @@ def config_from_mapping(mapping: dict, source: str = "config") -> ScenarioConfig
     """Build a config from key -> value (strings accepted), rejecting unknown
     keys and out-of-range values with diagnostics that name the key and the
     source."""
-    cfg = ScenarioConfig()
+    values = {}
     try:
         for key, value in mapping.items():
             if key not in _FIELD_TYPES:
                 raise ConfigError(key, "unknown key")
             try:
-                setattr(cfg, key, _coerce(value, _FIELD_TYPES[key]))
+                values[key] = _coerce(value, _FIELD_TYPES[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
+        cfg = ScenarioConfig(**values)
         cfg.validate()
     except ConfigError as exc:
         raise ConfigError(exc.key, f"{exc.message} (in {source})") from exc
@@ -387,9 +433,29 @@ class World:
         if su_positions is not None and not all(
                 math.isfinite(x) and math.isfinite(y) for x, y in su_positions):
             raise ConfigError("su_positions", "coordinates must be finite")
+        for pu in pus or ():
+            model = pu.model
+            if isinstance(model, PeriodicActivity):
+                own = dict(pu_model="periodic", pu_period_ticks=model.period_ticks,
+                           pu_duty=model.duty_fraction)
+            else:
+                own = dict(pu_model="markov", pu_p_on=model.p_on, pu_p_off=model.p_off)
+            try:
+                # a PU's own values obey the rules for the config's PU keys
+                replace(config, pu_protection_radius=pu.protection_radius,
+                        pu_power=pu.interference_power, **own).validate()
+            except ConfigError as exc:
+                raise ConfigError("pus", f"PU {pu.id} {exc}") from None
+            if not 0 <= pu.channel < config.channel_count:
+                raise ConfigError("pus", f"PU {pu.id} is on channel {pu.channel}, "
+                                         f"channel_count is {config.channel_count}")
+            if not all(math.isfinite(c) for c in pu.pos):
+                raise ConfigError("pus", f"PU {pu.id} coordinates must be finite")
+        # the config's bounds hold for points in the area; points passed in
+        # are checked below, where the arithmetic runs
+        passed = ("pus" if pus is not None
+                  else "su_positions" if su_positions is not None else None)
         self.cfg = config
-        self.params = config.protocol_params()
-        self.frame_len = self.params.frame_len
         self.validate_samples = validate
 
         base = Random(config.seed)
@@ -431,14 +497,25 @@ class World:
             quant_stages=config.quant_stages,
             history_ticks=config.sensing_window_ticks,
         )
+        if passed:
+            try:
+                for pos in su_positions:
+                    self.env.geometry[pos] = radio._geometry(self.env, pos)
+            except OverflowError:
+                raise ConfigError(passed, "an SU's distance to a PU, to the power "
+                                          "pathloss_exponent, must be finite") from None
 
         self.nodes = [
-            Node(i, su_positions[i], Random(node_seeds[i]), self.params,
+            Node(i, su_positions[i], Random(node_seeds[i]), config,
                  start_tick=start_ticks[i])
             for i in range(config.su_count)
         ]
         # indexed by node id: in-range nodes in id order, and the same as a set
-        self.adjacency = in_range_lists([n.pos for n in self.nodes], config.comm_range)
+        try:
+            self.adjacency = in_range_lists(su_positions, config.comm_range)
+        except OverflowError:
+            raise ConfigError("su_positions", "the squared distance of two nearby "
+                                              "SUs must be finite") from None
         self.adj_sets = [frozenset(near) for near in self.adjacency]
 
         self.tick = 0
@@ -481,6 +558,7 @@ class World:
 
     def run(self) -> RunResult:
         cfg = self.cfg
+        frame_len = cfg.frame_len
         have_pus = bool(self.env.pus)
         queue = self.reform_queue
         for t in range(cfg.duration_ticks):
@@ -496,7 +574,7 @@ class World:
                 delivered, _ = deliver_messages(self.txs, self.nodes, self.adjacency)
                 for receiver, msg in delivered:
                     self.nodes[receiver].on_message(msg, t, self)
-            if t > 0 and t % self.frame_len == 0:
+            if t > 0 and t % frame_len == 0:
                 self._gateway_maintenance(t)
                 if self.validate_samples:
                     self._validate_links(t)
@@ -708,7 +786,7 @@ class World:
             plan_id=(node.id, tick), working=node.id, plan=plan,
             affected={rec.head: frozenset({rec.head} | set(rec.members))
                       for rec in records},
-            deadline=tick + 2 * self.frame_len,
+            deadline=tick + 2 * self.cfg.frame_len,
         )
         self.log(tick, "reform", working=node.id, status="proposed",
                  gain=plan.gain)
@@ -717,7 +795,7 @@ class World:
         for head in sorted(neg.affected):
             if head == node.id:
                 neg.acks.add(head)
-                node.lock = (neg.plan_id, tick + 6 * self.frame_len)
+                node.lock = (neg.plan_id, tick + 6 * self.cfg.frame_len)
                 continue
             when = self._next_pra_start(self.clusters[head], tick)
             self._push(when, "req", neg, head)
@@ -737,10 +815,10 @@ class World:
                        (when, _PHASE[kind], self._seq, kind, neg, head))
 
     def _next_pra_start(self, rec: ClusterRecord, tick: int) -> int:
-        frame_start = _next_boundary(tick + 1, rec.frame_offset, self.frame_len)
-        pra = frame_start + self.frame_len - self.cfg.public_ra_ticks
+        frame_start = _next_boundary(tick + 1, rec.frame_offset, self.cfg.frame_len)
+        pra = frame_start + self.cfg.frame_len - self.cfg.public_ra_ticks
         if pra <= tick:
-            pra += self.frame_len
+            pra += self.cfg.frame_len
         return pra
 
     def _reform_timers(self, tick: int):
@@ -774,7 +852,7 @@ class World:
             if current != neg.affected.get(head):
                 self._push(reply_at, "deny", neg, head)
                 return
-            node.lock = (neg.plan_id, tick + 6 * self.frame_len)
+            node.lock = (neg.plan_id, tick + 6 * self.cfg.frame_len)
             self._push(reply_at, "ack", neg, head)
         elif kind == "ack":
             neg.acks.add(head)
@@ -789,7 +867,7 @@ class World:
         if host is None:
             self._cancel(neg, tick)
             return
-        neg.commit_tick = _next_boundary(tick + 1, host.frame_offset, self.frame_len)
+        neg.commit_tick = _next_boundary(tick + 1, host.frame_offset, self.cfg.frame_len)
         self._push(neg.commit_tick, "commit", neg)
 
     def _finish(self, neg: Negotiation):
@@ -845,18 +923,18 @@ class World:
         for head in neg.affected:
             old_offsets[head] = self.clusters[head].frame_offset
             del self.clusters[head]
-        grace = tick + self.params.ttl_ticks
+        grace = tick + self.cfg.ttl_ticks
         for head, master, members in neg.plan.clusters:
             offset = old_offsets.get(head)
             if offset is None:
-                offset = self.nodes[head].rng.randrange(self.frame_len)
+                offset = self.nodes[head].rng.randrange(self.cfg.frame_len)
             slot_map = {m: i for i, m in enumerate(sorted(m for m in members
                                                           if m != head))}
             rec = ClusterRecord(head=head, master=master, members=slot_map,
                                 max_slots=self.cfg.max_slots, frame_offset=offset)
             self.clusters[head] = rec
             self.nodes[head].become_head(
-                rec, _next_boundary(tick, offset, self.frame_len))
+                rec, _next_boundary(tick, offset, self.cfg.frame_len))
             for m, slot in slot_map.items():
                 self.nodes[m].become_member(head, master, slot, grace)
         for rec in self.clusters.values():

@@ -19,6 +19,11 @@ Past the beacon, heads and members share one in-frame path (`_in_frame`);
 a member adds only its HELLO in its ND mini-slot. Every sensing round goes
 through `_do_sensing`.
 
+A node reads its constants (periods, scan interval, TTL, reward curve) from
+the validated `engine.ScenarioConfig` it is given as `Node.p`; nothing here
+checks them again. `build_superframe` picks one of the config's `layouts`,
+each laid out once by `lay_out_superframe`.
+
 The engine clocks every node on every tick, but a node acts only at the
 edges of what it is doing: its start tick, the end of a scan interval or a
 join wait, its own transmissions, and, inside a cluster frame, the period
@@ -37,13 +42,15 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
 from random import Random
+from typing import TYPE_CHECKING
 
 from cogmesh import swarm
 from cogmesh.radio import ChannelObservation
-from cogmesh.swarm import HelloMessage, NoAvailableChannels, RewardParams
+from cogmesh.swarm import HelloMessage, NoAvailableChannels
+
+if TYPE_CHECKING:
+    from cogmesh.engine import ScenarioConfig
 
 BEACON = "beacon"
 ND = "nd"
@@ -51,19 +58,6 @@ DETECT = "detect"
 DATA = "data"
 INTRA_RA = "intra_ra"
 PUBLIC_RA = "public_ra"
-
-PUBLIC_RA_MIN = 2
-PUBLIC_RA_MAX = 6
-
-
-class ConfigError(ValueError):
-    """An out-of-range scenario value; `key` names the offending key."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        self.message = message
-        super().__init__(f"{key}: {message}")
-
 
 # join requests a scanning node sends to one cluster before it gives up on it
 JOIN_ATTEMPT_LIMIT = 4
@@ -77,47 +71,6 @@ class Role(enum.Enum):
 
 
 MEMBER_ROLES = (Role.ORDINARY, Role.GATEWAY)
-
-
-@dataclass(frozen=True)
-class SuperframeParams:
-    beacon_ticks: int = 1
-    max_slots: int = 8
-    data_ticks: int = 8
-    intra_ra_ticks: int = 2
-    public_ra_ticks: int = 4
-    detect_periods: int = 1
-    detect_ticks: int = 2
-    max_superframe_ticks: int = 32
-
-    @cached_property
-    def frame_len(self) -> int:
-        return (self.beacon_ticks + self.max_slots + self.data_ticks
-                + self.intra_ra_ticks + self.public_ra_ticks
-                + self.detect_periods * self.detect_ticks)
-
-    @cached_property
-    def layouts(self) -> dict[tuple[int, ...], SuperframeSchedule]:
-        """The frame laid out once for each sorted set of detection-block
-        gaps that `build_superframe` can draw."""
-        return {gaps: lay_out_superframe(self, gaps)
-                for gaps in combinations(range(1, 5), self.detect_periods)}
-
-    def validate(self):
-        """Raise `ConfigError` naming the first period length out of range."""
-        for key in ("beacon_ticks", "max_slots", "data_ticks", "intra_ra_ticks",
-                    "detect_ticks"):
-            if getattr(self, key) < 1:
-                raise ConfigError(key, "must be >= 1 tick")
-        if not PUBLIC_RA_MIN <= self.public_ra_ticks <= PUBLIC_RA_MAX:
-            raise ConfigError("public_ra_ticks", "must lie in [%d, %d]"
-                              % (PUBLIC_RA_MIN, PUBLIC_RA_MAX))
-        if not 1 <= self.detect_periods <= 4:
-            raise ConfigError("detect_periods", "must lie in [1, 4]")
-        if self.frame_len > self.max_superframe_ticks:
-            raise ConfigError("max_superframe_ticks",
-                              "is shorter than the superframe (%d ticks)"
-                              % self.frame_len)
 
 
 @dataclass(frozen=True)
@@ -138,13 +91,13 @@ class SuperframeSchedule:
     edges: tuple[int, ...]
 
 
-def build_superframe(params: SuperframeParams, rng: Random) -> SuperframeSchedule:
+def build_superframe(params: ScenarioConfig, rng: Random) -> SuperframeSchedule:
     """One superframe; spectrum-detection blocks land in gaps between the
     five main periods at positions drawn fresh each frame."""
     return params.layouts[tuple(sorted(rng.sample(range(1, 5), params.detect_periods)))]
 
 
-def lay_out_superframe(params: SuperframeParams,
+def lay_out_superframe(params: ScenarioConfig,
                        gaps: tuple[int, ...]) -> SuperframeSchedule:
     """The superframe with one detection block before each main period whose
     index is in `gaps` (sorted, each in 1..4)."""
@@ -458,38 +411,6 @@ def select_gateways(cluster_a: ClusterRecord, cluster_b: ClusterRecord,
 
 # --- node state machine --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    frame: SuperframeParams = SuperframeParams()
-    scan_interval_ticks: int = 33
-    neighbor_ttl_superframes: int = 3
-    alpha: float = 0.1
-    reward: RewardParams = RewardParams()
-    swarm_enabled: bool = True
-    reform_enabled: bool = True
-    reform_cadence: int = 5
-    # heads stretch each frame by up to this many ticks so that the frames of
-    # unsynchronized clusters cannot stay collision-aligned forever
-    frame_jitter_max: int = 2
-
-    @cached_property
-    def frame_len(self) -> int:
-        return self.frame.frame_len
-
-    @property
-    def ttl_ticks(self) -> int:
-        return self.neighbor_ttl_superframes * self.frame_len
-
-    def validate(self):
-        """Superframe layout only; `ScenarioConfig.validate` checks the rest."""
-        self.frame.validate()
-        if self.frame_len + self.frame_jitter_max > self.frame.max_superframe_ticks:
-            raise ConfigError("frame_jitter_max",
-                              "superframe (%d ticks) plus jitter exceeds "
-                              "max_superframe_ticks (%d)"
-                              % (self.frame_len, self.frame.max_superframe_ticks))
-
-
 class Node:
     """One secondary user. The engine clocks it through step()/on_message();
     everything it knows is local: observations, weights, neighbor maps, and
@@ -500,7 +421,7 @@ class Node:
     `two_hop` maps each id heard only in neighbor lists to (master, last
     seen); no id is in both."""
 
-    def __init__(self, node_id: int, pos, rng: Random, params: ProtocolParams,
+    def __init__(self, node_id: int, pos, rng: Random, params: ScenarioConfig,
                  start_tick: int = 0):
         self.id = node_id
         self.pos = pos
@@ -786,7 +707,7 @@ class Node:
         offset = self.rng.randrange(self.p.frame_len)
         rec = ClusterRecord(
             head=self.id, master=channel, members={},
-            max_slots=self.p.frame.max_slots, frame_offset=offset,
+            max_slots=self.p.max_slots, frame_offset=offset,
         )
         ctx.register_cluster(rec)
         self.become_head(rec, _next_boundary(tick + 1, offset, self.p.frame_len))
@@ -838,7 +759,7 @@ class Node:
             self.join_queue = []
         if self.lock is not None and tick >= self.lock[1]:
             self.lock = None
-        self.sched = build_superframe(self.p.frame, self.rng)
+        self.sched = build_superframe(self.p, self.rng)
         self.frame_gap = self.p.frame_len
         if self.p.frame_jitter_max:
             self.frame_gap += self.rng.randrange(self.p.frame_jitter_max + 1)

@@ -250,7 +250,7 @@ def test_criterion_7_formation_convergence():
             assert settle is not None, f"node {node.id} never settled"
             assert settle - node.start_tick <= limit, \
                 f"node {node.id} took {settle - node.start_tick} ticks"
-        frame_len = cfg.protocol_params().frame_len
+        frame_len = cfg.frame_len
         for ha, hb, discovered, linked in res.gateway_latencies:
             assert linked - discovered <= 5 * frame_len
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """World construction, message delivery, metrics, and determinism."""
 
 import copy
+import dataclasses
 import math
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cogmesh import engine
-from cogmesh.cli import write_run_outputs
+from cogmesh.cli import _config_text, parse_scenario, write_run_outputs
 from cogmesh.engine import (
     ConfigError,
     ScenarioConfig,
@@ -26,6 +27,7 @@ from cogmesh.engine import (
     run,
 )
 from cogmesh.protocol import ClusterRecord, GatewayLink, NeighborEntry, Node, Role
+from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
 
 
 class TestConfig:
@@ -114,6 +116,9 @@ class TestConfig:
         ({"pathloss_exponent": 1e300, "pu_count": 4}, "pathloss_exponent"),
         ({"q_max": 1e308, "pu_count": 4}, "q_max"),
         ({"quant_stages": 10**400}, "quant_stages"),
+        # the periodic model's duty arithmetic and the sensing-window deque
+        ({"pu_count": 1, "pu_period_ticks": 10**400}, "pu_period_ticks"),
+        ({"pu_count": 1, "sensing_window_ticks": 2**64}, "sensing_window_ticks"),
     ])
     def test_overflowing_magnitude_names_its_key(self, values, key):
         with pytest.raises(ConfigError, match=key) as info:
@@ -170,6 +175,34 @@ class TestConfig:
         corner[axis] = bad
         with pytest.raises(ConfigError, match="su_positions"):
             World(ScenarioConfig(su_count=2), su_positions=[(5.0, 5.0), tuple(corner)])
+
+    def test_far_apart_positions_rejected(self):
+        # the two far SUs share a cell, and their squared distance overflows
+        with pytest.raises(ConfigError, match="su_positions") as info:
+            World(ScenarioConfig(su_count=3),
+                  su_positions=[(0.0, 0.0), (1e300, 0.0), (1e300, 2e296)])
+        assert info.value.key == "su_positions"
+
+    @pytest.mark.parametrize("pu, values", [
+        # an SU's distance to the PU, to the fourth power, overflows
+        (PrimaryUser(0, (1e100, 0.0), 0, PeriodicActivity(100, 1.0)),
+         {"pathloss_exponent": 4.0}),
+        (PrimaryUser(0, (math.nan, 0.0), 0, PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, (500.0, 500.0), 99, PeriodicActivity(100, 1.0)),
+         {"channel_count": 8}),
+        # the PU's own values break the rules for the config's PU keys
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(0, 1.0)), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.5)), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, MarkovActivity(2.0, 0.1)), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.0),
+                     interference_power=math.nan), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.0),
+                     protection_radius=0.0), {}),
+    ])
+    def test_primary_user_the_run_cannot_use_rejected(self, pu, values):
+        with pytest.raises(ConfigError, match="pus") as info:
+            World(ScenarioConfig(**values), pus=[pu])
+        assert info.value.key == "pus"
 
 
 def brute_force_adjacency(positions, comm_range):
@@ -647,3 +680,60 @@ class TestScenarioFuzz:
             assert sample.cluster_count == n_heads
         replay, _ = run_recording_heads(cfg)
         assert output_files(replay) == output_files(result)
+
+
+# Edge values as a scenario file spells them: in range, huge (ints of 2**64
+# or more), and out of range or malformed. A huge su_count, pu_count or
+# channel_count would loop and allocate without end, so those keys and
+# duration_ticks are small unless set to one of their own edge values.
+HUGE_INTS = st.integers(2**64, 2**80) | st.sampled_from([10**400, -2**64])
+WORDS = ["true", "off", "yes", "0", "1"]
+EDGES = {
+    "float": st.sampled_from(["5e-324", "1e-300", "0.5", "1", "250", "1e300",
+                              "1.7976931348623157e308", str(2**64)])
+             | st.floats()
+             | st.sampled_from(["0", "-0.0", "-1", "1e400", "nan", "inf", "-inf"]
+                               + WORDS),
+    "int": st.sampled_from(["1", "2", "3", "0x10"])
+           | HUGE_INTS.map(str)
+           | st.sampled_from(["0", "-1", "1.5", "nan", "inf"] + WORDS),
+    "bool": st.sampled_from(WORDS + ["no", "on", "false", "maybe", "2"]),
+    "str": st.sampled_from(["periodic", "markov", " Markov ", "", "nan"]),
+}
+SIZE_CAPS = {"su_count": 40, "pu_count": 8, "channel_count": 16, "duration_ticks": 200}
+for key in SIZE_CAPS:
+    EDGES[key] = st.sampled_from(["0", "-1", str(-2**64), "nan", "1.5", "yes"])
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+
+
+@st.composite
+def edge_mappings(draw):
+    """Small valid size keys, then up to six keys set to an edge value."""
+    mapping = {key: str(draw(st.integers(1, cap))) for key, cap in SIZE_CAPS.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(FIELD_TYPES)), unique=True,
+                             max_size=6)):
+        mapping[key] = draw(EDGES.get(key, EDGES[FIELD_TYPES[key]]))
+    return mapping
+
+
+class TestConfigFuzz:
+    """An accepted config runs: each mapping is either rejected with a
+    `ConfigError` naming one of the config's keys or runs to the end, and a
+    config that runs reads back from its own config.txt unchanged."""
+
+    @given(edge_mappings())
+    # accepted once, and then the run overflowed
+    @example({"pu_count": "1", "duration_ticks": "200", "pu_period_ticks": str(10**400)})
+    @example({"pu_count": "1", "duration_ticks": "200", "sensing_window_ticks": str(2**64)})
+    @settings(max_examples=200, deadline=None)
+    def test_edge_values_are_rejected_or_run(self, mapping):
+        try:
+            cfg = config_from_mapping(mapping)
+        except ConfigError as exc:
+            assert exc.key in FIELD_TYPES
+            return
+        World(cfg, validate=True).run()
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "config.txt"
+            path.write_text(_config_text(cfg))
+            assert parse_scenario(str(path)) == cfg

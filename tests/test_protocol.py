@@ -21,11 +21,9 @@ from cogmesh.protocol import (
     FormCluster,
     NeighborEntry,
     Node,
-    ProtocolParams,
     RequestJoin,
     Role,
     ScanState,
-    SuperframeParams,
     build_superframe,
     emit_hello,
     evict_stale,
@@ -58,7 +56,7 @@ def static_pu(pid, pos, channel, radius, power=0.01):
 
 class TestSuperframe:
     def test_default_layout_totals_25_ticks(self):
-        sched = build_superframe(SuperframeParams(), Random(0))
+        sched = build_superframe(ScenarioConfig(), Random(0))
         assert sum(length for _, _, length in sched.periods) == 25
         lengths = {kind: 0 for kind, _, _ in sched.periods}
         for kind, _, length in sched.periods:
@@ -67,7 +65,7 @@ class TestSuperframe:
                            PUBLIC_RA: 4, DETECT: 2}
 
     def test_main_period_order_with_detect_between(self):
-        params = SuperframeParams(detect_periods=3)
+        params = ScenarioConfig(detect_periods=3)
         for seed in range(20):
             sched = build_superframe(params, Random(seed))
             mains = [kind for kind, _, _ in sched.periods if kind != DETECT]
@@ -78,23 +76,23 @@ class TestSuperframe:
             assert sched.pra_start + sched.pra_len == params.frame_len
 
     def test_single_mini_slot(self):
-        params = SuperframeParams(max_slots=1)
+        params = ScenarioConfig(max_slots=1)
         sched = build_superframe(params, Random(1))
         nd = [p for p in sched.periods if p[0] == ND]
         assert len(nd) == 1 and nd[0][2] == 1
 
     def test_detect_positions_reproducible_under_replay(self):
-        a = [build_superframe(SuperframeParams(), Random(99)) for _ in range(5)]
-        b = [build_superframe(SuperframeParams(), Random(99)) for _ in range(5)]
+        a = [build_superframe(ScenarioConfig(), Random(99)) for _ in range(5)]
+        b = [build_superframe(ScenarioConfig(), Random(99)) for _ in range(5)]
         assert a == b
 
     @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
     def test_cached_layout_per_gap_set(self, detect_periods):
-        params = SuperframeParams(detect_periods=detect_periods)
+        params = ScenarioConfig(detect_periods=detect_periods)
         mains = [BEACON, ND, DATA, INTRA_RA, PUBLIC_RA]
         assert list(params.layouts) == list(combinations(range(1, 5), detect_periods))
         for gaps, sched in params.layouts.items():
-            assert sched == lay_out_superframe(SuperframeParams(detect_periods=detect_periods),
+            assert sched == lay_out_superframe(ScenarioConfig(detect_periods=detect_periods),
                                                gaps)
             kinds = [kind for kind, _, _ in sched.periods]
             # one detection block right before each main period named in gaps
@@ -103,7 +101,7 @@ class TestSuperframe:
 
     @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
     def test_draw_consumes_the_rng_as_one_sample(self, detect_periods):
-        params = SuperframeParams(detect_periods=detect_periods)
+        params = ScenarioConfig(detect_periods=detect_periods)
         for seed in range(10):
             drawn, reference = Random(seed), Random(seed)
             sched = build_superframe(params, drawn)
@@ -113,7 +111,7 @@ class TestSuperframe:
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(ValueError):
-            SuperframeParams(data_ticks=20).validate()
+            ScenarioConfig(data_ticks=20).validate()
 
 
 class TestScanning:
@@ -234,7 +232,7 @@ class TestNeighborTables:
         assert 4 in table and 7 in two_hop
 
     def test_emit_hello_contents(self):
-        node = Node(1, (0.0, 0.0), Random(0), ProtocolParams())
+        node = Node(1, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations([obs(1, stage=2), obs(0), obs(2, available=False)])
         assert node.hello_channels == ((0, 3), (1, 2))
         table = {}
@@ -384,7 +382,7 @@ class TestNeighborMapsOracle:
 
 class TestObservationState:
     def test_same_list_keeps_the_derived_state(self):
-        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         observations = [obs(0, 1), obs(1, 3), obs(2, available=False)]
         node.apply_observations(observations)
         derived = (node.available, node.stages, node.hello_channels)
@@ -395,7 +393,7 @@ class TestObservationState:
                    zip((node.available, node.stages, node.hello_channels), derived))
 
     def test_new_list_recomputes_the_derived_state(self):
-        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations([obs(0, 1), obs(1, 3)])
         stages = node.stages
         equal = [obs(0, 1), obs(1, 3)]
@@ -498,7 +496,7 @@ class TestRoleEntry:
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""
-        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         node.role = Role.SCANNING
         node.scan = ScanState(visited={0, 1}, current=1, interval_end=5)
         node.join_target = 7
@@ -548,7 +546,7 @@ class TestRoleEntry:
         assert node.lock is None
 
     def test_clear_role_state_resets_every_role_scoped_attribute(self):
-        node = Node(0, (0.0, 0.0), Random(0), ProtocolParams())
+        node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         role_scoped = set(vars(node)) - self.PERSISTENT
         assert role_scoped and self.PERSISTENT <= set(vars(node))
         stale, kept = object(), object()
