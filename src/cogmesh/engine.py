@@ -415,6 +415,21 @@ def in_range_lists(positions, comm_range: float) -> list[list[int]]:
     return adjacency
 
 
+def _checked_position(pos) -> tuple:
+    """An SU position passed to `World`, as the (x, y) tuple that the radio
+    keys its geometry on; both coordinates are finite ints or floats."""
+    try:
+        x, y = pos
+        ok = all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                 and math.isfinite(c) for c in (x, y))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
+        ok = False
+    if not ok:
+        raise ConfigError("su_positions", f"{pos!r} is not a pair of finite "
+                                          f"coordinates")
+    return (x, y)
+
+
 # order of the reformation entries due on one tick
 _PHASE = {"commit": 0, "req": 1, "ack": 1, "deny": 1, "deadline": 2}
 
@@ -430,9 +445,11 @@ class World:
             if given is not None and len(given) != config.su_count:
                 raise ConfigError(key, f"has {len(given)} entries, "
                                        f"su_count is {config.su_count}")
-        if su_positions is not None and not all(
-                math.isfinite(x) and math.isfinite(y) for x, y in su_positions):
-            raise ConfigError("su_positions", "coordinates must be finite")
+        if su_positions is not None:
+            su_positions = [_checked_position(pos) for pos in su_positions]
+        if su_start_ticks is not None and not all(
+                type(t) is int and t >= 0 for t in su_start_ticks):
+            raise ConfigError("su_start_ticks", "each must be an int >= 0")
         for pu in pus or ():
             model = pu.model
             if isinstance(model, PeriodicActivity):
@@ -601,7 +618,8 @@ class World:
         head times it out (the mini-slot TTL rule), so node-vs-record
         consistency is enforced for mutually consistent pairs; slot layout,
         adjacency, and the heads' own state are enforced unconditionally. An
-        unexpired reform lock must belong to a negotiation still in progress.
+        unexpired reform lock must belong to a negotiation still in progress,
+        and every node weights only channels of its stage map.
         """
         for head in self.clusters:
             rec = self.clusters[head]
@@ -637,9 +655,13 @@ class World:
             if n.role in MEMBER_ROLES and n.head_id is None:
                 raise SimulationInvariantError(
                     f"t={tick}: member {n.id} has no cluster")
-            if n.role is not None and n.available and n.master is None:
+            if n.role is not None and n.stages and n.master is None:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} has channels but no master choice")
+            if not n.weights.keys() <= n.stages.keys():
+                # `swarm.apply_hello` looks up the stage of every weight channel
+                raise SimulationInvariantError(
+                    f"t={tick}: node {n.id} weights a channel it did not sense")
             if n.lock is not None and n.lock[0] not in live \
                     and n.lock[1] > self.tick:
                 raise SimulationInvariantError(
@@ -776,7 +798,7 @@ class World:
         availability = {}
         for rec in records:
             for nid in [rec.head] + sorted(rec.members):
-                availability[nid] = self.nodes[nid].available
+                availability[nid] = self.nodes[nid].stages
         tables = {nid: self.nodes[nid].table for nid in availability}
         graph = build_local_graph(node.id, records, tables, availability)
         plan = greedy_mds(graph, node.id, max_members=self.cfg.max_slots)
@@ -894,7 +916,7 @@ class World:
                 return False
             for m in members:
                 node = self.nodes[m]
-                if master not in node.available:
+                if master not in node.stages:
                     return False
                 if m != head and not self.adjacent(m, head):
                     return False

@@ -17,7 +17,9 @@ random available channel.
 
 Past the beacon, heads and members share one in-frame path (`_in_frame`);
 a member adds only its HELLO in its ND mini-slot. Every sensing round goes
-through `_do_sensing`.
+through `_do_sensing`. A node keeps the stage map that `radio.sense` returned
+(available channel -> stage, ascending) as `Node.stages`, and scanning, the
+swarm and the HELLO channel tuple all read it.
 
 A node reads its constants (periods, scan interval, TTL, reward curve) from
 the validated `engine.ScenarioConfig` it is given as `Node.p`; nothing here
@@ -46,7 +48,6 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from cogmesh import swarm
-from cogmesh.radio import ChannelObservation
 from cogmesh.swarm import HelloMessage, NoAvailableChannels
 
 if TYPE_CHECKING:
@@ -253,26 +254,17 @@ class JoinRequest:
 
 # --- pure protocol operations -------------------------------------------------
 
-def start_scan(observations: list[ChannelObservation],
-               first_channel: int | None = None) -> ScanState:
-    """Open a scan on the lowest available channel (or a requested start
-    channel when it is available); raises when nothing is available."""
-    available = sorted(o.channel for o in observations if o.available)
-    if not available:
+def start_scan(stages: dict, first_channel: int | None = None) -> ScanState:
+    """Open a scan on the lowest available channel of the stage map (or a
+    requested start channel when it is available); raises when nothing is
+    available."""
+    if not stages:
         raise NoAvailableChannels("no available channels to scan")
-    current = first_channel if first_channel in available else available[0]
+    current = first_channel if first_channel in stages else next(iter(stages))
     return ScanState(visited={current}, current=current, interval_end=0)
 
 
-def next_scan_channel(state: ScanState, available) -> int | None:
-    """Lowest-index available channel not yet visited, or None."""
-    for ch in sorted(available):
-        if ch not in state.visited:
-            return ch
-    return None
-
-
-def finish_scan_interval(state: ScanState, available, rng: Random):
+def finish_scan_interval(state: ScanState, stages: dict, rng: Random):
     """Resolve an elapsed scanning interval into its outcome.
 
     A beacon from a cluster that has not rejected this node wins; otherwise
@@ -284,12 +276,13 @@ def finish_scan_interval(state: ScanState, available, rng: Random):
     beacon = state.heard_beacon
     if beacon is not None and beacon.head not in state.rejections:
         return RequestJoin(head=beacon.head, channel=beacon.master)
-    if beacon is None and not state.heard_hello and state.current in available:
+    if beacon is None and not state.heard_hello and state.current in stages:
         return FormCluster(channel=state.current)
-    nxt = next_scan_channel(state, available)
+    # the lowest available channel not yet visited
+    nxt = next((ch for ch in stages if ch not in state.visited), None)
     if nxt is not None:
         return ContinueScan(channel=nxt)
-    return FormCluster(channel=rng.choice(sorted(available)))
+    return FormCluster(channel=rng.choice(list(stages)))
 
 
 def handle_join_request(cluster: ClusterRecord, requester: int) -> int | None:
@@ -413,7 +406,7 @@ def select_gateways(cluster_a: ClusterRecord, cluster_b: ClusterRecord,
 
 class Node:
     """One secondary user. The engine clocks it through step()/on_message();
-    everything it knows is local: observations, weights, neighbor maps, and
+    everything it knows is local: its stage map, weights, neighbor maps, and
     whatever beacons told it about its cluster's frame. `step` returns at
     once before the `wake` tick (see the module docstring).
 
@@ -433,11 +426,8 @@ class Node:
         self.listen: int | None = None
         self.master: int | None = None
         self.weights: dict = {}
-        self.obs_list: list = []
-        # derived from obs_list by apply_observations
-        self.available: frozenset = frozenset()
-        self.stages: dict = {}             # available channel -> q_stage
-        self.hello_channels: tuple = ()    # sorted (channel, q_stage) pairs
+        self.stages: dict = {}             # the last stage map sensed
+        self.hello_channels: tuple = ()    # its (channel, stage) pairs
         self.table: dict = {}
         self.two_hop: dict = {}
         self.frame_gap = params.frame_len
@@ -445,17 +435,14 @@ class Node:
 
     # -- helpers --
 
-    def apply_observations(self, observations):
-        """Adopt a sensing result and derive, once per list, what the node
-        reads of it. A list already adopted is skipped: `sense` hands out
-        one shared list for every quiet window, and no list is mutated."""
-        if observations is self.obs_list:
+    def apply_observations(self, stages: dict):
+        """Adopt a stage map from `sense` and derive, once per map, the HELLO
+        channel tuple. A map already adopted is skipped: `sense` hands out
+        one shared map for every quiet window, and no map is mutated."""
+        if stages is self.stages:
             return
-        self.obs_list = observations
-        stages = {o.channel: o.q_stage for o in observations if o.available}
         self.stages = stages
-        self.available = frozenset(stages)
-        self.hello_channels = tuple(sorted(stages.items()))
+        self.hello_channels = tuple(stages.items())
 
     def _select_current(self) -> int | None:
         """The node's standing channel choice under the active arm."""
@@ -478,7 +465,7 @@ class Node:
     def _absorb_pheromone(self, hello: HelloMessage):
         if not self.p.swarm_enabled or not self.weights:
             return
-        self.weights = swarm.apply_hello(self.weights, hello, self.obs_list,
+        self.weights = swarm.apply_hello(self.weights, hello, self.stages,
                                          self.p.reward)
         if self.role is Role.SCANNING and self.join_target is None:
             self.master = swarm.select_master(self.weights)
@@ -489,7 +476,7 @@ class Node:
         """Reset everything scoped to one role: scan and join progress, the
         cluster frame, and a head's member bookkeeping. Every role entry
         starts from here; what persists across roles (channel choice,
-        weights, observations, neighbor maps) is left alone. The next step
+        weights, stage map, neighbor maps) is left alone. The next step
         runs in full."""
         self.wake = 0
         self.scan: ScanState | None = None
@@ -551,7 +538,7 @@ class Node:
         """(Re-)enter scanning; with no channels the node idles dormant."""
         self.role = Role.SCANNING
         self._clear_role_state()
-        if not self.available:
+        if not self.stages:
             self.master = None
             self.weights = {}
             return
@@ -559,8 +546,8 @@ class Node:
             # prune channels that are gone; alpha 0 keeps the mix as-is (and
             # gives a node without weights its initial ones)
             self.weights = swarm.refresh_from_sensing(self.weights,
-                                                      self.obs_list, 0.0)
-        self.scan = start_scan(self.obs_list, first_channel)
+                                                      self.stages, 0.0)
+        self.scan = start_scan(self.stages, first_channel)
         self.scan.interval_end = tick + self.p.scan_interval_ticks
         self.master = (self.scan.current if first_channel is not None
                        else self._choice_or(self.scan.current))
@@ -585,16 +572,16 @@ class Node:
     # -- sensing --
 
     def _do_sensing(self, tick: int, ctx) -> bool:
-        """Refresh observations/weights; returns False when the node had to
-        abandon its current role (master lost or no channels left)."""
+        """Refresh the stage map and weights; returns False when the node had
+        to abandon its current role (master lost or no channels left)."""
         self.apply_observations(ctx.sense(self))
-        if not self.available:
+        if not self.stages:
             self._lose_channels(tick, ctx)
             return False
         if self.p.swarm_enabled:
-            self.weights = swarm.refresh_from_sensing(self.weights, self.obs_list,
+            self.weights = swarm.refresh_from_sensing(self.weights, self.stages,
                                                       self.p.alpha)
-        if self.master not in self.available and self.role is not Role.SCANNING:
+        if self.master not in self.stages and self.role is not Role.SCANNING:
             new = self._select_current()
             self._leave_for(new, tick, ctx)
             return False
@@ -630,7 +617,7 @@ class Node:
         if self.scan is None:                      # dormant: nothing available
             self.listen = None
             self.apply_observations(ctx.sense(self))
-            if self.available:
+            if self.stages:
                 self._restart_scan(None, tick)
             return
         s = self.scan
@@ -683,7 +670,7 @@ class Node:
         self.exch_tx_tick = None
         if not self._do_sensing(tick, ctx):
             return
-        outcome = finish_scan_interval(s, self.available, self.rng)
+        outcome = finish_scan_interval(s, self.stages, self.rng)
         if isinstance(outcome, FormCluster):
             self._form_cluster(outcome.channel, tick, ctx)
         elif isinstance(outcome, ContinueScan):

@@ -6,7 +6,9 @@ active or idle per tick, driven by a periodic or a two-state Markov model.
 Sensing is per secondary-user position: a channel is unavailable when an
 active PU on it sat inside its protection radius at any tick of the sensing
 window; active PUs beyond the protection radius contribute additive far-field
-interference that lowers the channel quality value.
+interference that lowers the channel quality value. `sense` returns a stage
+map, available channel -> quantized quality stage in ascending channel
+order, which every other layer reads as it is.
 
 `PrimaryUser` describes a PU's initial state and never changes.
 `make_environment` copies each one into per-run `PUState`, and
@@ -18,7 +20,7 @@ No radio work is repeated. Each `PUState` keeps a per-channel count of its
 active ticks in the window, so `sense` visits only the PUs that were active
 in the window. The geometry of a sensing position is computed on its first
 use and kept, and a window without any active PU returns one shared clean
-observation list.
+stage map.
 
 Scenario values are validated once, by `engine.ScenarioConfig.validate`;
 nothing here checks its arguments again.
@@ -65,14 +67,6 @@ class PrimaryUser:
     active: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelObservation:
-    channel: ChannelId
-    available: bool
-    q_raw: float
-    q_stage: int
-
-
 @dataclass(eq=False, slots=True)
 class PUState:
     """One PU's state in one environment, updated in place every tick."""
@@ -95,7 +89,7 @@ class RadioEnvironment:
     quant_stages: int
     # what `sense` returns while no PU was active in the window; shared,
     # so callers must not mutate it
-    clean: list[ChannelObservation]
+    clean: dict
     tick: int = 0
     # indices into `pus` of the PUs with an active tick in the window
     busy: list[int] = field(default_factory=list)
@@ -142,10 +136,9 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0, q_max=1.0,
         state = PUState(pu, ch, active, deque(maxlen=history_ticks), {})
         _advance(state, ch, active)
         states.append(state)
-    q_raw = q_max / (1.0 + 0.0)     # sense's formula with no interference
-    clean = [ChannelObservation(channel=ch, available=True, q_raw=q_raw,
-                                q_stage=quantize(q_raw, q_max, quant_stages))
-             for ch in range(channel_count)]
+    # sense's formula with no interference: q_max / (1.0 + 0.0) is q_max
+    clean = dict.fromkeys(range(channel_count),
+                          quantize(q_max, q_max, quant_stages))
     return RadioEnvironment(
         channel_count=channel_count, pus=tuple(states),
         pathloss_exponent=pathloss_exponent, q_max=q_max,
@@ -206,14 +199,15 @@ def _geometry(env: RadioEnvironment, pos: tuple[float, float]):
     return out
 
 
-def sense(env: RadioEnvironment, pos: tuple[float, float]) -> list[ChannelObservation]:
+def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
     """Sense every channel at `pos` over the last `history_ticks` ticks, the
-    window that `make_environment` set.
+    window that `make_environment` set, and return the stage map: available
+    channel -> quantized quality stage, in ascending channel order.
 
     A channel is unavailable iff an active PU on it was inside its protection
     radius at any window tick. Active PUs beyond the radius add
     power/(1+d^exponent) per tick to the accumulated interference; quality is
-    q_max/(1+I) and is then quantized. The returned list may be shared, so
+    q_max/(1+I) and is then quantized. The returned map may be shared, so
     callers must not mutate it.
     """
     if not env.busy:
@@ -239,10 +233,11 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> list[ChannelObserv
             acc[ch] = total
     q_max, stages = env.q_max, env.quant_stages
     top = stages - 1
-    out = []
+    out = {}
     for ch in range(env.channel_count):
+        if blocked[ch]:
+            continue
         q_raw = q_max / (1.0 + acc[ch])
         s = int(stages * q_raw / q_max)         # `quantize`, inlined
-        out.append(ChannelObservation(ch, not blocked[ch], q_raw,
-                                      top if s > top else 0 if s < 0 else s))
+        out[ch] = top if s > top else 0 if s < 0 else s
     return out

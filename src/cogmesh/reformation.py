@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 class LocalGraph:
     """The working node's optimization domain.
 
-    nodes maps id -> (control channel, available channel set); edges is a
-    symmetric adjacency map; current_clusters holds (head, master, member ids
-    including the head) for every cluster represented in the node set.
+    nodes maps id -> (control channel, available channels, such as the
+    node's stage map); edges is a symmetric adjacency map; current_clusters
+    holds (head, master, member ids including the head) for every cluster
+    represented in the node set.
     """
 
     nodes: dict

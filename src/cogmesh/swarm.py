@@ -7,15 +7,14 @@ reinforces that channel's weight by r*(1-W) and decays every other channel by
 the local standing choice through a bounded arctan curve. Periodic sensing
 blends the weights back toward the measured channel qualities, which is the
 disturbance that lets the selection track the radio environment. The master
-channel is simply the argmax weight.
+channel is simply the argmax weight. Sensing arrives as the stage map that
+`radio.sense` returns: available channel -> quality stage, ascending.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from cogmesh.radio import ChannelObservation
 
 # channel id -> weight; invariant: values sum to 1 over the available set
 WeightList = dict[int, float]
@@ -112,18 +111,17 @@ def select_master(weights: WeightList) -> int:
     return best_ch
 
 
-def apply_hello(weights: WeightList, hello: HelloMessage,
-                local_obs: list[ChannelObservation],
+def apply_hello(weights: WeightList, hello: HelloMessage, stages: dict,
                 params: RewardParams) -> WeightList:
     """Update a weight list from one received HELLO.
 
     The advertised master is reinforced by r*(1-W) and every other channel
     decays by (1-r), keeping the sum at one. r is `reward` of the sender's
-    reported stage of its master minus the locally sensed stage of the
-    local standing choice (the `select_master` argmax). A HELLO for a
-    channel that is not locally available, or whose stage the sender does
-    not report, changes nothing: a node cannot adopt a channel it cannot
-    use.
+    reported stage of its master minus the stage in `stages` of the local
+    standing choice (the `select_master` argmax), so every weight channel
+    must be in `stages`. A HELLO for a channel that is not locally
+    available, or whose stage the sender does not report, changes nothing:
+    a node cannot adopt a channel it cannot use.
     """
     target = hello.master
     if target not in weights:
@@ -136,12 +134,7 @@ def apply_hello(weights: WeightList, hello: HelloMessage,
     for ch, w in weights.items():
         if w > best_w or (w == best_w and ch < local_ref):
             local_ref, best_w = ch, w
-    local_stage = 0
-    for obs in local_obs:
-        if obs.channel == local_ref:
-            local_stage = obs.q_stage
-            break
-    delta = reported - local_stage
+    delta = reported - stages[local_ref]
     r = params.rewards.get(delta)
     if r is None:
         r = params.rewards[delta] = reward(float(delta), params)
@@ -152,10 +145,9 @@ def apply_hello(weights: WeightList, hello: HelloMessage,
     return out
 
 
-def initial_weights(obs: list[ChannelObservation]) -> WeightList:
-    """First weight list: the normalized stage vector over available
-    channels (uniform when every stage is zero)."""
-    stages = {o.channel: o.q_stage for o in obs if o.available}
+def initial_weights(stages: dict) -> WeightList:
+    """First weight list: the normalized stage vector over the available
+    channels of the stage map (uniform when every stage is zero)."""
     if not stages:
         raise NoAvailableChannels("no available channels")
     total = sum(stages.values())
@@ -165,29 +157,27 @@ def initial_weights(obs: list[ChannelObservation]) -> WeightList:
     return {ch: s / total for ch, s in stages.items()}
 
 
-def refresh_from_sensing(weights: WeightList, obs: list[ChannelObservation],
+def refresh_from_sensing(weights: WeightList, stages: dict,
                          alpha: float) -> WeightList:
-    """Disturbance step after a sensing round.
+    """Disturbance step after a sensing round that produced `stages`.
 
     Channels that became unavailable are dropped and the survivors are
     renormalized; newly available channels enter at weight zero; the result
     is then blended (1-alpha)*W + alpha*Q where Q is the stage vector scaled
     to sum one (uniform if all stages are zero). When no prior mass survives
-    the result is Q itself, so `refresh_from_sensing({}, obs, alpha)` equals
-    `initial_weights(obs)` for every alpha. `alpha` must lie in [0, 1];
-    configuration validation checks that, not each call.
+    the result is Q itself, so `refresh_from_sensing({}, stages, alpha)`
+    equals `initial_weights(stages)` for every alpha. `alpha` must lie in
+    [0, 1]; configuration validation checks that, not each call.
+
+    The result weights exactly the channels of `stages`. Running this after
+    every new stage map keeps a node's weight channels a subset of its
+    stage-map channels, the invariant that `apply_hello` relies on.
     """
-    stages = {o.channel: o.q_stage for o in obs if o.available}
-    if not stages:
-        raise NoAvailableChannels("no available channels")
-    kept = [weights.get(ch, 0.0) for ch in stages]
+    target = initial_weights(stages)
+    kept = [weights.get(ch, 0.0) for ch in target]
     mass = sum(kept)
     if mass <= 0.0:
-        return initial_weights(obs)
+        return target
     keep = 1.0 - alpha
-    total = sum(stages.values())
-    if total == 0:
-        u = 1.0 / len(stages)
-        return {ch: keep * (w / mass) + alpha * u for ch, w in zip(stages, kept)}
-    return {ch: keep * (w / mass) + alpha * (s / total)
-            for (ch, s), w in zip(stages.items(), kept)}
+    return {ch: keep * (w / mass) + alpha * q
+            for (ch, q), w in zip(target.items(), kept)}

@@ -15,7 +15,6 @@ import pytest
 
 from cogmesh.cli import RunRequest, run_single, window_means
 from cogmesh.engine import ScenarioConfig, World, run
-from cogmesh.radio import ChannelObservation
 from cogmesh.reformation import greedy_mds
 from cogmesh.swarm import (
     HelloMessage,
@@ -50,14 +49,18 @@ def test_criterion_1_weight_conservation():
     params = RewardParams()
     channels = list(range(8))
 
-    obs_pool = []
+    stage_pool = []
     for _ in range(400):
         avail = [rng.random() > 0.25 for _ in channels]
         if not any(avail):
             avail[rng.randrange(8)] = True
-        obs_pool.append([ChannelObservation(c, avail[c], rng.random(),
-                                            rng.randrange(4))
-                         for c in channels])
+        stages = {}
+        for c in channels:
+            rng.random()        # a quality value, unused: later draws stay put
+            stage = rng.randrange(4)
+            if avail[c]:
+                stages[c] = stage
+        stage_pool.append(stages)
     hello_pool = [
         HelloMessage(sender=0, master=rng.randrange(8),
                      channels=tuple((c, rng.randrange(4)) for c in channels))
@@ -66,16 +69,16 @@ def test_criterion_1_weight_conservation():
 
     nodes = []
     for i in range(100):
-        obs = obs_pool[i % len(obs_pool)]
-        nodes.append([initial_weights(obs), obs])
+        stages = stage_pool[i % len(stage_pool)]
+        nodes.append([initial_weights(stages), stages])
 
     ops = 10**6
     for k in range(ops):
         node = nodes[k % 100]
         if k % 10 == 9:
-            obs = obs_pool[(k // 10) % len(obs_pool)]
-            node[0] = refresh_from_sensing(node[0], obs, 0.1)
-            node[1] = obs
+            stages = stage_pool[(k // 10) % len(stage_pool)]
+            node[0] = refresh_from_sensing(node[0], stages, 0.1)
+            node[1] = stages
         else:
             node[0] = apply_hello(node[0], hello_pool[k % len(hello_pool)],
                                   node[1], params)

@@ -162,11 +162,36 @@ class TestConfig:
         ("su_positions", [(0.0, 0.0)] * 4),
         ("su_start_ticks", [0] * 2),
         ("su_start_ticks", [0] * 4),
+        # the right length, with one malformed entry
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0, 2.0)]),
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), (2.0,)]),
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), 2.0]),
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), ("a", 0.0)]),
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), (0.0, None)]),
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), (True, 0.0)]),
+        ("su_positions", [(0.0, 0.0), (1.0, 1.0), (10**400, 0.0)]),
+        ("su_start_ticks", [0, -5, 2]),
+        ("su_start_ticks", [0, 2.5, 2]),
+        ("su_start_ticks", [0, "3", 2]),
+        ("su_start_ticks", [0, True, 2]),
     ])
     def test_wrong_length_argument_rejected(self, key, given):
+        """A positional argument of the wrong length, or with an entry that
+        is not a real (x, y) pair or an int start tick >= 0, is rejected
+        with its name."""
         with pytest.raises(ConfigError, match=key) as info:
             World(ScenarioConfig(su_count=3), **{key: given})
         assert info.value.key == key
+
+    def test_positions_are_kept_as_given_pairs(self):
+        # any 2-item sequence becomes a tuple, which the radio's geometry
+        # cache can key on; int coordinates stay ints
+        listed = World(ScenarioConfig(su_count=2, pu_count=2, duration_ticks=60),
+                       su_positions=[[0.0, 0.0], [1.0, 1.0]])
+        assert [n.pos for n in listed.nodes] == [(0.0, 0.0), (1.0, 1.0)]
+        listed.run()
+        ints = World(ScenarioConfig(su_count=2), su_positions=[(0, 0), (1, 1)])
+        assert [type(c) for n in ints.nodes for c in n.pos] == [int] * 4
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1])

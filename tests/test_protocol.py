@@ -35,17 +35,8 @@ from cogmesh.protocol import (
     start_scan,
     upsert_from_hello,
 )
-from cogmesh.radio import (
-    ChannelObservation,
-    PeriodicActivity,
-    PrimaryUser,
-)
+from cogmesh.radio import PeriodicActivity, PrimaryUser
 from cogmesh.swarm import HelloMessage, NoAvailableChannels
-
-
-def obs(channel, stage=3, available=True):
-    return ChannelObservation(channel=channel, available=available,
-                              q_raw=stage / 4, q_stage=stage)
 
 
 def static_pu(pid, pos, channel, radius, power=0.01):
@@ -115,52 +106,56 @@ class TestSuperframe:
 
 
 class TestScanning:
+    # stage maps, as `radio.sense` returns them: available channel -> stage,
+    # in ascending channel order
+
     def test_starts_at_lowest_available(self):
-        state = start_scan([obs(2), obs(0), obs(3)])
+        state = start_scan({0: 1, 2: 3, 3: 3})
         assert state.current == 0
         assert state.visited == {0}
 
     def test_singleton_channel(self):
-        assert start_scan([obs(5)]).current == 5
+        assert start_scan({5: 3}).current == 5
 
     def test_no_channels_raises(self):
         with pytest.raises(NoAvailableChannels):
-            start_scan([obs(0, available=False)])
+            start_scan({})
 
     def test_requested_start_channel(self):
-        assert start_scan([obs(0), obs(2)], first_channel=2).current == 2
+        assert start_scan({0: 3, 2: 3}, first_channel=2).current == 2
         # unavailable request falls back to the lowest channel
-        assert start_scan([obs(0), obs(2)], first_channel=7).current == 0
+        assert start_scan({0: 3, 2: 3}, first_channel=7).current == 0
 
     def test_case1_silence_forms_here(self):
         state = ScanState(visited={0}, current=0, interval_end=0)
-        out = finish_scan_interval(state, {0, 1}, Random(0))
+        out = finish_scan_interval(state, {0: 3, 1: 3}, Random(0))
         assert out == FormCluster(channel=0)
 
     def test_case2_beacon_requests_join(self):
         state = ScanState(visited={0}, current=0, interval_end=0,
                           heard_beacon=BeaconSummary(head=9, master=0))
-        out = finish_scan_interval(state, {0, 1}, Random(0))
+        out = finish_scan_interval(state, {0: 3, 1: 3}, Random(0))
         assert out == RequestJoin(head=9, channel=0)
 
     def test_case3_hellos_continue_to_next_channel(self):
         state = ScanState(visited={0}, current=0, interval_end=0,
                           heard_hello=True)
-        out = finish_scan_interval(state, {0, 1, 2}, Random(0))
+        out = finish_scan_interval(state, {0: 3, 1: 0, 2: 3}, Random(0))
         assert out == ContinueScan(channel=1)
 
     def test_rejected_beacon_moves_on(self):
         state = ScanState(visited={0}, current=0, interval_end=0,
                           heard_beacon=BeaconSummary(head=9, master=0),
                           rejections={9})
-        out = finish_scan_interval(state, {0, 3}, Random(0))
+        out = finish_scan_interval(state, {0: 3, 3: 1}, Random(0))
         assert out == ContinueScan(channel=3)
 
     def test_all_visited_forms_on_random_available(self):
         state = ScanState(visited={0, 1, 2}, current=2, interval_end=0,
                           heard_hello=True,
                           rejections={9})
-        picks = {finish_scan_interval(state, {0, 1, 2}, Random(s)).channel
+        stages = {0: 3, 1: 3, 2: 3}
+        picks = {finish_scan_interval(state, stages, Random(s)).channel
                  for s in range(40)}
         assert picks <= {0, 1, 2}
         assert len(picks) > 1
@@ -233,7 +228,7 @@ class TestNeighborTables:
 
     def test_emit_hello_contents(self):
         node = Node(1, (0.0, 0.0), Random(0), ScenarioConfig())
-        node.apply_observations([obs(1, stage=2), obs(0), obs(2, available=False)])
+        node.apply_observations({0: 3, 1: 2})
         assert node.hello_channels == ((0, 3), (1, 2))
         table = {}
         hello = emit_hello(1, 0, node.hello_channels, table)
@@ -381,31 +376,35 @@ class TestNeighborMapsOracle:
 
 
 class TestObservationState:
+    # a node adopts each stage map from `sense` and derives its HELLO
+    # channel tuple once per map
+
     def test_same_list_keeps_the_derived_state(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
-        observations = [obs(0, 1), obs(1, 3), obs(2, available=False)]
-        node.apply_observations(observations)
-        derived = (node.available, node.stages, node.hello_channels)
-        assert derived == (frozenset({0, 1}), {0: 1, 1: 3}, ((0, 1), (1, 3)))
-        node.apply_observations(observations)
-        assert node.obs_list is observations
+        stages = {0: 1, 1: 3}
+        node.apply_observations(stages)
+        derived = (node.stages, node.hello_channels)
+        assert derived == ({0: 1, 1: 3}, ((0, 1), (1, 3)))
+        node.apply_observations(stages)
+        assert node.stages is stages
         assert all(a is b for a, b in
-                   zip((node.available, node.stages, node.hello_channels), derived))
+                   zip((node.stages, node.hello_channels), derived))
 
     def test_new_list_recomputes_the_derived_state(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
-        node.apply_observations([obs(0, 1), obs(1, 3)])
-        stages = node.stages
-        equal = [obs(0, 1), obs(1, 3)]
+        node.apply_observations({0: 1, 1: 3})
+        stages, hello_channels = node.stages, node.hello_channels
+        equal = {0: 1, 1: 3}
         node.apply_observations(equal)
-        assert node.obs_list is equal and node.stages is not stages
-        node.apply_observations([obs(0, 2, available=False), obs(1, 0), obs(3, 2)])
-        assert node.available == frozenset({1, 3})
+        assert node.stages is equal and node.stages is not stages
+        assert node.hello_channels == hello_channels
+        assert node.hello_channels is not hello_channels
+        node.apply_observations({1: 0, 3: 2})
         assert node.stages == {1: 0, 3: 2}
         assert node.hello_channels == ((1, 0), (3, 2))
 
     def test_quiet_windows_hand_out_one_list(self):
-        # the shared clean list is what the identity skip relies on
+        # the shared clean map is what the identity skip relies on
         world = World(ScenarioConfig(su_count=2, pu_count=0))
         a, b = world.nodes
         assert world.sense(a) is world.sense(b) is world.env.clean
@@ -488,11 +487,11 @@ class TestSelectGateways:
 
 class TestRoleEntry:
     # attributes that outlive a role: identity, clocking, channel choice,
-    # sensing and what is derived from it, both neighbor maps, and the last
-    # frame gap heard
+    # the stage map and what is derived from it, both neighbor maps, and the
+    # last frame gap heard
     PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
-                  "master", "weights", "obs_list", "available", "stages",
-                  "hello_channels", "table", "two_hop", "frame_gap"}
+                  "master", "weights", "stages", "hello_channels", "table",
+                  "two_hop", "frame_gap"}
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""

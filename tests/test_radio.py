@@ -85,47 +85,50 @@ class TestStepEnvironment:
         assert all(v == 1 for v in visits.values())
 
 
+# with q_max a power of two, a stage at this resolution is exactly
+# q_raw * FINE / q_max (below the top stage), so it shows every bit of q_raw
+FINE = 2**70
+
+
 class TestSense:
     def test_no_pus_all_channels_clean(self):
         env = make_environment(3, [], q_max=1.0, quant_stages=4)
-        obs = sense(env, (10.0, 10.0))
-        assert [o.available for o in obs] == [True] * 3
-        assert all(o.q_raw == 1.0 for o in obs)
-        assert all(o.q_stage == 3 for o in obs)
+        stages = sense(env, (10.0, 10.0))
+        assert list(stages.items()) == [(0, 3), (1, 3), (2, 3)]
+        # q_raw = q_max: the top stage, even at the finest resolution
+        fine = make_environment(3, [], q_max=1.0, quant_stages=FINE)
+        assert sense(fine, (10.0, 10.0)) == dict.fromkeys(range(3), FINE - 1)
 
     def test_active_pu_inside_protection_blocks_channel(self):
         pu = make_pu(channel=2, pos=(0.0, 0.0), radius=100.0,
                      model=PeriodicActivity(10, 1.0))
         env = make_environment(4, [pu])
-        obs = sense(env, (50.0, 0.0))
-        assert not obs[2].available
-        assert all(obs[c].available for c in (0, 1, 3))
+        assert list(sense(env, (50.0, 0.0))) == [0, 1, 3]
 
     def test_far_field_interference_value(self):
         # one PU on ch 1 at distance 10, exponent 2, power 100, window 1:
         # I = 100/(1+100), q = 1/(1 + 100/101) = 101/201
         pu = make_pu(channel=1, pos=(0.0, 0.0), radius=5.0, power=100.0,
                      model=PeriodicActivity(10, 1.0))
-        env = make_environment(2, [pu], pathloss_exponent=2.0, q_max=1.0)
-        obs = sense(env, (10.0, 0.0))
-        assert obs[1].available
-        assert obs[1].q_raw == pytest.approx(101.0 / 201.0, rel=1e-12)
-        assert obs[0].q_raw == 1.0
+        env = make_environment(2, [pu], pathloss_exponent=2.0, q_max=1.0,
+                               quant_stages=FINE)
+        stages = sense(env, (10.0, 0.0))
+        assert stages[1] / FINE == pytest.approx(101.0 / 201.0, rel=1e-12)
+        assert stages[0] == FINE - 1
 
     def test_idle_pu_contributes_nothing(self):
         pu = make_pu(channel=0, model=PeriodicActivity(10, 0.0))
-        env = make_environment(2, [pu])
-        obs = sense(env, (1.0, 0.0))
-        assert obs[0].available and obs[0].q_raw == 1.0
+        env = make_environment(2, [pu], quant_stages=FINE)
+        assert sense(env, (1.0, 0.0))[0] == FINE - 1
 
     def test_window_accumulates_over_history(self):
         pu = make_pu(channel=0, pos=(0.0, 0.0), radius=5.0, power=100.0,
                      model=PeriodicActivity(10, 1.0))
-        one = advance(make_environment(1, [pu], history_ticks=1), 2)
-        three = advance(make_environment(1, [pu], history_ticks=3), 2)
-        q_one = sense(one, (10.0, 0.0))[0].q_raw
-        q_three = sense(three, (10.0, 0.0))[0].q_raw
-        assert q_three < q_one
+        one = advance(make_environment(1, [pu], history_ticks=1,
+                                       quant_stages=FINE), 2)
+        three = advance(make_environment(1, [pu], history_ticks=3,
+                                         quant_stages=FINE), 2)
+        assert sense(three, (10.0, 0.0))[0] < sense(one, (10.0, 0.0))[0]
 
     def test_removing_a_pu_never_hurts(self):
         # availability monotonicity: dropping a PU keeps channels available
@@ -140,15 +143,16 @@ class TestSense:
             pus[i] = PrimaryUser(id=i, pos=pu.pos, channel=pu.channel,
                                  model=pu.model, protection_radius=pu.protection_radius,
                                  interference_power=pu.interference_power)
-        full = make_environment(3, pus)
+        full = make_environment(3, pus, quant_stages=FINE)
         for drop in range(len(pus)):
-            reduced = make_environment(3, pus[:drop] + pus[drop + 1:])
+            reduced = make_environment(3, pus[:drop] + pus[drop + 1:],
+                                       quant_stages=FINE)
             for pos in [(0, 0), (150, 150), (299, 10)]:
                 before = sense(full, pos)
                 after = sense(reduced, pos)
-                for b, a in zip(before, after):
-                    assert a.available >= b.available
-                    assert a.q_raw >= b.q_raw - 1e-15
+                assert before.keys() <= after.keys()
+                for ch, stage in before.items():
+                    assert after[ch] >= stage
 
     def test_sensing_is_deterministic(self):
         pu = make_pu(model=MarkovActivity(0.3, 0.2))
@@ -159,8 +163,7 @@ class TestSense:
             trace = []
             for _ in range(50):
                 step_environment(env, rng)
-                trace.append(tuple((o.available, o.q_raw, o.q_stage)
-                                   for o in sense(env, (20.0, 30.0))))
+                trace.append(tuple(sense(env, (20.0, 30.0)).items()))
             streams.append(trace)
         assert streams[0] == streams[1]
 
@@ -172,7 +175,7 @@ def pu_worlds(draw):
     often shared), in a 300 m square where protection radii of 10-150 m put
     sensing positions both inside and outside them. Powers reach 1000, so
     that interference sums are large enough for a last-bit difference in
-    them to survive into q_raw."""
+    them to survive into q_raw, and so into a stage at resolution `FINE`."""
     channel_count = draw(st.integers(1, 4))
     coord = st.floats(0.0, 300.0)
     pus = []
@@ -221,7 +224,8 @@ def reference_trace(pus, channel_count, steps, seed):
 
 
 def reference_sense(pus, window, pos, channel_count, exponent, q_max, stages):
-    """Brute force: every PU, every tick of the window, oldest tick first."""
+    """Brute force: every PU, every tick of the window, oldest tick first;
+    (channel, stage) of each available channel, in channel order."""
     x, y = pos
     blocked = [False] * channel_count
     acc = [0.0] * channel_count
@@ -236,19 +240,26 @@ def reference_sense(pus, window, pos, channel_count, exponent, q_max, stages):
                 blocked[ch] = True
             elif active:
                 acc[ch] += contrib
-    return [(ch, not blocked[ch], q_max / (1.0 + acc[ch]),
-             quantize(q_max / (1.0 + acc[ch]), q_max, stages))
-            for ch in range(channel_count)]
+    return [(ch, quantize(q_max / (1.0 + acc[ch]), q_max, stages))
+            for ch in range(channel_count) if not blocked[ch]]
+
+
+# (q_max, quant_stages): coarse stages, and stages at resolution `FINE`,
+# where a last-bit difference in an interference sum changes the stage
+quantizations = st.one_of(
+    st.tuples(st.sampled_from([1.0, 2.5]), st.integers(2, 6)),
+    st.tuples(st.sampled_from([1.0, 2.0]), st.just(FINE)))
 
 
 class TestSenseMatchesReference:
     @given(pu_worlds(), st.integers(1, 8), st.integers(0, 60),
            st.integers(0, 2**32), st.sampled_from([0.5, 2.0, 3.5]),
-           st.sampled_from([1.0, 2.5]), st.integers(2, 6))
+           quantizations)
     @settings(max_examples=150, deadline=None)
     def test_every_tick_at_every_position(self, world, history_ticks, steps,
-                                          seed, exponent, q_max, stages):
+                                          seed, exponent, quantization):
         channel_count, pus, positions = world
+        q_max, stages = quantization
         env = make_environment(channel_count, pus, pathloss_exponent=exponent,
                                q_max=q_max, quant_stages=stages,
                                history_ticks=history_ticks)
@@ -260,8 +271,7 @@ class TestSenseMatchesReference:
             assert [(s.channel, s.active) for s in env.pus] == expected[tick]
             window = expected[max(0, tick + 1 - history_ticks):tick + 1]
             for pos in positions:
-                got = [(o.channel, o.available, o.q_raw, o.q_stage)
-                       for o in sense(env, pos)]
+                got = list(sense(env, pos).items())
                 assert got == reference_sense(pus, window, pos, channel_count,
                                               exponent, q_max, stages)
 

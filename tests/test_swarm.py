@@ -12,7 +12,6 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cogmesh.radio import ChannelObservation
 from cogmesh.swarm import (
     HelloMessage,
     NoAvailableChannels,
@@ -27,9 +26,9 @@ from cogmesh.swarm import (
 DEFAULTS = RewardParams()
 
 
-def obs(channel, stage, available=True):
-    return ChannelObservation(channel=channel, available=available,
-                              q_raw=stage / 4, q_stage=stage)
+def stage_map(stages):
+    """A stage map as `radio.sense` returns it: ascending channel order."""
+    return dict(sorted(stages.items()))
 
 
 def hello(master, stages, sender=99):
@@ -60,17 +59,12 @@ def blend_refresh(weights, target, alpha):
     return out
 
 
-def composed_apply_hello(weights, msg, local_obs, params):
+def composed_apply_hello(weights, msg, local_stages, params):
     """`select_master` + `reward` + `hello_reinforce`, as apply_hello was."""
     target = msg.master
     if target not in weights:
         return weights
-    local_ref = select_master(weights)
-    local_stage = 0
-    for o in local_obs:
-        if o.channel == local_ref:
-            local_stage = o.q_stage
-            break
+    local_stage = local_stages[select_master(weights)]
     reported = None
     for ch, stage in msg.channels:
         if ch == target:
@@ -82,10 +76,10 @@ def composed_apply_hello(weights, msg, local_obs, params):
     return hello_reinforce(weights, target, r)
 
 
-def composed_refresh(weights, observations, alpha):
+def composed_refresh(weights, stages, alpha):
     """`initial_weights` + renormalization + `blend_refresh`, as
     refresh_from_sensing was."""
-    target = initial_weights(observations)
+    target = initial_weights(stages)
     kept = {ch: weights.get(ch, 0.0) for ch in target}
     mass = sum(kept.values())
     if mass <= 0.0:
@@ -105,8 +99,20 @@ stage_values = st.integers(min_value=0, max_value=7)
 weight_values = st.one_of(st.floats(min_value=0.0, max_value=1.0),
                           st.sampled_from([0.0, 0.5, 1.0, 5e-324]))
 weight_lists = st.dictionaries(channel_ids, weight_values, max_size=8)
-observation_lists = st.lists(
-    st.builds(obs, channel_ids, stage_values, st.booleans()), max_size=10)
+stage_maps = st.dictionaries(channel_ids, stage_values, max_size=10).map(stage_map)
+
+
+@st.composite
+def weighted_stage_maps(draw):
+    """A stage map and weights over some of its channels, in any order: a
+    node's weight channels are always a subset of its stage-map channels."""
+    stages = draw(stage_maps)
+    if not stages:
+        return {}, stages
+    weights = draw(st.dictionaries(st.sampled_from(sorted(stages)),
+                                   weight_values, max_size=8))
+    return weights, stages
+
 hellos = st.builds(hello, channel_ids,
                    st.dictionaries(channel_ids, stage_values, max_size=8),
                    st.integers(min_value=0, max_value=50))
@@ -163,13 +169,13 @@ class TestApplyHello:
     def test_zero_reward_is_identity(self):
         # local choice ch1 at stage 3; the sender reports stage 2 -> r = 0
         w = {0: 0.3, 1: 0.7}
-        local = [obs(0, 3), obs(1, 3)]
+        local = {0: 3, 1: 3}
         assert apply_hello(w, hello(0, {0: 2}), local, self.STEP) == w
 
     def test_hand_evaluated_update(self):
         # equal stages make delta_q = 0, so r = 0.5 with defaults
         w = {0: 0.25, 1: 0.75}
-        local = [obs(0, 2), obs(1, 2)]
+        local = {0: 2, 1: 2}
         out = apply_hello(w, hello(0, {0: 2, 1: 2}), local, DEFAULTS)
         assert out[0] == pytest.approx(0.625)
         assert out[1] == pytest.approx(0.375)
@@ -178,13 +184,13 @@ class TestApplyHello:
     def test_full_capture_at_unit_reward(self):
         # the tie picks ch0 (stage 1) as the local choice; the sender
         # reports stage 2 for it -> r = 1
-        local = [obs(0, 1), obs(1, 3)]
+        local = {0: 1, 1: 3}
         out = apply_hello({0: 0.5, 1: 0.5}, hello(0, {0: 2}), local, self.STEP)
         assert out == {0: 1.0, 1: 0.0}
 
     def test_unavailable_master_changes_nothing(self):
         w = {0: 0.4, 1: 0.6}
-        local = [obs(0, 1), obs(1, 1)]
+        local = {0: 1, 1: 1}
         out = apply_hello(w, hello(5, {5: 3}), local, DEFAULTS)
         assert out == w
 
@@ -192,7 +198,7 @@ class TestApplyHello:
         # local choice is ch1 (highest weight) with stage 3; sender reports
         # stage 1 for its master ch0 -> delta_q = -2
         w = {0: 0.2, 1: 0.8}
-        local = [obs(0, 3), obs(1, 3)]
+        local = {0: 3, 1: 3}
         out = apply_hello(w, hello(0, {0: 1, 1: 1}), local, DEFAULTS)
         r = reward(-2.0, DEFAULTS)
         assert out[0] == pytest.approx(0.2 + r * 0.8)
@@ -201,7 +207,7 @@ class TestApplyHello:
     def test_conservation_and_range_over_random_sequences(self):
         rng = Random(5)
         w = {c: 0.25 for c in range(4)}
-        local = [obs(c, rng.randrange(4)) for c in range(4)]
+        local = {c: rng.randrange(4) for c in range(4)}
         for _ in range(5000):
             msg = hello(rng.randrange(4), {c: rng.randrange(4) for c in range(4)})
             w2 = apply_hello(w, msg, local, DEFAULTS)
@@ -209,13 +215,14 @@ class TestApplyHello:
             assert all(0.0 <= v <= 1.0 for v in w2.values())
             w = w2
 
-    @given(weight_lists, hellos, observation_lists, reward_params)
-    @example({0: 0.5, 1: 0.5}, hello(1, {1: 2}), [obs(0, 3, available=False)],
-             DEFAULTS)
+    @given(weighted_stage_maps(), hellos, reward_params)
+    # the tie picks ch0, sensed at stage 3; the sender reports 2 for ch1
+    @example(({0: 0.5, 1: 0.5}, {0: 3, 1: 0}), hello(1, {1: 2}), DEFAULTS)
     # a tie listed highest channel first: the local choice is still ch1
-    @example({3: 0.5, 1: 0.5}, hello(3, {3: 2}), [obs(1, 0), obs(3, 3)], DEFAULTS)
+    @example(({3: 0.5, 1: 0.5}, {1: 0, 3: 3}), hello(3, {3: 2}), DEFAULTS)
     @settings(max_examples=400, deadline=None)
-    def test_bit_identical_to_the_composition(self, weights, msg, local, params):
+    def test_bit_identical_to_the_composition(self, sensed, msg, params):
+        weights, local = sensed
         # reuses `params`, so later draws also read its reward memo
         got = apply_hello(weights, msg, local, params)
         want = composed_apply_hello(weights, msg, local, params)
@@ -223,10 +230,11 @@ class TestApplyHello:
         # a HELLO that changes nothing hands back the same list
         assert (got is weights) == (want is weights)
 
-    @given(weight_lists.filter(bool), st.lists(hellos, max_size=30),
-           observation_lists, reward_params)
+    @given(weighted_stage_maps().filter(lambda sensed: sensed[0]),
+           st.lists(hellos, max_size=30), reward_params)
     @settings(max_examples=100, deadline=None)
-    def test_bit_identical_over_sequences(self, weights, msgs, local, params):
+    def test_bit_identical_over_sequences(self, sensed, msgs, params):
+        weights, local = sensed
         got = want = weights
         for msg in msgs:
             got = apply_hello(got, msg, local, params)
@@ -237,76 +245,76 @@ class TestApplyHello:
         params = RewardParams(a=0.7)
         w = {0: 0.2, 1: 0.8}
         for reported in range(4):
-            apply_hello(w, hello(0, {0: reported}), [obs(0, 0), obs(1, 2)], params)
+            apply_hello(w, hello(0, {0: reported}), {0: 0, 1: 2}, params)
         assert params.rewards == {d: reward(float(d), params) for d in (-2, -1, 0, 1)}
         # the memo is no part of the constants' identity
         assert params == RewardParams(a=0.7) and hash(params) == hash(RewardParams(a=0.7))
 
     def test_single_channel_absorbs(self):
         w = {3: 1.0}
-        local = [obs(3, 2)]
+        local = {3: 2}
         out = apply_hello(w, hello(3, {3: 3}), local, DEFAULTS)
         assert out == {3: 1.0}
-        out = refresh_from_sensing(out, [obs(3, 1)], 0.3)
+        out = refresh_from_sensing(out, {3: 1}, 0.3)
         assert out == {3: 1.0}
 
 
 class TestRefreshFromSensing:
     def test_zero_alpha_same_availability_is_identity(self):
         w = {0: 0.6, 1: 0.4}
-        out = refresh_from_sensing(w, [obs(0, 3), obs(1, 1)], 0.0)
+        out = refresh_from_sensing(w, {0: 3, 1: 1}, 0.0)
         assert out == w
 
     def test_full_blend_matches_normalized_stages(self):
-        out = refresh_from_sensing({0: 0.5, 1: 0.5},
-                                   [obs(0, 3), obs(1, 1)], 1.0)
+        out = refresh_from_sensing({0: 0.5, 1: 0.5}, {0: 3, 1: 1}, 1.0)
         assert out == {0: 0.75, 1: 0.25}
 
     def test_lost_channel_renormalizes(self):
-        out = refresh_from_sensing({0: 0.6, 1: 0.4},
-                                   [obs(0, 2), obs(1, 2, available=False)], 0.0)
+        # ch1 is missing from the stage map: it became unavailable
+        out = refresh_from_sensing({0: 0.6, 1: 0.4}, {0: 2}, 0.0)
         assert out == {0: 1.0}
 
     def test_new_channel_enters_via_blend(self):
-        out = refresh_from_sensing({0: 1.0}, [obs(0, 2), obs(1, 2)], 0.5)
+        out = refresh_from_sensing({0: 1.0}, {0: 2, 1: 2}, 0.5)
         assert out[1] == pytest.approx(0.25)
         assert sum(out.values()) == pytest.approx(1.0)
 
     def test_all_unavailable_raises(self):
         with pytest.raises(NoAvailableChannels):
-            refresh_from_sensing({0: 1.0}, [obs(0, 0, available=False)], 0.1)
+            refresh_from_sensing({0: 1.0}, {}, 0.1)
 
     def test_all_zero_stages_blend_toward_uniform(self):
-        out = refresh_from_sensing({0: 1.0, 1: 0.0},
-                                   [obs(0, 0), obs(1, 0)], 1.0)
+        out = refresh_from_sensing({0: 1.0, 1: 0.0}, {0: 0, 1: 0}, 1.0)
         assert out == {0: 0.5, 1: 0.5}
 
     def test_initial_weights(self):
-        assert initial_weights([obs(0, 3), obs(1, 1)]) == {0: 0.75, 1: 0.25}
-        assert initial_weights([obs(0, 0), obs(2, 0)]) == {0: 0.5, 2: 0.5}
+        assert initial_weights({0: 3, 1: 1}) == {0: 0.75, 1: 0.25}
+        assert initial_weights({0: 0, 2: 0}) == {0: 0.5, 2: 0.5}
         with pytest.raises(NoAvailableChannels):
-            initial_weights([obs(0, 1, available=False)])
+            initial_weights({})
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
                     max_size=8),
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100)
     def test_result_always_sums_to_one(self, stages, alpha):
-        observations = [obs(c, s) for c, s in enumerate(stages)]
-        w = initial_weights(observations)
-        out = refresh_from_sensing(w, observations, alpha)
+        sensed = dict(enumerate(stages))
+        w = initial_weights(sensed)
+        out = refresh_from_sensing(w, sensed, alpha)
         assert abs(sum(out.values()) - 1.0) < 1e-9
 
-    @given(weight_lists,
-           observation_lists.filter(lambda os: any(o.available for o in os)),
+    # the weights may name channels the new map lacks: they are dropped
+    @given(weight_lists, stage_maps.filter(bool),
            st.one_of(st.floats(min_value=0.0, max_value=1.0),
                      st.sampled_from([0.0, 0.1, 1.0])))
-    @example({0: 0.0, 1: 0.0}, [obs(0, 2), obs(1, 1)], 0.3)
-    @example({0: 1.0}, [obs(0, 0), obs(1, 0)], 0.5)
+    @example({0: 0.0, 1: 0.0}, {0: 2, 1: 1}, 0.3)
+    @example({0: 1.0}, {0: 0, 1: 0}, 0.5)
     @settings(max_examples=400, deadline=None)
-    def test_bit_identical_to_the_composition(self, weights, observations, alpha):
-        assert same_bits(refresh_from_sensing(weights, observations, alpha),
-                         composed_refresh(weights, observations, alpha))
+    def test_bit_identical_to_the_composition(self, weights, stages, alpha):
+        got = refresh_from_sensing(weights, stages, alpha)
+        assert same_bits(got, composed_refresh(weights, stages, alpha))
+        # what keeps `apply_hello`'s lookup safe
+        assert got.keys() == stages.keys()
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
                               st.booleans()), min_size=1, max_size=8)
@@ -315,9 +323,8 @@ class TestRefreshFromSensing:
     @settings(max_examples=100)
     def test_refresh_of_no_weights_is_initial_weights(self, chans, alpha):
         # a node without weights enters the swarm through the same call
-        observations = [obs(c, s, available=a) for c, (s, a) in enumerate(chans)]
-        assert (refresh_from_sensing({}, observations, alpha)
-                == initial_weights(observations))
+        sensed = {c: s for c, (s, a) in enumerate(chans) if a}
+        assert refresh_from_sensing({}, sensed, alpha) == initial_weights(sensed)
 
 
 class TestSelectMaster:
@@ -346,7 +353,7 @@ class TestSelectMaster:
         # repeated HELLOs for ch2 eventually flip the argmax from ch0; the
         # oracle tracks the two scalars through the same reinforcement
         # recurrence and predicts the flip index
-        local = [obs(0, 3), obs(2, 1)]
+        local = {0: 3, 2: 1}
         stages = {0: 1, 2: 1}
 
         w0, w2 = 0.9, 0.1
@@ -383,7 +390,6 @@ class TestRecords:
     @pytest.mark.parametrize("record, name", [
         (HelloMessage(1, 0, ((0, 2),)), "master"),
         (HelloMessage(1, 0, ((0, 2),)), "stages"),
-        (ChannelObservation(0, True, 1.0, 3), "q_stage"),
     ])
     def test_frozen(self, record, name):
         with pytest.raises(FrozenInstanceError):
