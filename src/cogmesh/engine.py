@@ -430,6 +430,18 @@ def _checked_position(pos) -> tuple:
     return (x, y)
 
 
+def _listed(key: str, arg) -> list | None:
+    """A sequence argument of `World` read once into a list (None stays
+    None), so that an iterator is checked and used as the same entries."""
+    if arg is None:
+        return None
+    try:
+        return list(arg)
+    except TypeError:
+        raise ConfigError(key, f"must be an iterable, not "
+                               f"{type(arg).__name__}") from None
+
+
 # order of the reformation entries due on one tick
 _PHASE = {"commit": 0, "req": 1, "ack": 1, "deny": 1, "deadline": 2}
 
@@ -440,6 +452,9 @@ class World:
     def __init__(self, config: ScenarioConfig, su_positions=None,
                  su_start_ticks=None, pus=None, validate=True):
         config.validate()
+        su_positions = _listed("su_positions", su_positions)
+        su_start_ticks = _listed("su_start_ticks", su_start_ticks)
+        pus = _listed("pus", pus)
         for key, given in (("su_positions", su_positions),
                            ("su_start_ticks", su_start_ticks)):
             if given is not None and len(given) != config.su_count:
@@ -490,7 +505,7 @@ class World:
         start_ticks = [topo_rng.randrange(config.startup_spread_ticks + 1)
                        for _ in range(config.su_count)]
         if su_start_ticks is not None:
-            start_ticks = list(su_start_ticks)
+            start_ticks = su_start_ticks
 
         if pus is None:
             pus = []
@@ -793,7 +808,8 @@ class World:
                 continue
             if rec.head in table or not table.keys().isdisjoint(rec.members):
                 records.append(rec)
-        if len(records) == 1 and len(host.members) == 0:
+        if len(records) == 1:
+            # one cluster cannot become fewer: no plan can gain
             return
         availability = {}
         for rec in records:

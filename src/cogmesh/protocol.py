@@ -37,6 +37,16 @@ runs in full: every role entry (`_clear_role_state`, hence `become_head`,
 `become_member`, `_restart_scan` and the engine's reformation commits), a
 beacon adopted (`_follow_beacon`) or heard while scanning (`_scan_beacon`,
 `_give_up_join`), and a HELLO that arms a public-RA exchange (`_on_hello`).
+
+`Node` declares its state in `__slots__`, as do `ClusterRecord`, `ScanState`
+and the per-message records, so no instance carries a `__dict__`. Every
+HELLO a node sends, in a scan exchange, a beacon or its ND mini-slot, comes
+from `Node.hello`. It rebuilds the message with `emit_hello` only when its
+master or its `hello_channels` tuple changed, or when the 1-hop content the
+HELLO lists changed: `upsert_from_hello` and `evict_stale` report a 1-hop
+entry added, dropped, or given a new master or channel set, and the node
+then drops the HELLO it kept. A refresh that moves only an entry's
+`last_seen` or `cluster_head` keeps it.
 """
 
 from __future__ import annotations
@@ -176,7 +186,7 @@ class GatewayLink:
         return (self.node_a,) if self.node_b is None else (self.node_a, self.node_b)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterRecord:
     head: int
     master: int
@@ -192,7 +202,7 @@ class BeaconSummary:
     master: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanState:
     visited: set
     current: int
@@ -308,38 +318,50 @@ def emit_hello(node_id: int, master: int, channels: tuple, table) -> HelloMessag
 
 
 def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int,
-                      cluster_head: int | None = None, self_id: int | None = None):
+                      cluster_head: int | None = None,
+                      self_id: int | None = None) -> bool:
     """Fold one received HELLO into a node's neighbor maps.
 
     The sender becomes (or stays) a 1-hop entry in `table` and leaves
     `two_hop`. Each listed neighbor other than the receiver `self_id`
     enters `two_hop` as id -> (master, tick) unless `table` holds it, so a
     report never downgrades a 1-hop entry and no id is in both maps. Known
-    1-hop entries are updated in place."""
+    1-hop entries are updated in place.
+
+    Returns whether the 1-hop content a HELLO lists (ids, masters, channel
+    sets) changed: a new sender, or a known one with a new master or
+    channel set."""
     sender = hello.sender
+    master = hello.master
+    channels = hello.channel_ids
     e = table.get(sender)
     if e is None:
-        table[sender] = NeighborEntry(sender, hello.master, hello.channel_ids,
-                                      tick, cluster_head)
+        table[sender] = NeighborEntry(sender, master, channels, tick, cluster_head)
         two_hop.pop(sender, None)
+        changed = True
     else:
-        e.master = hello.master
-        e.channels = hello.channel_ids
+        changed = e.master != master or e.channels != channels
+        e.master = master
+        e.channels = channels
         e.last_seen = tick
         e.cluster_head = cluster_head
     for nid, nmaster, _ in hello.neighbor_list:
         if nid not in table and nid != self_id:
             two_hop[nid] = (nmaster, tick)
+    return changed
 
 
-def evict_stale(table: dict, two_hop: dict, tick: int, ttl_ticks: int):
-    """Drop the entries of both maps not refreshed within the TTL window."""
+def evict_stale(table: dict, two_hop: dict, tick: int, ttl_ticks: int) -> bool:
+    """Drop the entries of both maps not refreshed within the TTL window;
+    returns whether a 1-hop entry was dropped."""
     dead = [nid for nid, e in table.items() if tick - e.last_seen > ttl_ticks]
     for nid in dead:
         del table[nid]
-    dead = [nid for nid, (_, seen) in two_hop.items() if tick - seen > ttl_ticks]
-    for nid in dead:
+    dead_two_hop = [nid for nid, (_, seen) in two_hop.items()
+                    if tick - seen > ttl_ticks]
+    for nid in dead_two_hop:
         del two_hop[nid]
+    return bool(dead)
 
 
 def select_offmaster_scan(master: int, stages: dict, two_hop: dict,
@@ -414,6 +436,19 @@ class Node:
     `two_hop` maps each id heard only in neighbor lists to (master, last
     seen); no id is in both."""
 
+    __slots__ = (
+        # outlive a role: set in __init__
+        "id", "pos", "rng", "p", "start_tick", "role", "listen", "master",
+        "weights", "stages", "hello_channels", "table", "two_hop", "frame_gap",
+        "_hello",
+        # scoped to one role: set in _clear_role_state
+        "wake", "scan", "join_target", "join_tx_tick", "join_attempts",
+        "join_deadline", "exch_tx_tick", "exch_done", "head_id", "slot",
+        "sched", "breaks", "frame_start", "have_beacon", "beacons_missed",
+        "frames_in_cluster", "offscan_ch", "offscan_seen", "member_grace",
+        "cluster", "heard_members", "member_miss", "join_queue", "lock",
+    )
+
     def __init__(self, node_id: int, pos, rng: Random, params: ScenarioConfig,
                  start_tick: int = 0):
         self.id = node_id
@@ -431,6 +466,7 @@ class Node:
         self.table: dict = {}
         self.two_hop: dict = {}
         self.frame_gap = params.frame_len
+        self._hello: HelloMessage | None = None   # see `hello`
         self._clear_role_state()
 
     # -- helpers --
@@ -443,6 +479,18 @@ class Node:
             return
         self.stages = stages
         self.hello_channels = tuple(stages.items())
+
+    def hello(self) -> HelloMessage:
+        """This node's HELLO as `emit_hello` builds it. The last one built is
+        handed out again while its master is the node's master, its channel
+        tuple is the node's current `hello_channels` and the 1-hop content
+        of `table` is unchanged since: whatever adds, drops or changes a
+        1-hop entry's master or channels clears `_hello`."""
+        h = self._hello
+        channels = self.hello_channels
+        if h is None or h.master != self.master or h.channels is not channels:
+            h = self._hello = emit_hello(self.id, self.master, channels, self.table)
+        return h
 
     def _select_current(self) -> int | None:
         """The node's standing channel choice under the active arm."""
@@ -626,8 +674,7 @@ class Node:
             ctx.transmit(self, s.current, JoinRequest(self.id, self.join_target))
             self.listen = None
         elif self.exch_tx_tick == tick:
-            hello = emit_hello(self.id, self.master, self.hello_channels, self.table)
-            ctx.transmit(self, s.current, HelloFrame(hello))
+            ctx.transmit(self, s.current, HelloFrame(self.hello()))
             self.listen = None
             self.exch_tx_tick = None
         else:
@@ -755,7 +802,7 @@ class Node:
             head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
             members=tuple(sorted(c.members.items())), rejects=tuple(rejects),
-            hello=emit_hello(self.id, self.master, self.hello_channels, self.table),
+            hello=self.hello(),
         )
         ctx.transmit(self, self.master, beacon)
         self.listen = None
@@ -795,9 +842,8 @@ class Node:
             return
         sched = self.sched
         if rel == sched.nd_start + self.slot:
-            hello = emit_hello(self.id, self.master, self.hello_channels, self.table)
             ctx.transmit(self, self.master, HelloFrame(
-                hello, cluster_head=self.head_id,
+                self.hello(), cluster_head=self.head_id,
                 pra_start=self.frame_start + sched.pra_start,
                 pra_len=sched.pra_len))
             self.listen = None
@@ -833,7 +879,8 @@ class Node:
         self.wake = self.frame_start + breaks[bisect_right(breaks, rel)]
 
     def _frame_end(self, tick: int, ctx):
-        evict_stale(self.table, self.two_hop, tick, self.p.ttl_ticks)
+        if evict_stale(self.table, self.two_hop, tick, self.p.ttl_ticks):
+            self._hello = None
         new = self._select_current()
         if new is not None and new != self.master:
             self._leave_for(new, tick, ctx)
@@ -861,8 +908,9 @@ class Node:
 
     def _on_hello(self, frame: HelloFrame, tick: int, ctx):
         hello = frame.hello
-        upsert_from_hello(self.table, self.two_hop, hello, tick,
-                          frame.cluster_head, self.id)
+        if upsert_from_hello(self.table, self.two_hop, hello, tick,
+                             frame.cluster_head, self.id):
+            self._hello = None
         self._absorb_pheromone(hello)
         if self.role is Role.HEAD and hello.sender in self.cluster.members:
             self.heard_members.add(hello.sender)
@@ -878,8 +926,9 @@ class Node:
                     self.wake = 0
 
     def _on_beacon(self, b: Beacon, tick: int, ctx):
-        upsert_from_hello(self.table, self.two_hop, b.hello, tick, b.head,
-                          self.id)
+        if upsert_from_hello(self.table, self.two_hop, b.hello, tick, b.head,
+                             self.id):
+            self._hello = None
         self._absorb_pheromone(b.hello)
         if self.role is Role.SCANNING:
             self._scan_beacon(b, tick, ctx)

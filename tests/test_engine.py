@@ -26,7 +26,16 @@ from cogmesh.engine import (
     largest_same_master_component,
     run,
 )
-from cogmesh.protocol import ClusterRecord, GatewayLink, NeighborEntry, Node, Role
+from cogmesh.protocol import (
+    Beacon,
+    ClusterRecord,
+    GatewayLink,
+    HelloFrame,
+    NeighborEntry,
+    Node,
+    Role,
+    emit_hello,
+)
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
 
 
@@ -192,6 +201,24 @@ class TestConfig:
         listed.run()
         ints = World(ScenarioConfig(su_count=2), su_positions=[(0, 0), (1, 1)])
         assert [type(c) for n in ints.nodes for c in n.pos] == [int] * 4
+
+    def test_iterator_arguments_are_read_once(self):
+        pu = PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.0))
+        world = World(ScenarioConfig(su_count=2),
+                      su_positions=((float(i), 0.0) for i in range(2)),
+                      su_start_ticks=iter([0, 3]), pus=iter([pu]))
+        assert len(world.env.pus) == 1
+        assert [n.pos for n in world.nodes] == [(0.0, 0.0), (1.0, 0.0)]
+        assert [n.start_tick for n in world.nodes] == [0, 3]
+        with pytest.raises(ConfigError, match="su_positions"):
+            World(ScenarioConfig(su_count=3),
+                  su_positions=((float(i), 0.0) for i in range(2)))
+
+    @pytest.mark.parametrize("key", ["su_positions", "su_start_ticks", "pus"])
+    def test_non_iterable_argument_rejected(self, key):
+        with pytest.raises(ConfigError, match=key) as info:
+            World(ScenarioConfig(su_count=2), **{key: 2})
+        assert info.value.key == key
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -692,6 +719,25 @@ class TestWakeGuard:
     @settings(max_examples=12, deadline=None)
     def test_long_scenarios(self, cfg):
         self.assert_same_as_always_awake(cfg)
+
+
+class TestHelloMemo:
+    """A node hands out its last HELLO again only while a fresh one would be
+    equal to it."""
+
+    @given(small_scenarios())
+    @settings(max_examples=50, deadline=None)
+    def test_every_sent_hello_is_as_fresh(self, cfg):
+        transmit = World.transmit
+
+        def transmit_checked(world, node, channel, msg):
+            if isinstance(msg, (HelloFrame, Beacon)):
+                assert msg.hello == emit_hello(node.id, node.master,
+                                               node.hello_channels, node.table)
+            transmit(world, node, channel, msg)
+
+        with mock.patch.object(World, "transmit", transmit_checked):
+            World(cfg, validate=True).run()
 
 
 class TestScenarioFuzz:

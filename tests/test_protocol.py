@@ -226,6 +226,34 @@ class TestNeighborTables:
         evict_stale(table, two_hop, tick=145, ttl_ticks=75)
         assert 4 in table and 7 in two_hop
 
+    def test_upsert_reports_a_change_of_listed_content(self):
+        table, two_hop = {}, {}
+        hello = HelloMessage(2, 0, ((0, 3), (1, 2)), ((7, 0, (0,)),))
+        assert upsert_from_hello(table, two_hop, hello, tick=5) is True
+        # a refresh that moves only last_seen or cluster_head lists the same
+        assert upsert_from_hello(table, two_hop, hello, tick=9) is False
+        assert upsert_from_hello(table, two_hop, hello, tick=9,
+                                 cluster_head=4) is False
+        # the sender's stages and neighbor list are not listed content
+        assert upsert_from_hello(table, two_hop,
+                                 HelloMessage(2, 0, ((0, 1), (1, 3))), tick=10) is False
+        assert upsert_from_hello(table, two_hop,
+                                 HelloMessage(2, 1, ((0, 1), (1, 3))), tick=11) is True
+        assert upsert_from_hello(table, two_hop,
+                                 HelloMessage(2, 1, ((1, 3),)), tick=12) is True
+        assert table == {2: NeighborEntry(2, 1, (1,), 12, None)}
+
+    def test_evict_reports_only_one_hop_drops(self):
+        table, two_hop = {}, {}
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+                                                       ((6, 0, (0,)),)), tick=0)
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),)), tick=50)
+        assert evict_stale(table, two_hop, tick=100, ttl_ticks=75) is False
+        assert two_hop == {} and 2 in table
+        assert evict_stale(table, two_hop, tick=126, ttl_ticks=75) is True
+        assert table == {}
+        assert evict_stale(table, two_hop, tick=200, ttl_ticks=75) is False
+
     def test_emit_hello_contents(self):
         node = Node(1, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations({0: 3, 1: 2})
@@ -487,11 +515,11 @@ class TestSelectGateways:
 
 class TestRoleEntry:
     # attributes that outlive a role: identity, clocking, channel choice,
-    # the stage map and what is derived from it, both neighbor maps, and the
-    # last frame gap heard
+    # the stage map and what is derived from it, both neighbor maps, the
+    # last frame gap heard, and the HELLO kept for reuse
     PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
                   "master", "weights", "stages", "hello_channels", "table",
-                  "two_hop", "frame_gap"}
+                  "two_hop", "frame_gap", "_hello"}
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""
@@ -546,8 +574,8 @@ class TestRoleEntry:
 
     def test_clear_role_state_resets_every_role_scoped_attribute(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
-        role_scoped = set(vars(node)) - self.PERSISTENT
-        assert role_scoped and self.PERSISTENT <= set(vars(node))
+        role_scoped = set(Node.__slots__) - self.PERSISTENT
+        assert role_scoped and self.PERSISTENT <= set(Node.__slots__)
         stale, kept = object(), object()
         for name in role_scoped:
             setattr(node, name, stale)
@@ -556,6 +584,13 @@ class TestRoleEntry:
         node._clear_role_state()
         assert sorted(n for n in role_scoped if getattr(node, n) is stale) == []
         assert all(getattr(node, n) is kept for n in self.PERSISTENT)
+
+    def test_state_is_slotted_and_bound_from_the_start(self):
+        node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
+        assert [n for n in Node.__slots__ if not hasattr(node, n)] == []
+        records = (node, self.busy_node().cluster,
+                   ScanState(visited={0}, current=0, interval_end=5))
+        assert [r for r in records if hasattr(r, "__dict__")] == []
 
 
 class TestFormationWalkthrough:

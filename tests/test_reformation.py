@@ -3,10 +3,12 @@ all-or-nothing negotiation."""
 
 from itertools import combinations
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogmesh import engine
 from cogmesh.engine import ScenarioConfig, World
 from cogmesh.protocol import ClusterRecord, NeighborEntry, Role
 from cogmesh.reformation import (
@@ -285,6 +287,22 @@ class TestNegotiationScenarios:
         proposals = [e for e in res.events if e.kind == "reform"
                      and e.get("status") == "proposed" and e.tick > after]
         assert proposals == []
+
+    def test_lone_cluster_is_not_planned(self):
+        # one cluster cannot become fewer, so neither its head nor its
+        # member plans, even with every other gate open
+        world = self.merge_world()
+        world.run()
+        assert len(world.clusters) == 1
+        logged = len(world.events)
+        with mock.patch.object(engine, "greedy_mds",
+                               side_effect=AssertionError("planned")):
+            for node in world.nodes:
+                node.lock = None
+                world.neg_by_working.pop(node.id, None)
+                assert world._host_record(node) is not None
+                world.try_reform(node, world.tick)
+        assert [e for e in world.events[logged:] if e.kind == "reform"] == []
 
 
 class TestReformQueue:
