@@ -12,6 +12,17 @@ made here), adopted beacons and newly armed exchanges reset `wake` (see
 64-bit seed through named substreams, so a (config, seed) pair replays
 bit-identically.
 
+Each gateway link is kept once, in `World.links`, keyed by its head pair
+(low id first). Gateway maintenance, once per `frame_len` ticks, drops every
+link that `_link_valid` rejects and links each newly discovered pair. A pair
+is discovered only through a 1-hop table entry x -> y across the two
+clusters; table entries are written only from delivered messages, so x and y
+are in range and `select_gateways` finds at least the pair form, and a pair
+it cannot link raises `SimulationInvariantError`. Links lag by design:
+`drop_cluster` leaves `links` alone, so a link to a dissolved cluster, and
+its nodes' GATEWAY role, last until the next pass; a reformation commit
+drops the links of the clusters it rebuilds at once.
+
 `ScenarioConfig` is the one frozen parameter object. It declares every
 scenario default, is validated once at the boundary (`config_from_mapping`,
 or `World` for a config built in code), and is handed as it is to every
@@ -33,6 +44,7 @@ from cogmesh import radio
 from cogmesh.protocol import (
     MEMBER_ROLES,
     ClusterRecord,
+    GatewayLink,
     Node,
     Role,
     SuperframeSchedule,
@@ -299,7 +311,6 @@ class RunResult:
     config: ScenarioConfig
     samples: list
     events: list
-    start_ticks: dict
     settle_ticks: dict
     gateway_latencies: list    # (head_a, head_b, discovered_tick, linked_tick)
 
@@ -502,10 +513,9 @@ class World:
                  topo_rng.uniform(0.0, config.area_height))
                 for _ in range(config.su_count)
             ]
-        start_ticks = [topo_rng.randrange(config.startup_spread_ticks + 1)
-                       for _ in range(config.su_count)]
-        if su_start_ticks is not None:
-            start_ticks = su_start_ticks
+        if su_start_ticks is None:
+            su_start_ticks = [topo_rng.randrange(config.startup_spread_ticks + 1)
+                              for _ in range(config.su_count)]
 
         if pus is None:
             pus = []
@@ -539,7 +549,7 @@ class World:
 
         self.nodes = [
             Node(i, su_positions[i], Random(node_seeds[i]), config,
-                 start_tick=start_ticks[i])
+                 start_tick=su_start_ticks[i])
             for i in range(config.su_count)
         ]
         # indexed by node id: in-range nodes in id order, and the same as a set
@@ -555,9 +565,9 @@ class World:
         self.events: list[Event] = []
         self.samples: list[MetricsSample] = []
         self.txs: list = []
-        self.start_ticks = {n.id: n.start_tick for n in self.nodes}
         self.settle_ticks: dict = {}
-        self.first_mutual: dict = {}
+        # (head_a, head_b), head_a < head_b -> the gateway link between them
+        self.links: dict[tuple[int, int], GatewayLink] = {}
         self.gateway_latencies: list = []
         self.neg_by_working: dict = {}     # working node id -> live negotiation
         self.reform_queue: list = []       # heap, see `_push`
@@ -614,8 +624,7 @@ class World:
                 self._sample(t + 1)
         return RunResult(
             config=cfg, samples=self.samples, events=self.events,
-            start_ticks=self.start_ticks, settle_ticks=self.settle_ticks,
-            gateway_latencies=self.gateway_latencies,
+            settle_ticks=self.settle_ticks, gateway_latencies=self.gateway_latencies,
         )
 
     def _sample(self, tick: int):
@@ -632,9 +641,9 @@ class World:
         A member that silently left keeps its stale record entry until the
         head times it out (the mini-slot TTL rule), so node-vs-record
         consistency is enforced for mutually consistent pairs; slot layout,
-        adjacency, and the heads' own state are enforced unconditionally. An
-        unexpired reform lock must belong to a negotiation still in progress,
-        and every node weights only channels of its stage map.
+        adjacency, and the heads' own state are enforced unconditionally. A
+        reform lock must belong to a negotiation still in progress, and every
+        node weights only channels of its stage map.
         """
         for head in self.clusters:
             rec = self.clusters[head]
@@ -677,8 +686,7 @@ class World:
                 # `swarm.apply_hello` looks up the stage of every weight channel
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} weights a channel it did not sense")
-            if n.lock is not None and n.lock[0] not in live \
-                    and n.lock[1] > self.tick:
+            if n.lock is not None and n.lock not in live:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} holds a lock of a finished plan")
         for working, neg in self.neg_by_working.items():
@@ -688,46 +696,32 @@ class World:
 
     def _validate_links(self, tick: int):
         """Right after gateway maintenance, every link joins two live
-        clusters through valid gateway nodes and is listed by both records.
-        (Between passes records may keep links that have gone stale.)"""
-        for head, rec in self.clusters.items():
-            for other, link in rec.neighbor_clusters.items():
-                peer = self.clusters.get(other)
-                if ({link.cluster_a, link.cluster_b} != {head, other}
-                        or peer is None or peer.neighbor_clusters.get(head) != link
-                        or (head < other and not self._link_valid(link))):
-                    raise SimulationInvariantError(
-                        f"t={tick}: gateway link {head}-{other} is stale or "
-                        f"one-sided after maintenance")
+        clusters through valid gateway nodes. (Between passes `links` may
+        keep links that have gone stale.)"""
+        for (ha, hb), link in self.links.items():
+            if not self._link_valid(link):
+                raise SimulationInvariantError(
+                    f"t={tick}: gateway link {ha}-{hb} is stale after maintenance")
 
     # -- gateways --
 
     def _gateway_maintenance(self, tick: int):
-        heads = sorted(self.clusters)
-        alive = set(heads)
+        links = self.links
+        for key in [key for key, link in links.items() if not self._link_valid(link)]:
+            del links[key]
         tables = {n.id: n.table for n in self.nodes}
-        for head in heads:
-            rec = self.clusters[head]
-            for other, link in list(rec.neighbor_clusters.items()):
-                if other not in alive or not self._link_valid(link):
-                    del rec.neighbor_clusters[other]
-                    self.first_mutual.pop((min(head, other), max(head, other)), None)
-        for key in list(self.first_mutual):
-            if key[0] not in alive or key[1] not in alive:
-                del self.first_mutual[key]
-        for ha, hb in self._discovered_pairs():
-            ra = self.clusters[ha]
-            rb = self.clusters[hb]
-            if hb in ra.neighbor_clusters:
+        for key in self._discovered_pairs():
+            if key in links:
                 continue
-            self.first_mutual.setdefault((ha, hb), tick)
-            link = select_gateways(ra, rb, tables, self.adjacent)
+            ha, hb = key
+            link = select_gateways(self.clusters[ha], self.clusters[hb], tables,
+                                   self.adjacent)
             if link is None:
-                continue
-            ra.neighbor_clusters[hb] = link
-            rb.neighbor_clusters[ha] = link
-            self.gateway_latencies.append(
-                (ha, hb, self.first_mutual.pop((ha, hb)), tick))
+                raise SimulationInvariantError(
+                    f"t={tick}: discovered clusters {ha} and {hb} have no "
+                    f"gateway link")
+            links[key] = link
+            self.gateway_latencies.append((ha, hb, tick, tick))
             self.log(tick, "gateway", cluster_a=ha, cluster_b=hb,
                      nodes=":".join(str(x) for x in link.nodes))
         self._refresh_gateway_roles()
@@ -771,9 +765,8 @@ class World:
 
     def _refresh_gateway_roles(self):
         gateway_nodes = set()
-        for rec in self.clusters.values():
-            for link in rec.neighbor_clusters.values():
-                gateway_nodes.update(link.nodes)
+        for link in self.links.values():
+            gateway_nodes.update(link.nodes)
         for n in self.nodes:
             if n.role is Role.ORDINARY and n.id in gateway_nodes:
                 n.role = Role.GATEWAY
@@ -833,7 +826,7 @@ class World:
         for head in sorted(neg.affected):
             if head == node.id:
                 neg.acks.add(head)
-                node.lock = (neg.plan_id, tick + 6 * self.cfg.frame_len)
+                node.lock = neg.plan_id
                 continue
             when = self._next_pra_start(self.clusters[head], tick)
             self._push(when, "req", neg, head)
@@ -890,7 +883,7 @@ class World:
             if current != neg.affected.get(head):
                 self._push(reply_at, "deny", neg, head)
                 return
-            node.lock = (neg.plan_id, tick + 6 * self.cfg.frame_len)
+            node.lock = neg.plan_id
             self._push(reply_at, "ack", neg, head)
         elif kind == "ack":
             neg.acks.add(head)
@@ -914,7 +907,7 @@ class World:
         self.neg_by_working.pop(neg.working, None)
         for head in neg.affected:
             node = self.nodes[head]
-            if node.lock is not None and node.lock[0] == neg.plan_id:
+            if node.lock == neg.plan_id:
                 node.lock = None
 
     def _cancel(self, neg: Negotiation, tick: int):
@@ -975,10 +968,10 @@ class World:
                 rec, _next_boundary(tick, offset, self.cfg.frame_len))
             for m, slot in slot_map.items():
                 self.nodes[m].become_member(head, master, slot, grace)
-        for rec in self.clusters.values():
-            for other in list(rec.neighbor_clusters):
-                if other in neg.affected or rec.head in neg.affected:
-                    del rec.neighbor_clusters[other]
+        affected = neg.affected
+        for key in [key for key in self.links
+                    if key[0] in affected or key[1] in affected]:
+            del self.links[key]
         self._refresh_gateway_roles()
         self.log(tick, "reform", working=neg.working, status="committed",
                  gain=neg.plan.gain, pre=pre, post=post)

@@ -188,12 +188,13 @@ class GatewayLink:
 
 @dataclass(slots=True)
 class ClusterRecord:
+    # a cluster as its head keeps it; gateway links to other clusters are
+    # kept once per head pair, in `engine.World.links`
     head: int
     master: int
     members: dict                  # node id -> mini-slot index (head excluded)
     max_slots: int
     frame_offset: int
-    neighbor_clusters: dict = field(default_factory=dict)  # head id -> GatewayLink
 
 
 @dataclass(frozen=True)
@@ -473,9 +474,10 @@ class Node:
 
     def apply_observations(self, stages: dict):
         """Adopt a stage map from `sense` and derive, once per map, the HELLO
-        channel tuple. A map already adopted is skipped: `sense` hands out
-        one shared map for every quiet window, and no map is mutated."""
-        if stages is self.stages:
+        channel tuple. A map equal to the one adopted is skipped, so the
+        tuple, and the HELLO that `hello` keeps, stay as they are: equal maps
+        list the same channels in the same ascending order."""
+        if stages == self.stages:
             return
         self.stages = stages
         self.hello_channels = tuple(stages.items())
@@ -552,7 +554,7 @@ class Node:
         self.heard_members: set = set()
         self.member_miss: dict = {}
         self.join_queue: list = []
-        self.lock = None               # (plan id, expiry tick) while reforming
+        self.lock = None               # the plan id while reforming
 
     def become_head(self, rec: ClusterRecord, frame_start: int):
         """Head the cluster `rec`; its first frame starts at `frame_start`."""
@@ -791,8 +793,6 @@ class Node:
                 c.members[first] = slot
                 self.member_miss[first] = 0
             self.join_queue = []
-        if self.lock is not None and tick >= self.lock[1]:
-            self.lock = None
         self.sched = build_superframe(self.p, self.rng)
         self.frame_gap = self.p.frame_len
         if self.p.frame_jitter_max:

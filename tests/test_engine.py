@@ -488,13 +488,13 @@ def gateway_outcome(world, tick):
     # through the class: the seeded-run test wraps the instance attribute
     World._gateway_maintenance(world, tick)
     return ([e.line() for e in world.events[n_events:]],
-            world.gateway_latencies[n_latencies:], sorted(world.first_mutual))
+            world.gateway_latencies[n_latencies:])
 
 
 def assert_matches_brute_force(world, tick):
-    """Gateway maintenance on `world` must give the same gateway events,
-    latencies and pending discoveries as on a copy whose discovery is the
-    brute-force scan over every pair of heads."""
+    """Gateway maintenance on `world` must give the same gateway events and
+    latencies as on a copy whose discovery is the brute-force scan over every
+    pair of heads."""
     twin = copy.deepcopy(world)
     twin._discovered_pairs = lambda: scan_every_head_pair(twin)
     expected = gateway_outcome(twin, tick)
@@ -526,26 +526,42 @@ class TestGatewayDiscovery:
         record(3, [4])
         record(5, [6, 2])           # 2 left cluster 0; its record still lists it
         link = GatewayLink(cluster_a=7, cluster_b=9, node_a=8, node_b=9)
-        record(7, [8]).neighbor_clusters[9] = link
-        record(9, []).neighbor_clusters[7] = link
+        record(7, [8])
+        record(9, [])
+        world.links[(7, 9)] = link
         knows(1, 4)                 # clusters 0 and 3
         knows(1, 2)                 # clusters 0 and 5, through the stale member
         knows(2, 8)                 # clusters 0 and 7, and 5 and 7
         knows_two_hop(4, 9)         # 2 hops only: clusters 3 and 9 stay apart
         knows(8, 9)                 # clusters 7 and 9 are already linked
-        world.first_mutual[(0, 7)] = 40
 
-        events, latencies, pending = assert_matches_brute_force(world, 50)
+        events, latencies = assert_matches_brute_force(world, 50)
         assert events == [
             "tick=50 event=gateway cluster_a=0 cluster_b=3 nodes=1:4",
             "tick=50 event=gateway cluster_a=0 cluster_b=5 nodes=1:2",
             "tick=50 event=gateway cluster_a=0 cluster_b=7 nodes=2:8",
             "tick=50 event=gateway cluster_a=5 cluster_b=7 nodes=2:8",
         ]
-        assert latencies == [(0, 3, 50, 50), (0, 5, 50, 50), (0, 7, 40, 50),
+        assert latencies == [(0, 3, 50, 50), (0, 5, 50, 50), (0, 7, 50, 50),
                              (5, 7, 50, 50)]
-        assert pending == []
-        assert world.clusters[7].neighbor_clusters[9] is link
+        assert world.links[(7, 9)] is link
+
+    def test_discovered_pair_without_a_link_raises(self):
+        # clusters 0 and 2 are discovered through 1 -> 2, yet no link is found
+        cfg = ScenarioConfig(su_count=3, channel_count=1, duration_ticks=100)
+        world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(3)])
+        for head, members in ((0, {1: 0}), (2, {})):
+            world.clusters[head] = ClusterRecord(
+                head=head, master=0, members=members, max_slots=cfg.max_slots,
+                frame_offset=0)
+        world.nodes[1].table[2] = NeighborEntry(id=2, master=0, channels=(),
+                                                last_seen=0)
+        assert world._discovered_pairs() == [(0, 2)]
+        with mock.patch.object(engine, "select_gateways", return_value=None):
+            with pytest.raises(SimulationInvariantError,
+                               match="clusters 0 and 2 have no gateway link"):
+                world._gateway_maintenance(32)
+        assert world.links == {}
 
     def test_seeded_run_matches_brute_force_every_superframe(self):
         side = 1000.0 * math.sqrt(2)
@@ -569,8 +585,7 @@ class TestGatewayLinkInvariant:
                 head=head, master=0, members={m: i for i, m in enumerate(members)},
                 max_slots=cfg.max_slots, frame_offset=0)
             world.nodes[head].become_head(world.clusters[head], 0)
-        world.clusters[0].neighbor_clusters[3] = link
-        world.clusters[3].neighbor_clusters[0] = link
+        world.links[(link.cluster_a, link.cluster_b)] = link
         return world
 
     def test_valid_link_passes(self):
@@ -588,12 +603,6 @@ class TestGatewayLinkInvariant:
             world._validate_links(32)
         world._gateway_maintenance(32)
         world._validate_links(32)
-
-    def test_one_sided_link_trips_the_check(self):
-        world = self.world_with_link(GatewayLink(0, 3, node_a=1, node_b=4))
-        del world.clusters[3].neighbor_clusters[0]
-        with pytest.raises(SimulationInvariantError, match="gateway link"):
-            world._validate_links(32)
 
 
 @st.composite

@@ -405,7 +405,7 @@ class TestNeighborMapsOracle:
 
 class TestObservationState:
     # a node adopts each stage map from `sense` and derives its HELLO
-    # channel tuple once per map
+    # channel tuple once per map; an equal map changes nothing
 
     def test_same_list_keeps_the_derived_state(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
@@ -422,17 +422,20 @@ class TestObservationState:
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations({0: 1, 1: 3})
         stages, hello_channels = node.stages, node.hello_channels
-        equal = {0: 1, 1: 3}
-        node.apply_observations(equal)
-        assert node.stages is equal and node.stages is not stages
-        assert node.hello_channels == hello_channels
-        assert node.hello_channels is not hello_channels
-        node.apply_observations({1: 0, 3: 2})
-        assert node.stages == {1: 0, 3: 2}
+        hello = node.hello()
+        node.apply_observations({0: 1, 1: 3})
+        assert node.stages is stages
+        assert node.hello_channels is hello_channels
+        assert node.hello() is hello
+        other = {1: 0, 3: 2}
+        node.apply_observations(other)
+        assert node.stages is other
         assert node.hello_channels == ((1, 0), (3, 2))
+        assert node.hello() is not hello
+        assert node.hello().channels == ((1, 0), (3, 2))
 
     def test_quiet_windows_hand_out_one_list(self):
-        # the shared clean map is what the identity skip relies on
+        # every quiet window hands out the one shared clean map
         world = World(ScenarioConfig(su_count=2, pu_count=0))
         a, b = world.nodes
         assert world.sense(a) is world.sense(b) is world.env.clean
@@ -539,7 +542,7 @@ class TestRoleEntry:
         node.heard_members = {4}
         node.member_miss = {4: 2}
         node.join_queue = [(38, 6)]
-        node.lock = ((0, 30), 200)
+        node.lock = (0, 30)
         return node
 
     def test_become_member_leaves_no_join_scan_or_head_state(self):
@@ -685,7 +688,7 @@ class TestFormationWalkthrough:
         assert ("0", "4") in {(str(a), str(b)) for (a, b), _ in pairs.items()} \
             or (0, 4) in pairs
         assert pairs[(0, 4)] == "1"          # B alone carries the link
-        link = world.clusters[0].neighbor_clusters[4]
+        link = world.links[(0, 4)]
         assert link.node_a == 1 and link.node_b is None
         assert world.nodes[1].role is Role.GATEWAY
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogmesh import engine
-from cogmesh.engine import ScenarioConfig, World
+from cogmesh.engine import ScenarioConfig, SimulationInvariantError, World
 from cogmesh.protocol import ClusterRecord, NeighborEntry, Role
 from cogmesh.reformation import (
     LocalGraph,
@@ -231,7 +231,7 @@ class TestNegotiationScenarios:
         res = world.run()
         assert len(world.clusters) == 3
         working = world.nodes[1]
-        world.nodes[0].lock = (("foreign", 0), 10**9)
+        world.nodes[0].lock = ("foreign", 0)
         snapshot = {h: (r.master, dict(r.members))
                     for h, r in world.clusters.items()}
         world.try_reform(working, world.tick)
@@ -245,6 +245,25 @@ class TestNegotiationScenarios:
         assert cancelled
         assert {h: (r.master, dict(r.members))
                 for h, r in world.clusters.items()} == snapshot
+
+    def test_lock_of_a_finished_plan_fails_validation(self):
+        # a lock is the plan id of a live negotiation, released by `_finish`
+        cfg = ScenarioConfig(su_count=3, channel_count=1, comm_range=160.0,
+                             duration_ticks=600, startup_spread_ticks=0,
+                             reform_enabled=False, seed=2)
+        world = World(cfg, su_positions=[(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)])
+        world.run()
+        working = world.nodes[1]
+        world.try_reform(working, world.tick)
+        neg = world.neg_by_working[working.id]
+        assert working.lock == neg.plan_id
+        world._validate(world.tick)
+        world._cancel(neg, world.tick)
+        assert working.lock is None
+        world._validate(world.tick)
+        working.lock = neg.plan_id
+        with pytest.raises(SimulationInvariantError, match="lock of a finished plan"):
+            world._validate(world.tick)
 
     def test_stale_membership_is_denied(self):
         cfg = ScenarioConfig(su_count=3, channel_count=1, comm_range=160.0,
@@ -348,7 +367,7 @@ class TestReformQueue:
                              reform_enabled=False, seed=2)
         world = World(cfg, su_positions=[(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)])
         world.run()
-        world.nodes[0].lock = (("foreign", 0), 10**9)
+        world.nodes[0].lock = ("foreign", 0)
         working = world.nodes[1]
         world.try_reform(working, world.tick)
         neg = world.neg_by_working[working.id]
