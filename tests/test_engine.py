@@ -805,6 +805,9 @@ class TestConfigFuzz:
     # accepted once, and then the run overflowed
     @example({"pu_count": "1", "duration_ticks": "200", "pu_period_ticks": str(10**400)})
     @example({"pu_count": "1", "duration_ticks": "200", "sensing_window_ticks": str(2**64)})
+    # the longest accepted window, with Markov PUs
+    @example({"pu_count": "4", "duration_ticks": "200", "pu_model": "markov",
+              "sensing_window_ticks": str(sys.maxsize)})
     @settings(max_examples=200, deadline=None)
     def test_edge_values_are_rejected_or_run(self, mapping):
         try:

@@ -22,6 +22,7 @@ from cogmesh.engine import ScenarioConfig, World
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIDE_200 = 1000.0 * math.sqrt(4)     # default density (50 SUs per km^2) at n=200
+SIDE_1600 = 1000.0 * math.sqrt(32)   # the same density at n=1600
 
 BASES = {
     "default": lambda: parse_scenario(str(SCENARIOS / "default.cfg")),
@@ -56,6 +57,18 @@ BASES = {
     "long_thin": lambda: ScenarioConfig(
         su_count=60, channel_count=8, area_width=4000.0, area_height=250.0,
         duration_ticks=1000),
+    # Markov PUs loud enough that their far-field interference lowers stages
+    # at some sensing positions (seed 1: 15 of 40, seed 2: 8 of 40) and
+    # cannot move a stage at the others
+    "loud_pus": lambda: ScenarioConfig(
+        su_count=40, channel_count=4, pu_count=6, pu_model="markov",
+        pu_p_on=0.05, pu_p_off=0.05, pu_power=2000.0, sensing_window_ticks=4,
+        duration_ticks=1200),
+    # the scale case: cluster bookkeeping and gateway links at n=1600
+    "mesh1600": lambda: ScenarioConfig(su_count=1600, channel_count=8,
+                                       area_width=SIDE_1600,
+                                       area_height=SIDE_1600,
+                                       duration_ticks=500),
 }
 
 GOLDEN = {
@@ -83,6 +96,9 @@ GOLDEN = {
     ("hop_window", 3): "72f96a2e7e3373f77167f38e5b3311ad71f00e5863dedfc8c23b2723f7bbbec6",
     ("one_cell", 1): "40a14b18cf6a0f500cb96ea0c3b353515136ae92dec3b31d8ea7e7992526db1e",
     ("long_thin", 1): "d50f254e04e964b5224a0d9f2a8f4dd2be8fc4b9f1e4f5b09820237256e5a5bf",
+    ("loud_pus", 1): "4d2021442809b9c07f3bafb754334fa2755e35303cdcb1d2e1fb963f56b8dae3",
+    ("loud_pus", 2): "04bbe419fca60c3b5c93ebfde812de3e358a42470afff1f7ef1e75510840daa7",
+    ("mesh1600", 1): "2f2930778a100ec1f34cb72aac7f337074944dc61766af55a34a7876976e009b",
 }
 
 

@@ -1,6 +1,7 @@
 """Radio environment: PU activity models, sensing, and quantization."""
 
 import math
+import sys
 from random import Random
 
 import pytest
@@ -274,6 +275,21 @@ class TestSenseMatchesReference:
                 got = list(sense(env, pos).items())
                 assert got == reference_sense(pus, window, pos, channel_count,
                                               exponent, q_max, stages)
+
+    @given(pu_worlds(), st.integers(0, 40), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_window_longer_than_the_run_senses_every_tick(self, world, steps,
+                                                          seed):
+        # after `steps` steps the environment has seen ticks 0..steps
+        channel_count, pus, positions = world
+        longest = make_environment(channel_count, pus, quant_stages=FINE,
+                                   history_ticks=sys.maxsize)
+        exact = make_environment(channel_count, pus, quant_stages=FINE,
+                                 history_ticks=steps + 1)
+        advance(longest, steps, seed)
+        advance(exact, steps, seed)
+        for pos in positions:
+            assert list(sense(longest, pos).items()) == list(sense(exact, pos).items())
 
     def test_environments_built_from_one_pu_list_share_no_state(self):
         pus = [make_pu(channel=1, model=MarkovActivity(0.5, 0.5), power=2.0),
