@@ -151,7 +151,7 @@ class ScenarioConfig:
              "must be 'periodic' or 'markov'")
         need(self.pu_period_ticks >= 1, "pu_period_ticks", "must be >= 1")
         try:
-            # `radio._periodic_state` scales the period by the duty fraction
+            # `radio.make_environment` scales the period by the duty fraction
             float(self.pu_period_ticks)
         except OverflowError:
             raise ConfigError("pu_period_ticks", "is too large for a float") from None

@@ -17,10 +17,16 @@ environment owns its state, so two environments built from one PU list are
 independent, and replays with the same seed are bit-identical.
 
 No radio work is repeated. Each `PUState` keeps a per-channel count of its
-active ticks in the window, so `sense` visits only the PUs that were active
-in the window. The geometry of a sensing position is computed on its first
-use and kept, and a window without any active PU returns one shared clean
-stage map.
+active ticks in the window and, instead of the window itself, only the
+state changes inside it: one tick costs a PU one draw (Markov) or one phase
+(periodic) and a few integer operations, and no PU holds memory in
+proportion to the window. The geometry of a sensing position is computed on
+its first use and kept. It splits the PUs into those inside their protection
+radius (near) and the far field, and bounds the largest far-field sum the
+window can build there; where that bound quantizes to the clean stage, no
+far-field sum can move a stage, and `sense` reads only the near PUs. A
+window without any active PU, and a far-field-free position whose near PUs
+were all idle, return one shared clean stage map.
 
 Scenario values are validated once, by `engine.ScenarioConfig.validate`;
 nothing here checks its arguments again.
@@ -74,10 +80,18 @@ class PUState:
     pu: PrimaryUser
     channel: ChannelId
     active: bool
-    # (channel, active) for the last `history_ticks` ticks, newest last
-    window: deque
-    # channel -> active ticks in `window`; channels with none are absent
+    # (tick, channel, active) for each state change inside the window, oldest
+    # first: the state the PU held up to, not including, that tick
+    changes: deque
+    # channel -> active ticks in the window; channels with none are absent
     active_ticks: dict
+    # the model, resolved once: Markov p_on and p_off, or the periodic
+    # period, active ticks per period (duty * period) and hop flag
+    p_on: float = 0.0
+    p_off: float = 0.0
+    period: int = 1
+    on_ticks: float = 0.0
+    hop: bool = False
 
 
 @dataclass(eq=False, slots=True)
@@ -87,54 +101,42 @@ class RadioEnvironment:
     pathloss_exponent: float
     q_max: float
     quant_stages: int
+    # the sensing window: the last `window_ticks` ticks, this one included
+    window_ticks: int
     # what `sense` returns while no PU was active in the window; shared,
     # so callers must not mutate it
     clean: dict
+    # `pus` split by model, each in PU-list order
+    markov: tuple[PUState, ...] = ()
+    periodic: tuple[PUState, ...] = ()
     tick: int = 0
     # indices into `pus` of the PUs with an active tick in the window
     busy: list[int] = field(default_factory=list)
-    # sensing position -> per PU, None inside its protection radius, else
-    # its far-field term
+    # the PUs with a state change inside the window, in no fixed order
+    moving: list[PUState] = field(default_factory=list)
+    # sensing position -> `_geometry`'s (near, terms), built on first use
     geometry: dict = field(default_factory=dict)
-
-
-def _periodic_state(model: PeriodicActivity, tick: int, channel: int, n: int):
-    phase = tick % model.period_ticks
-    if model.hop and phase == 0 and tick > 0:
-        channel = (channel + 1) % n
-    active = phase < model.duty_fraction * model.period_ticks
-    return channel, active
-
-
-def _advance(state: PUState, channel: int, active: bool):
-    """Append one tick to the window, keeping the active-tick counts."""
-    window, counts = state.window, state.active_ticks
-    if len(window) == window.maxlen:
-        old_ch, old_active = window[0]
-        if old_active:
-            left = counts[old_ch] - 1
-            if left:
-                counts[old_ch] = left
-            else:
-                del counts[old_ch]
-    window.append((channel, active))
-    if active:
-        counts[channel] = counts.get(channel, 0) + 1
-    state.channel = channel
-    state.active = active
 
 
 def make_environment(channel_count, pus=(), pathloss_exponent=2.0, q_max=1.0,
                      quant_stages=4, history_ticks=1) -> RadioEnvironment:
     """Build a tick-0 environment with its own copy of each PU's state."""
-    states = []
+    states, markov, periodic = [], [], []
     for pu in pus:
-        if isinstance(pu.model, PeriodicActivity):
-            ch, active = _periodic_state(pu.model, 0, pu.channel, channel_count)
+        model = pu.model
+        if isinstance(model, MarkovActivity):
+            state = PUState(pu, pu.channel, pu.active, deque(), {},
+                            p_on=model.p_on, p_off=model.p_off)
+            markov.append(state)
         else:
-            ch, active = pu.channel, pu.active
-        state = PUState(pu, ch, active, deque(maxlen=history_ticks), {})
-        _advance(state, ch, active)
+            # tick 0 is phase 0 of the first period, before any hop
+            on_ticks = model.duty_fraction * model.period_ticks
+            state = PUState(pu, pu.channel, 0 < on_ticks, deque(), {},
+                            period=model.period_ticks, on_ticks=on_ticks,
+                            hop=model.hop)
+            periodic.append(state)
+        if state.active:
+            state.active_ticks[state.channel] = 1
         states.append(state)
     # sense's formula with no interference: q_max / (1.0 + 0.0) is q_max
     clean = dict.fromkeys(range(channel_count),
@@ -142,34 +144,85 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0, q_max=1.0,
     return RadioEnvironment(
         channel_count=channel_count, pus=tuple(states),
         pathloss_exponent=pathloss_exponent, q_max=q_max,
-        quant_stages=quant_stages, clean=clean,
+        quant_stages=quant_stages, window_ticks=history_ticks, clean=clean,
+        markov=tuple(markov), periodic=tuple(periodic),
         busy=[i for i, state in enumerate(states) if state.active_ticks])
+
+
+def _change(state: PUState, tick: int, channel: int, active: bool,
+            moving: list):
+    """Record that `state` leaves its current state at `tick`."""
+    if not state.changes:
+        moving.append(state)
+    state.changes.append((tick, state.channel, state.active))
+    state.channel = channel
+    state.active = active
 
 
 def step_environment(env: RadioEnvironment, rng: Random) -> None:
     """Advance one tick in place; PU channel/activity evolve per their models.
 
-    Markov draws consume `rng` in PU list order, so a fixed seed replays the
-    exact activity trace.
+    Markov draws consume `rng` in PU list order, one per PU, so a fixed seed
+    replays the exact activity trace.
     """
     tick = env.tick + 1
-    busy = []
-    for i, state in enumerate(env.pus):
-        model = state.pu.model
-        if isinstance(model, MarkovActivity):
-            ch = state.channel
-            if state.active:
-                active = not (rng.random() < model.p_off)
-            else:
-                active = rng.random() < model.p_on
-        else:
-            ch, active = _periodic_state(model, tick, state.channel,
-                                         env.channel_count)
-        _advance(state, ch, active)
-        if state.active_ticks:
-            busy.append(i)
-    env.busy = busy
     env.tick = tick
+    moving = env.moving
+    draw = rng.random
+    for state in env.markov:
+        # active -> idle with p_off, idle -> active with p_on
+        if draw() < (state.p_off if state.active else state.p_on):
+            _change(state, tick, state.channel, not state.active, moving)
+    n = env.channel_count
+    for state in env.periodic:
+        phase = tick % state.period
+        ch = state.channel
+        if phase == 0 and state.hop:
+            ch = (ch + 1) % n
+        active = phase < state.on_ticks
+        if active != state.active or ch != state.channel:
+            _change(state, tick, ch, active, moving)
+
+    # slide each window by one tick: add this tick, drop tick `gone`
+    gone = tick - env.window_ticks
+    # whether some PU's window gained its first active tick or lost its last
+    reshaped = False
+    if gone < 0:
+        # the window is still filling, so no tick leaves it
+        for state in env.pus:
+            if state.active:
+                counts = state.active_ticks
+                ticks = counts.get(state.channel, 0)
+                counts[state.channel] = ticks + 1
+                reshaped = reshaped or not ticks
+    else:
+        # a PU without a change in its window held its current state at
+        # `gone`, so its counts stay; at most one change per tick can leave
+        settled = False
+        for state in moving:
+            changes = state.changes
+            if changes[0][0] <= gone:
+                changes.popleft()
+                if not changes:
+                    settled = True
+                    continue        # `gone` held the current state
+            _, old_ch, old_active = changes[0]
+            counts = state.active_ticks
+            if old_active:
+                left = counts[old_ch] - 1
+                if left:
+                    counts[old_ch] = left
+                else:
+                    del counts[old_ch]
+                    reshaped = True
+            if state.active:
+                ticks = counts.get(state.channel, 0)
+                counts[state.channel] = ticks + 1
+                reshaped = reshaped or not ticks
+        if settled:
+            env.moving = [state for state in moving if state.changes]
+    if reshaped:
+        env.busy = [i for i, state in enumerate(env.pus) if state.active_ticks]
 
 
 def quantize(q_raw: float, q_max: float, stages: int) -> int:
@@ -182,21 +235,61 @@ def quantize(q_raw: float, q_max: float, stages: int) -> int:
     return s
 
 
+# 1 + 2**-16: the bound on the far-field sum is scaled by this, see `_geometry`
+FAR_FIELD_MARGIN = 1.0 + 2.0 ** -16
+# the most additions into one far-field sum for which that margin is shown
+FAR_FIELD_MAX_ADDITIONS = 2 ** 32
+
+
 def _geometry(env: RadioEnvironment, pos: tuple[float, float]):
-    """Per PU: None inside its protection radius, else its far-field term."""
+    """(near, terms) at `pos`: `near` holds the states of the PUs inside their
+    protection radius; `terms` holds, per PU, None for those and the
+    far-field term for the others, or is None itself where no far-field sum
+    can move a stage.
+
+    Why `terms` may be dropped. Of one channel's sum in `sense`, a far PU
+    adds its term once per active tick, at most `window_ticks` times over
+    all channels, so the sum has at most k = window_ticks * len(far) float
+    additions, and its exact value is at most window_ticks * T, where T is
+    the exact sum of the far terms. Each addition of non-negative floats
+    rounds to at most (1 + u) times its exact result, u = 2**-53 (exactly,
+    in the subnormal range), and rounding is monotone, so the float sum is at
+    most window_ticks * T * (1 + u)**k, and (1 + u)**k < 1 + 2**-20 for
+    k <= 2**32. `bound` is computed with len(far) - 1 <= k additions, each at
+    least (1 - u) times exact, and two products, each at least (1 - u) times
+    exact unless subnormal; FAR_FIELD_MARGIN covers all of these factors, and
+    the floor of 2**-1000 covers a subnormal product, whose exact bound lies
+    below 2**-1000. Every step of `sense`'s quantizer, q_max / (1.0 + acc),
+    stages * q / q_max, int() and the clamp, is monotone in float arithmetic,
+    so a bound that quantizes to the clean stage leaves every far-field sum
+    at the clean stage (acc = 0.0 gives it exactly). Beyond 2**32 additions
+    the margin is not shown, and the position keeps `terms`.
+    """
     x, y = pos
-    out = []
+    near = []
+    terms = []
     for state in env.pus:
         pu = state.pu
         px, py = pu.pos
         d2 = (x - px) * (x - px) + (y - py) * (y - py)
         if d2 <= pu.protection_radius * pu.protection_radius:
-            out.append(None)
+            near.append(state)
+            terms.append(None)
         else:
             dist = math.sqrt(d2)
-            out.append(pu.interference_power
-                       / (1.0 + dist ** env.pathloss_exponent))
-    return out
+            terms.append(pu.interference_power
+                         / (1.0 + dist ** env.pathloss_exponent))
+    far = [term for term in terms if term is not None]
+    if env.window_ticks * len(far) <= FAR_FIELD_MAX_ADDITIONS:
+        total = 0.0
+        for term in far:
+            total += term
+        bound = max(env.window_ticks * total * FAR_FIELD_MARGIN, 2.0 ** -1000)
+        q_max, stages = env.q_max, env.quant_stages
+        if (quantize(q_max / (1.0 + bound), q_max, stages)
+                == quantize(q_max, q_max, stages)):
+            return tuple(near), None
+    return tuple(near), terms
 
 
 def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
@@ -212,14 +305,25 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
     """
     if not env.busy:
         return env.clean
-    geometry = env.geometry.get(pos)
-    if geometry is None:
-        geometry = env.geometry[pos] = _geometry(env, pos)
+    entry = env.geometry.get(pos)
+    if entry is None:
+        entry = env.geometry[pos] = _geometry(env, pos)
+    near, terms = entry
+    if terms is None:
+        # no far-field sum moves a stage here: only near PUs block channels
+        out = env.clean
+        for state in near:
+            if state.active_ticks:
+                if out is env.clean:
+                    out = out.copy()
+                for ch in state.active_ticks:
+                    out.pop(ch, None)
+        return out
     blocked = [False] * env.channel_count
     acc = [0.0] * env.channel_count
     pus = env.pus
     for i in env.busy:
-        contrib = geometry[i]
+        contrib = terms[i]
         if contrib is None:
             for ch in pus[i].active_ticks:
                 blocked[ch] = True

@@ -3,10 +3,12 @@
 import math
 import sys
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from cogmesh import radio
 from cogmesh.radio import (
     MarkovActivity,
     PeriodicActivity,
@@ -252,29 +254,55 @@ quantizations = st.one_of(
     st.tuples(st.sampled_from([1.0, 2.0]), st.just(FINE)))
 
 
+# the arguments of `check_against_reference`
+ORACLE = (pu_worlds(), st.integers(1, 8), st.integers(0, 60),
+          st.integers(0, 2**32), st.sampled_from([0.5, 2.0, 3.5]),
+          quantizations)
+
+
+def check_against_reference(world, history_ticks, steps, seed, exponent,
+                            quantization):
+    """Step an environment and sense at every position on every tick, and
+    require the PU states and stage maps of the reference models."""
+    channel_count, pus, positions = world
+    q_max, stages = quantization
+    env = make_environment(channel_count, pus, pathloss_exponent=exponent,
+                           q_max=q_max, quant_stages=stages,
+                           history_ticks=history_ticks)
+    expected = reference_trace(pus, channel_count, steps, seed)
+    rng = Random(seed)
+    for tick in range(steps + 1):
+        if tick:
+            step_environment(env, rng)
+        assert [(s.channel, s.active) for s in env.pus] == expected[tick]
+        window = expected[max(0, tick + 1 - history_ticks):tick + 1]
+        for pos in positions:
+            got = list(sense(env, pos).items())
+            assert got == reference_sense(pus, window, pos, channel_count,
+                                          exponent, q_max, stages)
+
+
 class TestSenseMatchesReference:
-    @given(pu_worlds(), st.integers(1, 8), st.integers(0, 60),
-           st.integers(0, 2**32), st.sampled_from([0.5, 2.0, 3.5]),
-           quantizations)
+    @given(*ORACLE)
     @settings(max_examples=150, deadline=None)
     def test_every_tick_at_every_position(self, world, history_ticks, steps,
                                           seed, exponent, quantization):
-        channel_count, pus, positions = world
-        q_max, stages = quantization
-        env = make_environment(channel_count, pus, pathloss_exponent=exponent,
-                               q_max=q_max, quant_stages=stages,
-                               history_ticks=history_ticks)
-        expected = reference_trace(pus, channel_count, steps, seed)
-        rng = Random(seed)
-        for tick in range(steps + 1):
-            if tick:
-                step_environment(env, rng)
-            assert [(s.channel, s.active) for s in env.pus] == expected[tick]
-            window = expected[max(0, tick + 1 - history_ticks):tick + 1]
-            for pos in positions:
-                got = list(sense(env, pos).items())
-                assert got == reference_sense(pus, window, pos, channel_count,
-                                              exponent, q_max, stages)
+        check_against_reference(world, history_ticks, steps, seed, exponent,
+                                quantization)
+
+    def test_oracle_catches_a_position_that_skips_the_far_field(self):
+        geometry = radio._geometry
+
+        def near_only(env, pos):
+            near, _ = geometry(env, pos)
+            return near, None
+
+        oracle = settings(max_examples=150, deadline=None, database=None,
+                          phases=[Phase.generate])(
+            given(*ORACLE)(check_against_reference))
+        with mock.patch.object(radio, "_geometry", near_only):
+            with pytest.raises(AssertionError):
+                oracle()
 
     @given(pu_worlds(), st.integers(0, 40), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -295,22 +323,130 @@ class TestSenseMatchesReference:
         pus = [make_pu(channel=1, model=MarkovActivity(0.5, 0.5), power=2.0),
                PrimaryUser(id=1, pos=(40.0, 0.0), channel=0,
                            model=PeriodicActivity(3, 0.5, hop=True))]
-        pos = (200.0, 0.0)
-        a = make_environment(3, pus, history_ticks=4)
-        b = make_environment(3, pus, history_ticks=4)
+        pos = (200.0, 0.0)       # outside both radii: every far term counts
+
+        def build():
+            return make_environment(3, pus, history_ticks=4, quant_stages=FINE)
+
+        def state_of(env):
+            return (env.tick, list(env.busy), len(env.moving),
+                    [(s.channel, s.active, list(s.changes), s.active_ticks)
+                     for s in env.pus])
+
+        a, b = build(), build()
         fresh = sense(b, pos)
         advance(a, 30, seed=5)
-        assert b.tick == 0
-        assert [(s.channel, s.active, list(s.window), s.active_ticks)
-                for s in b.pus] == [
-            (s.channel, s.active, list(s.window), s.active_ticks)
-            for s in make_environment(3, pus, history_ticks=4).pus]
+        assert state_of(a) != state_of(build())
+        assert state_of(b) == state_of(build())
         assert sense(b, pos) == fresh
         advance(b, 30, seed=5)
+        assert state_of(b) == state_of(a)
         assert sense(b, pos) == sense(a, pos)
-        assert all(sa.window is not sb.window
-                   and sa.active_ticks is not sb.active_ticks
-                   for sa, sb in zip(a.pus, b.pus))
+        for sa, sb in zip(a.pus, b.pus):
+            assert sa is not sb
+            assert sa.changes is not sb.changes
+            assert sa.active_ticks is not sb.active_ticks
+        assert all(s in a.pus for s in a.markov + a.periodic + tuple(a.moving))
+        assert a.moving is not b.moving and a.busy is not b.busy
+        assert a.geometry is not b.geometry and a.clean is not b.clean
+
+
+def far_terms(pus, pos, exponent=2.0):
+    """The far-field term of every PU outside its protection radius."""
+    x, y = pos
+    out = []
+    for pu in pus:
+        d2 = (x - pu.pos[0]) ** 2 + (y - pu.pos[1]) ** 2
+        if d2 > pu.protection_radius ** 2:
+            out.append(pu.interference_power / (1.0 + math.sqrt(d2) ** exponent))
+    return out
+
+
+class TestSensePath:
+    """Where the far field cannot move a stage, `sense` reads only the PUs
+    inside their protection radius (`terms` is None in the geometry)."""
+
+    def test_the_bound_decides_at_the_edge_of_the_clean_stage(self):
+        # one PU, always active, power 100, a 2-tick window: the clean stage
+        # 3 of 4 needs 1 / (1 + acc) >= 3/4, so the far-field sum, twice
+        # 100 / (1 + d**2), may reach 1/3: d is about 24.5 m
+        pu = make_pu(channel=0, radius=5.0, power=100.0,
+                     model=PeriodicActivity(10, 1.0))
+        env = make_environment(2, [pu], history_ticks=2)
+
+        def skips_far_field(x):
+            return radio._geometry(env, (x, 0.0))[1] is None
+
+        lo, hi = 10.0, 100.0            # full path at lo, near-only at hi
+        while math.nextafter(lo, hi) != hi:
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            if skips_far_field(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert 24.0 < lo < hi < 25.0
+        assert not skips_far_field(lo) and skips_far_field(hi)
+        advance(env, 1)                 # the window holds two active ticks
+        inside, outside = (hi, 0.0), (lo, 0.0)
+        for pos in (inside, outside):
+            # just outside, the margin keeps the full path, although the sum
+            # itself still quantizes to the clean stage
+            assert sense(env, pos) == {0: 3, 1: 3}
+        assert env.geometry[inside][1] is None
+        assert env.geometry[outside][1] is not None
+
+    @given(pu_worlds(), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_fine_stages_keep_every_far_term(self, world, history_ticks):
+        # at resolution FINE, a far-field sum of 2**-40 already lowers the
+        # stage, so a position with such a term always takes the full path
+        channel_count, pus, positions = world
+        env = make_environment(channel_count, pus, quant_stages=FINE,
+                               history_ticks=history_ticks)
+        for pos in positions:
+            _, terms = radio._geometry(env, pos)
+            if max(far_terms(pus, pos), default=0.0) >= 2**-40:
+                assert terms is not None
+
+    def test_windows_beyond_the_shown_margin_keep_every_far_term(self):
+        # the rounding margin is shown for at most 2**32 additions into one
+        # sum; past that the full path is kept, however small the terms
+        pu = make_pu(channel=0, radius=5.0, power=1e-30,
+                     model=PeriodicActivity(10, 1.0))
+        for window, kept in ((2**32, False), (2**32 + 1, True),
+                             (sys.maxsize, True)):
+            env = make_environment(1, [pu], history_ticks=window)
+            assert (radio._geometry(env, (10.0, 0.0))[1] is not None) is kept
+            assert sense(env, (10.0, 0.0)) == {0: 3}
+
+    def test_quiet_near_set_returns_the_clean_map_itself(self):
+        near = make_pu(channel=1, pos=(0.0, 0.0), radius=100.0,
+                       model=MarkovActivity(p_on=0.0, p_off=1.0))
+        far = PrimaryUser(id=1, pos=(900.0, 0.0), channel=2,
+                          model=PeriodicActivity(10, 1.0),
+                          protection_radius=100.0)
+        env = make_environment(4, [near, far])
+        clean = dict(env.clean)
+        pos = (50.0, 0.0)
+        for _ in range(5):
+            assert env.busy == [1]
+            assert sense(env, pos) is env.clean
+            advance(env, 1)
+        assert env.geometry[pos][1] is None
+        assert env.clean == clean
+
+    def test_active_near_pu_blocks_its_channel_in_a_copy(self):
+        near = make_pu(channel=1, pos=(0.0, 0.0), radius=100.0,
+                       model=PeriodicActivity(10, 1.0))
+        env = make_environment(4, [near])
+        clean = dict(env.clean)
+        stages = sense(env, (50.0, 0.0))
+        assert env.geometry[(50.0, 0.0)][1] is None
+        assert stages is not env.clean
+        assert list(stages.items()) == [(0, 3), (2, 3), (3, 3)]
+        assert env.clean == clean
 
 
 class TestQuantize:
