@@ -25,8 +25,8 @@ its first use and kept. It splits the PUs into those inside their protection
 radius (near) and the far field, and bounds the largest far-field sum the
 window can build there; where that bound quantizes to the clean stage, no
 far-field sum can move a stage, and `sense` reads only the near PUs. A
-window without any active PU, and a far-field-free position whose near PUs
-were all idle, return one shared clean stage map.
+window without any active PU, and such a position whose near PUs were all
+idle, return one shared clean stage map.
 
 Scenario values are validated once, by `engine.ScenarioConfig.validate`;
 nothing here checks its arguments again.
