@@ -69,6 +69,13 @@ BASES = {
                                        area_width=SIDE_1600,
                                        area_height=SIDE_1600,
                                        duration_ticks=500),
+    # PUs on air long enough, and wide enough, that nodes lose every channel:
+    # heads, gateways, ordinary members and scanning nodes all rescan with
+    # nothing left to choose (a `master-change` event with new=-1)
+    "blackout": lambda: ScenarioConfig(
+        su_count=30, channel_count=3, pu_count=9, pu_model="markov",
+        pu_p_on=0.005, pu_p_off=0.01, pu_protection_radius=800.0,
+        duration_ticks=1500),
 }
 
 GOLDEN = {
@@ -99,6 +106,8 @@ GOLDEN = {
     ("loud_pus", 1): "4d2021442809b9c07f3bafb754334fa2755e35303cdcb1d2e1fb963f56b8dae3",
     ("loud_pus", 2): "04bbe419fca60c3b5c93ebfde812de3e358a42470afff1f7ef1e75510840daa7",
     ("mesh1600", 1): "2f2930778a100ec1f34cb72aac7f337074944dc61766af55a34a7876976e009b",
+    ("blackout", 1): "5d1d940029594a7a8a542590a4d057a4919071cd0a2945aec8b850b5e1331435",
+    ("blackout", 2): "6317404402d7f757f4ed0ac5ffe0a6cefd039de3bc87d929eee773a515dbf8a4",
 }
 
 
