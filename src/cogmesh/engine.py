@@ -12,16 +12,18 @@ made here), adopted beacons and newly armed exchanges reset `wake` (see
 64-bit seed through named substreams, so a (config, seed) pair replays
 bit-identically.
 
-Each gateway link is kept once, in `World.links`, keyed by its head pair
-(low id first). Gateway maintenance, once per `frame_len` ticks, drops every
-link that `_link_valid` rejects and links each newly discovered pair. A pair
-is discovered only through a 1-hop table entry x -> y across the two
-clusters; table entries are written only from delivered messages, so x and y
-are in range and `select_gateways` finds at least the pair form, and a pair
-it cannot link raises `SimulationInvariantError`. Links lag by design:
-`drop_cluster` leaves `links` alone, so a link to a dissolved cluster, and
-its nodes' GATEWAY role, last until the next pass; a reformation commit
-drops the links of the clusters it rebuilds at once.
+A cluster's record lives only on its head, as `Node.cluster`;
+`World.clusters` is a read-only view built from the nodes. Each gateway link
+is kept once, in `World.links`, keyed by its head pair (low id first).
+Gateway maintenance, once per `frame_len` ticks, drops every link that
+`_link_valid` rejects and links each newly discovered pair. A pair is
+discovered only through a 1-hop table entry x -> y across the two clusters;
+table entries are written only from delivered messages, so x and y are in
+range and `select_gateways` finds at least the pair form, and a pair it
+cannot link raises `SimulationInvariantError`. Links lag by design: a head
+that leaves its cluster leaves `links` alone, so a link to a dissolved
+cluster, and its nodes' GATEWAY role, last until the next pass; a reformation
+commit drops the links of the clusters it rebuilds at once.
 
 `ScenarioConfig` is the one frozen parameter object. It declares every
 scenario default, is validated once at the boundary (`config_from_mapping`,
@@ -39,6 +41,7 @@ from dataclasses import dataclass, fields as dc_fields, replace
 from functools import cached_property
 from itertools import combinations
 from random import Random
+from types import MappingProxyType
 
 from cogmesh import radio
 from cogmesh.protocol import (
@@ -561,7 +564,6 @@ class World:
         self.adj_sets = [frozenset(near) for near in self.adjacency]
 
         self.tick = 0
-        self.clusters: dict[int, ClusterRecord] = {}
         self.events: list[Event] = []
         self.samples: list[MetricsSample] = []
         self.txs: list = []
@@ -584,17 +586,17 @@ class World:
     def log(self, tick: int, kind: str, **fields):
         self.events.append(Event(tick=tick, kind=kind, fields=tuple(fields.items())))
 
-    def register_cluster(self, record: ClusterRecord):
-        self.clusters[record.head] = record
-
-    def drop_cluster(self, head: int):
-        self.clusters.pop(head, None)
-
     def node_settled(self, node: Node, tick: int):
         self.settle_ticks.setdefault(node.id, tick)
 
     def adjacent(self, a: int, b: int) -> bool:
         return b in self.adj_sets[a]
+
+    @property
+    def clusters(self) -> MappingProxyType:
+        """Head id -> record of every live cluster, read from the heads."""
+        return MappingProxyType({n.id: n.cluster for n in self.nodes
+                                 if n.cluster is not None})
 
     # -- main loop --
 
@@ -642,24 +644,43 @@ class World:
         head times it out (the mini-slot TTL rule), so node-vs-record
         consistency is enforced for mutually consistent pairs; slot layout,
         adjacency, and the heads' own state are enforced unconditionally. A
-        reform lock must belong to a negotiation still in progress, and every
-        node weights only channels of its stage map.
+        node holds a record exactly while it heads that cluster (checked
+        first: `clusters` keys each record by its holder), a reform lock must
+        belong to a negotiation still in progress, and every node weights
+        only channels of its stage map.
         """
-        for head in self.clusters:
-            rec = self.clusters[head]
-            hn = self.nodes[head]
-            if hn.role is not Role.HEAD or hn.cluster is not rec:
+        live = {neg.plan_id for neg in self.neg_by_working.values()}
+        for n in self.nodes:
+            rec = n.cluster
+            if (rec is not None) != (n.role is Role.HEAD) or (
+                    rec is not None and rec.head != n.id):
                 raise SimulationInvariantError(
-                    f"t={tick}: node {head} is not the head of its record")
-            if hn.master != rec.master:
+                    f"t={tick}: node {n.id} ({n.role}) holds the wrong cluster "
+                    f"record")
+            if n.role in MEMBER_ROLES and n.head_id is None:
+                raise SimulationInvariantError(
+                    f"t={tick}: member {n.id} has no cluster")
+            if n.role is not None and n.stages and n.master is None:
+                raise SimulationInvariantError(
+                    f"t={tick}: node {n.id} has channels but no master choice")
+            if not n.weights.keys() <= n.stages.keys():
+                # `swarm.apply_hello` looks up the stage of every weight channel
+                raise SimulationInvariantError(
+                    f"t={tick}: node {n.id} weights a channel it did not sense")
+            if n.lock is not None and n.lock not in live:
+                raise SimulationInvariantError(
+                    f"t={tick}: node {n.id} holds a lock of a finished plan")
+        max_slots = self.cfg.max_slots
+        for head, rec in self.clusters.items():
+            if self.nodes[head].master != rec.master:
                 raise SimulationInvariantError(
                     f"t={tick}: head {head} master disagrees with record")
-            if len(rec.members) > rec.max_slots:
+            if len(rec.members) > max_slots:
                 raise SimulationInvariantError(
                     f"t={tick}: cluster {head} exceeds its mini-slot budget")
             slots = sorted(rec.members.values())
             if len(set(slots)) != len(slots) or (slots and not (
-                    0 <= slots[0] and slots[-1] < rec.max_slots)):
+                    0 <= slots[0] and slots[-1] < max_slots)):
                 raise SimulationInvariantError(
                     f"t={tick}: cluster {head} has inconsistent mini-slots")
             for m in rec.members:
@@ -674,21 +695,6 @@ class World:
                         and mn.master != rec.master:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} master disagrees with cluster")
-        live = {neg.plan_id for neg in self.neg_by_working.values()}
-        for n in self.nodes:
-            if n.role in MEMBER_ROLES and n.head_id is None:
-                raise SimulationInvariantError(
-                    f"t={tick}: member {n.id} has no cluster")
-            if n.role is not None and n.stages and n.master is None:
-                raise SimulationInvariantError(
-                    f"t={tick}: node {n.id} has channels but no master choice")
-            if not n.weights.keys() <= n.stages.keys():
-                # `swarm.apply_hello` looks up the stage of every weight channel
-                raise SimulationInvariantError(
-                    f"t={tick}: node {n.id} weights a channel it did not sense")
-            if n.lock is not None and n.lock not in live:
-                raise SimulationInvariantError(
-                    f"t={tick}: node {n.id} holds a lock of a finished plan")
         for working, neg in self.neg_by_working.items():
             if neg.done:
                 raise SimulationInvariantError(
@@ -714,8 +720,8 @@ class World:
             if key in links:
                 continue
             ha, hb = key
-            link = select_gateways(self.clusters[ha], self.clusters[hb], tables,
-                                   self.adjacent)
+            link = select_gateways(self.nodes[ha].cluster, self.nodes[hb].cluster,
+                                   tables, self.adjacent)
             if link is None:
                 raise SimulationInvariantError(
                     f"t={tick}: discovered clusters {ha} and {hb} have no "
@@ -749,8 +755,8 @@ class World:
         return sorted(pairs)
 
     def _link_valid(self, link) -> bool:
-        ra = self.clusters.get(link.cluster_a)
-        rb = self.clusters.get(link.cluster_b)
+        ra = self.nodes[link.cluster_a].cluster
+        rb = self.nodes[link.cluster_b].cluster
         if ra is None or rb is None:
             return False
         if link.node_b is None:
@@ -777,9 +783,9 @@ class World:
 
     def _host_record(self, node: Node):
         if node.role is Role.HEAD:
-            return self.clusters.get(node.id)
+            return node.cluster
         if node.role in MEMBER_ROLES and node.head_id is not None:
-            rec = self.clusters.get(node.head_id)
+            rec = self.nodes[node.head_id].cluster
             if rec is not None and node.id in rec.members:
                 return rec
         return None
@@ -796,7 +802,7 @@ class World:
                         if e.cluster_head is not None})
         records = [host]
         for h in cands:
-            rec = self.clusters.get(h)
+            rec = self.nodes[h].cluster
             if rec is None or rec is host or rec.master != host.master:
                 continue
             if rec.head in table or not table.keys().isdisjoint(rec.members):
@@ -828,10 +834,8 @@ class World:
                 neg.acks.add(head)
                 node.lock = neg.plan_id
                 continue
-            when = self._next_pra_start(self.clusters[head], tick)
+            when = self._next_pra_start(self.nodes[head].cluster, tick)
             self._push(when, "req", neg, head)
-        if neg.all_acked():
-            self._schedule_commit(neg, tick)
 
     def cancel_reform(self, node: Node):
         neg = self.neg_by_working.get(node.id)
@@ -872,11 +876,11 @@ class World:
     def _route_reform(self, kind: str, neg: Negotiation, head: int, tick: int):
         if kind == "req":
             node = self.nodes[head]
-            if node.role is not Role.HEAD or head not in self.clusters:
+            rec = node.cluster
+            if rec is None:
                 return                              # silence -> timeout
             if node.lock is not None or head in self.neg_by_working:
                 return                              # busy head stays silent
-            rec = self.clusters[head]
             current = frozenset({head} | set(rec.members))
             # the decision goes back out in the tail of the same public RA
             reply_at = tick + 1
@@ -917,7 +921,7 @@ class World:
 
     def _commit_valid(self, neg: Negotiation) -> bool:
         for head, snapshot in neg.affected.items():
-            rec = self.clusters.get(head)
+            rec = self.nodes[head].cluster
             if rec is None or frozenset({head} | set(rec.members)) != snapshot:
                 return False
         for head, master, members in neg.plan.clusters:
@@ -950,10 +954,8 @@ class World:
         self._finish(neg)
         pre = len(neg.affected)
         post = len(neg.plan.clusters)
-        old_offsets = {}
-        for head in neg.affected:
-            old_offsets[head] = self.clusters[head].frame_offset
-            del self.clusters[head]
+        old_offsets = {head: self.nodes[head].cluster.frame_offset
+                       for head in neg.affected}
         grace = tick + self.cfg.ttl_ticks
         for head, master, members in neg.plan.clusters:
             offset = old_offsets.get(head)
@@ -962,8 +964,7 @@ class World:
             slot_map = {m: i for i, m in enumerate(sorted(m for m in members
                                                           if m != head))}
             rec = ClusterRecord(head=head, master=master, members=slot_map,
-                                max_slots=self.cfg.max_slots, frame_offset=offset)
-            self.clusters[head] = rec
+                                frame_offset=offset)
             self.nodes[head].become_head(
                 rec, _next_boundary(tick, offset, self.cfg.frame_len))
             for m, slot in slot_map.items():

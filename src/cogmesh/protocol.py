@@ -37,6 +37,8 @@ runs in full: every role entry (`_clear_role_state`, hence `become_head`,
 `become_member`, `_restart_scan` and the engine's reformation commits), a
 beacon adopted (`_follow_beacon`) or heard while scanning (`_scan_beacon`,
 `_give_up_join`), and a HELLO that arms a public-RA exchange (`_on_hello`).
+A role entry is also a cluster record's whole life: `become_head` sets
+`Node.cluster`, the record's only copy, and `_clear_role_state` clears it.
 
 `Node` declares its state in `__slots__`, as do `ClusterRecord`, `ScanState`
 and the per-message records, so no instance carries a `__dict__`. Every
@@ -188,12 +190,11 @@ class GatewayLink:
 
 @dataclass(slots=True)
 class ClusterRecord:
-    # a cluster as its head keeps it; gateway links to other clusters are
-    # kept once per head pair, in `engine.World.links`
+    # a cluster as its head keeps it, in `Node.cluster`; gateway links to
+    # other clusters are kept once per head pair, in `engine.World.links`
     head: int
     master: int
     members: dict                  # node id -> mini-slot index (head excluded)
-    max_slots: int
     frame_offset: int
 
 
@@ -296,13 +297,15 @@ def finish_scan_interval(state: ScanState, stages: dict, rng: Random):
     return FormCluster(channel=rng.choice(list(stages)))
 
 
-def handle_join_request(cluster: ClusterRecord, requester: int) -> int | None:
-    """Admission decision: lowest free mini-slot index, or None when full.
-    A requester that is already a member gets its existing slot back."""
+def handle_join_request(cluster: ClusterRecord, requester: int,
+                        max_slots: int) -> int | None:
+    """Admission decision: lowest free mini-slot index below `max_slots`, or
+    None when full. A requester that is already a member gets its existing
+    slot back."""
     if requester in cluster.members:
         return cluster.members[requester]
     used = set(cluster.members.values())
-    for slot in range(cluster.max_slots):
+    for slot in range(max_slots):
         if slot not in used:
             return slot
     return None
@@ -626,7 +629,7 @@ class Node:
         to abandon its current role (master lost or no channels left)."""
         self.apply_observations(ctx.sense(self))
         if not self.stages:
-            self._lose_channels(tick, ctx)
+            self._leave_for(None, tick, ctx)
             return False
         if self.p.swarm_enabled:
             self.weights = swarm.refresh_from_sensing(self.weights, self.stages,
@@ -637,28 +640,16 @@ class Node:
             return False
         return True
 
-    def _lose_channels(self, tick: int, ctx):
-        old = self.master
-        if self.role is Role.HEAD:
-            ctx.drop_cluster(self.id)
-        ctx.cancel_reform(self)
-        if old is not None:
-            ctx.log(tick, "master-change", node=self.id, old=old, new=-1,
-                    role=self.role.value)
-        self.weights = {}
-        self._restart_scan(None, tick)
-
     def _leave_for(self, new_master: int | None, tick: int, ctx):
-        """Leave the cluster (dissolving it when head) and rescan at the new
-        standing choice."""
+        """Leave the current role (a head's cluster dissolves with it) and
+        rescan at the new standing choice. `None` means that no channel is
+        left: the change is logged as new=-1 and the node idles dormant."""
         old = self.master
-        role = self.role.value
-        if self.role is Role.HEAD:
-            ctx.drop_cluster(self.id)
         ctx.cancel_reform(self)
-        if new_master is not None and new_master != old:
+        if new_master != old:
             ctx.log(tick, "master-change", node=self.id, old=old,
-                    new=new_master, role=role)
+                    new=-1 if new_master is None else new_master,
+                    role=self.role.value)
         self._restart_scan(new_master, tick)
 
     # -- scanning ----------------------------------------------------------------
@@ -741,11 +732,8 @@ class Node:
 
     def _form_cluster(self, channel: int, tick: int, ctx):
         offset = self.rng.randrange(self.p.frame_len)
-        rec = ClusterRecord(
-            head=self.id, master=channel, members={},
-            max_slots=self.p.max_slots, frame_offset=offset,
-        )
-        ctx.register_cluster(rec)
+        rec = ClusterRecord(head=self.id, master=channel, members={},
+                            frame_offset=offset)
         self.become_head(rec, _next_boundary(tick + 1, offset, self.p.frame_len))
         self.listen = channel
         ctx.log(tick, "form", node=self.id, channel=channel)
@@ -786,7 +774,7 @@ class Node:
         if self.join_queue:
             self.join_queue.sort()
             _, first = self.join_queue[0]
-            slot = handle_join_request(c, first)
+            slot = handle_join_request(c, first, self.p.max_slots)
             if slot is None:
                 rejects.append(first)
             else:

@@ -336,12 +336,5 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
                 total += contrib
             acc[ch] = total
     q_max, stages = env.q_max, env.quant_stages
-    top = stages - 1
-    out = {}
-    for ch in range(env.channel_count):
-        if blocked[ch]:
-            continue
-        q_raw = q_max / (1.0 + acc[ch])
-        s = int(stages * q_raw / q_max)         # `quantize`, inlined
-        out[ch] = top if s > top else 0 if s < 0 else s
-    return out
+    return {ch: quantize(q_max / (1.0 + acc[ch]), q_max, stages)
+            for ch in range(env.channel_count) if not blocked[ch]}

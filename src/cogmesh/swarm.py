@@ -129,12 +129,7 @@ def apply_hello(weights: WeightList, hello: HelloMessage, stages: dict,
     reported = hello.stages.get(target)
     if reported is None:
         return weights
-    local_ref = -1
-    best_w = -1.0
-    for ch, w in weights.items():
-        if w > best_w or (w == best_w and ch < local_ref):
-            local_ref, best_w = ch, w
-    delta = reported - stages[local_ref]
+    delta = reported - stages[select_master(weights)]
     r = params.rewards.get(delta)
     if r is None:
         r = params.rewards[delta] = reward(float(delta), params)

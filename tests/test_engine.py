@@ -511,8 +511,8 @@ class TestGatewayDiscovery:
         def record(head, members):
             rec = ClusterRecord(head=head, master=0,
                                 members={m: i for i, m in enumerate(members)},
-                                max_slots=cfg.max_slots, frame_offset=0)
-            world.clusters[head] = rec
+                                frame_offset=0)
+            world.nodes[head].become_head(rec, 0)
             return rec
 
         def knows(x, nid):
@@ -551,9 +551,8 @@ class TestGatewayDiscovery:
         cfg = ScenarioConfig(su_count=3, channel_count=1, duration_ticks=100)
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(3)])
         for head, members in ((0, {1: 0}), (2, {})):
-            world.clusters[head] = ClusterRecord(
-                head=head, master=0, members=members, max_slots=cfg.max_slots,
-                frame_offset=0)
+            world.nodes[head].become_head(ClusterRecord(
+                head=head, master=0, members=members, frame_offset=0), 0)
         world.nodes[1].table[2] = NeighborEntry(id=2, master=0, channels=(),
                                                 last_seen=0)
         assert world._discovered_pairs() == [(0, 2)]
@@ -581,10 +580,9 @@ class TestGatewayLinkInvariant:
         cfg = ScenarioConfig(su_count=6, channel_count=1, duration_ticks=100)
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(6)])
         for head, members in ((0, [1]), (3, [4])):
-            world.clusters[head] = ClusterRecord(
+            world.nodes[head].become_head(ClusterRecord(
                 head=head, master=0, members={m: i for i, m in enumerate(members)},
-                max_slots=cfg.max_slots, frame_offset=0)
-            world.nodes[head].become_head(world.clusters[head], 0)
+                frame_offset=0), 0)
         world.links[(link.cluster_a, link.cluster_b)] = link
         return world
 
@@ -595,7 +593,7 @@ class TestGatewayLinkInvariant:
     @pytest.mark.parametrize("link", [
         GatewayLink(0, 3, node_a=1, node_b=5),    # 5 belongs to neither cluster
         GatewayLink(0, 3, node_a=5),              # single gateway not a member
-        GatewayLink(0, 9, node_a=1, node_b=4),    # names a cluster it does not join
+        GatewayLink(0, 5, node_a=1, node_b=4),    # names a cluster it does not join
     ])
     def test_dead_link_trips_the_check_until_maintenance_prunes_it(self, link):
         world = self.world_with_link(link)
@@ -603,6 +601,49 @@ class TestGatewayLinkInvariant:
             world._validate_links(32)
         world._gateway_maintenance(32)
         world._validate_links(32)
+
+
+class TestClusterView:
+    def world(self):
+        """A 3-node world where node 0 heads a cluster of {1}."""
+        cfg = ScenarioConfig(su_count=3, channel_count=1, duration_ticks=100)
+        world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(3)])
+        world.nodes[0].become_head(ClusterRecord(
+            head=0, master=0, members={1: 0}, frame_offset=0), 0)
+        world.nodes[1].become_member(0, 0, 0, None)
+        return world
+
+    def test_view_is_read_from_the_heads(self):
+        world = self.world()
+        assert dict(world.clusters) == {0: world.nodes[0].cluster}
+        world.nodes[0]._restart_scan(None, 5)
+        assert dict(world.clusters) == {}
+
+    def test_writing_into_the_view_raises(self):
+        world = self.world()
+        rec = ClusterRecord(head=2, master=0, members={}, frame_offset=0)
+        with pytest.raises(TypeError):
+            world.clusters[2] = rec
+        with pytest.raises(TypeError):
+            del world.clusters[0]
+        assert list(world.clusters) == [0]
+
+    def test_a_record_off_its_head_fails_validation(self):
+        world = self.world()
+        world._validate(25)
+        world.nodes[1].cluster = world.nodes[0].cluster     # a member holds one
+        with pytest.raises(SimulationInvariantError, match="node 1 .* record"):
+            world._validate(25)
+        world.nodes[1].cluster = None
+        world.nodes[0].cluster.head = 2                     # another head's record
+        with pytest.raises(SimulationInvariantError, match="node 0 .* record"):
+            world._validate(25)
+
+    def test_a_head_without_its_record_fails_validation(self):
+        world = self.world()
+        world.nodes[0].cluster = None
+        with pytest.raises(SimulationInvariantError, match="node 0 .* record"):
+            world._validate(25)
 
 
 @st.composite

@@ -162,23 +162,23 @@ class TestScanning:
 
 
 class TestJoinAdmission:
-    def record(self, used_slots, max_slots=8):
+    def record(self, used_slots):
         return ClusterRecord(head=0, master=0,
                              members={100 + i: s for i, s in enumerate(used_slots)},
-                             max_slots=max_slots, frame_offset=0)
+                             frame_offset=0)
 
     def test_lowest_free_slot(self):
-        assert handle_join_request(self.record([0, 1, 2]), 7) == 3
+        assert handle_join_request(self.record([0, 1, 2]), 7, 8) == 3
 
     def test_gap_is_reused(self):
-        assert handle_join_request(self.record([0, 2, 3]), 7) == 1
+        assert handle_join_request(self.record([0, 2, 3]), 7, 8) == 1
 
     def test_full_cluster_rejects(self):
-        assert handle_join_request(self.record([0, 1], max_slots=2), 7) is None
+        assert handle_join_request(self.record([0, 1]), 7, 2) is None
 
     def test_existing_member_gets_its_slot_back(self):
         rec = self.record([0, 1])
-        assert handle_join_request(rec, 101) == 1
+        assert handle_join_request(rec, 101, 8) == 1
 
 
 class TestNeighborTables:
@@ -473,10 +473,9 @@ def entry(nid):
 
 class TestSelectGateways:
     def setup_method(self):
-        self.a = ClusterRecord(head=0, master=0, members={1: 0, 2: 1},
-                               max_slots=8, frame_offset=0)
+        self.a = ClusterRecord(head=0, master=0, members={1: 0, 2: 1}, frame_offset=0)
         self.b = ClusterRecord(head=10, master=1, members={11: 0, 12: 1},
-                               max_slots=8, frame_offset=0)
+                               frame_offset=0)
 
     def adjacent_from(self, pairs):
         sym = {frozenset(p) for p in pairs}
@@ -537,8 +536,7 @@ class TestRoleEntry:
         node.exch_done = {5}
         node.offscan_ch = 3
         node.offscan_seen = {3}
-        node.cluster = ClusterRecord(head=0, master=1, members={4: 0},
-                                     max_slots=8, frame_offset=2)
+        node.cluster = ClusterRecord(head=0, master=1, members={4: 0}, frame_offset=2)
         node.heard_members = {4}
         node.member_miss = {4: 2}
         node.join_queue = [(38, 6)]
@@ -563,8 +561,7 @@ class TestRoleEntry:
 
     def test_become_head_tracks_every_listed_member(self):
         node = self.busy_node()
-        rec = ClusterRecord(head=0, master=2, members={5: 0, 8: 1},
-                            max_slots=8, frame_offset=4)
+        rec = ClusterRecord(head=0, master=2, members={5: 0, 8: 1}, frame_offset=4)
         node.become_head(rec, frame_start=54)
         assert node.role is Role.HEAD
         assert node.cluster is rec and node.master == 2

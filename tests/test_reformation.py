@@ -41,8 +41,7 @@ def table_with(one_hop):
 
 class TestBuildLocalGraph:
     def test_single_cluster_graph(self):
-        host = ClusterRecord(head=0, master=0, members={1: 0, 2: 1},
-                             max_slots=8, frame_offset=0)
+        host = ClusterRecord(head=0, master=0, members={1: 0, 2: 1}, frame_offset=0)
         tables = {0: table_with([1, 2]), 1: table_with([0]), 2: table_with([0])}
         avail = {i: frozenset({0}) for i in range(3)}
         g = build_local_graph(0, [host], tables, avail)
@@ -51,10 +50,9 @@ class TestBuildLocalGraph:
         assert g.edges[0] == {1, 2}
 
     def test_union_of_host_and_neighbor_cluster(self):
-        host = ClusterRecord(head=0, master=0, members={1: 0, 2: 1},
-                             max_slots=8, frame_offset=0)
+        host = ClusterRecord(head=0, master=0, members={1: 0, 2: 1}, frame_offset=0)
         other = ClusterRecord(head=10, master=0, members={11: 0, 12: 1, 13: 2},
-                              max_slots=8, frame_offset=0)
+                              frame_offset=0)
         tables = {i: {} for i in (0, 1, 2, 10, 11, 12, 13)}
         tables[2] = table_with([11])
         avail = {i: frozenset({0}) for i in (0, 1, 2, 10, 11, 12, 13)}
@@ -63,8 +61,7 @@ class TestBuildLocalGraph:
         assert 11 in g.edges[2] and 2 in g.edges[11]
 
     def test_edges_come_from_either_sides_table(self):
-        host = ClusterRecord(head=0, master=0, members={1: 0}, max_slots=8,
-                             frame_offset=0)
+        host = ClusterRecord(head=0, master=0, members={1: 0}, frame_offset=0)
         tables = {0: {}, 1: table_with([0])}
         avail = {0: frozenset({0}), 1: frozenset({0})}
         g = build_local_graph(0, [host], tables, avail)
@@ -76,9 +73,8 @@ class TestBuildLocalGraph:
     def test_edges_match_the_pairwise_scan(self, listed):
         # tables may name nodes outside the graph, and even their owner
         host = ClusterRecord(head=0, master=0, members={i: i for i in range(1, 5)},
-                             max_slots=8, frame_offset=0)
-        other = ClusterRecord(head=5, master=0, members={6: 0, 7: 1},
-                              max_slots=8, frame_offset=0)
+                             frame_offset=0)
+        other = ClusterRecord(head=5, master=0, members={6: 0, 7: 1}, frame_offset=0)
         tables = {nid: table_with(ids) for nid, ids in listed.items()}
         g = build_local_graph(0, [host, other], tables, {})
         ids = sorted(g.nodes)
