@@ -8,9 +8,11 @@ period. A node returns at once from a tick before its `wake` tick and keeps
 listening where it listened; role entries (including the reformation commits
 made here), adopted beacons and newly armed exchanges reset `wake` (see
 `protocol`). Reformation runs off one timed queue (`World._reform_timers`);
-`neg_by_working` holds the live negotiations. All randomness flows from one
-64-bit seed through named substreams, so a (config, seed) pair replays
-bit-identically.
+a negotiation is live exactly while `neg_by_working` holds it, and the queue
+skips the entries of any other. `RunResult.settle_ticks` is read off the
+event log: a node settles at its first `form` or `join`. All randomness
+flows from one 64-bit seed through named substreams, so a (config, seed)
+pair replays bit-identically.
 
 A cluster's record lives only on its head, as `Node.cluster`;
 `World.clusters` is a read-only view built from the nodes. Each gateway link
@@ -97,7 +99,6 @@ class ScenarioConfig:
     reward_c: float = math.pi
     alpha: float = 0.1
     quant_stages: int = 4
-    q_max: float = 1.0
     pathloss_exponent: float = 2.0
     sensing_window_ticks: int = 1
     pu_model: str = "periodic"
@@ -143,7 +144,6 @@ class ScenarioConfig:
         need(self.duration_ticks >= 1, "duration_ticks", "must be >= 1")
         need(0.0 <= self.alpha <= 1.0, "alpha", "must be in [0, 1]")
         need(self.quant_stages >= 2, "quant_stages", "must be >= 2")
-        need(self.q_max > 0, "q_max", "must be > 0")
         need(self.pathloss_exponent > 0, "pathloss_exponent", "must be > 0")
         self._validate_magnitudes()
         need(self.sensing_window_ticks >= 1, "sensing_window_ticks", "must be >= 1")
@@ -209,12 +209,10 @@ class ScenarioConfig:
                               "the area's diagonal to this power must be "
                               "finite") from None
         try:
-            # `radio.quantize` scales the best quality, q_max, by the stages
-            scaled = self.quant_stages * self.q_max
+            # `radio.quantize` scales a quality in [0, 1] by the stages
+            float(self.quant_stages)
         except OverflowError:
             raise ConfigError("quant_stages", "is too large for a float") from None
-        if scaled == math.inf:
-            raise ConfigError("q_max", "times quant_stages must be finite")
 
     @cached_property
     def frame_len(self) -> int:
@@ -538,7 +536,7 @@ class World:
                                        interference_power=config.pu_power))
         self.env = radio.make_environment(
             channel_count=config.channel_count, pus=pus,
-            pathloss_exponent=config.pathloss_exponent, q_max=config.q_max,
+            pathloss_exponent=config.pathloss_exponent,
             quant_stages=config.quant_stages,
             history_ticks=config.sensing_window_ticks,
         )
@@ -567,7 +565,6 @@ class World:
         self.events: list[Event] = []
         self.samples: list[MetricsSample] = []
         self.txs: list = []
-        self.settle_ticks: dict = {}
         # (head_a, head_b), head_a < head_b -> the gateway link between them
         self.links: dict[tuple[int, int], GatewayLink] = {}
         self.gateway_latencies: list = []
@@ -585,9 +582,6 @@ class World:
 
     def log(self, tick: int, kind: str, **fields):
         self.events.append(Event(tick=tick, kind=kind, fields=tuple(fields.items())))
-
-    def node_settled(self, node: Node, tick: int):
-        self.settle_ticks.setdefault(node.id, tick)
 
     def adjacent(self, a: int, b: int) -> bool:
         return b in self.adj_sets[a]
@@ -624,9 +618,14 @@ class World:
                     self._validate_links(t)
             if (t + 1) % cfg.metrics_period == 0:
                 self._sample(t + 1)
+        # a node settles when it first forms or joins a cluster
+        settle_ticks = {}
+        for event in self.events:
+            if event.kind in ("form", "join"):
+                settle_ticks.setdefault(event.get("node"), event.tick)
         return RunResult(
             config=cfg, samples=self.samples, events=self.events,
-            settle_ticks=self.settle_ticks, gateway_latencies=self.gateway_latencies,
+            settle_ticks=settle_ticks, gateway_latencies=self.gateway_latencies,
         )
 
     def _sample(self, tick: int):
@@ -646,10 +645,10 @@ class World:
         adjacency, and the heads' own state are enforced unconditionally. A
         node holds a record exactly while it heads that cluster (checked
         first: `clusters` keys each record by its holder), a reform lock must
-        belong to a negotiation still in progress, and every node weights
-        only channels of its stage map.
+        be a negotiation still in progress, and every node weights only
+        channels of its stage map.
         """
-        live = {neg.plan_id for neg in self.neg_by_working.values()}
+        live = set(self.neg_by_working.values())
         for n in self.nodes:
             rec = n.cluster
             if (rec is not None) != (n.role is Role.HEAD) or (
@@ -695,10 +694,6 @@ class World:
                         and mn.master != rec.master:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} master disagrees with cluster")
-        for working, neg in self.neg_by_working.items():
-            if neg.done:
-                raise SimulationInvariantError(
-                    f"t={tick}: working node {working} keeps a finished plan")
 
     def _validate_links(self, tick: int):
         """Right after gateway maintenance, every link joins two live
@@ -819,20 +814,18 @@ class World:
         plan = greedy_mds(graph, node.id, max_members=self.cfg.max_slots)
         if plan.gain < 1 or not plan_is_feasible(plan, graph):
             return
-        neg = Negotiation(
-            plan_id=(node.id, tick), working=node.id, plan=plan,
-            affected={rec.head: frozenset({rec.head} | set(rec.members))
-                      for rec in records},
-            deadline=tick + 2 * self.cfg.frame_len,
-        )
+        affected = {rec.head: frozenset({rec.head} | set(rec.members))
+                    for rec in records}
+        neg = Negotiation(working=node.id, plan=plan, affected=affected,
+                          deadline=tick + 2 * self.cfg.frame_len,
+                          waiting=set(affected) - {node.id})
         self.log(tick, "reform", working=node.id, status="proposed",
                  gain=plan.gain)
         self.neg_by_working[node.id] = neg
         self._push(neg.deadline + 1, "deadline", neg)
-        for head in sorted(neg.affected):
+        for head in sorted(affected):
             if head == node.id:
-                neg.acks.add(head)
-                node.lock = neg.plan_id
+                node.lock = neg
                 continue
             when = self._next_pra_start(self.nodes[head].cluster, tick)
             self._push(when, "req", neg, head)
@@ -859,16 +852,17 @@ class World:
     def _reform_timers(self, tick: int):
         """Run the queued entries due by `tick` of live negotiations:
         commits, then req/ack/deny in send order, then the deadline checks
-        (a negotiation without a scheduled commit times out at deadline + 1)."""
+        (a negotiation still waiting for an ack times out at deadline + 1)."""
         queue = self.reform_queue
+        live = self.neg_by_working
         while queue and queue[0][0] <= tick:
             _, _, _, kind, neg, head = heapq.heappop(queue)
-            if neg.done:
+            if neg is not live.get(neg.working):
                 continue
             if kind == "commit":
                 self._apply_commit(neg, tick)
             elif kind == "deadline":
-                if neg.commit_tick is None:
+                if neg.waiting:
                     self._cancel(neg, tick)
             else:
                 self._route_reform(kind, neg, head, tick)
@@ -887,11 +881,12 @@ class World:
             if current != neg.affected.get(head):
                 self._push(reply_at, "deny", neg, head)
                 return
-            node.lock = neg.plan_id
+            node.lock = neg
             self._push(reply_at, "ack", neg, head)
         elif kind == "ack":
-            neg.acks.add(head)
-            if neg.all_acked() and neg.commit_tick is None:
+            # each head gets one req, so it acks at most once
+            neg.waiting.discard(head)
+            if not neg.waiting:
                 self._schedule_commit(neg, tick)
         else:                                       # deny
             self._cancel(neg, tick)
@@ -902,16 +897,15 @@ class World:
         if host is None:
             self._cancel(neg, tick)
             return
-        neg.commit_tick = _next_boundary(tick + 1, host.frame_offset, self.cfg.frame_len)
-        self._push(neg.commit_tick, "commit", neg)
+        self._push(_next_boundary(tick + 1, host.frame_offset, self.cfg.frame_len),
+                   "commit", neg)
 
     def _finish(self, neg: Negotiation):
         """Retire a live negotiation and release the locks it holds."""
-        neg.done = True
-        self.neg_by_working.pop(neg.working, None)
+        del self.neg_by_working[neg.working]
         for head in neg.affected:
             node = self.nodes[head]
-            if node.lock == neg.plan_id:
+            if node.lock is neg:
                 node.lock = None
 
     def _cancel(self, neg: Negotiation, tick: int):

@@ -557,7 +557,7 @@ class Node:
         self.heard_members: set = set()
         self.member_miss: dict = {}
         self.join_queue: list = []
-        self.lock = None               # the plan id while reforming
+        self.lock = None               # the live Negotiation locking it
 
     def become_head(self, rec: ClusterRecord, frame_start: int):
         """Head the cluster `rec`; its first frame starts at `frame_start`."""
@@ -737,7 +737,6 @@ class Node:
         self.become_head(rec, _next_boundary(tick + 1, offset, self.p.frame_len))
         self.listen = channel
         ctx.log(tick, "form", node=self.id, channel=channel)
-        ctx.node_settled(self, tick)
 
     # -- head --------------------------------------------------------------------
 
@@ -964,7 +963,6 @@ class Node:
         self._follow_beacon(b, slot)
         ctx.log(tick, "join", node=self.id, head=b.head, channel=b.master,
                 slot=slot)
-        ctx.node_settled(self, tick)
 
     def _sync_with_beacon(self, b: Beacon, tick: int, ctx):
         members = dict(b.members)

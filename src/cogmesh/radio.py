@@ -99,7 +99,6 @@ class RadioEnvironment:
     channel_count: int
     pus: tuple[PUState, ...]
     pathloss_exponent: float
-    q_max: float
     quant_stages: int
     # the sensing window: the last `window_ticks` ticks, this one included
     window_ticks: int
@@ -118,7 +117,7 @@ class RadioEnvironment:
     geometry: dict = field(default_factory=dict)
 
 
-def make_environment(channel_count, pus=(), pathloss_exponent=2.0, q_max=1.0,
+def make_environment(channel_count, pus=(), pathloss_exponent=2.0,
                      quant_stages=4, history_ticks=1) -> RadioEnvironment:
     """Build a tick-0 environment with its own copy of each PU's state."""
     states, markov, periodic = [], [], []
@@ -138,12 +137,11 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0, q_max=1.0,
         if state.active:
             state.active_ticks[state.channel] = 1
         states.append(state)
-    # sense's formula with no interference: q_max / (1.0 + 0.0) is q_max
-    clean = dict.fromkeys(range(channel_count),
-                          quantize(q_max, q_max, quant_stages))
+    # sense's formula with no interference: 1.0 / (1.0 + 0.0) is 1.0
+    clean = dict.fromkeys(range(channel_count), quantize(1.0, quant_stages))
     return RadioEnvironment(
         channel_count=channel_count, pus=tuple(states),
-        pathloss_exponent=pathloss_exponent, q_max=q_max,
+        pathloss_exponent=pathloss_exponent,
         quant_stages=quant_stages, window_ticks=history_ticks, clean=clean,
         markov=tuple(markov), periodic=tuple(periodic),
         busy=[i for i, state in enumerate(states) if state.active_ticks])
@@ -225,9 +223,10 @@ def step_environment(env: RadioEnvironment, rng: Random) -> None:
         env.busy = [i for i, state in enumerate(env.pus) if state.active_ticks]
 
 
-def quantize(q_raw: float, q_max: float, stages: int) -> int:
-    """Quality value -> stage index in [0, stages-1], uniform bins, monotone."""
-    s = int(stages * q_raw / q_max)
+def quantize(q_raw: float, stages: int) -> int:
+    """Quality in [0, 1] -> stage index in [0, stages-1], uniform bins,
+    monotone; 1.0 is the top stage."""
+    s = int(stages * q_raw)
     if s >= stages:
         return stages - 1
     if s < 0:
@@ -259,11 +258,11 @@ def _geometry(env: RadioEnvironment, pos: tuple[float, float]):
     least (1 - u) times exact, and two products, each at least (1 - u) times
     exact unless subnormal; FAR_FIELD_MARGIN covers all of these factors, and
     the floor of 2**-1000 covers a subnormal product, whose exact bound lies
-    below 2**-1000. Every step of `sense`'s quantizer, q_max / (1.0 + acc),
-    stages * q / q_max, int() and the clamp, is monotone in float arithmetic,
-    so a bound that quantizes to the clean stage leaves every far-field sum
-    at the clean stage (acc = 0.0 gives it exactly). Beyond 2**32 additions
-    the margin is not shown, and the position keeps `terms`.
+    below 2**-1000. Every step of `sense`'s quantizer, q = 1.0 / (1.0 + acc),
+    stages * q, int() and the clamp, is monotone in float arithmetic, so a
+    bound that quantizes to the clean stage leaves every far-field sum at the
+    clean stage (acc = 0.0 gives it exactly). Beyond 2**32 additions the
+    margin is not shown, and the position keeps `terms`.
     """
     x, y = pos
     near = []
@@ -285,9 +284,8 @@ def _geometry(env: RadioEnvironment, pos: tuple[float, float]):
         for term in far:
             total += term
         bound = max(env.window_ticks * total * FAR_FIELD_MARGIN, 2.0 ** -1000)
-        q_max, stages = env.q_max, env.quant_stages
-        if (quantize(q_max / (1.0 + bound), q_max, stages)
-                == quantize(q_max, q_max, stages)):
+        stages = env.quant_stages
+        if quantize(1.0 / (1.0 + bound), stages) == quantize(1.0, stages):
             return tuple(near), None
     return tuple(near), terms
 
@@ -300,7 +298,7 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
     A channel is unavailable iff an active PU on it was inside its protection
     radius at any window tick. Active PUs beyond the radius add
     power/(1+d^exponent) per tick to the accumulated interference; quality is
-    q_max/(1+I) and is then quantized. The returned map may be shared, so
+    1/(1+I) and is then quantized. The returned map may be shared, so
     callers must not mutate it.
     """
     if not env.busy:
@@ -335,6 +333,6 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
             for _ in range(ticks):
                 total += contrib
             acc[ch] = total
-    q_max, stages = env.q_max, env.quant_stages
-    return {ch: quantize(q_max / (1.0 + acc[ch]), q_max, stages)
+    stages = env.quant_stages
+    return {ch: quantize(1.0 / (1.0 + acc[ch]), stages)
             for ch in range(env.channel_count) if not blocked[ch]}

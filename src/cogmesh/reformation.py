@@ -12,7 +12,7 @@ cluster count by exactly its stated gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,19 @@ class ReformPlan:
     gain: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Negotiation:
-    """In-flight all-or-nothing exchange for one plan."""
+    """In-flight all-or-nothing exchange for one plan. It is live exactly
+    while `World.neg_by_working` holds it, and each head it locks holds it as
+    its `lock`; both compare by identity. `waiting` holds the heads whose ack
+    is still due, never the working node: once it empties, the commit is
+    queued."""
 
-    plan_id: tuple
     working: int
     plan: ReformPlan
     affected: dict               # head id -> frozenset(member ids incl. head)
     deadline: int
-    acks: set = field(default_factory=set)
-    commit_tick: int | None = None
-    done: bool = False
-
-    def all_acked(self) -> bool:
-        return self.acks >= set(self.affected)
+    waiting: set
 
 
 def build_local_graph(working_id: int, records, tables, availability) -> LocalGraph:

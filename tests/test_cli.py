@@ -168,7 +168,7 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("alpha", "nan"), ("q_max", "inf"), ("area_height", "1e400")])
+        ("alpha", "nan"), ("pu_power", "inf"), ("area_height", "1e400")])
     def test_non_finite_value_names_the_key_once(self, tmp_path, capsys,
                                                  key, value):
         bad = write(tmp_path, f"{key} = {value}\n")

@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="warp_factor"):
             config_from_mapping({"warp_factor": "9"})
 
+    def test_removed_key_rejected(self):
+        # a file that still sets a removed key is told which one
+        with pytest.raises(ConfigError, match="q_max: unknown key") as info:
+            config_from_mapping({"q_max": "1.0"})
+        assert info.value.key == "q_max"
+
     def test_negative_count_names_the_key(self):
         with pytest.raises(ConfigError, match="su_count"):
             config_from_mapping({"su_count": "-1"})
@@ -106,11 +112,11 @@ class TestConfig:
 
     # the radio layer trusts these values; only the config checks them
     @pytest.mark.parametrize("key, value", [
-        ("q_max", "0"), ("quant_stages", "1"), ("channel_count", "0"),
+        ("quant_stages", "1"), ("channel_count", "0"),
         ("pathloss_exponent", "0"), ("pu_period_ticks", "0"),
         ("pu_duty", "1.5"), ("pu_p_on", "1.5"), ("pu_p_off", "-0.1"),
         ("pu_protection_radius", "0"), ("pu_power", "-1"),
-    ] + [(key, value) for key in ("area_width", "area_height", "q_max", "alpha")
+    ] + [(key, value) for key in ("area_width", "area_height", "pu_power", "alpha")
          for value in ("inf", "-inf", "nan", "1e400")])
     def test_value_rejected_at_the_boundary(self, key, value):
         with pytest.raises(ConfigError, match=key) as info:
@@ -119,11 +125,14 @@ class TestConfig:
 
     # finite values that `validate` once accepted and whose run overflowed:
     # a squared distance, the far-field term, and the quantizer's scaling
+    # by the stage count
     @pytest.mark.parametrize("values, key", [
         ({"area_width": 1e200, "area_height": 1e200, "comm_range": 1e200},
          "area_width"),
         ({"pathloss_exponent": 1e300, "pu_count": 4}, "pathloss_exponent"),
-        ({"q_max": 1e308, "pu_count": 4}, "q_max"),
+        # the error names the larger side
+        ({"area_width": 1.0, "area_height": 1e200, "comm_range": 1e200},
+         "area_height"),
         ({"quant_stages": 10**400}, "quant_stages"),
         # the periodic model's duty arithmetic and the sensing-window deque
         ({"pu_count": 1, "pu_period_ticks": 10**400}, "pu_period_ticks"),
@@ -141,8 +150,6 @@ class TestConfig:
         ("pathloss_exponent",
          math.log(sys.float_info.max) / math.log(math.hypot(1000.0, 1000.0)) * (1 - 1e-12),
          math.log(sys.float_info.max) / math.log(math.hypot(1000.0, 1000.0)) * (1 + 1e-12)),
-        ("q_max", sys.float_info.max / 4 * (1 - 1e-15),
-         sys.float_info.max / 4 * (1 + 1e-15)),
     ])
     def test_bound_lies_at_the_overflow(self, key, inside, outside):
         values = {key: inside}
@@ -155,8 +162,8 @@ class TestConfig:
         assert info.value.key == key
 
     def test_non_finite_float_rejected_in_code_built_config(self):
-        with pytest.raises(ConfigError, match="q_max"):
-            World(ScenarioConfig(q_max=math.inf))
+        with pytest.raises(ConfigError, match="pu_power"):
+            World(ScenarioConfig(pu_power=math.inf))
 
     def test_string_coercion(self):
         cfg = config_from_mapping({"su_count": "12", "comm_range": "180.5",

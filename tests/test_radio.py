@@ -88,18 +88,18 @@ class TestStepEnvironment:
         assert all(v == 1 for v in visits.values())
 
 
-# with q_max a power of two, a stage at this resolution is exactly
-# q_raw * FINE / q_max (below the top stage), so it shows every bit of q_raw
+# a stage at this resolution is exactly q_raw * FINE (below the top stage),
+# so it shows every bit of q_raw
 FINE = 2**70
 
 
 class TestSense:
     def test_no_pus_all_channels_clean(self):
-        env = make_environment(3, [], q_max=1.0, quant_stages=4)
+        env = make_environment(3, [], quant_stages=4)
         stages = sense(env, (10.0, 10.0))
         assert list(stages.items()) == [(0, 3), (1, 3), (2, 3)]
-        # q_raw = q_max: the top stage, even at the finest resolution
-        fine = make_environment(3, [], q_max=1.0, quant_stages=FINE)
+        # q_raw = 1.0: the top stage, even at the finest resolution
+        fine = make_environment(3, [], quant_stages=FINE)
         assert sense(fine, (10.0, 10.0)) == dict.fromkeys(range(3), FINE - 1)
 
     def test_active_pu_inside_protection_blocks_channel(self):
@@ -113,7 +113,7 @@ class TestSense:
         # I = 100/(1+100), q = 1/(1 + 100/101) = 101/201
         pu = make_pu(channel=1, pos=(0.0, 0.0), radius=5.0, power=100.0,
                      model=PeriodicActivity(10, 1.0))
-        env = make_environment(2, [pu], pathloss_exponent=2.0, q_max=1.0,
+        env = make_environment(2, [pu], pathloss_exponent=2.0,
                                quant_stages=FINE)
         stages = sense(env, (10.0, 0.0))
         assert stages[1] / FINE == pytest.approx(101.0 / 201.0, rel=1e-12)
@@ -226,7 +226,7 @@ def reference_trace(pus, channel_count, steps, seed):
     return trace
 
 
-def reference_sense(pus, window, pos, channel_count, exponent, q_max, stages):
+def reference_sense(pus, window, pos, channel_count, exponent, stages):
     """Brute force: every PU, every tick of the window, oldest tick first;
     (channel, stage) of each available channel, in channel order."""
     x, y = pos
@@ -243,15 +243,13 @@ def reference_sense(pus, window, pos, channel_count, exponent, q_max, stages):
                 blocked[ch] = True
             elif active:
                 acc[ch] += contrib
-    return [(ch, quantize(q_max / (1.0 + acc[ch]), q_max, stages))
+    return [(ch, quantize(1.0 / (1.0 + acc[ch]), stages))
             for ch in range(channel_count) if not blocked[ch]]
 
 
-# (q_max, quant_stages): coarse stages, and stages at resolution `FINE`,
-# where a last-bit difference in an interference sum changes the stage
-quantizations = st.one_of(
-    st.tuples(st.sampled_from([1.0, 2.5]), st.integers(2, 6)),
-    st.tuples(st.sampled_from([1.0, 2.0]), st.just(FINE)))
+# quant_stages: coarse stages, and stages at resolution `FINE`, where a
+# last-bit difference in an interference sum changes the stage
+quantizations = st.integers(2, 6) | st.just(FINE)
 
 
 # the arguments of `check_against_reference`
@@ -261,14 +259,12 @@ ORACLE = (pu_worlds(), st.integers(1, 8), st.integers(0, 60),
 
 
 def check_against_reference(world, history_ticks, steps, seed, exponent,
-                            quantization):
+                            stages):
     """Step an environment and sense at every position on every tick, and
     require the PU states and stage maps of the reference models."""
     channel_count, pus, positions = world
-    q_max, stages = quantization
     env = make_environment(channel_count, pus, pathloss_exponent=exponent,
-                           q_max=q_max, quant_stages=stages,
-                           history_ticks=history_ticks)
+                           quant_stages=stages, history_ticks=history_ticks)
     expected = reference_trace(pus, channel_count, steps, seed)
     rng = Random(seed)
     for tick in range(steps + 1):
@@ -279,16 +275,16 @@ def check_against_reference(world, history_ticks, steps, seed, exponent,
         for pos in positions:
             got = list(sense(env, pos).items())
             assert got == reference_sense(pus, window, pos, channel_count,
-                                          exponent, q_max, stages)
+                                          exponent, stages)
 
 
 class TestSenseMatchesReference:
     @given(*ORACLE)
     @settings(max_examples=150, deadline=None)
     def test_every_tick_at_every_position(self, world, history_ticks, steps,
-                                          seed, exponent, quantization):
+                                          seed, exponent, stages):
         check_against_reference(world, history_ticks, steps, seed, exponent,
-                                quantization)
+                                stages)
 
     def test_oracle_catches_a_position_that_skips_the_far_field(self):
         geometry = radio._geometry
@@ -449,23 +445,22 @@ class TestSensePath:
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):
-        assert quantize(0.0, 1.0, 4) == 0
+        assert quantize(0.0, 4) == 0
 
     def test_top_of_range_clamps(self):
-        assert quantize(1.0, 1.0, 4) == 3
-        assert quantize(2.5, 1.0, 4) == 3
+        assert quantize(1.0, 4) == 3
+        assert quantize(2.5, 4) == 3
 
     def test_interior_bin(self):
-        assert quantize(0.6, 1.0, 4) == 2
+        assert quantize(0.6, 4) == 2
 
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=10.0),
-           st.floats(min_value=0.1, max_value=10.0),
            st.integers(min_value=2, max_value=16))
-    def test_monotone_and_in_range(self, q1, q2, q_max, stages):
+    def test_monotone_and_in_range(self, q1, q2, stages):
         lo, hi = sorted((q1, q2))
-        s_lo = quantize(lo, q_max, stages)
-        s_hi = quantize(hi, q_max, stages)
+        s_lo = quantize(lo, stages)
+        s_hi = quantize(hi, stages)
         assert s_lo <= s_hi
         assert 0 <= s_lo <= stages - 1
         assert 0 <= s_hi <= stages - 1

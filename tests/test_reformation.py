@@ -235,7 +235,8 @@ class TestNegotiationScenarios:
         for t in range(world.tick, world.tick + 5 * 27):
             world.tick = t
             world._reform_timers(t)
-        assert neg.done and neg.commit_tick is None
+        # finished while still waiting for an ack, so no commit was queued
+        assert working.id not in world.neg_by_working and neg.waiting
         cancelled = [e for e in world.events if e.kind == "reform"
                      and e.get("status") == "cancelled"]
         assert cancelled
@@ -243,7 +244,7 @@ class TestNegotiationScenarios:
                 for h, r in world.clusters.items()} == snapshot
 
     def test_lock_of_a_finished_plan_fails_validation(self):
-        # a lock is the plan id of a live negotiation, released by `_finish`
+        # a lock is a live negotiation itself, released by `_finish`
         cfg = ScenarioConfig(su_count=3, channel_count=1, comm_range=160.0,
                              duration_ticks=600, startup_spread_ticks=0,
                              reform_enabled=False, seed=2)
@@ -252,12 +253,12 @@ class TestNegotiationScenarios:
         working = world.nodes[1]
         world.try_reform(working, world.tick)
         neg = world.neg_by_working[working.id]
-        assert working.lock == neg.plan_id
+        assert working.lock is neg
         world._validate(world.tick)
         world._cancel(neg, world.tick)
         assert working.lock is None
         world._validate(world.tick)
-        working.lock = neg.plan_id
+        working.lock = neg
         with pytest.raises(SimulationInvariantError, match="lock of a finished plan"):
             world._validate(world.tick)
 
@@ -276,7 +277,8 @@ class TestNegotiationScenarios:
         for t in range(world.tick, world.tick + 5 * 27):
             world.tick = t
             world._reform_timers(t)
-        assert neg.done and neg.commit_tick is None
+        # the victim denied, so no commit was queued
+        assert working.id not in world.neg_by_working and neg.waiting
 
     def test_concurrent_plans_single_winner(self):
         # two working nodes race over overlapping clusters; locks let at most
@@ -331,15 +333,17 @@ class TestReformQueue:
             (kind, neg.working, head))
         world._cancel = lambda neg, tick: seen.append(("timeout", neg.working))
 
-        def negotiation(working, commit_tick=None, done=False):
-            return Negotiation(plan_id=(working, 0), working=working, plan=None,
-                               affected={}, deadline=9, commit_tick=commit_tick,
-                               done=done)
+        def negotiation(working, waiting=()):
+            return Negotiation(working=working, plan=None, affected={},
+                               deadline=9, waiting=set(waiting))
 
-        late = negotiation(0)
-        committing = negotiation(1, commit_tick=10)
-        talking = negotiation(2)
-        finished = negotiation(3, done=True)
+        late = negotiation(0, waiting={5})
+        committing = negotiation(1)             # every ack in: commit queued
+        talking = negotiation(2, waiting={7})
+        finished = negotiation(3)
+        # the live ones; node 3 finished its plan and has proposed again
+        for neg in (late, committing, talking, negotiation(3, waiting={6})):
+            world.neg_by_working[neg.working] = neg
         # pushed against phase order, so only the queue puts them right
         world._push(10, "deadline", late)
         world._push(10, "ack", talking, 7)
@@ -368,13 +372,16 @@ class TestReformQueue:
         world.try_reform(working, world.tick)
         neg = world.neg_by_working[working.id]
         if scheduled:
-            # as `_schedule_commit` leaves it for a commit due after the deadline
-            neg.commit_tick = neg.deadline + 5
+            # as the last ack leaves it, with its commit due after the
+            # deadline: nobody is waited for, and no head replies again
+            for head in neg.waiting:
+                world.nodes[head].lock = ("foreign", 0)
+            neg.waiting.clear()
         for t in range(world.tick, neg.deadline + 1):
             world._reform_timers(t)
-        assert not neg.done and working.id in world.neg_by_working
+        assert world.neg_by_working.get(working.id) is neg
         world._reform_timers(neg.deadline + 1)
-        assert neg.done is not scheduled
+        assert (world.neg_by_working.get(working.id) is neg) is scheduled
         last = world.events[-1]
         if scheduled:
             assert last.get("status") == "proposed"
