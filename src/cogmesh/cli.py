@@ -58,8 +58,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 
 def apply_overrides(cfg: ScenarioConfig, req: RunRequest) -> ScenarioConfig:
-    """Apply the command-line flags; the result is validated once, when the
-    run builds its World."""
+    """Apply the command-line flags; `replace` builds, and so checks, the
+    resulting config."""
     changes = {}
     if req.seed is not None:
         changes["seed"] = req.seed

@@ -28,10 +28,13 @@ cluster, and its nodes' GATEWAY role, last until the next pass; a reformation
 commit drops the links of the clusters it rebuilds at once.
 
 `ScenarioConfig` is the one frozen parameter object. It declares every
-scenario default, is validated once at the boundary (`config_from_mapping`,
-or `World` for a config built in code), and is handed as it is to every
-`Node` and to the superframe builder, which read the values derived from it
-(`frame_len`, `ttl_ticks`, `layouts`, `reward`) as cached properties.
+scenario default, checks its values when it is built (so a config parsed,
+built in code or derived with `dataclasses.replace` is valid once it
+exists), and is handed as it is to every `Node` and to the superframe
+builder, which read the values derived from it (`frame_len`, `ttl_ticks`,
+`layouts`, `reward`) as cached properties. The one bound on the superframe
+is a scan interval longer than its longest frame, `frame_len +
+frame_jitter_max`.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class SimulationInvariantError(AssertionError):
 class ScenarioConfig:
     """Every scenario value and its default. The engine, each `Node` and the
     superframe builder all read this one object; derive a variant with
-    `dataclasses.replace`."""
+    `dataclasses.replace`. Each value is checked when the config is built,
+    and a bad one raises a `ConfigError` naming its key."""
 
     area_width: float = 1000.0
     area_height: float = 1000.0
@@ -116,7 +120,6 @@ class ScenarioConfig:
     public_ra_ticks: int = 4
     detect_periods: int = 1
     detect_ticks: int = 2
-    max_superframe_ticks: int = 32
     # heads stretch each frame by up to this many ticks so that the frames of
     # unsynchronized clusters cannot stay collision-aligned forever
     frame_jitter_max: int = 2
@@ -127,7 +130,7 @@ class ScenarioConfig:
     neighbor_ttl_superframes: int = 3
     startup_spread_ticks: int = 100
 
-    def validate(self):
+    def __post_init__(self):
         def need(cond, key, msg):
             if not cond:
                 raise ConfigError(key, msg)
@@ -173,19 +176,15 @@ class ScenarioConfig:
         except RewardParamError as exc:
             raise ConfigError(f"reward_{exc.param}", exc.message) from exc
         need(self.frame_jitter_max >= 0, "frame_jitter_max", "must be >= 0")
-        need(self.scan_interval_ticks > self.max_superframe_ticks,
-             "scan_interval_ticks", "must exceed max_superframe_ticks")
         for key in ("beacon_ticks", "max_slots", "data_ticks", "intra_ra_ticks",
                     "detect_ticks"):
             need(getattr(self, key) >= 1, key, "must be >= 1 tick")
         need(PUBLIC_RA_MIN <= self.public_ra_ticks <= PUBLIC_RA_MAX,
              "public_ra_ticks", "must lie in [%d, %d]" % (PUBLIC_RA_MIN, PUBLIC_RA_MAX))
         need(1 <= self.detect_periods <= 4, "detect_periods", "must lie in [1, 4]")
-        need(self.frame_len <= self.max_superframe_ticks, "max_superframe_ticks",
-             "is shorter than the superframe (%d ticks)" % self.frame_len)
-        need(self.frame_len + self.frame_jitter_max <= self.max_superframe_ticks,
-             "frame_jitter_max", "superframe (%d ticks) plus jitter exceeds "
-             "max_superframe_ticks (%d)" % (self.frame_len, self.max_superframe_ticks))
+        longest = self.frame_len + self.frame_jitter_max
+        need(self.scan_interval_ticks > longest, "scan_interval_ticks",
+             "must exceed the superframe plus its jitter (%d ticks)" % longest)
 
     def _validate_magnitudes(self):
         """Bound the physical floats by the arithmetic that uses them, so that
@@ -255,11 +254,9 @@ def config_from_mapping(mapping: dict, source: str = "config") -> ScenarioConfig
                 values[key] = _coerce(value, _FIELD_TYPES[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(key, f"bad value {value!r}: {exc}") from exc
-        cfg = ScenarioConfig(**values)
-        cfg.validate()
+        return ScenarioConfig(**values)
     except ConfigError as exc:
         raise ConfigError(exc.key, f"{exc.message} (in {source})") from exc
-    return cfg
 
 
 def _coerce(value, ftype):
@@ -463,7 +460,6 @@ class World:
 
     def __init__(self, config: ScenarioConfig, su_positions=None,
                  su_start_ticks=None, pus=None, validate=True):
-        config.validate()
         su_positions = _listed("su_positions", su_positions)
         su_start_ticks = _listed("su_start_ticks", su_start_ticks)
         pus = _listed("pus", pus)
@@ -485,9 +481,10 @@ class World:
             else:
                 own = dict(pu_model="markov", pu_p_on=model.p_on, pu_p_off=model.p_off)
             try:
-                # a PU's own values obey the rules for the config's PU keys
+                # a PU's own values obey the rules for the config's PU keys,
+                # which building this variant checks
                 replace(config, pu_protection_radius=pu.protection_radius,
-                        pu_power=pu.interference_power, **own).validate()
+                        pu_power=pu.interference_power, **own)
             except ConfigError as exc:
                 raise ConfigError("pus", f"PU {pu.id} {exc}") from None
             if not 0 <= pu.channel < config.channel_count:
@@ -844,10 +841,7 @@ class World:
 
     def _next_pra_start(self, rec: ClusterRecord, tick: int) -> int:
         frame_start = _next_boundary(tick + 1, rec.frame_offset, self.cfg.frame_len)
-        pra = frame_start + self.cfg.frame_len - self.cfg.public_ra_ticks
-        if pra <= tick:
-            pra += self.cfg.frame_len
-        return pra
+        return frame_start + self.cfg.frame_len - self.cfg.public_ra_ticks
 
     def _reform_timers(self, tick: int):
         """Run the queued entries due by `tick` of live negotiations:

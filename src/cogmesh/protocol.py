@@ -8,12 +8,14 @@ transceiver: it hears a message only when tuned to its channel for the whole
 tick and not transmitting itself.
 
 Scanning follows the lowest-channel-first rule with a fixed interval longer
-than the superframe. What arrived during an interval decides the outcome:
-nothing -> form a cluster here; a beacon -> request to join through that
-cluster's public random-access period; only HELLOs -> record the neighbors,
-answer through the public period, and move to the next channel. A node that
-iterates all channels without joining or forming starts its own cluster on a
-random available channel.
+than the superframe. A beacon of a cluster that has not rejected the node
+triggers a join request through that cluster's public random-access period
+when it arrives, and the interval does not end before that join does; a
+HELLO is recorded and answered through the public period when it arrives.
+At the end of an interval, silence means form a cluster here and anything
+heard means move on to the next channel. A node that iterates all channels
+without joining or forming starts its own cluster on a random available
+channel.
 
 Past the beacon, heads and members share one in-frame path (`_in_frame`);
 a member adds only its HELLO in its ND mini-slot. Every sensing round goes
@@ -88,7 +90,9 @@ MEMBER_ROLES = (Role.ORDINARY, Role.GATEWAY)
 
 @dataclass(frozen=True)
 class SuperframeSchedule:
-    """One superframe layout: (kind, start, length) periods in tick order."""
+    """One superframe layout: (kind, start, length) periods in tick order.
+    Each detection block is kept as its (start, end) ticks into the frame, so
+    the layout's size does not depend on the blocks' length."""
 
     periods: tuple[tuple[str, int, int], ...]
     nd_start: int
@@ -96,8 +100,7 @@ class SuperframeSchedule:
     data_len: int
     pra_start: int
     pra_len: int
-    detect_ticks: frozenset[int]
-    first_detect: int
+    detect_blocks: tuple[tuple[int, int], ...]
     # ticks into the frame where a node stops doing what it did the tick
     # before: rel 1, detection-block and data-period edges, the frame's last
     # tick; sorted
@@ -129,7 +132,7 @@ def lay_out_superframe(params: ScenarioConfig,
     periods = []
     start = 0
     nd_start = data_start = data_len = pra_start = pra_len = 0
-    detect = []
+    blocks = []
     edges = {1}
     for kind, length in seq:
         periods.append((kind, start, length))
@@ -141,7 +144,7 @@ def lay_out_superframe(params: ScenarioConfig,
         elif kind == PUBLIC_RA:
             pra_start, pra_len = start, length
         elif kind == DETECT:
-            detect.extend(range(start, start + length))
+            blocks.append((start, start + length))
             edges.update((start, start + length))
         start += length
     edges.add(start - 1)
@@ -149,7 +152,7 @@ def lay_out_superframe(params: ScenarioConfig,
         periods=tuple(periods), nd_start=nd_start,
         data_start=data_start, data_len=data_len,
         pra_start=pra_start, pra_len=pra_len,
-        detect_ticks=frozenset(detect), first_detect=min(detect),
+        detect_blocks=tuple(blocks),
         edges=tuple(sorted(edges)),
     )
 
@@ -198,19 +201,12 @@ class ClusterRecord:
     frame_offset: int
 
 
-@dataclass(frozen=True)
-class BeaconSummary:
-    head: int
-    master: int
-
-
 @dataclass(slots=True)
 class ScanState:
     visited: set
     current: int
     interval_end: int              # tick at which the scan interval is over
-    heard_beacon: BeaconSummary | None = None
-    heard_hello: bool = False
+    heard: bool = False            # a HELLO or beacon arrived this interval
     rejections: set = field(default_factory=set)
 
 
@@ -218,12 +214,6 @@ class ScanState:
 
 @dataclass(frozen=True)
 class FormCluster:
-    channel: int
-
-
-@dataclass(frozen=True)
-class RequestJoin:
-    head: int
     channel: int
 
 
@@ -279,16 +269,14 @@ def start_scan(stages: dict, first_channel: int | None = None) -> ScanState:
 def finish_scan_interval(state: ScanState, stages: dict, rng: Random):
     """Resolve an elapsed scanning interval into its outcome.
 
-    A beacon from a cluster that has not rejected this node wins; otherwise
-    HELLO traffic (or exhausted beacons) means move on to the next unvisited
-    channel; silence means claim the current channel. Once every channel has
-    been visited without a home, the node starts its own cluster on a
-    uniformly random available channel.
+    Silence means claim the current channel; anything heard (HELLOs, or
+    beacons of clusters that would not take this node) means move on to the
+    next unvisited channel. Once every channel has been visited without a
+    home, the node starts its own cluster on a uniformly random available
+    channel. A beacon that could lead to a join never reaches this point: the
+    node asks to join when it arrives, and its join has ended by now.
     """
-    beacon = state.heard_beacon
-    if beacon is not None and beacon.head not in state.rejections:
-        return RequestJoin(head=beacon.head, channel=beacon.master)
-    if beacon is None and not state.heard_hello and state.current in stages:
+    if not state.heard and state.current in stages:
         return FormCluster(channel=state.current)
     # the lowest available channel not yet visited
     nxt = next((ch for ch in stages if ch not in state.visited), None)
@@ -713,22 +701,13 @@ class Node:
         outcome = finish_scan_interval(s, self.stages, self.rng)
         if isinstance(outcome, FormCluster):
             self._form_cluster(outcome.channel, tick, ctx)
-        elif isinstance(outcome, ContinueScan):
-            s.visited.add(outcome.channel)
-            s.current = outcome.channel
-            s.interval_end = tick + self.p.scan_interval_ticks
-            s.heard_beacon = None
-            s.heard_hello = False
-            self.master = self._choice_or(outcome.channel)
-            self.listen = outcome.channel
-        else:
-            # a beacon was heard too late to act on during the interval; arm a
-            # bounded wait so the next beacon of that cluster can be answered
-            self.join_target = outcome.head
-            self.join_attempts = 0
-            self.join_tx_tick = None
-            self.join_deadline = tick + 2 * self.p.frame_len
-            self.master = outcome.channel
+            return
+        s.visited.add(outcome.channel)
+        s.current = outcome.channel
+        s.interval_end = tick + self.p.scan_interval_ticks
+        s.heard = False
+        self.master = self._choice_or(outcome.channel)
+        self.listen = outcome.channel
 
     def _form_cluster(self, channel: int, tick: int, ctx):
         offset = self.rng.randrange(self.p.frame_len)
@@ -842,11 +821,13 @@ class Node:
         off the master through the data period when `offscan` and on it
         otherwise, and close the frame on its last tick."""
         sched = self.sched
-        if rel in sched.detect_ticks:
-            self.listen = None
-            if rel == sched.first_detect:
-                self._do_sensing(tick, ctx)
-            return
+        blocks = sched.detect_blocks
+        for start, end in blocks:
+            if start <= rel < end:
+                self.listen = None
+                if rel == blocks[0][0]:
+                    self._do_sensing(tick, ctx)
+                return
         if offscan and sched.data_start <= rel < sched.data_start + sched.data_len:
             if rel == sched.data_start:
                 self.offscan_ch = select_offmaster_scan(
@@ -902,7 +883,7 @@ class Node:
         if self.role is Role.HEAD and hello.sender in self.cluster.members:
             self.heard_members.add(hello.sender)
         if self.role is Role.SCANNING and self.scan is not None:
-            self.scan.heard_hello = True
+            self.scan.heard = True
             if (frame.cluster_head is not None and frame.pra_start is not None
                     and frame.cluster_head not in self.exch_done
                     and self.exch_tx_tick is None):
@@ -927,8 +908,7 @@ class Node:
             return
         self.wake = 0
         s = self.scan
-        if s.heard_beacon is None:
-            s.heard_beacon = BeaconSummary(head=b.head, master=b.master)
+        s.heard = True
         members = dict(b.members)
         if self.id in members and b.head == self.join_target:
             self._complete_join(b, members[self.id], tick, ctx)

@@ -28,7 +28,7 @@ far-field sum can move a stage, and `sense` reads only the near PUs. A
 window without any active PU, and such a position whose near PUs were all
 idle, return one shared clean stage map.
 
-Scenario values are validated once, by `engine.ScenarioConfig.validate`;
+Scenario values are validated once, when `engine.ScenarioConfig` is built;
 nothing here checks its arguments again.
 """
 

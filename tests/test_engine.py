@@ -41,17 +41,46 @@ from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        ScenarioConfig().validate()
+        ScenarioConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="warp_factor"):
             config_from_mapping({"warp_factor": "9"})
 
-    def test_removed_key_rejected(self):
+    @pytest.mark.parametrize("key", ["q_max", "max_superframe_ticks"])
+    def test_removed_key_rejected(self, key):
         # a file that still sets a removed key is told which one
-        with pytest.raises(ConfigError, match="q_max: unknown key") as info:
-            config_from_mapping({"q_max": "1.0"})
-        assert info.value.key == "q_max"
+        with pytest.raises(ConfigError, match=f"{key}: unknown key") as info:
+            config_from_mapping({key: "32"})
+        assert info.value.key == key
+
+    # every config is checked when it is built, in code as from a file
+    @pytest.mark.parametrize("build", [
+        lambda **bad: ScenarioConfig(**bad),
+        lambda **bad: replace(ScenarioConfig(su_count=5), **bad),
+    ], ids=["constructor", "replace"])
+    @pytest.mark.parametrize("key, value", [
+        ("su_count", -1), ("alpha", 2.0), ("pu_power", math.inf),
+    ])
+    def test_bad_value_rejected_when_built(self, build, key, value):
+        with pytest.raises(ConfigError, match=key) as info:
+            build(**{key: value})
+        assert info.value.key == key
+
+    # the scan interval must outlast the longest frame, and nothing else
+    # bounds the superframe
+    @pytest.mark.parametrize("values", [
+        {}, {"frame_jitter_max": 0}, {"frame_jitter_max": 9},
+        {"detect_periods": 4, "detect_ticks": 7}, {"data_ticks": 30},
+    ])
+    def test_scan_interval_bound_is_the_longest_frame(self, values):
+        base = ScenarioConfig(**values, scan_interval_ticks=10**6)
+        longest = base.frame_len + base.frame_jitter_max
+        with pytest.raises(ConfigError, match=f"superframe plus its jitter "
+                                              f"\\({longest} ticks\\)") as info:
+            replace(base, scan_interval_ticks=longest)
+        assert info.value.key == "scan_interval_ticks"
+        assert replace(base, scan_interval_ticks=longest + 1).frame_len == base.frame_len
 
     def test_negative_count_names_the_key(self):
         with pytest.raises(ConfigError, match="su_count"):
@@ -84,11 +113,15 @@ class TestConfig:
         ({"public_ra_ticks": "9"}, "public_ra_ticks"),
         ({"detect_periods": "0"}, "detect_periods"),
         ({"detect_periods": "5"}, "detect_periods"),
-        ({"data_ticks": "30"}, "max_superframe_ticks"),
+        # here and in the last two cases the frame plus its jitter outlasts
+        # the scan interval
+        ({"data_ticks": "30"}, "scan_interval_ticks"),
+        # the removed bound is named as an unknown key
         ({"max_superframe_ticks": "24"}, "max_superframe_ticks"),
-        ({"frame_jitter_max": "20"}, "frame_jitter_max"),
-        ({"max_superframe_ticks": "26", "frame_jitter_max": "2"},
-         "frame_jitter_max"),
+        ({"frame_jitter_max": "-1"}, "frame_jitter_max"),
+        ({"scan_interval_ticks": "27", "frame_jitter_max": "2"},
+         "scan_interval_ticks"),
+        ({"frame_jitter_max": "20"}, "scan_interval_ticks"),
     ])
     def test_superframe_error_names_its_key(self, values, key):
         with pytest.raises(ConfigError) as info:
@@ -437,8 +470,8 @@ class TestRun:
 
     def test_different_seeds_differ(self):
         base = ScenarioConfig(su_count=25, channel_count=4, duration_ticks=600)
-        a = run(ScenarioConfig(**{**base.__dict__, "seed": 1}))
-        b = run(ScenarioConfig(**{**base.__dict__, "seed": 2}))
+        a = run(replace(base, seed=1))
+        b = run(replace(base, seed=2))
         assert a.samples != b.samples
 
     def test_count_conservation(self):
@@ -662,16 +695,16 @@ def small_scenarios(draw):
         max_slots=draw(st.integers(1, 8)),
         public_ra_ticks=draw(st.integers(2, 6)),
         detect_periods=draw(st.integers(1, 4)),
-        max_superframe_ticks=draw(st.sampled_from([32, 40, 48])),
-        frame_jitter_max=draw(st.integers(0, 4)),
     )
+    # a cap on the frame plus its jitter; the scan interval exceeds it
+    cap = draw(st.sampled_from([32, 40, 48]))
+    frame["frame_jitter_max"] = draw(st.integers(0, 4))
     fixed = (ScenarioConfig.beacon_ticks + ScenarioConfig.intra_ra_ticks
              + frame["max_slots"] + frame["public_ra_ticks"]
              + frame["detect_periods"] * ScenarioConfig.detect_ticks)
-    room = frame["max_superframe_ticks"] - frame["frame_jitter_max"] - fixed
+    room = cap - frame["frame_jitter_max"] - fixed
     frame["data_ticks"] = draw(st.integers(1, min(8, room)))
-    frame["scan_interval_ticks"] = (frame["max_superframe_ticks"]
-                                    + draw(st.integers(1, 10)))
+    frame["scan_interval_ticks"] = cap + draw(st.integers(1, 10))
     side = draw(st.floats(200.0, 1000.0))
     return ScenarioConfig(
         area_width=side, area_height=side,
@@ -856,6 +889,10 @@ class TestConfigFuzz:
     # the longest accepted window, with Markov PUs
     @example({"pu_count": "4", "duration_ticks": "200", "pu_model": "markov",
               "sensing_window_ticks": str(sys.maxsize)})
+    # accepted once with a bound on the superframe of 2**66, and too large to
+    # lay out while the layout listed every detection tick
+    @example({"duration_ticks": "200", "detect_ticks": str(2**64),
+              "scan_interval_ticks": str(2**67)})
     @settings(max_examples=200, deadline=None)
     def test_edge_values_are_rejected_or_run(self, mapping):
         try:

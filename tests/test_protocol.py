@@ -15,13 +15,11 @@ from cogmesh.protocol import (
     INTRA_RA,
     ND,
     PUBLIC_RA,
-    BeaconSummary,
     ClusterRecord,
     ContinueScan,
     FormCluster,
     NeighborEntry,
     Node,
-    RequestJoin,
     Role,
     ScanState,
     build_superframe,
@@ -77,22 +75,35 @@ class TestSuperframe:
         b = [build_superframe(ScenarioConfig(), Random(99)) for _ in range(5)]
         assert a == b
 
+    # here and below: four detection blocks make a 31-tick frame, which
+    # leaves the default scan interval of 33 ticks no room for jitter
     @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
     def test_cached_layout_per_gap_set(self, detect_periods):
-        params = ScenarioConfig(detect_periods=detect_periods)
+        params = ScenarioConfig(detect_periods=detect_periods, frame_jitter_max=0)
         mains = [BEACON, ND, DATA, INTRA_RA, PUBLIC_RA]
         assert list(params.layouts) == list(combinations(range(1, 5), detect_periods))
         for gaps, sched in params.layouts.items():
-            assert sched == lay_out_superframe(ScenarioConfig(detect_periods=detect_periods),
-                                               gaps)
+            assert sched == lay_out_superframe(params, gaps)
             kinds = [kind for kind, _, _ in sched.periods]
             # one detection block right before each main period named in gaps
             assert [mains.index(kinds[k + 1]) for k, kind in enumerate(kinds)
                     if kind == DETECT] == list(gaps)
+            assert sched.detect_blocks == tuple(
+                (start, start + length) for kind, start, length in sched.periods
+                if kind == DETECT)
+
+    @pytest.mark.parametrize("detect_ticks", [1, 3, 2**64])
+    def test_layout_size_does_not_depend_on_block_length(self, detect_ticks):
+        params = ScenarioConfig(detect_periods=2, detect_ticks=detect_ticks,
+                                scan_interval_ticks=2**66)
+        for gaps, sched in params.layouts.items():
+            assert len(sched.periods) == 7 and len(sched.detect_blocks) == 2
+            assert all(end - start == detect_ticks for start, end in sched.detect_blocks)
+            assert sched.pra_start + sched.pra_len == params.frame_len
 
     @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
     def test_draw_consumes_the_rng_as_one_sample(self, detect_periods):
-        params = ScenarioConfig(detect_periods=detect_periods)
+        params = ScenarioConfig(detect_periods=detect_periods, frame_jitter_max=0)
         for seed in range(10):
             drawn, reference = Random(seed), Random(seed)
             sched = build_superframe(params, drawn)
@@ -102,7 +113,7 @@ class TestSuperframe:
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(data_ticks=20).validate()
+            ScenarioConfig(data_ticks=20)
 
 
 class TestScanning:
@@ -131,29 +142,20 @@ class TestScanning:
         out = finish_scan_interval(state, {0: 3, 1: 3}, Random(0))
         assert out == FormCluster(channel=0)
 
-    def test_case2_beacon_requests_join(self):
-        state = ScanState(visited={0}, current=0, interval_end=0,
-                          heard_beacon=BeaconSummary(head=9, master=0))
-        out = finish_scan_interval(state, {0: 3, 1: 3}, Random(0))
-        assert out == RequestJoin(head=9, channel=0)
-
     def test_case3_hellos_continue_to_next_channel(self):
-        state = ScanState(visited={0}, current=0, interval_end=0,
-                          heard_hello=True)
+        state = ScanState(visited={0}, current=0, interval_end=0, heard=True)
         out = finish_scan_interval(state, {0: 3, 1: 0, 2: 3}, Random(0))
         assert out == ContinueScan(channel=1)
 
     def test_rejected_beacon_moves_on(self):
         state = ScanState(visited={0}, current=0, interval_end=0,
-                          heard_beacon=BeaconSummary(head=9, master=0),
-                          rejections={9})
+                          heard=True, rejections={9})
         out = finish_scan_interval(state, {0: 3, 3: 1}, Random(0))
         assert out == ContinueScan(channel=3)
 
     def test_all_visited_forms_on_random_available(self):
         state = ScanState(visited={0, 1, 2}, current=2, interval_end=0,
-                          heard_hello=True,
-                          rejections={9})
+                          heard=True, rejections={9})
         stages = {0: 3, 1: 3, 2: 3}
         picks = {finish_scan_interval(state, stages, Random(s)).channel
                  for s in range(40)}
