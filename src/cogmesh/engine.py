@@ -14,9 +14,10 @@ event log: a node settles at its first `form` or `join`. All randomness
 flows from one 64-bit seed through named substreams, so a (config, seed)
 pair replays bit-identically.
 
-A cluster's record lives only on its head, as `Node.cluster`;
-`World.clusters` is a read-only view built from the nodes. Each gateway link
-is kept once, in `World.links`, keyed by its head pair (low id first).
+A cluster is its head: the head node keeps the member map and frame offset,
+and `World.clusters` is a read-only view from each head's id to its node.
+Each gateway link is kept once, in `World.links`, which maps its head pair
+(low id first) to the gateway nodes that `select_gateways` chose.
 Gateway maintenance, once per `frame_len` ticks, drops every link that
 `_link_valid` rejects and links each newly discovered pair. A pair is
 discovered only through a 1-hop table entry x -> y across the two clusters;
@@ -51,8 +52,6 @@ from types import MappingProxyType
 from cogmesh import radio
 from cogmesh.protocol import (
     MEMBER_ROLES,
-    ClusterRecord,
-    GatewayLink,
     Node,
     Role,
     SuperframeSchedule,
@@ -562,8 +561,9 @@ class World:
         self.events: list[Event] = []
         self.samples: list[MetricsSample] = []
         self.txs: list = []
-        # (head_a, head_b), head_a < head_b -> the gateway link between them
-        self.links: dict[tuple[int, int], GatewayLink] = {}
+        # (head_a, head_b), head_a < head_b -> its gateway nodes: (x,) for a
+        # single gateway, (a, b) with a in head_a's cluster for a pair
+        self.links: dict[tuple[int, int], tuple[int, ...]] = {}
         self.gateway_latencies: list = []
         self.neg_by_working: dict = {}     # working node id -> live negotiation
         self.reform_queue: list = []       # heap, see `_push`
@@ -585,9 +585,9 @@ class World:
 
     @property
     def clusters(self) -> MappingProxyType:
-        """Head id -> record of every live cluster, read from the heads."""
-        return MappingProxyType({n.id: n.cluster for n in self.nodes
-                                 if n.cluster is not None})
+        """Head id -> head node of every live cluster."""
+        return MappingProxyType({n.id: n for n in self.nodes
+                                 if n.members is not None})
 
     # -- main loop --
 
@@ -634,25 +634,23 @@ class World:
             self._validate(tick)
 
     def _validate(self, tick: int):
-        """Cluster-record invariants, checked at every sample.
+        """Cluster invariants, checked at every sample.
 
-        A member that silently left keeps its stale record entry until the
-        head times it out (the mini-slot TTL rule), so node-vs-record
+        A member that silently left stays in its old head's member map until
+        the head times it out (the mini-slot TTL rule), so node-vs-head
         consistency is enforced for mutually consistent pairs; slot layout,
         adjacency, and the heads' own state are enforced unconditionally. A
-        node holds a record exactly while it heads that cluster (checked
-        first: `clusters` keys each record by its holder), a reform lock must
+        node keeps a member map exactly while it heads a cluster (checked
+        first: `clusters` holds the nodes that keep one), a reform lock must
         be a negotiation still in progress, and every node weights only
         channels of its stage map.
         """
         live = set(self.neg_by_working.values())
         for n in self.nodes:
-            rec = n.cluster
-            if (rec is not None) != (n.role is Role.HEAD) or (
-                    rec is not None and rec.head != n.id):
+            if (n.members is not None) != (n.role is Role.HEAD):
                 raise SimulationInvariantError(
-                    f"t={tick}: node {n.id} ({n.role}) holds the wrong cluster "
-                    f"record")
+                    f"t={tick}: node {n.id} ({n.role}) must keep a member map "
+                    f"exactly while it heads a cluster")
             if n.role in MEMBER_ROLES and n.head_id is None:
                 raise SimulationInvariantError(
                     f"t={tick}: member {n.id} has no cluster")
@@ -667,19 +665,16 @@ class World:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} holds a lock of a finished plan")
         max_slots = self.cfg.max_slots
-        for head, rec in self.clusters.items():
-            if self.nodes[head].master != rec.master:
-                raise SimulationInvariantError(
-                    f"t={tick}: head {head} master disagrees with record")
-            if len(rec.members) > max_slots:
+        for head, hn in self.clusters.items():
+            if len(hn.members) > max_slots:
                 raise SimulationInvariantError(
                     f"t={tick}: cluster {head} exceeds its mini-slot budget")
-            slots = sorted(rec.members.values())
+            slots = sorted(hn.members.values())
             if len(set(slots)) != len(slots) or (slots and not (
                     0 <= slots[0] and slots[-1] < max_slots)):
                 raise SimulationInvariantError(
                     f"t={tick}: cluster {head} has inconsistent mini-slots")
-            for m in rec.members:
+            for m in hn.members:
                 if m == head:
                     raise SimulationInvariantError(
                         f"t={tick}: head {head} lists itself as a member")
@@ -688,7 +683,7 @@ class World:
                         f"t={tick}: member {m} out of range of head {head}")
                 mn = self.nodes[m]
                 if mn.role in MEMBER_ROLES and mn.head_id == head \
-                        and mn.master != rec.master:
+                        and mn.master != hn.master:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} master disagrees with cluster")
 
@@ -696,8 +691,8 @@ class World:
         """Right after gateway maintenance, every link joins two live
         clusters through valid gateway nodes. (Between passes `links` may
         keep links that have gone stale.)"""
-        for (ha, hb), link in self.links.items():
-            if not self._link_valid(link):
+        for (ha, hb), gateways in self.links.items():
+            if not self._link_valid((ha, hb), gateways):
                 raise SimulationInvariantError(
                     f"t={tick}: gateway link {ha}-{hb} is stale after maintenance")
 
@@ -705,23 +700,24 @@ class World:
 
     def _gateway_maintenance(self, tick: int):
         links = self.links
-        for key in [key for key, link in links.items() if not self._link_valid(link)]:
+        for key in [key for key, gateways in links.items()
+                    if not self._link_valid(key, gateways)]:
             del links[key]
         tables = {n.id: n.table for n in self.nodes}
         for key in self._discovered_pairs():
             if key in links:
                 continue
             ha, hb = key
-            link = select_gateways(self.nodes[ha].cluster, self.nodes[hb].cluster,
-                                   tables, self.adjacent)
-            if link is None:
+            gateways = select_gateways(self.nodes[ha], self.nodes[hb], tables,
+                                       self.adjacent)
+            if gateways is None:
                 raise SimulationInvariantError(
                     f"t={tick}: discovered clusters {ha} and {hb} have no "
                     f"gateway link")
-            links[key] = link
+            links[key] = gateways
             self.gateway_latencies.append((ha, hb, tick, tick))
             self.log(tick, "gateway", cluster_a=ha, cluster_b=hb,
-                     nodes=":".join(str(x) for x in link.nodes))
+                     nodes=":".join(str(x) for x in gateways))
         self._refresh_gateway_roles()
 
     def _discovered_pairs(self) -> list:
@@ -729,13 +725,13 @@ class World:
         one cluster holds a node of the other in its table at 1 hop (which
         also implies the two are in radio range).
 
-        A member that silently left stays listed by its old head's record
-        until the mini-slot TTL fires, so a node can have two owning heads.
+        A member that silently left stays listed by its old head until the
+        mini-slot TTL fires, so a node can have two owning heads.
         """
         owners = {}
-        for head, rec in self.clusters.items():
+        for head, hn in self.clusters.items():
             owners.setdefault(head, []).append(head)
-            for m in rec.members:
+            for m in hn.members:
                 owners.setdefault(m, []).append(head)
         pairs = set()
         for x, mine in owners.items():
@@ -746,25 +742,25 @@ class World:
                             pairs.add((a, b) if a < b else (b, a))
         return sorted(pairs)
 
-    def _link_valid(self, link) -> bool:
-        ra = self.nodes[link.cluster_a].cluster
-        rb = self.nodes[link.cluster_b].cluster
-        if ra is None or rb is None:
+    def _link_valid(self, key: tuple[int, int], gateways: tuple[int, ...]) -> bool:
+        ha, hb = key
+        ma = self.nodes[ha].members
+        mb = self.nodes[hb].members
+        if ma is None or mb is None:
             return False
-        if link.node_b is None:
-            x = link.node_a
-            return ((x in ra.members or x in rb.members)
-                    and x not in (ra.head, rb.head)
-                    and self.adjacent(x, ra.head) and self.adjacent(x, rb.head))
-        a, b = link.node_a, link.node_b
-        in_a = a == ra.head or a in ra.members
-        in_b = b == rb.head or b in rb.members
+        if len(gateways) == 1:
+            x = gateways[0]
+            return ((x in ma or x in mb) and x not in key
+                    and self.adjacent(x, ha) and self.adjacent(x, hb))
+        a, b = gateways
+        in_a = a == ha or a in ma
+        in_b = b == hb or b in mb
         return in_a and in_b and self.adjacent(a, b)
 
     def _refresh_gateway_roles(self):
         gateway_nodes = set()
-        for link in self.links.values():
-            gateway_nodes.update(link.nodes)
+        for gateways in self.links.values():
+            gateway_nodes.update(gateways)
         for n in self.nodes:
             if n.role is Role.ORDINARY and n.id in gateway_nodes:
                 n.role = Role.GATEWAY
@@ -773,46 +769,46 @@ class World:
 
     # -- reformation --
 
-    def _host_record(self, node: Node):
+    def _host_head(self, node: Node) -> Node | None:
+        """The head of the cluster `node` heads, or lists it as a member."""
         if node.role is Role.HEAD:
-            return node.cluster
+            return node
         if node.role in MEMBER_ROLES and node.head_id is not None:
-            rec = self.nodes[node.head_id].cluster
-            if rec is not None and node.id in rec.members:
-                return rec
+            head = self.nodes[node.head_id]
+            if head.members is not None and node.id in head.members:
+                return head
         return None
 
     def try_reform(self, node: Node, tick: int):
         """Working-node entry point, called on the node's reform cadence."""
         if node.id in self.neg_by_working or node.lock is not None:
             return
-        host = self._host_record(node)
+        host = self._host_head(node)
         if host is None:
             return
         table = node.table
         cands = sorted({e.cluster_head for e in table.values()
                         if e.cluster_head is not None})
-        records = [host]
+        heads = [host]
         for h in cands:
-            rec = self.nodes[h].cluster
-            if rec is None or rec is host or rec.master != host.master:
+            hn = self.nodes[h]
+            if hn.members is None or hn is host or hn.master != host.master:
                 continue
-            if rec.head in table or not table.keys().isdisjoint(rec.members):
-                records.append(rec)
-        if len(records) == 1:
+            if h in table or not table.keys().isdisjoint(hn.members):
+                heads.append(hn)
+        if len(heads) == 1:
             # one cluster cannot become fewer: no plan can gain
             return
         availability = {}
-        for rec in records:
-            for nid in [rec.head] + sorted(rec.members):
+        for hn in heads:
+            for nid in [hn.id] + sorted(hn.members):
                 availability[nid] = self.nodes[nid].stages
         tables = {nid: self.nodes[nid].table for nid in availability}
-        graph = build_local_graph(node.id, records, tables, availability)
+        graph = build_local_graph(node.id, heads, tables, availability)
         plan = greedy_mds(graph, node.id, max_members=self.cfg.max_slots)
         if plan.gain < 1 or not plan_is_feasible(plan, graph):
             return
-        affected = {rec.head: frozenset({rec.head} | set(rec.members))
-                    for rec in records}
+        affected = {hn.id: frozenset({hn.id} | set(hn.members)) for hn in heads}
         neg = Negotiation(working=node.id, plan=plan, affected=affected,
                           deadline=tick + 2 * self.cfg.frame_len,
                           waiting=set(affected) - {node.id})
@@ -824,7 +820,7 @@ class World:
             if head == node.id:
                 node.lock = neg
                 continue
-            when = self._next_pra_start(self.nodes[head].cluster, tick)
+            when = self._next_pra_start(self.nodes[head], tick)
             self._push(when, "req", neg, head)
 
     def cancel_reform(self, node: Node):
@@ -839,8 +835,8 @@ class World:
         heapq.heappush(self.reform_queue,
                        (when, _PHASE[kind], self._seq, kind, neg, head))
 
-    def _next_pra_start(self, rec: ClusterRecord, tick: int) -> int:
-        frame_start = _next_boundary(tick + 1, rec.frame_offset, self.cfg.frame_len)
+    def _next_pra_start(self, head: Node, tick: int) -> int:
+        frame_start = _next_boundary(tick + 1, head.frame_offset, self.cfg.frame_len)
         return frame_start + self.cfg.frame_len - self.cfg.public_ra_ticks
 
     def _reform_timers(self, tick: int):
@@ -864,12 +860,11 @@ class World:
     def _route_reform(self, kind: str, neg: Negotiation, head: int, tick: int):
         if kind == "req":
             node = self.nodes[head]
-            rec = node.cluster
-            if rec is None:
+            if node.members is None:
                 return                              # silence -> timeout
             if node.lock is not None or head in self.neg_by_working:
                 return                              # busy head stays silent
-            current = frozenset({head} | set(rec.members))
+            current = frozenset({head} | set(node.members))
             # the decision goes back out in the tail of the same public RA
             reply_at = tick + 1
             if current != neg.affected.get(head):
@@ -887,7 +882,7 @@ class World:
 
     def _schedule_commit(self, neg: Negotiation, tick: int):
         working = self.nodes[neg.working]
-        host = self._host_record(working)
+        host = self._host_head(working)
         if host is None:
             self._cancel(neg, tick)
             return
@@ -909,8 +904,8 @@ class World:
 
     def _commit_valid(self, neg: Negotiation) -> bool:
         for head, snapshot in neg.affected.items():
-            rec = self.nodes[head].cluster
-            if rec is None or frozenset({head} | set(rec.members)) != snapshot:
+            members = self.nodes[head].members
+            if members is None or frozenset({head} | set(members)) != snapshot:
                 return False
         for head, master, members in neg.plan.clusters:
             if len(members) - 1 > self.cfg.max_slots:
@@ -922,7 +917,7 @@ class World:
                 if m != head and not self.adjacent(m, head):
                     return False
                 # a node that silently left an affected cluster (and may even
-                # head its own by now) makes the plan stale; records keep such
+                # head its own by now) makes the plan stale; heads keep such
                 # members listed until the mini-slot TTL fires, so the check
                 # has to look at the node's own state
                 if node.role is Role.HEAD:
@@ -942,7 +937,7 @@ class World:
         self._finish(neg)
         pre = len(neg.affected)
         post = len(neg.plan.clusters)
-        old_offsets = {head: self.nodes[head].cluster.frame_offset
+        old_offsets = {head: self.nodes[head].frame_offset
                        for head in neg.affected}
         grace = tick + self.cfg.ttl_ticks
         for head, master, members in neg.plan.clusters:
@@ -951,10 +946,9 @@ class World:
                 offset = self.nodes[head].rng.randrange(self.cfg.frame_len)
             slot_map = {m: i for i, m in enumerate(sorted(m for m in members
                                                           if m != head))}
-            rec = ClusterRecord(head=head, master=master, members=slot_map,
-                                frame_offset=offset)
             self.nodes[head].become_head(
-                rec, _next_boundary(tick, offset, self.cfg.frame_len))
+                master, slot_map, offset,
+                _next_boundary(tick, offset, self.cfg.frame_len))
             for m, slot in slot_map.items():
                 self.nodes[m].become_member(head, master, slot, grace)
         affected = neg.affected

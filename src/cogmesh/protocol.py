@@ -39,10 +39,11 @@ runs in full: every role entry (`_clear_role_state`, hence `become_head`,
 `become_member`, `_restart_scan` and the engine's reformation commits), a
 beacon adopted (`_follow_beacon`) or heard while scanning (`_scan_beacon`,
 `_give_up_join`), and a HELLO that arms a public-RA exchange (`_on_hello`).
-A role entry is also a cluster record's whole life: `become_head` sets
-`Node.cluster`, the record's only copy, and `_clear_role_state` clears it.
+A role entry is also a cluster's whole life: a cluster is its head, which
+keeps its member map (`Node.members`, member id -> mini-slot) and
+`frame_offset` from `become_head` until `_clear_role_state` clears them.
 
-`Node` declares its state in `__slots__`, as do `ClusterRecord`, `ScanState`
+`Node` declares its state in `__slots__`, as do `NeighborEntry`, `ScanState`
 and the per-message records, so no instance carries a `__dict__`. Every
 HELLO a node sends, in a scan exchange, a beacon or its ND mini-slot, comes
 from `Node.hello`. It rebuilds the message with `emit_hello` only when its
@@ -172,33 +173,10 @@ def frame_breaks(sched: SuperframeSchedule, gap: int,
 class NeighborEntry:
     """A 1-hop neighbor as its last HELLO or beacon described it."""
 
-    id: int
     master: int
     channels: tuple[int, ...]      # sorted channel ids, as on the wire
     last_seen: int
     cluster_head: int | None = None
-
-
-@dataclass(frozen=True)
-class GatewayLink:
-    cluster_a: int
-    cluster_b: int
-    node_a: int
-    node_b: int | None = None      # None: single gateway 1-hop to both heads
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return (self.node_a,) if self.node_b is None else (self.node_a, self.node_b)
-
-
-@dataclass(slots=True)
-class ClusterRecord:
-    # a cluster as its head keeps it, in `Node.cluster`; gateway links to
-    # other clusters are kept once per head pair, in `engine.World.links`
-    head: int
-    master: int
-    members: dict                  # node id -> mini-slot index (head excluded)
-    frame_offset: int
 
 
 @dataclass(slots=True)
@@ -285,14 +263,14 @@ def finish_scan_interval(state: ScanState, stages: dict, rng: Random):
     return FormCluster(channel=rng.choice(list(stages)))
 
 
-def handle_join_request(cluster: ClusterRecord, requester: int,
+def handle_join_request(members: dict, requester: int,
                         max_slots: int) -> int | None:
     """Admission decision: lowest free mini-slot index below `max_slots`, or
     None when full. A requester that is already a member gets its existing
     slot back."""
-    if requester in cluster.members:
-        return cluster.members[requester]
-    used = set(cluster.members.values())
+    if requester in members:
+        return members[requester]
+    used = set(members.values())
     for slot in range(max_slots):
         if slot not in used:
             return slot
@@ -305,7 +283,7 @@ def emit_hello(node_id: int, master: int, channels: tuple, table) -> HelloMessag
     neighbor list with each neighbor's channel set."""
     # ids are unique, so the tuples sort by id alone
     neighbors = tuple(sorted(
-        [(e.id, e.master, e.channels) for e in table.values()]))
+        [(nid, e.master, e.channels) for nid, e in table.items()]))
     return HelloMessage(node_id, master, channels, neighbors)
 
 
@@ -328,7 +306,7 @@ def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int
     channels = hello.channel_ids
     e = table.get(sender)
     if e is None:
-        table[sender] = NeighborEntry(sender, master, channels, tick, cluster_head)
+        table[sender] = NeighborEntry(master, channels, tick, cluster_head)
         two_hop.pop(sender, None)
         changed = True
     else:
@@ -383,14 +361,15 @@ def select_offmaster_scan(master: int, stages: dict, two_hop: dict,
     return cands[-1]
 
 
-def select_gateways(cluster_a: ClusterRecord, cluster_b: ClusterRecord,
-                    tables: dict, adjacent) -> GatewayLink | None:
-    """Choose the gateway link between two clusters.
+def select_gateways(head_a: Node, head_b: Node, tables: dict,
+                    adjacent) -> tuple[int, ...] | None:
+    """Choose the gateway nodes that link the clusters of two heads.
 
     A node 1-hop to both heads (per the tables, confirmed by physical
-    adjacency) becomes the single gateway, lowest id first; failing that, the
-    lowest-id adjacent member pair (one node from each cluster) carries the
-    link. Heads themselves only ever appear in the pair form.
+    adjacency) becomes the single gateway `(x,)`, lowest id first; failing
+    that, the lowest-id adjacent pair `(a, b)`, a from head_a's cluster and b
+    from head_b's, carries the link. Heads themselves only ever appear in the
+    pair form.
     """
     def knows(x, y):
         return y in tables.get(x, ()) or x in tables.get(y, ())
@@ -398,21 +377,18 @@ def select_gateways(cluster_a: ClusterRecord, cluster_b: ClusterRecord,
     def linked(x, y):
         return x != y and knows(x, y) and adjacent(x, y)
 
-    nodes_a = [cluster_a.head] + sorted(cluster_a.members)
-    nodes_b = [cluster_b.head] + sorted(cluster_b.members)
+    ha, hb = head_a.id, head_b.id
+    nodes_a = [ha] + sorted(head_a.members)
+    nodes_b = [hb] + sorted(head_b.members)
     singles = sorted(
         x for x in set(nodes_a) | set(nodes_b)
-        if x not in (cluster_a.head, cluster_b.head)
-        and linked(x, cluster_a.head) and linked(x, cluster_b.head)
+        if x not in (ha, hb) and linked(x, ha) and linked(x, hb)
     )
     if singles:
-        return GatewayLink(cluster_a=cluster_a.head, cluster_b=cluster_b.head,
-                           node_a=singles[0])
+        return (singles[0],)
     pairs = sorted((a, b) for a in nodes_a for b in nodes_b if linked(a, b))
     if pairs:
-        a, b = pairs[0]
-        return GatewayLink(cluster_a=cluster_a.head, cluster_b=cluster_b.head,
-                           node_a=a, node_b=b)
+        return pairs[0]
     return None
 
 
@@ -438,7 +414,8 @@ class Node:
         "join_deadline", "exch_tx_tick", "exch_done", "head_id", "slot",
         "sched", "breaks", "frame_start", "have_beacon", "beacons_missed",
         "frames_in_cluster", "offscan_ch", "offscan_seen", "member_grace",
-        "cluster", "heard_members", "member_miss", "join_queue", "lock",
+        "members", "frame_offset", "heard_members", "member_miss",
+        "join_queue", "lock",
     )
 
     def __init__(self, node_id: int, pos, rng: Random, params: ScenarioConfig,
@@ -541,20 +518,24 @@ class Node:
         self.offscan_seen: set = set()
         self.member_grace: int | None = None
 
-        self.cluster: ClusterRecord | None = None
+        self.members: dict | None = None   # a head's: member id -> mini-slot
+        self.frame_offset: int | None = None
         self.heard_members: set = set()
         self.member_miss: dict = {}
         self.join_queue: list = []
         self.lock = None               # the live Negotiation locking it
 
-    def become_head(self, rec: ClusterRecord, frame_start: int):
-        """Head the cluster `rec`; its first frame starts at `frame_start`."""
+    def become_head(self, master: int, members: dict, frame_offset: int,
+                    frame_start: int):
+        """Head a cluster on `master` with the member map `members`; its
+        first frame starts at `frame_start`."""
         self._clear_role_state()
         self.role = Role.HEAD
-        self.master = rec.master
-        self.cluster = rec
+        self.master = master
+        self.members = members
+        self.frame_offset = frame_offset
         self.frame_start = frame_start
-        self.member_miss = dict.fromkeys(rec.members, 0)
+        self.member_miss = dict.fromkeys(members, 0)
 
     def become_member(self, head: int, master: int, slot: int,
                       grace: int | None):
@@ -651,7 +632,7 @@ class Node:
             return
         s = self.scan
         sent = True
-        if self.join_tx_tick == tick and self.join_target is not None:
+        if self.join_tx_tick == tick:
             ctx.transmit(self, s.current, JoinRequest(self.id, self.join_target))
             self.listen = None
         elif self.exch_tx_tick == tick:
@@ -711,9 +692,8 @@ class Node:
 
     def _form_cluster(self, channel: int, tick: int, ctx):
         offset = self.rng.randrange(self.p.frame_len)
-        rec = ClusterRecord(head=self.id, master=channel, members={},
-                            frame_offset=offset)
-        self.become_head(rec, _next_boundary(tick + 1, offset, self.p.frame_len))
+        self.become_head(channel, {}, offset,
+                         _next_boundary(tick + 1, offset, self.p.frame_len))
         self.listen = channel
         ctx.log(tick, "form", node=self.id, channel=channel)
 
@@ -732,31 +712,31 @@ class Node:
             self._head_frame_start(tick, ctx)
             return
         self._sleep_in_frame(rel)
-        self._in_frame(rel, tick, ctx, offscan=not self.cluster.members)
+        self._in_frame(rel, tick, ctx, offscan=not self.members)
 
     def _head_frame_start(self, tick: int, ctx):
-        c = self.cluster
+        members = self.members
         self.frames_in_cluster += 1
         self.offscan_ch = None
         # mini-slot upkeep from the frame that just ended
-        for m in list(c.members):
+        for m in list(members):
             if m in self.heard_members:
                 self.member_miss[m] = 0
             else:
                 self.member_miss[m] = self.member_miss.get(m, 0) + 1
                 if self.member_miss[m] >= self.p.neighbor_ttl_superframes:
-                    del c.members[m]
+                    del members[m]
                     del self.member_miss[m]
         self.heard_members = set()
         rejects = []
         if self.join_queue:
             self.join_queue.sort()
             _, first = self.join_queue[0]
-            slot = handle_join_request(c, first, self.p.max_slots)
+            slot = handle_join_request(members, first, self.p.max_slots)
             if slot is None:
                 rejects.append(first)
             else:
-                c.members[first] = slot
+                members[first] = slot
                 self.member_miss[first] = 0
             self.join_queue = []
         self.sched = build_superframe(self.p, self.rng)
@@ -767,7 +747,7 @@ class Node:
         beacon = Beacon(
             head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
-            members=tuple(sorted(c.members.items())), rejects=tuple(rejects),
+            members=tuple(sorted(members.items())), rejects=tuple(rejects),
             hello=self.hello(),
         )
         ctx.transmit(self, self.master, beacon)
@@ -880,7 +860,7 @@ class Node:
                              frame.cluster_head, self.id):
             self._hello = None
         self._absorb_pheromone(hello)
-        if self.role is Role.HEAD and hello.sender in self.cluster.members:
+        if self.role is Role.HEAD and hello.sender in self.members:
             self.heard_members.add(hello.sender)
         if self.role is Role.SCANNING and self.scan is not None:
             self.scan.heard = True
@@ -925,8 +905,7 @@ class Node:
             self.join_attempts = 1
             self.master = b.master
             self.join_tx_tick = self._pra_backoff(b, tick)
-        elif self.join_target == b.head and (self.join_tx_tick is None
-                                             or self.join_tx_tick < tick):
+        elif self.join_target == b.head and self.join_tx_tick < tick:
             if self.join_attempts >= JOIN_ATTEMPT_LIMIT:
                 self._give_up_join(b.head)
                 self.master = self._choice_or(s.current)

@@ -57,21 +57,22 @@ class Negotiation:
     waiting: set
 
 
-def build_local_graph(working_id: int, records, tables, availability) -> LocalGraph:
-    """Assemble the local graph from cluster records and neighbor tables.
+def build_local_graph(working_id: int, heads, tables, availability) -> LocalGraph:
+    """Assemble the local graph from cluster heads and neighbor tables.
 
-    `records` lists the host cluster first, then the 1-hop neighbor clusters;
-    edges come from the nodes' own 1-hop tables (either endpoint listing the
+    `heads` lists the host cluster's head first, then the heads of the 1-hop
+    neighbor clusters, each with its `id`, `master` and `members` map; edges
+    come from the nodes' own 1-hop tables (either endpoint listing the
     other), so stale knowledge yields a stale graph that commit-time
     validation will reject.
     """
     nodes = {}
     clusters = []
-    for rec in records:
-        ids = frozenset({rec.head} | set(rec.members))
-        clusters.append((rec.head, rec.master, ids))
+    for head in heads:
+        ids = frozenset({head.id} | set(head.members))
+        clusters.append((head.id, head.master, ids))
         for nid in ids:
-            nodes[nid] = (rec.master, availability.get(nid, frozenset()))
+            nodes[nid] = (head.master, availability.get(nid, frozenset()))
     edges = {nid: set() for nid in sorted(nodes)}
     for a, near in edges.items():
         for b in tables.get(a, ()):

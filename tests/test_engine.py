@@ -28,8 +28,6 @@ from cogmesh.engine import (
 )
 from cogmesh.protocol import (
     Beacon,
-    ClusterRecord,
-    GatewayLink,
     HelloFrame,
     NeighborEntry,
     Node,
@@ -548,26 +546,23 @@ class TestGatewayDiscovery:
         cfg = ScenarioConfig(su_count=10, channel_count=1, duration_ticks=100)
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(10)])
 
-        def record(head, members):
-            rec = ClusterRecord(head=head, master=0,
-                                members={m: i for i, m in enumerate(members)},
-                                frame_offset=0)
-            world.nodes[head].become_head(rec, 0)
-            return rec
+        def head(nid, members):
+            world.nodes[nid].become_head(
+                0, {m: i for i, m in enumerate(members)}, 0, 0)
 
         def knows(x, nid):
-            world.nodes[x].table[nid] = NeighborEntry(
-                id=nid, master=0, channels=(), last_seen=0)
+            world.nodes[x].table[nid] = NeighborEntry(master=0, channels=(),
+                                                      last_seen=0)
 
         def knows_two_hop(x, nid):
             world.nodes[x].two_hop[nid] = (0, 0)
 
-        record(0, [1, 2])
-        record(3, [4])
-        record(5, [6, 2])           # 2 left cluster 0; its record still lists it
-        link = GatewayLink(cluster_a=7, cluster_b=9, node_a=8, node_b=9)
-        record(7, [8])
-        record(9, [])
+        head(0, [1, 2])
+        head(3, [4])
+        head(5, [6, 2])             # 2 left cluster 0; its head still lists it
+        link = (8, 9)
+        head(7, [8])
+        head(9, [])
         world.links[(7, 9)] = link
         knows(1, 4)                 # clusters 0 and 3
         knows(1, 2)                 # clusters 0 and 5, through the stale member
@@ -591,10 +586,8 @@ class TestGatewayDiscovery:
         cfg = ScenarioConfig(su_count=3, channel_count=1, duration_ticks=100)
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(3)])
         for head, members in ((0, {1: 0}), (2, {})):
-            world.nodes[head].become_head(ClusterRecord(
-                head=head, master=0, members=members, frame_offset=0), 0)
-        world.nodes[1].table[2] = NeighborEntry(id=2, master=0, channels=(),
-                                                last_seen=0)
+            world.nodes[head].become_head(0, members, 0, 0)
+        world.nodes[1].table[2] = NeighborEntry(master=0, channels=(), last_seen=0)
         assert world._discovered_pairs() == [(0, 2)]
         with mock.patch.object(engine, "select_gateways", return_value=None):
             with pytest.raises(SimulationInvariantError,
@@ -614,29 +607,29 @@ class TestGatewayDiscovery:
         assert len(links) > 50
 
 
-class TestGatewayLinkInvariant:
-    def world_with_link(self, link):
-        """Clusters 0 {1} and 3 {4}, all nodes in range, joined by `link`."""
+class TestLinkInvariant:
+    def world_with_link(self, key, gateways):
+        """Clusters 0 {1} and 3 {4}, all nodes in range, and the link `key`
+        carried by `gateways`."""
         cfg = ScenarioConfig(su_count=6, channel_count=1, duration_ticks=100)
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(6)])
-        for head, members in ((0, [1]), (3, [4])):
-            world.nodes[head].become_head(ClusterRecord(
-                head=head, master=0, members={m: i for i, m in enumerate(members)},
-                frame_offset=0), 0)
-        world.links[(link.cluster_a, link.cluster_b)] = link
+        for head, member in ((0, 1), (3, 4)):
+            world.nodes[head].become_head(0, {member: 0}, 0, 0)
+        world.links[key] = gateways
         return world
 
     def test_valid_link_passes(self):
-        world = self.world_with_link(GatewayLink(0, 3, node_a=1, node_b=4))
+        world = self.world_with_link((0, 3), (1, 4))
         world._validate_links(32)
 
-    @pytest.mark.parametrize("link", [
-        GatewayLink(0, 3, node_a=1, node_b=5),    # 5 belongs to neither cluster
-        GatewayLink(0, 3, node_a=5),              # single gateway not a member
-        GatewayLink(0, 5, node_a=1, node_b=4),    # names a cluster it does not join
+    @pytest.mark.parametrize("key, gateways", [
+        ((0, 3), (1, 5)),       # 5 belongs to neither cluster
+        ((0, 3), (5,)),         # single gateway not a member
+        ((0, 5), (1, 4)),       # names a cluster it does not join
     ])
-    def test_dead_link_trips_the_check_until_maintenance_prunes_it(self, link):
-        world = self.world_with_link(link)
+    def test_dead_link_trips_the_check_until_maintenance_prunes_it(self, key,
+                                                                   gateways):
+        world = self.world_with_link(key, gateways)
         with pytest.raises(SimulationInvariantError, match="gateway link"):
             world._validate_links(32)
         world._gateway_maintenance(32)
@@ -648,22 +641,20 @@ class TestClusterView:
         """A 3-node world where node 0 heads a cluster of {1}."""
         cfg = ScenarioConfig(su_count=3, channel_count=1, duration_ticks=100)
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(3)])
-        world.nodes[0].become_head(ClusterRecord(
-            head=0, master=0, members={1: 0}, frame_offset=0), 0)
+        world.nodes[0].become_head(0, {1: 0}, 0, 0)
         world.nodes[1].become_member(0, 0, 0, None)
         return world
 
     def test_view_is_read_from_the_heads(self):
         world = self.world()
-        assert dict(world.clusters) == {0: world.nodes[0].cluster}
+        assert dict(world.clusters) == {0: world.nodes[0]}
         world.nodes[0]._restart_scan(None, 5)
         assert dict(world.clusters) == {}
 
     def test_writing_into_the_view_raises(self):
         world = self.world()
-        rec = ClusterRecord(head=2, master=0, members={}, frame_offset=0)
         with pytest.raises(TypeError):
-            world.clusters[2] = rec
+            world.clusters[2] = world.nodes[2]
         with pytest.raises(TypeError):
             del world.clusters[0]
         assert list(world.clusters) == [0]
@@ -671,18 +662,14 @@ class TestClusterView:
     def test_a_record_off_its_head_fails_validation(self):
         world = self.world()
         world._validate(25)
-        world.nodes[1].cluster = world.nodes[0].cluster     # a member holds one
-        with pytest.raises(SimulationInvariantError, match="node 1 .* record"):
-            world._validate(25)
-        world.nodes[1].cluster = None
-        world.nodes[0].cluster.head = 2                     # another head's record
-        with pytest.raises(SimulationInvariantError, match="node 0 .* record"):
+        world.nodes[1].members = world.nodes[0].members     # a member keeps one
+        with pytest.raises(SimulationInvariantError, match="node 1 .* member map"):
             world._validate(25)
 
     def test_a_head_without_its_record_fails_validation(self):
         world = self.world()
-        world.nodes[0].cluster = None
-        with pytest.raises(SimulationInvariantError, match="node 0 .* record"):
+        world.nodes[0].members = None
+        with pytest.raises(SimulationInvariantError, match="node 0 .* member map"):
             world._validate(25)
 
 

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,11 @@ from cogmesh.protocol import (
     INTRA_RA,
     ND,
     PUBLIC_RA,
-    ClusterRecord,
+    JOIN_ATTEMPT_LIMIT,
+    Beacon,
     ContinueScan,
     FormCluster,
+    JoinRequest,
     NeighborEntry,
     Node,
     Role,
@@ -164,23 +167,20 @@ class TestScanning:
 
 
 class TestJoinAdmission:
-    def record(self, used_slots):
-        return ClusterRecord(head=0, master=0,
-                             members={100 + i: s for i, s in enumerate(used_slots)},
-                             frame_offset=0)
+    def members(self, used_slots):
+        return {100 + i: s for i, s in enumerate(used_slots)}
 
     def test_lowest_free_slot(self):
-        assert handle_join_request(self.record([0, 1, 2]), 7, 8) == 3
+        assert handle_join_request(self.members([0, 1, 2]), 7, 8) == 3
 
     def test_gap_is_reused(self):
-        assert handle_join_request(self.record([0, 2, 3]), 7, 8) == 1
+        assert handle_join_request(self.members([0, 2, 3]), 7, 8) == 1
 
     def test_full_cluster_rejects(self):
-        assert handle_join_request(self.record([0, 1]), 7, 2) is None
+        assert handle_join_request(self.members([0, 1]), 7, 2) is None
 
     def test_existing_member_gets_its_slot_back(self):
-        rec = self.record([0, 1])
-        assert handle_join_request(rec, 101, 8) == 1
+        assert handle_join_request(self.members([0, 1]), 101, 8) == 1
 
 
 class TestNeighborTables:
@@ -191,7 +191,7 @@ class TestNeighborTables:
         hello = HelloMessage(sender=2, master=0, channels=((0, 3), (1, 2)),
                              neighbor_list=((3, 0, (0, 1)),))
         upsert_from_hello(table, two_hop, hello, tick=50, cluster_head=0, self_id=1)
-        assert table == {2: NeighborEntry(2, 0, (0, 1), 50, 0)}
+        assert table == {2: NeighborEntry(0, (0, 1), 50, 0)}
         assert two_hop == {3: (0, 50)}
 
     def test_one_hop_dominates_two_hop(self):
@@ -243,7 +243,7 @@ class TestNeighborTables:
                                  HelloMessage(2, 1, ((0, 1), (1, 3))), tick=11) is True
         assert upsert_from_hello(table, two_hop,
                                  HelloMessage(2, 1, ((1, 3),)), tick=12) is True
-        assert table == {2: NeighborEntry(2, 1, (1,), 12, None)}
+        assert table == {2: NeighborEntry(1, (1,), 12, None)}
 
     def test_evict_reports_only_one_hop_drops(self):
         table, two_hop = {}, {}
@@ -387,9 +387,9 @@ class TestNeighborMapsOracle:
             else:
                 evict_stale(table, two_hop, tick, payload)
                 one_table_evict(oracle, tick, payload)
-            assert ({nid: (e.id, e.master, e.channels, e.last_seen, e.cluster_head)
+            assert ({nid: (e.master, e.channels, e.last_seen, e.cluster_head)
                      for nid, e in table.items()}
-                    == {nid: (e.id, e.master, e.channels, e.last_seen, e.cluster_head)
+                    == {nid: (e.master, e.channels, e.last_seen, e.cluster_head)
                         for nid, e in oracle.items() if e.hops == 1})
             assert two_hop == {nid: (e.master, e.last_seen)
                                for nid, e in oracle.items() if e.hops == 2}
@@ -469,15 +469,10 @@ class TestOffMasterScan:
         assert select_offmaster_scan(0, {0: 3}, {}, set(), Random(0)) is None
 
 
-def entry(nid):
-    return NeighborEntry(nid, 0, (0,), 0)
-
-
 class TestSelectGateways:
     def setup_method(self):
-        self.a = ClusterRecord(head=0, master=0, members={1: 0, 2: 1}, frame_offset=0)
-        self.b = ClusterRecord(head=10, master=1, members={11: 0, 12: 1},
-                               frame_offset=0)
+        self.a = SimpleNamespace(id=0, members={1: 0, 2: 1})
+        self.b = SimpleNamespace(id=10, members={11: 0, 12: 1})
 
     def adjacent_from(self, pairs):
         sym = {frozenset(p) for p in pairs}
@@ -486,32 +481,28 @@ class TestSelectGateways:
     def tables_from(self, one_hop):
         tables = {}
         for a, b in one_hop:
-            tables.setdefault(a, {})[b] = entry(b)
+            tables.setdefault(a, {})[b] = NeighborEntry(0, (0,), 0)
         return tables
 
     def test_single_gateway_one_hop_to_both_heads(self):
         # node 1 hears both heads directly and carries the link alone
         tables = self.tables_from([(1, 0), (1, 10)])
-        link = select_gateways(self.a, self.b, tables,
-                               self.adjacent_from([(1, 0), (1, 10)]))
-        assert link.node_a == 1 and link.node_b is None
+        assert select_gateways(self.a, self.b, tables,
+                               self.adjacent_from([(1, 0), (1, 10)])) == (1,)
 
     def test_lowest_id_single_gateway_wins(self):
         tables = self.tables_from([(2, 0), (2, 10), (11, 0), (11, 10)])
         adjacent = self.adjacent_from([(2, 0), (2, 10), (11, 0), (11, 10)])
-        link = select_gateways(self.a, self.b, tables, adjacent)
-        assert link.node_a == 2 and link.node_b is None
+        assert select_gateways(self.a, self.b, tables, adjacent) == (2,)
 
     def test_pair_fallback_lowest_ids(self):
         tables = self.tables_from([(2, 12), (1, 11)])
         adjacent = self.adjacent_from([(2, 12), (1, 11)])
-        link = select_gateways(self.a, self.b, tables, adjacent)
-        assert (link.node_a, link.node_b) == (1, 11)
+        assert select_gateways(self.a, self.b, tables, adjacent) == (1, 11)
 
     def test_stale_table_without_physical_adjacency_is_ignored(self):
         tables = self.tables_from([(1, 0), (1, 10)])
-        link = select_gateways(self.a, self.b, tables, lambda x, y: False)
-        assert link is None
+        assert select_gateways(self.a, self.b, tables, lambda x, y: False) is None
 
     def test_disjoint_clusters_have_no_link(self):
         assert select_gateways(self.a, self.b, {}, lambda x, y: True) is None
@@ -538,7 +529,8 @@ class TestRoleEntry:
         node.exch_done = {5}
         node.offscan_ch = 3
         node.offscan_seen = {3}
-        node.cluster = ClusterRecord(head=0, master=1, members={4: 0}, frame_offset=2)
+        node.members = {4: 0}
+        node.frame_offset = 2
         node.heard_members = {4}
         node.member_miss = {4: 2}
         node.join_queue = [(38, 6)]
@@ -556,17 +548,19 @@ class TestRoleEntry:
         assert node.join_attempts == 0 and node.join_deadline is None
         assert node.exch_tx_tick is None and node.exch_done == set()
         assert node.offscan_ch is None and node.offscan_seen == set()
-        assert node.cluster is None and node.heard_members == set()
+        assert node.members is None and node.frame_offset is None
+        assert node.heard_members == set()
         assert node.member_miss == {} and node.join_queue == []
         assert node.lock is None
         assert node.sched is None and node.frame_start is None
 
     def test_become_head_tracks_every_listed_member(self):
         node = self.busy_node()
-        rec = ClusterRecord(head=0, master=2, members={5: 0, 8: 1}, frame_offset=4)
-        node.become_head(rec, frame_start=54)
+        members = {5: 0, 8: 1}
+        node.become_head(2, members, frame_offset=4, frame_start=54)
         assert node.role is Role.HEAD
-        assert node.cluster is rec and node.master == 2
+        assert node.members is members and node.master == 2
+        assert node.frame_offset == 4
         assert node.frame_start == 54
         assert node.member_miss == {5: 0, 8: 0}
         assert node.heard_members == set() and node.join_queue == []
@@ -590,7 +584,7 @@ class TestRoleEntry:
     def test_state_is_slotted_and_bound_from_the_start(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         assert [n for n in Node.__slots__ if not hasattr(node, n)] == []
-        records = (node, self.busy_node().cluster,
+        records = (node, NeighborEntry(0, (0,), 0),
                    ScanState(visited={0}, current=0, interval_end=5))
         assert [r for r in records if hasattr(r, "__dict__")] == []
 
@@ -687,8 +681,7 @@ class TestFormationWalkthrough:
         assert ("0", "4") in {(str(a), str(b)) for (a, b), _ in pairs.items()} \
             or (0, 4) in pairs
         assert pairs[(0, 4)] == "1"          # B alone carries the link
-        link = world.links[(0, 4)]
-        assert link.node_a == 1 and link.node_b is None
+        assert world.links[(0, 4)] == (1,)
         assert world.nodes[1].role is Role.GATEWAY
 
     def test_neighbor_maps_are_disjoint_and_exclude_self(self):
@@ -696,7 +689,6 @@ class TestFormationWalkthrough:
         for node in world.nodes:
             assert node.table.keys().isdisjoint(node.two_hop)
             assert node.id not in node.table and node.id not in node.two_hop
-            assert all(e.id == nid for nid, e in node.table.items())
 
 
 class TestJoinContention:
@@ -729,6 +721,47 @@ class TestJoinContention:
             assert e.get("head") is not None
         # every node still settles somewhere
         assert len(res.settle_ticks) == 4
+
+    def test_unanswered_requests_stop_at_the_attempt_limit(self):
+        # head 7 beacons every frame but neither admits nor rejects the
+        # node; the scan interval outlasts the retries, so the attempt
+        # limit, not the join deadline, ends the join
+        cfg = ScenarioConfig(channel_count=2, swarm_enabled=False,
+                             scan_interval_ticks=200)
+
+        class Ctx:
+            def __init__(self):
+                self.sent, self.events = [], []
+
+            def sense(self, node):
+                return {0: 1, 1: 3}     # scans 0 first; its standing choice is 1
+
+            def transmit(self, node, channel, msg):
+                self.sent.append((channel, msg))
+
+            def log(self, tick, kind, **fields):
+                self.events.append(kind)
+
+        ctx = Ctx()
+        node = Node(0, (0.0, 0.0), Random(0), cfg)
+        hello = HelloMessage(7, 0, ((0, 3),))
+        beacons = 0
+        for t in range(1 + (JOIN_ATTEMPT_LIMIT + 2) * cfg.frame_len + 1):
+            node.step(t, ctx)
+            if t % cfg.frame_len == 1:
+                node.on_message(Beacon(7, 0, t, cfg.frame_len, cfg.layouts[(1,)],
+                                       (), (), hello), t, ctx)
+                beacons += 1
+                if beacons <= JOIN_ATTEMPT_LIMIT:
+                    assert (node.join_target, node.join_attempts) == (7, beacons)
+                    assert node.master == 0
+                else:
+                    assert node.join_target is None and node.join_tx_tick is None
+                    assert node.scan.rejections == {7}
+                    assert node.master == 1
+        assert node.role is Role.SCANNING and t < node.scan.interval_end
+        assert ctx.sent == [(0, JoinRequest(0, 7))] * JOIN_ATTEMPT_LIMIT
+        assert ctx.events == []
 
 
 class TestMasterChange:

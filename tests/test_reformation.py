@@ -3,6 +3,7 @@ all-or-nothing negotiation."""
 
 from itertools import combinations
 from random import Random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cogmesh import engine
 from cogmesh.engine import ScenarioConfig, SimulationInvariantError, World
-from cogmesh.protocol import ClusterRecord, NeighborEntry, Role
+from cogmesh.protocol import NeighborEntry
 from cogmesh.reformation import (
     LocalGraph,
     Negotiation,
@@ -36,12 +37,17 @@ def graph_from_edges(n, edges, control=0, clusters=None):
 
 
 def table_with(one_hop):
-    return {nid: NeighborEntry(nid, 0, (0,), 0) for nid in one_hop}
+    return {nid: NeighborEntry(0, (0,), 0) for nid in one_hop}
+
+
+def head(nid, members):
+    """A cluster head as `build_local_graph` reads it, on channel 0."""
+    return SimpleNamespace(id=nid, master=0, members=members)
 
 
 class TestBuildLocalGraph:
     def test_single_cluster_graph(self):
-        host = ClusterRecord(head=0, master=0, members={1: 0, 2: 1}, frame_offset=0)
+        host = head(0, {1: 0, 2: 1})
         tables = {0: table_with([1, 2]), 1: table_with([0]), 2: table_with([0])}
         avail = {i: frozenset({0}) for i in range(3)}
         g = build_local_graph(0, [host], tables, avail)
@@ -50,9 +56,8 @@ class TestBuildLocalGraph:
         assert g.edges[0] == {1, 2}
 
     def test_union_of_host_and_neighbor_cluster(self):
-        host = ClusterRecord(head=0, master=0, members={1: 0, 2: 1}, frame_offset=0)
-        other = ClusterRecord(head=10, master=0, members={11: 0, 12: 1, 13: 2},
-                              frame_offset=0)
+        host = head(0, {1: 0, 2: 1})
+        other = head(10, {11: 0, 12: 1, 13: 2})
         tables = {i: {} for i in (0, 1, 2, 10, 11, 12, 13)}
         tables[2] = table_with([11])
         avail = {i: frozenset({0}) for i in (0, 1, 2, 10, 11, 12, 13)}
@@ -61,7 +66,7 @@ class TestBuildLocalGraph:
         assert 11 in g.edges[2] and 2 in g.edges[11]
 
     def test_edges_come_from_either_sides_table(self):
-        host = ClusterRecord(head=0, master=0, members={1: 0}, frame_offset=0)
+        host = head(0, {1: 0})
         tables = {0: {}, 1: table_with([0])}
         avail = {0: frozenset({0}), 1: frozenset({0})}
         g = build_local_graph(0, [host], tables, avail)
@@ -72,9 +77,8 @@ class TestBuildLocalGraph:
     @settings(max_examples=200, deadline=None)
     def test_edges_match_the_pairwise_scan(self, listed):
         # tables may name nodes outside the graph, and even their owner
-        host = ClusterRecord(head=0, master=0, members={i: i for i in range(1, 5)},
-                             frame_offset=0)
-        other = ClusterRecord(head=5, master=0, members={6: 0, 7: 1}, frame_offset=0)
+        host = head(0, {i: i for i in range(1, 5)})
+        other = head(5, {6: 0, 7: 1})
         tables = {nid: table_with(ids) for nid, ids in listed.items()}
         g = build_local_graph(0, [host, other], tables, {})
         ids = sorted(g.nodes)
@@ -317,7 +321,7 @@ class TestNegotiationScenarios:
             for node in world.nodes:
                 node.lock = None
                 world.neg_by_working.pop(node.id, None)
-                assert world._host_record(node) is not None
+                assert world._host_head(node) is not None
                 world.try_reform(node, world.tick)
         assert [e for e in world.events[logged:] if e.kind == "reform"] == []
 
