@@ -18,12 +18,15 @@ A cluster is its head: the head node keeps the member map and frame offset,
 and `World.clusters` is a read-only view from each head's id to its node.
 Each gateway link is kept once, in `World.links`, which maps its head pair
 (low id first) to the gateway nodes that `select_gateways` chose.
+Radio range is checked once, where delivery creates it: only delivered
+messages write `Node.table`, so each entry names another node in range, which
+`_validate` checks. Positions never change, so the gateway links and
+reformation plans built from table entries are not range-checked again.
 Gateway maintenance, once per `frame_len` ticks, drops every link that
 `_link_valid` rejects and links each newly discovered pair. A pair is
-discovered only through a 1-hop table entry x -> y across the two clusters;
-table entries are written only from delivered messages, so x and y are in
-range and `select_gateways` finds at least the pair form, and a pair it
-cannot link raises `SimulationInvariantError`. Links lag by design: a head
+discovered only through a 1-hop table entry x -> y across the two clusters,
+so `select_gateways` finds at least the pair form, and a pair it cannot link
+raises `SimulationInvariantError`. Links lag by design: a head
 that leaves its cluster leaves `links` alone, so a link to a dissolved
 cluster, and its nodes' GATEWAY role, last until the next pass; a reformation
 commit drops the links of the clusters it rebuilds at once.
@@ -60,7 +63,7 @@ from cogmesh.protocol import (
     _next_boundary,
 )
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
-from cogmesh.reformation import Negotiation, build_local_graph, greedy_mds, plan_is_feasible
+from cogmesh.reformation import Negotiation, build_local_graph, greedy_mds
 from cogmesh.swarm import RewardParamError, RewardParams
 
 
@@ -423,9 +426,10 @@ def in_range_lists(positions, comm_range: float) -> list[list[int]]:
     return adjacency
 
 
-def _checked_position(pos) -> tuple:
-    """An SU position passed to `World`, as the (x, y) tuple that the radio
-    keys its geometry on; both coordinates are finite ints or floats."""
+def _checked_position(pos, key: str = "su_positions", owner: str = "") -> tuple:
+    """A position passed to `World`, as the (x, y) tuple that the radio keys
+    its geometry on; both coordinates are finite ints or floats. A bad one
+    raises a `ConfigError` naming `key`, and `owner` says whose it is."""
     try:
         x, y = pos
         ok = all(isinstance(c, (int, float)) and not isinstance(c, bool)
@@ -433,8 +437,8 @@ def _checked_position(pos) -> tuple:
     except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int
         ok = False
     if not ok:
-        raise ConfigError("su_positions", f"{pos!r} is not a pair of finite "
-                                          f"coordinates")
+        raise ConfigError(key, f"{owner}{pos!r} is not a pair of finite "
+                               f"coordinates")
     return (x, y)
 
 
@@ -486,11 +490,12 @@ class World:
                         pu_power=pu.interference_power, **own)
             except ConfigError as exc:
                 raise ConfigError("pus", f"PU {pu.id} {exc}") from None
-            if not 0 <= pu.channel < config.channel_count:
-                raise ConfigError("pus", f"PU {pu.id} is on channel {pu.channel}, "
-                                         f"channel_count is {config.channel_count}")
-            if not all(math.isfinite(c) for c in pu.pos):
-                raise ConfigError("pus", f"PU {pu.id} coordinates must be finite")
+            # the radio keys the stages it senses by a PU's int channel
+            if not (isinstance(pu.channel, int) and not isinstance(pu.channel, bool)
+                    and 0 <= pu.channel < config.channel_count):
+                raise ConfigError("pus", f"PU {pu.id} is on channel {pu.channel!r}, "
+                                         f"not an int in [0, {config.channel_count})")
+            _checked_position(pu.pos, "pus", f"PU {pu.id} position ")
         # the config's bounds hold for points in the area; points passed in
         # are checked below, where the arithmetic runs
         passed = ("pus" if pus is not None
@@ -580,9 +585,6 @@ class World:
     def log(self, tick: int, kind: str, **fields):
         self.events.append(Event(tick=tick, kind=kind, fields=tuple(fields.items())))
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return b in self.adj_sets[a]
-
     @property
     def clusters(self) -> MappingProxyType:
         """Head id -> head node of every live cluster."""
@@ -643,10 +645,16 @@ class World:
         node keeps a member map exactly while it heads a cluster (checked
         first: `clusters` holds the nodes that keep one), a reform lock must
         be a negotiation still in progress, and every node weights only
-        channels of its stage map.
+        channels of its stage map. Every table entry names another node in
+        range (the one range check; see the module docstring).
         """
         live = set(self.neg_by_working.values())
+        adj_sets = self.adj_sets
         for n in self.nodes:
+            if not adj_sets[n.id].issuperset(n.table):
+                far = min(n.table.keys() - adj_sets[n.id])
+                raise SimulationInvariantError(
+                    f"t={tick}: node {n.id} lists node {far}, out of its range")
             if (n.members is not None) != (n.role is Role.HEAD):
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} ({n.role}) must keep a member map "
@@ -678,7 +686,7 @@ class World:
                 if m == head:
                     raise SimulationInvariantError(
                         f"t={tick}: head {head} lists itself as a member")
-                if not self.adjacent(m, head):
+                if head not in adj_sets[m]:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} out of range of head {head}")
                 mn = self.nodes[m]
@@ -708,8 +716,7 @@ class World:
             if key in links:
                 continue
             ha, hb = key
-            gateways = select_gateways(self.nodes[ha], self.nodes[hb], tables,
-                                       self.adjacent)
+            gateways = select_gateways(self.nodes[ha], self.nodes[hb], tables)
             if gateways is None:
                 raise SimulationInvariantError(
                     f"t={tick}: discovered clusters {ha} and {hb} have no "
@@ -743,6 +750,8 @@ class World:
         return sorted(pairs)
 
     def _link_valid(self, key: tuple[int, int], gateways: tuple[int, ...]) -> bool:
+        """Both heads still head and each gateway node is still on its side;
+        `select_gateways` chose nodes in range, and no head as a single."""
         ha, hb = key
         ma = self.nodes[ha].members
         mb = self.nodes[hb].members
@@ -750,12 +759,9 @@ class World:
             return False
         if len(gateways) == 1:
             x = gateways[0]
-            return ((x in ma or x in mb) and x not in key
-                    and self.adjacent(x, ha) and self.adjacent(x, hb))
+            return x in ma or x in mb
         a, b = gateways
-        in_a = a == ha or a in ma
-        in_b = b == hb or b in mb
-        return in_a and in_b and self.adjacent(a, b)
+        return (a == ha or a in ma) and (b == hb or b in mb)
 
     def _refresh_gateway_roles(self):
         gateway_nodes = set()
@@ -799,16 +805,20 @@ class World:
         if len(heads) == 1:
             # one cluster cannot become fewer: no plan can gain
             return
-        availability = {}
+        master = host.master
+        tables = {}
         for hn in heads:
-            for nid in [hn.id] + sorted(hn.members):
-                availability[nid] = self.nodes[nid].stages
-        tables = {nid: self.nodes[nid].table for nid in availability}
-        graph = build_local_graph(node.id, heads, tables, availability)
+            for nid in (hn.id, *hn.members):
+                peer = self.nodes[nid]
+                if master not in peer.stages:
+                    # every planned cluster is on the host master
+                    return
+                tables[nid] = peer.table
+        graph = build_local_graph(heads, tables)
         plan = greedy_mds(graph, node.id, max_members=self.cfg.max_slots)
-        if plan.gain < 1 or not plan_is_feasible(plan, graph):
+        if plan.gain < 1:
             return
-        affected = {hn.id: frozenset({hn.id} | set(hn.members)) for hn in heads}
+        affected = {head: ids for head, _, ids in graph.current_clusters}
         neg = Negotiation(working=node.id, plan=plan, affected=affected,
                           deadline=tick + 2 * self.cfg.frame_len,
                           waiting=set(affected) - {node.id})
@@ -907,14 +917,11 @@ class World:
             members = self.nodes[head].members
             if members is None or frozenset({head} | set(members)) != snapshot:
                 return False
-        for head, master, members in neg.plan.clusters:
-            if len(members) - 1 > self.cfg.max_slots:
-                return False
+        # `greedy_mds` grouped along table edges within the mini-slot budget
+        for _, master, members in neg.plan.clusters:
             for m in members:
                 node = self.nodes[m]
                 if master not in node.stages:
-                    return False
-                if m != head and not self.adjacent(m, head):
                     return False
                 # a node that silently left an affected cluster (and may even
                 # head its own by now) makes the plan stale; heads keep such
@@ -960,6 +967,6 @@ class World:
                  gain=neg.plan.gain, pre=pre, post=post)
 
 
-def run(config: ScenarioConfig, su_positions=None, validate=True) -> RunResult:
+def run(config: ScenarioConfig) -> RunResult:
     """Run one scenario to completion; fully determined by (config, seed)."""
-    return World(config, su_positions=su_positions, validate=validate).run()
+    return World(config).run()

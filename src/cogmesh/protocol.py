@@ -361,21 +361,18 @@ def select_offmaster_scan(master: int, stages: dict, two_hop: dict,
     return cands[-1]
 
 
-def select_gateways(head_a: Node, head_b: Node, tables: dict,
-                    adjacent) -> tuple[int, ...] | None:
+def select_gateways(head_a: Node, head_b: Node, tables: dict) -> tuple[int, ...] | None:
     """Choose the gateway nodes that link the clusters of two heads.
 
-    A node 1-hop to both heads (per the tables, confirmed by physical
-    adjacency) becomes the single gateway `(x,)`, lowest id first; failing
-    that, the lowest-id adjacent pair `(a, b)`, a from head_a's cluster and b
-    from head_b's, carries the link. Heads themselves only ever appear in the
-    pair form.
+    Two nodes are linked when either one's table lists the other; a table
+    lists only other nodes in range (the engine checks this), so no range
+    test is needed here. A node linked to both heads becomes the single
+    gateway `(x,)`, lowest id first; failing that, the lowest-id linked pair
+    `(a, b)`, a from head_a's cluster and b from head_b's, carries the link.
+    Heads themselves only ever appear in the pair form.
     """
-    def knows(x, y):
-        return y in tables.get(x, ()) or x in tables.get(y, ())
-
     def linked(x, y):
-        return x != y and knows(x, y) and adjacent(x, y)
+        return y in tables.get(x, ()) or x in tables.get(y, ())
 
     ha, hb = head_a.id, head_b.id
     nodes_a = [ha] + sorted(head_a.members)

@@ -1,7 +1,8 @@
 """Periodic local cluster optimization.
 
-A working node collects its host cluster and the 1-hop neighbor clusters into
-a local graph, runs a greedy dominating-set pass (max remaining same-channel
+A working node collects its host cluster and the 1-hop neighbor clusters on
+the host's master into a local graph, once every node of them can use that
+master. It runs a greedy dominating-set pass (max remaining same-channel
 degree, lowest id on ties) to propose fewer clusters, and negotiates with
 every affected head. The negotiation is all-or-nothing: the plan commits
 atomically at a superframe boundary only once every head acknowledged within
@@ -19,18 +20,15 @@ from dataclasses import dataclass
 class LocalGraph:
     """The working node's optimization domain.
 
-    nodes maps id -> (control channel, available channels, such as the
-    node's stage map); edges is a symmetric adjacency map; current_clusters
-    holds (head, master, member ids including the head) for every cluster
-    represented in the node set.
+    nodes maps id -> control channel; edges maps each id to the ids its
+    table entries join it to, symmetrically; current_clusters holds (head,
+    master, member ids including the head) for every cluster represented in
+    the node set.
     """
 
     nodes: dict
     edges: dict
     current_clusters: tuple
-
-    def control(self, node_id: int) -> int:
-        return self.nodes[node_id][0]
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,15 @@ class Negotiation:
     waiting: set
 
 
-def build_local_graph(working_id: int, heads, tables, availability) -> LocalGraph:
+def build_local_graph(heads, tables) -> LocalGraph:
     """Assemble the local graph from cluster heads and neighbor tables.
 
     `heads` lists the host cluster's head first, then the heads of the 1-hop
-    neighbor clusters, each with its `id`, `master` and `members` map; edges
-    come from the nodes' own 1-hop tables (either endpoint listing the
-    other), so stale knowledge yields a stale graph that commit-time
-    validation will reject.
+    neighbor clusters, each with its `id`, `master` and `members` map; each
+    node's control channel is its head's master. Edges come from the nodes'
+    own 1-hop tables (either endpoint listing the other), which the engine
+    keeps to nodes in range; stale knowledge yields a stale graph that
+    commit-time validation will reject.
     """
     nodes = {}
     clusters = []
@@ -72,15 +71,13 @@ def build_local_graph(working_id: int, heads, tables, availability) -> LocalGrap
         ids = frozenset({head.id} | set(head.members))
         clusters.append((head.id, head.master, ids))
         for nid in ids:
-            nodes[nid] = (head.master, availability.get(nid, frozenset()))
+            nodes[nid] = head.master
     edges = {nid: set() for nid in sorted(nodes)}
     for a, near in edges.items():
         for b in tables.get(a, ()):
             if b in edges and b != a:
                 near.add(b)
                 edges[b].add(a)
-    if working_id not in nodes:
-        raise ValueError("working node missing from its own local graph")
     return LocalGraph(nodes=nodes, edges={k: frozenset(v) for k, v in edges.items()},
                       current_clusters=tuple(clusters))
 
@@ -95,13 +92,14 @@ def greedy_mds(graph: LocalGraph, working_id: int,
     next, until everyone is assigned. Cluster size respects the mini-slot
     budget when one is given.
     """
-    unassigned = set(graph.nodes)
+    control_of = graph.nodes
+    unassigned = set(control_of)
     clusters = []
 
     def absorb(head):
-        control = graph.control(head)
+        control = control_of[head]
         mates = [n for n in sorted(graph.edges[head])
-                 if n in unassigned and n != head and graph.control(n) == control]
+                 if n in unassigned and n != head and control_of[n] == control]
         if max_members is not None:
             mates = mates[:max_members]
         members = (head, *mates)
@@ -113,27 +111,11 @@ def greedy_mds(graph: LocalGraph, working_id: int,
         best_id = None
         best_deg = -1
         for n in sorted(unassigned):
-            control = graph.control(n)
+            control = control_of[n]
             deg = sum(1 for v in graph.edges[n]
-                      if v in unassigned and graph.control(v) == control)
+                      if v in unassigned and control_of[v] == control)
             if deg > best_deg:
                 best_id, best_deg = n, deg
         absorb(best_id)
     gain = len(graph.current_clusters) - len(clusters)
     return ReformPlan(clusters=tuple(clusters), gain=gain)
-
-
-def plan_is_feasible(plan: ReformPlan, graph: LocalGraph) -> bool:
-    """Plan invariants: partition of the node set, members adjacent to their
-    head, and every member able to use the cluster master."""
-    covered = []
-    for head, master, members in plan.clusters:
-        if head not in members:
-            return False
-        for m in members:
-            covered.append(m)
-            if m != head and m not in graph.edges[head]:
-                return False
-            if master not in graph.nodes[m][1]:
-                return False
-    return sorted(covered) == sorted(graph.nodes)

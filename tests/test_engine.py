@@ -288,6 +288,15 @@ class TestConfig:
                      interference_power=math.nan), {}),
         (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.0),
                      protection_radius=0.0), {}),
+        # a channel the radio cannot key its stages by, and positions that
+        # are not a pair of finite coordinates
+        (PrimaryUser(0, (500.0, 500.0), 1.5, PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, (500.0, 500.0), "1", PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, (500.0, 500.0), True, PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, (500.0, 500.0, 0.0), 0, PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, 500.0, 0, PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, ("500", 500.0), 0, PeriodicActivity(100, 1.0)), {}),
+        (PrimaryUser(0, (10 ** 400, 0.0), 0, PeriodicActivity(100, 1.0)), {}),
     ])
     def test_primary_user_the_run_cannot_use_rejected(self, pu, values):
         with pytest.raises(ConfigError, match="pus") as info:
@@ -670,6 +679,17 @@ class TestClusterView:
         world = self.world()
         world.nodes[0].members = None
         with pytest.raises(SimulationInvariantError, match="node 0 .* member map"):
+            world._validate(25)
+
+    def test_a_table_entry_out_of_range_fails_validation(self):
+        # delivery alone writes tables, so an entry names a node in range
+        world = World(ScenarioConfig(su_count=3, comm_range=15.0),
+                      su_positions=[(10.0 * i, 0.0) for i in range(3)])
+        world.nodes[0].table[1] = NeighborEntry(master=0, channels=(), last_seen=0)
+        world._validate(25)
+        world.nodes[0].table[2] = NeighborEntry(master=0, channels=(), last_seen=0)
+        with pytest.raises(SimulationInvariantError,
+                           match="node 0 lists node 2, out of its range"):
             world._validate(25)
 
 

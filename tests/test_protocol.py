@@ -474,10 +474,6 @@ class TestSelectGateways:
         self.a = SimpleNamespace(id=0, members={1: 0, 2: 1})
         self.b = SimpleNamespace(id=10, members={11: 0, 12: 1})
 
-    def adjacent_from(self, pairs):
-        sym = {frozenset(p) for p in pairs}
-        return lambda x, y: frozenset((x, y)) in sym
-
     def tables_from(self, one_hop):
         tables = {}
         for a, b in one_hop:
@@ -487,25 +483,18 @@ class TestSelectGateways:
     def test_single_gateway_one_hop_to_both_heads(self):
         # node 1 hears both heads directly and carries the link alone
         tables = self.tables_from([(1, 0), (1, 10)])
-        assert select_gateways(self.a, self.b, tables,
-                               self.adjacent_from([(1, 0), (1, 10)])) == (1,)
+        assert select_gateways(self.a, self.b, tables) == (1,)
 
     def test_lowest_id_single_gateway_wins(self):
         tables = self.tables_from([(2, 0), (2, 10), (11, 0), (11, 10)])
-        adjacent = self.adjacent_from([(2, 0), (2, 10), (11, 0), (11, 10)])
-        assert select_gateways(self.a, self.b, tables, adjacent) == (2,)
+        assert select_gateways(self.a, self.b, tables) == (2,)
 
     def test_pair_fallback_lowest_ids(self):
         tables = self.tables_from([(2, 12), (1, 11)])
-        adjacent = self.adjacent_from([(2, 12), (1, 11)])
-        assert select_gateways(self.a, self.b, tables, adjacent) == (1, 11)
-
-    def test_stale_table_without_physical_adjacency_is_ignored(self):
-        tables = self.tables_from([(1, 0), (1, 10)])
-        assert select_gateways(self.a, self.b, tables, lambda x, y: False) is None
+        assert select_gateways(self.a, self.b, tables) == (1, 11)
 
     def test_disjoint_clusters_have_no_link(self):
-        assert select_gateways(self.a, self.b, {}, lambda x, y: True) is None
+        assert select_gateways(self.a, self.b, {}) is None
 
 
 class TestRoleEntry:

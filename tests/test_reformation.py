@@ -17,7 +17,6 @@ from cogmesh.reformation import (
     Negotiation,
     build_local_graph,
     greedy_mds,
-    plan_is_feasible,
 )
 
 
@@ -30,7 +29,7 @@ def graph_from_edges(n, edges, control=0, clusters=None):
     if clusters is None:
         clusters = tuple((i, control, frozenset({i})) for i in range(n))
     return LocalGraph(
-        nodes={i: (control, frozenset({control})) for i in range(n)},
+        nodes={i: control for i in range(n)},
         edges={i: frozenset(v) for i, v in adj.items()},
         current_clusters=clusters,
     )
@@ -49,8 +48,7 @@ class TestBuildLocalGraph:
     def test_single_cluster_graph(self):
         host = head(0, {1: 0, 2: 1})
         tables = {0: table_with([1, 2]), 1: table_with([0]), 2: table_with([0])}
-        avail = {i: frozenset({0}) for i in range(3)}
-        g = build_local_graph(0, [host], tables, avail)
+        g = build_local_graph([host], tables)
         assert set(g.nodes) == {0, 1, 2}
         assert len(g.current_clusters) == 1
         assert g.edges[0] == {1, 2}
@@ -60,16 +58,14 @@ class TestBuildLocalGraph:
         other = head(10, {11: 0, 12: 1, 13: 2})
         tables = {i: {} for i in (0, 1, 2, 10, 11, 12, 13)}
         tables[2] = table_with([11])
-        avail = {i: frozenset({0}) for i in (0, 1, 2, 10, 11, 12, 13)}
-        g = build_local_graph(0, [host, other], tables, avail)
+        g = build_local_graph([host, other], tables)
         assert len(g.nodes) == 7
         assert 11 in g.edges[2] and 2 in g.edges[11]
 
     def test_edges_come_from_either_sides_table(self):
         host = head(0, {1: 0})
         tables = {0: {}, 1: table_with([0])}
-        avail = {0: frozenset({0}), 1: frozenset({0})}
-        g = build_local_graph(0, [host], tables, avail)
+        g = build_local_graph([host], tables)
         assert g.edges[0] == {1}
 
     @given(st.dictionaries(st.integers(0, 9), st.sets(st.integers(0, 12), max_size=6),
@@ -80,7 +76,7 @@ class TestBuildLocalGraph:
         host = head(0, {i: i for i in range(1, 5)})
         other = head(5, {6: 0, 7: 1})
         tables = {nid: table_with(ids) for nid, ids in listed.items()}
-        g = build_local_graph(0, [host, other], tables, {})
+        g = build_local_graph([host, other], tables)
         ids = sorted(g.nodes)
         expected = {a: {b for b in ids if b != a and (
             b in tables.get(a, {}) or a in tables.get(b, {}))} for a in ids}
@@ -116,8 +112,7 @@ class TestGreedyMds:
     def test_degree_counts_only_same_control_channel(self):
         adj = {0: {1, 2}, 1: {0}, 2: {0}, 3: {2}}
         g = LocalGraph(
-            nodes={0: (0, frozenset({0})), 1: (0, frozenset({0})),
-                   2: (1, frozenset({1})), 3: (1, frozenset({1}))},
+            nodes={0: 0, 1: 0, 2: 1, 3: 1},
             edges={0: frozenset({1, 2}), 1: frozenset({0}),
                    2: frozenset({0, 3}), 3: frozenset({2})},
             current_clusters=((0, 0, frozenset({0})), (1, 0, frozenset({1})),
@@ -134,7 +129,7 @@ class TestGreedyMds:
         plan = greedy_mds(g, 0, max_members=2)
         first = plan.clusters[0]
         assert len(first[2]) == 3            # head + 2 members
-        assert plan_is_feasible(plan, g)
+        assert partitions_along_edges(plan, g)
 
     def test_random_graphs_yield_valid_dominating_sets(self):
         rng = Random(17)
@@ -144,7 +139,7 @@ class TestGreedyMds:
             plan = greedy_mds(g, rng.randrange(n))
             heads = {c[0] for c in plan.clusters}
             assert is_dominating_set(n, edges, heads)
-            assert plan_is_feasible(plan, g)
+            assert partitions_along_edges(plan, g)
             assert len(heads) >= exact_min_ds_size(n, edges)
 
 
@@ -160,6 +155,20 @@ def random_connected_graph(n, rng):
         if rng.random() < 0.25:
             edges.add((a, b))
     return graph_from_edges(n, edges), edges
+
+
+def partitions_along_edges(plan, graph):
+    """Each node of the graph is in exactly one planned cluster, which its
+    head leads on the head's control channel, and each member is an edge
+    away from its head."""
+    covered = []
+    for head, control, members in plan.clusters:
+        if head not in members or control != graph.nodes[head]:
+            return False
+        if any(m != head and m not in graph.edges[head] for m in members):
+            return False
+        covered.extend(members)
+    return sorted(covered) == sorted(graph.nodes)
 
 
 def is_dominating_set(n, edges, heads):
@@ -324,6 +333,27 @@ class TestNegotiationScenarios:
                 assert world._host_head(node) is not None
                 world.try_reform(node, world.tick)
         assert [e for e in world.events[logged:] if e.kind == "reform"] == []
+
+    def test_node_without_the_host_master_is_not_planned(self):
+        # three singleton clusters in a row; once node 2 cannot use the
+        # master every planned cluster would be on, the working node plans
+        # nothing, proposes nothing and locks nothing
+        cfg = ScenarioConfig(su_count=3, channel_count=1, comm_range=160.0,
+                             duration_ticks=600, startup_spread_ticks=0,
+                             reform_enabled=False, seed=2)
+        world = World(cfg, su_positions=[(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)])
+        world.run()
+        assert len(world.clusters) == 3
+        working = world.nodes[1]
+        master = working.master
+        far = world.nodes[2]
+        far.stages = {c: s for c, s in far.stages.items() if c != master}
+        logged = len(world.events)
+        with mock.patch.object(engine, "greedy_mds",
+                               side_effect=AssertionError("planned")):
+            world.try_reform(working, world.tick)
+        assert world.events[logged:] == []
+        assert working.id not in world.neg_by_working and working.lock is None
 
 
 class TestReformQueue:
