@@ -84,6 +84,10 @@ class SimulationInvariantError(AssertionError):
     pass
 
 
+# the values each annotated field type accepts; a float field takes an int
+_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Every scenario value and its default. The engine, each `Node` and the
@@ -138,8 +142,13 @@ class ScenarioConfig:
                 raise ConfigError(key, msg)
 
         for f in dc_fields(self):
-            if f.type == "float":
-                need(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
+            value = getattr(self, f.name)
+            # a bool is an int to isinstance, but only a bool field takes one
+            need(isinstance(value, _KINDS[f.type])
+                 and isinstance(value, bool) == (f.type == "bool"),
+                 f.name, f"must be of type {f.type}, not {type(value).__name__}")
+            if f.type == "float":       # no nan, no inf, no int past a float
+                need(abs(value) <= sys.float_info.max, f.name, "must be finite")
         need(self.area_width > 0, "area_width", "must be > 0")
         need(self.area_height > 0, "area_height", "must be > 0")
         need(self.su_count >= 0, "su_count", "must be >= 0")
@@ -480,7 +489,7 @@ class World:
             model = pu.model
             if isinstance(model, PeriodicActivity):
                 own = dict(pu_model="periodic", pu_period_ticks=model.period_ticks,
-                           pu_duty=model.duty_fraction)
+                           pu_duty=model.duty_fraction, pu_hop=model.hop)
             else:
                 own = dict(pu_model="markov", pu_p_on=model.p_on, pu_p_off=model.p_off)
             try:
@@ -496,6 +505,9 @@ class World:
                 raise ConfigError("pus", f"PU {pu.id} is on channel {pu.channel!r}, "
                                          f"not an int in [0, {config.channel_count})")
             _checked_position(pu.pos, "pus", f"PU {pu.id} position ")
+            if not isinstance(pu.active, bool):
+                raise ConfigError("pus", f"PU {pu.id} has active={pu.active!r}, "
+                                         f"not a bool")
         # the config's bounds hold for points in the area; points passed in
         # are checked below, where the arithmetic runs
         passed = ("pus" if pus is not None
@@ -818,14 +830,13 @@ class World:
         plan = greedy_mds(graph, node.id, max_members=self.cfg.max_slots)
         if plan.gain < 1:
             return
-        affected = {head: ids for head, _, ids in graph.current_clusters}
+        affected = graph.clusters
         neg = Negotiation(working=node.id, plan=plan, affected=affected,
-                          deadline=tick + 2 * self.cfg.frame_len,
                           waiting=set(affected) - {node.id})
         self.log(tick, "reform", working=node.id, status="proposed",
                  gain=plan.gain)
         self.neg_by_working[node.id] = neg
-        self._push(neg.deadline + 1, "deadline", neg)
+        self._push(tick + 2 * self.cfg.frame_len + 1, "deadline", neg)
         for head in sorted(affected):
             if head == node.id:
                 node.lock = neg
@@ -852,7 +863,8 @@ class World:
     def _reform_timers(self, tick: int):
         """Run the queued entries due by `tick` of live negotiations:
         commits, then req/ack/deny in send order, then the deadline checks
-        (a negotiation still waiting for an ack times out at deadline + 1)."""
+        (a negotiation still waiting for an ack two superframes after its
+        proposal times out on the next tick)."""
         queue = self.reform_queue
         live = self.neg_by_working
         while queue and queue[0][0] <= tick:
@@ -918,10 +930,10 @@ class World:
             if members is None or frozenset({head} | set(members)) != snapshot:
                 return False
         # `greedy_mds` grouped along table edges within the mini-slot budget
-        for _, master, members in neg.plan.clusters:
+        for _, members in neg.plan.clusters:
             for m in members:
                 node = self.nodes[m]
-                if master not in node.stages:
+                if neg.plan.master not in node.stages:
                     return False
                 # a node that silently left an affected cluster (and may even
                 # head its own by now) makes the plan stale; heads keep such
@@ -947,7 +959,8 @@ class World:
         old_offsets = {head: self.nodes[head].frame_offset
                        for head in neg.affected}
         grace = tick + self.cfg.ttl_ticks
-        for head, master, members in neg.plan.clusters:
+        master = neg.plan.master
+        for head, members in neg.plan.clusters:
             offset = old_offsets.get(head)
             if offset is None:
                 offset = self.nodes[head].rng.randrange(self.cfg.frame_len)

@@ -2,13 +2,14 @@
 
 A working node collects its host cluster and the 1-hop neighbor clusters on
 the host's master into a local graph, once every node of them can use that
-master. It runs a greedy dominating-set pass (max remaining same-channel
-degree, lowest id on ties) to propose fewer clusters, and negotiates with
-every affected head. The negotiation is all-or-nothing: the plan commits
-atomically at a superframe boundary only once every head acknowledged within
-the timeout; a denial, a timeout, or a stale world at commit time cancels it
-with no state change, so a committed reformation always reduces the local
-cluster count by exactly its stated gain.
+master, so every node of the graph shares that one channel. It runs a greedy
+dominating-set pass (max remaining degree, lowest id on ties) to propose
+fewer clusters, and negotiates with every affected head. The negotiation is
+all-or-nothing: the plan commits atomically at a superframe boundary only
+once every head acknowledged within the timeout; a denial, a timeout, or a
+stale world at commit time cancels it with no state change, so a committed
+reformation always reduces the local cluster count by exactly its stated
+gain.
 """
 
 from __future__ import annotations
@@ -18,24 +19,26 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LocalGraph:
-    """The working node's optimization domain.
+    """The working node's optimization domain, on the one master its nodes
+    share.
 
-    nodes maps id -> control channel; edges maps each id to the ids its
-    table entries join it to, symmetrically; current_clusters holds (head,
-    master, member ids including the head) for every cluster represented in
-    the node set.
+    edges maps each node id to the ids its table entries join it to,
+    symmetrically, so its keys are the node set; clusters maps each current
+    head to its member ids, the head included.
     """
 
-    nodes: dict
+    master: int
     edges: dict
-    current_clusters: tuple
+    clusters: dict
 
 
 @dataclass(frozen=True)
 class ReformPlan:
-    """Proposed regrouping: (head, master, member ids including the head) per
-    cluster; gain is current cluster count minus planned cluster count."""
+    """Proposed regrouping on `master`: (head, member ids including the
+    head) per cluster; gain is current cluster count minus planned cluster
+    count."""
 
+    master: int
     clusters: tuple
     gain: int
 
@@ -51,7 +54,6 @@ class Negotiation:
     working: int
     plan: ReformPlan
     affected: dict               # head id -> frozenset(member ids incl. head)
-    deadline: int
     waiting: set
 
 
@@ -59,27 +61,22 @@ def build_local_graph(heads, tables) -> LocalGraph:
     """Assemble the local graph from cluster heads and neighbor tables.
 
     `heads` lists the host cluster's head first, then the heads of the 1-hop
-    neighbor clusters, each with its `id`, `master` and `members` map; each
-    node's control channel is its head's master. Edges come from the nodes'
-    own 1-hop tables (either endpoint listing the other), which the engine
-    keeps to nodes in range; stale knowledge yields a stale graph that
-    commit-time validation will reject.
+    neighbor clusters, each with its `id`, `master` and `members` map; all
+    share the host's master. Edges come from the nodes' own 1-hop tables
+    (either endpoint listing the other), which the engine keeps to nodes in
+    range; stale knowledge yields a stale graph that commit-time validation
+    will reject.
     """
-    nodes = {}
-    clusters = []
-    for head in heads:
-        ids = frozenset({head.id} | set(head.members))
-        clusters.append((head.id, head.master, ids))
-        for nid in ids:
-            nodes[nid] = head.master
-    edges = {nid: set() for nid in sorted(nodes)}
+    clusters = {head.id: frozenset({head.id} | set(head.members)) for head in heads}
+    edges = {nid: set() for nid in sorted(set().union(*clusters.values()))}
     for a, near in edges.items():
         for b in tables.get(a, ()):
             if b in edges and b != a:
                 near.add(b)
                 edges[b].add(a)
-    return LocalGraph(nodes=nodes, edges={k: frozenset(v) for k, v in edges.items()},
-                      current_clusters=tuple(clusters))
+    return LocalGraph(master=heads[0].master,
+                      edges={k: frozenset(v) for k, v in edges.items()},
+                      clusters=clusters)
 
 
 def greedy_mds(graph: LocalGraph, working_id: int,
@@ -87,35 +84,22 @@ def greedy_mds(graph: LocalGraph, working_id: int,
     """Greedy dominating-set regrouping of the local graph.
 
     The working node heads the first cluster and absorbs its unassigned
-    1-hop neighbors on its control channel; then the remaining node with the
-    most unassigned same-channel neighbors (ties to the lowest id) heads the
-    next, until everyone is assigned. Cluster size respects the mini-slot
-    budget when one is given.
+    1-hop neighbors; then the remaining node with the most unassigned
+    neighbors (ties to the lowest id) heads the next, until everyone is
+    assigned. Cluster size respects the mini-slot budget when one is given.
     """
-    control_of = graph.nodes
-    unassigned = set(control_of)
+    edges = graph.edges
+    unassigned = set(edges)
     clusters = []
 
     def absorb(head):
-        control = control_of[head]
-        mates = [n for n in sorted(graph.edges[head])
-                 if n in unassigned and n != head and control_of[n] == control]
-        if max_members is not None:
-            mates = mates[:max_members]
-        members = (head, *mates)
+        members = (head, *sorted(edges[head] & unassigned)[:max_members])
         unassigned.difference_update(members)
-        clusters.append((head, control, members))
+        clusters.append((head, members))
 
     absorb(working_id)
     while unassigned:
-        best_id = None
-        best_deg = -1
-        for n in sorted(unassigned):
-            control = control_of[n]
-            deg = sum(1 for v in graph.edges[n]
-                      if v in unassigned and control_of[v] == control)
-            if deg > best_deg:
-                best_id, best_deg = n, deg
-        absorb(best_id)
-    gain = len(graph.current_clusters) - len(clusters)
-    return ReformPlan(clusters=tuple(clusters), gain=gain)
+        # max keeps the first, so the lowest id, of the best degrees
+        absorb(max(sorted(unassigned), key=lambda n: len(edges[n] & unassigned)))
+    return ReformPlan(master=graph.master, clusters=tuple(clusters),
+                      gain=len(graph.clusters) - len(clusters))

@@ -59,10 +59,29 @@ class TestConfig:
     ], ids=["constructor", "replace"])
     @pytest.mark.parametrize("key, value", [
         ("su_count", -1), ("alpha", 2.0), ("pu_power", math.inf),
+        # an int too large for a float is not a finite float
+        pytest.param("area_width", 10 ** 400, id="area_width-10**400"),
     ])
     def test_bad_value_rejected_when_built(self, build, key, value):
         with pytest.raises(ConfigError, match=key) as info:
             build(**{key: value})
+        assert info.value.key == key
+
+    # a value must have its field's type: a bool for a flag, an int that is
+    # not a bool for a count, a real number for a float, and a str
+    @pytest.mark.parametrize("key, value, kind", [
+        ("swarm_enabled", "no", "bool"), ("reform_enabled", 1, "bool"),
+        ("pu_hop", "yes", "bool"),
+        ("su_count", 2.5, "int"), ("su_count", "5", "int"),
+        ("channel_count", True, "int"), ("seed", 1.5, "int"),
+        ("duration_ticks", 100.0, "int"),
+        ("alpha", "0.1", "float"), ("comm_range", True, "float"),
+        ("pu_model", 1, "str"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, key, value, kind):
+        with pytest.raises(ConfigError, match=f"{key}: must be of type {kind}, "
+                                              f"not {type(value).__name__}") as info:
+            ScenarioConfig(**{key: value})
         assert info.value.key == key
 
     # the scan interval must outlast the longest frame, and nothing else
@@ -297,6 +316,14 @@ class TestConfig:
         (PrimaryUser(0, 500.0, 0, PeriodicActivity(100, 1.0)), {}),
         (PrimaryUser(0, ("500", 500.0), 0, PeriodicActivity(100, 1.0)), {}),
         (PrimaryUser(0, (10 ** 400, 0.0), 0, PeriodicActivity(100, 1.0)), {}),
+        # flags that are not bools, and model values of the wrong type
+        (PrimaryUser(0, (500.0, 500.0), 0, MarkovActivity(0.2, 0.1),
+                     active="no"), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.0),
+                     active=1), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100, 1.0, hop="no")), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, PeriodicActivity(100.0, 1.0)), {}),
+        (PrimaryUser(0, (500.0, 500.0), 0, MarkovActivity("0.2", 0.1)), {}),
     ])
     def test_primary_user_the_run_cannot_use_rejected(self, pu, values):
         with pytest.raises(ConfigError, match="pus") as info:

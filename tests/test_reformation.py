@@ -1,13 +1,14 @@
 """Local graph construction, the greedy dominating-set pass, and the
 all-or-nothing negotiation."""
 
+from dataclasses import replace
 from itertools import combinations
 from random import Random
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cogmesh import engine
 from cogmesh.engine import ScenarioConfig, SimulationInvariantError, World
@@ -19,19 +20,19 @@ from cogmesh.reformation import (
     greedy_mds,
 )
 
+from test_engine import small_scenarios
 
-def graph_from_edges(n, edges, control=0, clusters=None):
-    """Single-channel LocalGraph over nodes 0..n-1."""
+
+def graph_from_edges(n, edges):
+    """LocalGraph of singleton clusters over nodes 0..n-1, on master 0."""
     adj = {i: set() for i in range(n)}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    if clusters is None:
-        clusters = tuple((i, control, frozenset({i})) for i in range(n))
     return LocalGraph(
-        nodes={i: control for i in range(n)},
+        master=0,
         edges={i: frozenset(v) for i, v in adj.items()},
-        current_clusters=clusters,
+        clusters={i: frozenset({i}) for i in range(n)},
     )
 
 
@@ -39,9 +40,9 @@ def table_with(one_hop):
     return {nid: NeighborEntry(0, (0,), 0) for nid in one_hop}
 
 
-def head(nid, members):
-    """A cluster head as `build_local_graph` reads it, on channel 0."""
-    return SimpleNamespace(id=nid, master=0, members=members)
+def head(nid, members, master=0):
+    """A cluster head as `build_local_graph` reads it."""
+    return SimpleNamespace(id=nid, master=master, members=members)
 
 
 class TestBuildLocalGraph:
@@ -49,8 +50,8 @@ class TestBuildLocalGraph:
         host = head(0, {1: 0, 2: 1})
         tables = {0: table_with([1, 2]), 1: table_with([0]), 2: table_with([0])}
         g = build_local_graph([host], tables)
-        assert set(g.nodes) == {0, 1, 2}
-        assert len(g.current_clusters) == 1
+        assert set(g.edges) == {0, 1, 2}
+        assert g.clusters == {0: {0, 1, 2}}
         assert g.edges[0] == {1, 2}
 
     def test_union_of_host_and_neighbor_cluster(self):
@@ -59,7 +60,7 @@ class TestBuildLocalGraph:
         tables = {i: {} for i in (0, 1, 2, 10, 11, 12, 13)}
         tables[2] = table_with([11])
         g = build_local_graph([host, other], tables)
-        assert len(g.nodes) == 7
+        assert len(g.edges) == 7
         assert 11 in g.edges[2] and 2 in g.edges[11]
 
     def test_edges_come_from_either_sides_table(self):
@@ -77,7 +78,7 @@ class TestBuildLocalGraph:
         other = head(5, {6: 0, 7: 1})
         tables = {nid: table_with(ids) for nid, ids in listed.items()}
         g = build_local_graph([host, other], tables)
-        ids = sorted(g.nodes)
+        ids = sorted(g.edges)
         expected = {a: {b for b in ids if b != a and (
             b in tables.get(a, {}) or a in tables.get(b, {}))} for a in ids}
         assert g.edges == expected
@@ -89,7 +90,7 @@ class TestGreedyMds:
         plan = greedy_mds(g, 0)
         assert len(plan.clusters) == 1
         assert plan.clusters[0][0] == 0
-        assert sorted(plan.clusters[0][2]) == [0, 1, 2, 3, 4]
+        assert sorted(plan.clusters[0][1]) == [0, 1, 2, 3, 4]
         assert plan.gain == 4
 
     def test_path_trace_and_permitted_suboptimality(self):
@@ -97,7 +98,7 @@ class TestGreedyMds:
         # minimum dominating set {b} is smaller, which the heuristic may miss
         g = graph_from_edges(3, [(0, 1), (1, 2)])
         plan = greedy_mds(g, 0)
-        assert [sorted(c[2]) for c in plan.clusters] == [[0, 1], [2]]
+        assert [sorted(c[1]) for c in plan.clusters] == [[0, 1], [2]]
         assert plan.gain == 1
         assert exact_min_ds_size(3, {(0, 1), (1, 2)}) == 1
 
@@ -109,26 +110,11 @@ class TestGreedyMds:
         heads = [c[0] for c in plan.clusters]
         assert heads == [0, 2, 4]
 
-    def test_degree_counts_only_same_control_channel(self):
-        adj = {0: {1, 2}, 1: {0}, 2: {0}, 3: {2}}
-        g = LocalGraph(
-            nodes={0: 0, 1: 0, 2: 1, 3: 1},
-            edges={0: frozenset({1, 2}), 1: frozenset({0}),
-                   2: frozenset({0, 3}), 3: frozenset({2})},
-            current_clusters=((0, 0, frozenset({0})), (1, 0, frozenset({1})),
-                              (2, 1, frozenset({2})), (3, 1, frozenset({3}))),
-        )
-        plan = greedy_mds(g, 0)
-        groups = {c[0]: sorted(c[2]) for c in plan.clusters}
-        assert groups[0] == [0, 1]          # only the same-channel neighbor
-        assert groups[2] == [2, 3]
-        assert plan.gain == 2
-
     def test_mini_slot_cap_limits_cluster_size(self):
         g = graph_from_edges(6, [(0, i) for i in range(1, 6)])
         plan = greedy_mds(g, 0, max_members=2)
         first = plan.clusters[0]
-        assert len(first[2]) == 3            # head + 2 members
+        assert len(first[1]) == 3            # head + 2 members
         assert partitions_along_edges(plan, g)
 
     def test_random_graphs_yield_valid_dominating_sets(self):
@@ -141,6 +127,94 @@ class TestGreedyMds:
             assert is_dominating_set(n, edges, heads)
             assert partitions_along_edges(plan, g)
             assert len(heads) >= exact_min_ds_size(n, edges)
+
+
+def reference_greedy_mds(control_of, edges, cluster_count, working_id,
+                         max_members):
+    """The planner as it was while a local graph kept a control channel per
+    node (`control_of`): a head absorbs, and a degree counts, only neighbors
+    on the node's own channel. Returns ((head, channel, members), ...) and
+    the gain."""
+    unassigned = set(control_of)
+    clusters = []
+
+    def absorb(head):
+        control = control_of[head]
+        mates = [n for n in sorted(edges[head])
+                 if n in unassigned and n != head and control_of[n] == control]
+        if max_members is not None:
+            mates = mates[:max_members]
+        members = (head, *mates)
+        unassigned.difference_update(members)
+        clusters.append((head, control, members))
+
+    absorb(working_id)
+    while unassigned:
+        best_id = None
+        best_deg = -1
+        for n in sorted(unassigned):
+            control = control_of[n]
+            deg = sum(1 for v in edges[n]
+                      if v in unassigned and control_of[v] == control)
+            if deg > best_deg:
+                best_id, best_deg = n, deg
+        absorb(best_id)
+    return tuple(clusters), cluster_count - len(clusters)
+
+
+@st.composite
+def one_master_locals(draw):
+    """Heads on one master that partition nodes 0..n-1, the nodes' tables
+    (which may name nodes outside the graph, and even their owner), a
+    working node of the host cluster and a mini-slot budget."""
+    master = draw(st.integers(0, 7))
+    n = draw(st.integers(1, 14))
+    order = draw(st.permutations(range(n)))
+    head_ids = order[:draw(st.integers(1, n))]
+    members = {h: {} for h in head_ids}
+    for nid in order[len(head_ids):]:
+        members[draw(st.sampled_from(head_ids))][nid] = 0
+    heads = [head(h, members[h], master) for h in head_ids]
+    tables = {nid: table_with(ids) for nid, ids in draw(st.dictionaries(
+        st.integers(0, n - 1), st.sets(st.integers(0, n + 2), max_size=6))).items()}
+    working = draw(st.sampled_from([head_ids[0], *members[head_ids[0]]]))
+    budget = draw(st.sampled_from([1, 2, 3, 8, None]))
+    return heads, tables, working, budget
+
+
+class TestOneMasterPlanner:
+    """A local graph keeps one master, not a control channel per node: the
+    engine plans only clusters on the host's master."""
+
+    @given(one_master_locals())
+    @settings(max_examples=300, deadline=None)
+    def test_same_plan_as_the_per_node_channel_planner(self, local):
+        heads, tables, working, budget = local
+        graph = build_local_graph(heads, tables)
+        plan = greedy_mds(graph, working, max_members=budget)
+        control_of = {nid: heads[0].master for nid in graph.edges}
+        clusters, gain = reference_greedy_mds(control_of, graph.edges, len(heads),
+                                              working, budget)
+        assert plan.master == heads[0].master
+        assert plan.clusters == tuple((h, members) for h, _, members in clusters)
+        assert plan.gain == gain
+
+    @given(small_scenarios())
+    # PUs on 4 channels spread the masters, and clusters on other masters
+    # lie around the host from the first plans on
+    @example(ScenarioConfig(su_count=30, channel_count=4, pu_count=4,
+                            area_width=500.0, area_height=500.0,
+                            duration_ticks=300, reform_cadence=1, seed=2))
+    @settings(max_examples=200, deadline=None)
+    def test_every_planned_graph_shares_one_master(self, cfg):
+        build = engine.build_local_graph
+
+        def build_checked(heads, tables):
+            assert len({h.master for h in heads}) == 1
+            return build(heads, tables)
+
+        with mock.patch.object(engine, "build_local_graph", build_checked):
+            World(replace(cfg, reform_enabled=True)).run()
 
 
 def random_connected_graph(n, rng):
@@ -159,16 +233,16 @@ def random_connected_graph(n, rng):
 
 def partitions_along_edges(plan, graph):
     """Each node of the graph is in exactly one planned cluster, which its
-    head leads on the head's control channel, and each member is an edge
-    away from its head."""
+    head leads on the graph's master, and each member is an edge away from
+    its head."""
     covered = []
-    for head, control, members in plan.clusters:
-        if head not in members or control != graph.nodes[head]:
+    for head, members in plan.clusters:
+        if head not in members:
             return False
         if any(m != head and m not in graph.edges[head] for m in members):
             return False
         covered.extend(members)
-    return sorted(covered) == sorted(graph.nodes)
+    return plan.master == graph.master and sorted(covered) == sorted(graph.edges)
 
 
 def is_dominating_set(n, edges, heads):
@@ -369,7 +443,7 @@ class TestReformQueue:
 
         def negotiation(working, waiting=()):
             return Negotiation(working=working, plan=None, affected={},
-                               deadline=9, waiting=set(waiting))
+                               waiting=set(waiting))
 
         late = negotiation(0, waiting={5})
         committing = negotiation(1)             # every ack in: commit queued
@@ -405,20 +479,22 @@ class TestReformQueue:
         working = world.nodes[1]
         world.try_reform(working, world.tick)
         neg = world.neg_by_working[working.id]
+        # the acks are due within two superframes of the proposal
+        deadline = world.tick + 2 * cfg.frame_len
         if scheduled:
             # as the last ack leaves it, with its commit due after the
             # deadline: nobody is waited for, and no head replies again
             for head in neg.waiting:
                 world.nodes[head].lock = ("foreign", 0)
             neg.waiting.clear()
-        for t in range(world.tick, neg.deadline + 1):
+        for t in range(world.tick, deadline + 1):
             world._reform_timers(t)
         assert world.neg_by_working.get(working.id) is neg
-        world._reform_timers(neg.deadline + 1)
+        world._reform_timers(deadline + 1)
         assert (world.neg_by_working.get(working.id) is neg) is scheduled
         last = world.events[-1]
         if scheduled:
             assert last.get("status") == "proposed"
         else:
-            assert (last.tick, last.get("status")) == (neg.deadline + 1, "cancelled")
+            assert (last.tick, last.get("status")) == (deadline + 1, "cancelled")
             assert working.id not in world.neg_by_working
