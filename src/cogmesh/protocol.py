@@ -5,7 +5,8 @@ Time is integer ticks, one tick per mini-slot. Each cluster runs its own
 superframe cycle anchored at a random offset drawn by the head at formation;
 clusters are deliberately unsynchronized. A node owns a single half-duplex
 transceiver: it hears a message only when tuned to its channel for the whole
-tick and not transmitting itself.
+tick and not transmitting itself. Delivery enforces the latter (it drops
+every arrival at a tick's senders), so a node does not retune to send.
 
 Scanning follows the lowest-channel-first rule with a fixed interval longer
 than the superframe. A beacon of a cluster that has not rejected the node
@@ -42,6 +43,10 @@ beacon adopted (`_follow_beacon`) or heard while scanning (`_scan_beacon`,
 A role entry is also a cluster's whole life: a cluster is its head, which
 keeps its member map (`Node.members`, member id -> mini-slot) and
 `frame_offset` from `become_head` until `_clear_role_state` clears them.
+It times members out from `Node.member_heard`, member id -> the last of its
+frames (`frames_in_cluster`) that heard the member (an admission counts as
+heard in the frame before), and at each frame start drops the members not
+heard in the last `neighbor_ttl_superframes` frames.
 
 `Node` declares its state in `__slots__`, as do `NeighborEntry`, `ScanState`
 and the per-message records, so no instance carries a `__dict__`. Every
@@ -408,11 +413,10 @@ class Node:
         "_hello",
         # scoped to one role: set in _clear_role_state
         "wake", "scan", "join_target", "join_tx_tick", "join_attempts",
-        "join_deadline", "exch_tx_tick", "exch_done", "head_id", "slot",
-        "sched", "breaks", "frame_start", "have_beacon", "beacons_missed",
-        "frames_in_cluster", "offscan_ch", "offscan_seen", "member_grace",
-        "members", "frame_offset", "heard_members", "member_miss",
-        "join_queue", "lock",
+        "exch_tx_tick", "exch_done", "head_id", "slot", "sched", "breaks",
+        "frame_start", "have_beacon", "beacons_missed", "frames_in_cluster",
+        "offscan_ch", "offscan_seen", "member_grace", "members",
+        "frame_offset", "member_heard", "join_queue", "lock",
     )
 
     def __init__(self, node_id: int, pos, rng: Random, params: ScenarioConfig,
@@ -459,23 +463,17 @@ class Node:
             h = self._hello = emit_hello(self.id, self.master, channels, self.table)
         return h
 
-    def _select_current(self) -> int | None:
-        """The node's standing channel choice under the active arm."""
+    def _select_current(self) -> int:
+        """The node's standing channel choice under the active arm. Only a
+        dormant node lacks the stage map (and weights) it needs; it never
+        chooses."""
         if self.p.swarm_enabled:
-            if not self.weights:
-                return None
             return swarm.select_master(self.weights)
         stages = self.stages
-        if not stages:
-            return None
         best = max(stages.values())
         if self.master in stages and stages[self.master] == best:
             return self.master
         return min(ch for ch, s in stages.items() if s == best)
-
-    def _choice_or(self, fallback: int) -> int:
-        choice = self._select_current()
-        return fallback if choice is None else choice
 
     def _absorb_pheromone(self, hello: HelloMessage):
         if not self.p.swarm_enabled or not self.weights:
@@ -498,7 +496,6 @@ class Node:
         self.join_target: int | None = None
         self.join_tx_tick: int | None = None
         self.join_attempts = 0
-        self.join_deadline: int | None = None
         self.exch_tx_tick: int | None = None
         self.exch_done: set = set()
 
@@ -517,8 +514,7 @@ class Node:
 
         self.members: dict | None = None   # a head's: member id -> mini-slot
         self.frame_offset: int | None = None
-        self.heard_members: set = set()
-        self.member_miss: dict = {}
+        self.member_heard: dict = {}   # a head's: member id -> frame last heard
         self.join_queue: list = []
         self.lock = None               # the live Negotiation locking it
 
@@ -532,12 +528,13 @@ class Node:
         self.members = members
         self.frame_offset = frame_offset
         self.frame_start = frame_start
-        self.member_miss = dict.fromkeys(members, 0)
+        self.member_heard = dict.fromkeys(members, -1)
 
     def become_member(self, head: int, master: int, slot: int,
                       grace: int | None):
-        """Member of `head`'s cluster in mini-slot `slot`; with a `grace` tick
-        the node rescans unless a beacon arrives before it."""
+        """Member of `head`'s cluster in mini-slot `slot`; the node rescans
+        at the `grace` tick unless a beacon arrives before it. `grace` is
+        None only when the caller follows a beacon at once."""
         self._clear_role_state()
         self.role = Role.ORDINARY
         self.master = master
@@ -546,7 +543,6 @@ class Node:
         self.member_grace = grace
 
     def activate(self, tick: int, ctx):
-        self.role = Role.SCANNING
         self.apply_observations(ctx.sense(self))
         self._restart_scan(None, tick)
         if self.scan is not None:
@@ -569,7 +565,7 @@ class Node:
         self.scan = start_scan(self.stages, first_channel)
         self.scan.interval_end = tick + self.p.scan_interval_ticks
         self.master = (self.scan.current if first_channel is not None
-                       else self._choice_or(self.scan.current))
+                       else self._select_current())
 
     def step(self, tick: int, ctx):
         if tick < self.wake:
@@ -631,10 +627,8 @@ class Node:
         sent = True
         if self.join_tx_tick == tick:
             ctx.transmit(self, s.current, JoinRequest(self.id, self.join_target))
-            self.listen = None
         elif self.exch_tx_tick == tick:
             ctx.transmit(self, s.current, HelloFrame(self.hello()))
-            self.listen = None
             self.exch_tx_tick = None
         else:
             self.listen = s.current
@@ -644,12 +638,12 @@ class Node:
                 self._sleep_scanning(tick, s.interval_end)
             return
         if self.join_target is not None:
-            # request in flight: allow the response window to play out
-            if self.join_deadline is None:
-                self.join_deadline = tick + 2 * self.p.frame_len
-            if tick < self.join_deadline:
+            # request in flight: allow the response window to play out; a
+            # target is taken only before `interval_end`, a tick the node steps
+            deadline = s.interval_end + 2 * self.p.frame_len
+            if tick < deadline:
                 if not sent:
-                    self._sleep_scanning(tick, self.join_deadline)
+                    self._sleep_scanning(tick, deadline)
                 return
             self._give_up_join(self.join_target)
         self._advance_scan(tick, ctx)
@@ -669,7 +663,6 @@ class Node:
         self.scan.rejections.add(head)
         self.join_target = None
         self.join_tx_tick = None
-        self.join_deadline = None
 
     def _advance_scan(self, tick: int, ctx):
         s = self.scan
@@ -684,7 +677,7 @@ class Node:
         s.current = outcome.channel
         s.interval_end = tick + self.p.scan_interval_ticks
         s.heard = False
-        self.master = self._choice_or(outcome.channel)
+        self.master = self._select_current()
         self.listen = outcome.channel
 
     def _form_cluster(self, channel: int, tick: int, ctx):
@@ -713,18 +706,16 @@ class Node:
 
     def _head_frame_start(self, tick: int, ctx):
         members = self.members
+        heard = self.member_heard
+        # mini-slot upkeep: a member not heard in the last
+        # neighbor_ttl_superframes frames, up to the one just ended, is dropped
+        ended = self.frames_in_cluster
         self.frames_in_cluster += 1
         self.offscan_ch = None
-        # mini-slot upkeep from the frame that just ended
         for m in list(members):
-            if m in self.heard_members:
-                self.member_miss[m] = 0
-            else:
-                self.member_miss[m] = self.member_miss.get(m, 0) + 1
-                if self.member_miss[m] >= self.p.neighbor_ttl_superframes:
-                    del members[m]
-                    del self.member_miss[m]
-        self.heard_members = set()
+            if ended - heard[m] >= self.p.neighbor_ttl_superframes:
+                del members[m]
+                del heard[m]
         rejects = []
         if self.join_queue:
             self.join_queue.sort()
@@ -734,7 +725,7 @@ class Node:
                 rejects.append(first)
             else:
                 members[first] = slot
-                self.member_miss[first] = 0
+                heard[first] = ended
             self.join_queue = []
         self.sched = build_superframe(self.p, self.rng)
         self.frame_gap = self.p.frame_len
@@ -748,7 +739,6 @@ class Node:
             hello=self.hello(),
         )
         ctx.transmit(self, self.master, beacon)
-        self.listen = None
 
     # -- member ------------------------------------------------------------------
 
@@ -756,11 +746,10 @@ class Node:
         if self.sched is None:
             # freshly (re)assigned: wait for the first beacon on the master
             self.listen = self.master
-            if self.member_grace is not None:
-                if tick >= self.member_grace:
-                    self._leave_for(self._select_current(), tick, ctx)
-                else:
-                    self.wake = self.member_grace
+            if tick >= self.member_grace:
+                self._leave_for(self._select_current(), tick, ctx)
+            else:
+                self.wake = self.member_grace
             return
         rel = tick - self.frame_start
         if rel >= self.frame_gap:
@@ -789,7 +778,6 @@ class Node:
                 self.hello(), cluster_head=self.head_id,
                 pra_start=self.frame_start + sched.pra_start,
                 pra_len=sched.pra_len))
-            self.listen = None
         else:
             self._in_frame(rel, tick, ctx, offscan=True)
 
@@ -827,7 +815,7 @@ class Node:
         if evict_stale(self.table, self.two_hop, tick, self.p.ttl_ticks):
             self._hello = None
         new = self._select_current()
-        if new is not None and new != self.master:
+        if new != self.master:
             self._leave_for(new, tick, ctx)
             return
         if (self.p.reform_enabled and self.frames_in_cluster >= 2
@@ -858,7 +846,7 @@ class Node:
             self._hello = None
         self._absorb_pheromone(hello)
         if self.role is Role.HEAD and hello.sender in self.members:
-            self.heard_members.add(hello.sender)
+            self.member_heard[hello.sender] = self.frames_in_cluster
         if self.role is Role.SCANNING and self.scan is not None:
             self.scan.heard = True
             if (frame.cluster_head is not None and frame.pra_start is not None
@@ -892,7 +880,7 @@ class Node:
             return
         if self.id in b.rejects and b.head == self.join_target:
             self._give_up_join(b.head)
-            self.master = self._choice_or(s.current)
+            self.master = self._select_current()
             ctx.log(tick, "reject", node=self.id, head=b.head, channel=b.master)
             return
         if b.head in s.rejections:
@@ -905,7 +893,7 @@ class Node:
         elif self.join_target == b.head and self.join_tx_tick < tick:
             if self.join_attempts >= JOIN_ATTEMPT_LIMIT:
                 self._give_up_join(b.head)
-                self.master = self._choice_or(s.current)
+                self.master = self._select_current()
             else:
                 self.join_attempts += 1
                 self.join_tx_tick = self._pra_backoff(b, tick)
@@ -938,7 +926,6 @@ class Node:
         self.frame_gap = b.gap
         self.have_beacon = True
         self.beacons_missed = 0
-        self.member_grace = None
 
 
 def _next_boundary(tick: int, offset: int, frame_len: int) -> int:

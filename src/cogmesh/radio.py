@@ -20,13 +20,14 @@ No radio work is repeated. Each `PUState` keeps a per-channel count of its
 active ticks in the window and, instead of the window itself, only the
 state changes inside it: one tick costs a PU one draw (Markov) or one phase
 (periodic) and a few integer operations, and no PU holds memory in
-proportion to the window. The geometry of a sensing position is computed on
-its first use and kept. It splits the PUs into those inside their protection
-radius (near) and the far field, and bounds the largest far-field sum the
-window can build there; where that bound quantizes to the clean stage, no
-far-field sum can move a stage, and `sense` reads only the near PUs. A
-window without any active PU, and such a position whose near PUs were all
-idle, return one shared clean stage map.
+proportion to the window. Every PU starts with a change at tick 0, from idle
+before it, so a filling window slides like a full one. The geometry of a
+sensing position is computed on its first use and kept. It splits the PUs
+into those inside their protection radius (near) and the far field, and
+bounds the largest far-field sum the window can build there; where that
+bound quantizes to the clean stage, no far-field sum can move a stage, and
+`sense` reads only the near PUs. A window without any active PU, and such a
+position whose near PUs were all idle, return one shared clean stage map.
 
 Scenario values are validated once, when `engine.ScenarioConfig` is built;
 nothing here checks its arguments again.
@@ -81,7 +82,8 @@ class PUState:
     channel: ChannelId
     active: bool
     # (tick, channel, active) for each state change inside the window, oldest
-    # first: the state the PU held up to, not including, that tick
+    # first: the state the PU held up to, not including, that tick; the first
+    # is (0, channel, False), idle before tick 0
     changes: deque
     # channel -> active ticks in the window; channels with none are absent
     active_ticks: dict
@@ -134,6 +136,7 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0,
                             period=model.period_ticks, on_ticks=on_ticks,
                             hop=model.hop)
             periodic.append(state)
+        state.changes.append((0, state.channel, False))
         if state.active:
             state.active_ticks[state.channel] = 1
         states.append(state)
@@ -144,7 +147,8 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0,
         pathloss_exponent=pathloss_exponent,
         quant_stages=quant_stages, window_ticks=history_ticks, clean=clean,
         markov=tuple(markov), periodic=tuple(periodic),
-        busy=[i for i, state in enumerate(states) if state.active_ticks])
+        busy=[i for i, state in enumerate(states) if state.active_ticks],
+        moving=states)
 
 
 def _change(state: PUState, tick: int, channel: int, active: bool,
@@ -181,44 +185,36 @@ def step_environment(env: RadioEnvironment, rng: Random) -> None:
         if active != state.active or ch != state.channel:
             _change(state, tick, ch, active, moving)
 
-    # slide each window by one tick: add this tick, drop tick `gone`
+    # slide each window by one tick: add this tick, drop tick `gone`, which
+    # is before tick 0, and idle, while the window fills. A PU without a
+    # change in its window held its current state at `gone`, so its counts
+    # stay; at most one change per tick can leave
     gone = tick - env.window_ticks
     # whether some PU's window gained its first active tick or lost its last
     reshaped = False
-    if gone < 0:
-        # the window is still filling, so no tick leaves it
-        for state in env.pus:
-            if state.active:
-                counts = state.active_ticks
-                ticks = counts.get(state.channel, 0)
-                counts[state.channel] = ticks + 1
-                reshaped = reshaped or not ticks
-    else:
-        # a PU without a change in its window held its current state at
-        # `gone`, so its counts stay; at most one change per tick can leave
-        settled = False
-        for state in moving:
-            changes = state.changes
-            if changes[0][0] <= gone:
-                changes.popleft()
-                if not changes:
-                    settled = True
-                    continue        # `gone` held the current state
-            _, old_ch, old_active = changes[0]
-            counts = state.active_ticks
-            if old_active:
-                left = counts[old_ch] - 1
-                if left:
-                    counts[old_ch] = left
-                else:
-                    del counts[old_ch]
-                    reshaped = True
-            if state.active:
-                ticks = counts.get(state.channel, 0)
-                counts[state.channel] = ticks + 1
-                reshaped = reshaped or not ticks
-        if settled:
-            env.moving = [state for state in moving if state.changes]
+    settled = False
+    for state in moving:
+        changes = state.changes
+        if changes[0][0] <= gone:
+            changes.popleft()
+            if not changes:
+                settled = True
+                continue            # `gone` held the current state
+        _, old_ch, old_active = changes[0]
+        counts = state.active_ticks
+        if old_active:
+            left = counts[old_ch] - 1
+            if left:
+                counts[old_ch] = left
+            else:
+                del counts[old_ch]
+                reshaped = True
+        if state.active:
+            ticks = counts.get(state.channel, 0)
+            counts[state.channel] = ticks + 1
+            reshaped = reshaped or not ticks
+    if settled:
+        env.moving = [state for state in moving if state.changes]
     if reshaped:
         env.busy = [i for i, state in enumerate(env.pus) if state.active_ticks]
 

@@ -35,6 +35,7 @@ from cogmesh.protocol import (
     emit_hello,
 )
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
+from test_golden import BASES
 
 
 class TestConfig:
@@ -410,8 +411,8 @@ class TestDeliverMessages:
 
     def test_sender_tuned_to_its_own_channel_hears_nothing(self):
         # one half-duplex radio: a sender hears nothing on the tick it sends,
-        # even with `listen` left on its send channel (the scan path can
-        # leave it so); only the bystander 2 hears node 1
+        # even with `listen` left on its send channel (no send path retunes
+        # it); only the bystander 2 hears node 1
         delivered, dropped = deliver_messages(
             [(0, 1, "a"), (1, 1, "b")],
             tuned({0: 1, 1: 1, 2: 1}), {0: [1], 1: [0, 2], 2: [1]})
@@ -843,6 +844,28 @@ class TestWakeGuard:
     @settings(max_examples=12, deadline=None)
     def test_long_scenarios(self, cfg):
         self.assert_same_as_always_awake(cfg)
+
+
+class TestStandingChoice:
+    """Every node that chooses a channel has what the choice reads: a stage
+    map, and weights when the swarm is on. Only a dormant node lacks them,
+    and it never chooses."""
+
+    @given(small_scenarios())
+    # nodes lose every channel there, in every role
+    @example(BASES["blackout"]())
+    @example(replace(BASES["blackout"](), swarm_enabled=False))
+    @settings(max_examples=50, deadline=None)
+    def test_a_node_that_chooses_has_a_stage_map(self, cfg):
+        select = Node._select_current
+
+        def select_checked(node):
+            assert node.stages
+            assert node.weights or not node.p.swarm_enabled
+            return select(node)
+
+        with mock.patch.object(Node, "_select_current", select_checked):
+            World(cfg, validate=True).run()
 
 
 class TestHelloMemo:

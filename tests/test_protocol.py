@@ -20,6 +20,7 @@ from cogmesh.protocol import (
     Beacon,
     ContinueScan,
     FormCluster,
+    HelloFrame,
     JoinRequest,
     NeighborEntry,
     Node,
@@ -513,15 +514,13 @@ class TestRoleEntry:
         node.join_target = 7
         node.join_tx_tick = 40
         node.join_attempts = 2
-        node.join_deadline = 90
         node.exch_tx_tick = 41
         node.exch_done = {5}
         node.offscan_ch = 3
         node.offscan_seen = {3}
         node.members = {4: 0}
         node.frame_offset = 2
-        node.heard_members = {4}
-        node.member_miss = {4: 2}
+        node.member_heard = {4: 2}
         node.join_queue = [(38, 6)]
         node.lock = (0, 30)
         return node
@@ -534,12 +533,11 @@ class TestRoleEntry:
             == (9, 2, 1, 120)
         assert node.scan is None
         assert node.join_target is None and node.join_tx_tick is None
-        assert node.join_attempts == 0 and node.join_deadline is None
+        assert node.join_attempts == 0
         assert node.exch_tx_tick is None and node.exch_done == set()
         assert node.offscan_ch is None and node.offscan_seen == set()
         assert node.members is None and node.frame_offset is None
-        assert node.heard_members == set()
-        assert node.member_miss == {} and node.join_queue == []
+        assert node.member_heard == {} and node.join_queue == []
         assert node.lock is None
         assert node.sched is None and node.frame_start is None
 
@@ -551,8 +549,8 @@ class TestRoleEntry:
         assert node.members is members and node.master == 2
         assert node.frame_offset == 4
         assert node.frame_start == 54
-        assert node.member_miss == {5: 0, 8: 0}
-        assert node.heard_members == set() and node.join_queue == []
+        assert node.member_heard == {5: -1, 8: -1}
+        assert node.join_queue == []
         assert node.scan is None and node.join_target is None
         assert node.head_id is None and node.slot is None
         assert node.lock is None
@@ -681,6 +679,22 @@ class TestFormationWalkthrough:
 
 
 class TestJoinContention:
+    class Ctx:
+        """What a scanning node calls; channel 0 is scanned first, and 1 is
+        its standing choice."""
+
+        def __init__(self):
+            self.sent, self.events = [], []
+
+        def sense(self, node):
+            return {0: 1, 1: 3}
+
+        def transmit(self, node, channel, msg):
+            self.sent.append((channel, msg))
+
+        def log(self, tick, kind, **fields):
+            self.events.append(kind)
+
     def test_concurrent_requesters_are_serialized(self):
         # two scanners in range of one head request in the same PublicRA;
         # the first by contention order joins, the other retries next frame
@@ -717,21 +731,7 @@ class TestJoinContention:
         # limit, not the join deadline, ends the join
         cfg = ScenarioConfig(channel_count=2, swarm_enabled=False,
                              scan_interval_ticks=200)
-
-        class Ctx:
-            def __init__(self):
-                self.sent, self.events = [], []
-
-            def sense(self, node):
-                return {0: 1, 1: 3}     # scans 0 first; its standing choice is 1
-
-            def transmit(self, node, channel, msg):
-                self.sent.append((channel, msg))
-
-            def log(self, tick, kind, **fields):
-                self.events.append(kind)
-
-        ctx = Ctx()
+        ctx = self.Ctx()
         node = Node(0, (0.0, 0.0), Random(0), cfg)
         hello = HelloMessage(7, 0, ((0, 3),))
         beacons = 0
@@ -751,6 +751,80 @@ class TestJoinContention:
         assert node.role is Role.SCANNING and t < node.scan.interval_end
         assert ctx.sent == [(0, JoinRequest(0, 7))] * JOIN_ATTEMPT_LIMIT
         assert ctx.events == []
+
+    def test_unanswered_join_gives_up_two_frames_after_the_interval(self):
+        # head 7 beacons once, early in the first interval, and never answers
+        # the request: the node waits out the interval and two frames more,
+        # then rejects the head and scans the next channel
+        cfg = ScenarioConfig(channel_count=2, swarm_enabled=False)
+        ctx = self.Ctx()
+        node = Node(0, (0.0, 0.0), Random(0), cfg)
+        node.step(0, ctx)
+        interval_end = node.scan.interval_end
+        deadline = interval_end + 2 * cfg.frame_len
+        node.on_message(Beacon(7, 0, 1, cfg.frame_len, cfg.layouts[(1,)], (),
+                               (), HelloMessage(7, 0, ((0, 3),))), 1, ctx)
+        assert node.join_target == 7 and node.join_tx_tick < interval_end
+        for t in range(1, deadline):
+            node.step(t, ctx)
+        assert (node.role, node.scan.current, node.join_target) \
+            == (Role.SCANNING, 0, 7)
+        assert node.scan.rejections == set()
+        node.step(deadline, ctx)
+        assert node.join_target is None and node.scan.rejections == {7}
+        assert node.scan.current == 1
+        assert node.scan.interval_end == deadline + cfg.scan_interval_ticks
+        assert ctx.sent == [(0, JoinRequest(0, 7))]
+        assert ctx.events == []
+
+
+class TestMemberTimeout:
+    def test_a_member_is_dropped_after_ttl_frames_unheard(self):
+        # frames start every 25 ticks from tick 10; the TTL is 3 frames.
+        # Member 1 sends a HELLO in every frame, 2 never does, 3 only before
+        # the first frame start, and 4 joins through the first frame's public
+        # RA and is never heard
+        cfg = ScenarioConfig(channel_count=1, frame_jitter_max=0,
+                             neighbor_ttl_superframes=3, swarm_enabled=False,
+                             reform_enabled=False)
+        beacons = {}
+
+        class Ctx:
+            def sense(self, node):
+                return {0: 3}
+
+            def transmit(self, node, channel, msg):
+                beacons[msg.frame_start] = {m for m, _ in msg.members}
+
+        ctx = Ctx()
+        head = Node(0, (0.0, 0.0), Random(0), cfg)
+        head.apply_observations({0: 3})
+        head.become_head(0, {1: 0, 2: 1, 3: 2}, frame_offset=10, frame_start=10)
+
+        def hello_from(sender, t):
+            head.on_message(HelloFrame(HelloMessage(sender, 0, ((0, 3),)),
+                                       cluster_head=0), t, ctx)
+
+        join_tick = None
+        for t in range(140):
+            head.step(t, ctx)
+            if t == 5:
+                hello_from(3, t)
+            if t >= 10 and (t - 10) % cfg.frame_len == 5:
+                hello_from(1, t)
+            if t == 10:
+                join_tick = t + head.sched.pra_start
+            if t == join_tick:
+                head.on_message(JoinRequest(4, 0), t, ctx)
+        assert beacons == {
+            10: {1, 2, 3},
+            35: {1, 2, 3, 4},     # 4 admitted
+            60: {1, 3, 4},        # 2 unheard for 3 frames
+            85: {1, 4},           # 3 heard only before the first frame
+            110: {1},             # 4 unheard for 3 frames since admission
+            135: {1},
+        }
+        assert head.members == {1: 0} and head.member_heard == {1: 5}
 
 
 class TestMasterChange:
