@@ -104,10 +104,6 @@ def _metrics_csv(result: RunResult) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _events_text(result: RunResult) -> str:
-    return "".join(e.line() + "\n" for e in result.events)
-
-
 def _summary_text(result: RunResult) -> str:
     mean_std, mean_cloud, mean_clusters = window_means(result.samples)
     win = final_window(result.samples)
@@ -124,7 +120,8 @@ def write_run_outputs(result: RunResult, out_dir: str):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(_metrics_csv(result))
-    (out / "events.log").write_text(_events_text(result))
+    with (out / "events.log").open("w") as f:
+        f.writelines(e.line() + "\n" for e in result.events)
     (out / "summary.txt").write_text(_summary_text(result))
     (out / "config.txt").write_text(_config_text(result.config))
 

@@ -14,6 +14,10 @@ event log: a node settles at its first `form` or `join`. All randomness
 flows from one 64-bit seed through named substreams, so a (config, seed)
 pair replays bit-identically.
 
+The event log keeps each event as a slotted `Event`: its tick, its kind, a
+field-name tuple that every event with the same names shares, and one
+tuple of values. `cli.write_run_outputs` writes it one line at a time.
+
 A cluster is its head: the head node keeps the member map and frame offset,
 and `World.clusters` is a read-only view from each head's id to its node.
 Each gateway link is kept once, in `World.links`, which maps its head pair
@@ -298,21 +302,24 @@ class MetricsSample:
     cluster_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
+    """One logged protocol event: its field names in `keys` and their values,
+    in the same order, in `values`. `World.log` hands every event with the
+    same field names one shared `keys` tuple."""
+
     tick: int
     kind: str
-    fields: tuple[tuple[str, object], ...]
+    keys: tuple[str, ...]
+    values: tuple
 
     def line(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in self.fields)
+        parts = " ".join(f"{k}={v}" for k, v in zip(self.keys, self.values))
         return f"tick={self.tick} event={self.kind} {parts}".rstrip()
 
     def get(self, key, default=None):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
+        keys = self.keys
+        return self.values[keys.index(key)] if key in keys else default
 
 
 @dataclass
@@ -576,6 +583,7 @@ class World:
 
         self.tick = 0
         self.events: list[Event] = []
+        self._event_keys: dict[tuple, tuple] = {}   # each field-name tuple, once
         self.samples: list[MetricsSample] = []
         self.txs: list = []
         # (head_a, head_b), head_a < head_b -> its gateway nodes: (x,) for a
@@ -595,7 +603,9 @@ class World:
         self.txs.append((node.id, channel, msg))
 
     def log(self, tick: int, kind: str, **fields):
-        self.events.append(Event(tick=tick, kind=kind, fields=tuple(fields.items())))
+        keys = tuple(fields)
+        keys = self._event_keys.setdefault(keys, keys)
+        self.events.append(Event(tick, kind, keys, tuple(fields.values())))
 
     @property
     def clusters(self) -> MappingProxyType:

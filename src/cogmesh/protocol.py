@@ -22,7 +22,10 @@ Past the beacon, heads and members share one in-frame path (`_in_frame`);
 a member adds only its HELLO in its ND mini-slot. Every sensing round goes
 through `_do_sensing`. A node keeps the stage map that `radio.sense` returned
 (available channel -> stage, ascending) as `Node.stages`, and scanning, the
-swarm and the HELLO channel tuple all read it.
+swarm and the HELLO channel tuple all read it. A node derives that tuple and
+the map's channel ids once per map it adopts, and every HELLO it builds
+takes the map and those ids as they are; nodes that adopt the radio's one
+shared clean map (`radio.StageMap`) share its tuples instead.
 
 A node reads its constants (periods, scan interval, TTL, reward curve) from
 the validated `engine.ScenarioConfig` it is given as `Node.p`; nothing here
@@ -49,7 +52,10 @@ heard in the frame before), and at each frame start drops the members not
 heard in the last `neighbor_ttl_superframes` frames.
 
 `Node` declares its state in `__slots__`, as do `NeighborEntry`, `ScanState`
-and the per-message records, so no instance carries a `__dict__`. Every
+and the per-message records, so no instance carries a `__dict__`. The
+entries that one HELLO writes into `two_hop` share one (master, tick) tuple
+per master, and a role's `exch_done` and `offscan_seen` sets exist only
+from their first add (before it, both are the shared empty `NONE_YET`). Every
 HELLO a node sends, in a scan exchange, a beacon or its ND mini-slot, comes
 from `Node.hello`. It rebuilds the message with `emit_hello` only when its
 master or its `hello_channels` tuple changed, or when the 1-hop content the
@@ -67,7 +73,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING
 
-from cogmesh import swarm
+from cogmesh import radio, swarm
 from cogmesh.swarm import HelloMessage, NoAvailableChannels
 
 if TYPE_CHECKING:
@@ -82,6 +88,9 @@ PUBLIC_RA = "public_ra"
 
 # join requests a scanning node sends to one cluster before it gives up on it
 JOIN_ATTEMPT_LIMIT = 4
+
+# the empty `exch_done` and `offscan_seen` that every role entry starts from
+NONE_YET = frozenset()
 
 
 class Role(enum.Enum):
@@ -282,14 +291,18 @@ def handle_join_request(members: dict, requester: int,
     return None
 
 
-def emit_hello(node_id: int, master: int, channels: tuple, table) -> HelloMessage:
+def emit_hello(node_id: int, master: int, channels: tuple, table,
+               channel_ids: tuple | None = None,
+               stages: dict | None = None) -> HelloMessage:
     """Build this node's HELLO: `channels`, the sorted (channel, q_stage)
     pairs of its available channels (`Node.hello_channels`), and the one-hop
-    neighbor list with each neighbor's channel set."""
+    neighbor list with each neighbor's channel set. `channel_ids` and
+    `stages`, the map `channels` lists, are derived unless passed."""
     # ids are unique, so the tuples sort by id alone
     neighbors = tuple(sorted(
         [(nid, e.master, e.channels) for nid, e in table.items()]))
-    return HelloMessage(node_id, master, channels, neighbors)
+    return HelloMessage(node_id, master, channels, neighbors, channel_ids,
+                        stages)
 
 
 def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int,
@@ -300,8 +313,9 @@ def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int
     The sender becomes (or stays) a 1-hop entry in `table` and leaves
     `two_hop`. Each listed neighbor other than the receiver `self_id`
     enters `two_hop` as id -> (master, tick) unless `table` holds it, so a
-    report never downgrades a 1-hop entry and no id is in both maps. Known
-    1-hop entries are updated in place.
+    report never downgrades a 1-hop entry and no id is in both maps; the
+    entries one HELLO writes share one (master, tick) tuple per master.
+    Known 1-hop entries are updated in place.
 
     Returns whether the 1-hop content a HELLO lists (ids, masters, channel
     sets) changed: a new sender, or a known one with a new master or
@@ -320,9 +334,13 @@ def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int
         e.channels = channels
         e.last_seen = tick
         e.cluster_head = cluster_head
+    stamps = {}                     # master -> its (master, tick) tuple
     for nid, nmaster, _ in hello.neighbor_list:
         if nid not in table and nid != self_id:
-            two_hop[nid] = (nmaster, tick)
+            stamp = stamps.get(nmaster)
+            if stamp is None:
+                stamp = stamps[nmaster] = (nmaster, tick)
+            two_hop[nid] = stamp
     return changed
 
 
@@ -409,8 +427,8 @@ class Node:
     __slots__ = (
         # outlive a role: set in __init__
         "id", "pos", "rng", "p", "start_tick", "role", "listen", "master",
-        "weights", "stages", "hello_channels", "table", "two_hop", "frame_gap",
-        "_hello",
+        "weights", "stages", "hello_channels", "channel_ids", "table",
+        "two_hop", "frame_gap", "_hello",
         # scoped to one role: set in _clear_role_state
         "wake", "scan", "join_target", "join_tx_tick", "join_attempts",
         "exch_tx_tick", "exch_done", "head_id", "slot", "sched", "breaks",
@@ -433,6 +451,7 @@ class Node:
         self.weights: dict = {}
         self.stages: dict = {}             # the last stage map sensed
         self.hello_channels: tuple = ()    # its (channel, stage) pairs
+        self.channel_ids: tuple = ()       # and its channel ids
         self.table: dict = {}
         self.two_hop: dict = {}
         self.frame_gap = params.frame_len
@@ -443,13 +462,15 @@ class Node:
 
     def apply_observations(self, stages: dict):
         """Adopt a stage map from `sense` and derive, once per map, the HELLO
-        channel tuple. A map equal to the one adopted is skipped, so the
-        tuple, and the HELLO that `hello` keeps, stay as they are: equal maps
-        list the same channels in the same ascending order."""
+        channel tuple and channel ids; nodes that adopt one shared
+        `radio.StageMap` share its tuples. A map equal to the one adopted is
+        skipped, so the tuples, and the HELLO that `hello` keeps, stay as
+        they are: equal maps list the same channels in the same ascending
+        order."""
         if stages == self.stages:
             return
         self.stages = stages
-        self.hello_channels = tuple(stages.items())
+        self.hello_channels, self.channel_ids = radio.stage_tuples(stages)
 
     def hello(self) -> HelloMessage:
         """This node's HELLO as `emit_hello` builds it. The last one built is
@@ -460,7 +481,9 @@ class Node:
         h = self._hello
         channels = self.hello_channels
         if h is None or h.master != self.master or h.channels is not channels:
-            h = self._hello = emit_hello(self.id, self.master, channels, self.table)
+            h = self._hello = emit_hello(self.id, self.master, channels,
+                                         self.table, self.channel_ids,
+                                         self.stages)
         return h
 
     def _select_current(self) -> int:
@@ -497,7 +520,7 @@ class Node:
         self.join_tx_tick: int | None = None
         self.join_attempts = 0
         self.exch_tx_tick: int | None = None
-        self.exch_done: set = set()
+        self.exch_done: set | frozenset = NONE_YET   # a set from its first add
 
         # member/cluster frame state (heads use the same frame fields)
         self.head_id: int | None = None
@@ -509,7 +532,7 @@ class Node:
         self.beacons_missed = 0
         self.frames_in_cluster = 0
         self.offscan_ch: int | None = None
-        self.offscan_seen: set = set()
+        self.offscan_seen: set | frozenset = NONE_YET
         self.member_grace: int | None = None
 
         self.members: dict | None = None   # a head's: member id -> mini-slot
@@ -799,7 +822,10 @@ class Node:
                     self.master, self.stages, self.two_hop,
                     self.offscan_seen, self.rng)
                 if self.offscan_ch is not None:
-                    self.offscan_seen.add(self.offscan_ch)
+                    if self.offscan_seen:
+                        self.offscan_seen.add(self.offscan_ch)
+                    else:
+                        self.offscan_seen = {self.offscan_ch}
             self.listen = self.offscan_ch if self.offscan_ch is not None else self.master
         else:
             self.listen = self.master
@@ -855,7 +881,10 @@ class Node:
                 t0 = frame.pra_start + self.rng.randrange(frame.pra_len)
                 if t0 > tick and t0 != self.join_tx_tick:
                     self.exch_tx_tick = t0
-                    self.exch_done.add(frame.cluster_head)
+                    if self.exch_done:
+                        self.exch_done.add(frame.cluster_head)
+                    else:
+                        self.exch_done = {frame.cluster_head}
                     self.wake = 0
 
     def _on_beacon(self, b: Beacon, tick: int, ctx):

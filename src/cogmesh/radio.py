@@ -27,7 +27,9 @@ into those inside their protection radius (near) and the far field, and
 bounds the largest far-field sum the window can build there; where that
 bound quantizes to the clean stage, no far-field sum can move a stage, and
 `sense` reads only the near PUs. A window without any active PU, and such a
-position whose near PUs were all idle, return one shared clean stage map.
+position whose near PUs were all idle, return one shared clean stage map,
+a `StageMap` that also keeps, once, the tuples a node and its HELLOs derive
+from a map (`stage_tuples`). In a PU-free run every node adopts that map.
 
 Scenario values are validated once, when `engine.ScenarioConfig` is built;
 nothing here checks its arguments again.
@@ -41,6 +43,28 @@ from dataclasses import dataclass, field
 from random import Random
 
 ChannelId = int
+
+
+class StageMap(dict):
+    """A stage map that `sense` hands to many callers: the clean map. It keeps,
+    derived once, its (channel, stage) `pairs` and its `channel_ids` as
+    tuples, so every node that adopts it, and every HELLO built from it,
+    shares one copy of each. Like every stage map it is never mutated."""
+
+    __slots__ = ("pairs", "channel_ids")
+
+    def __init__(self, stages: dict):
+        super().__init__(stages)
+        self.pairs = tuple(self.items())
+        self.channel_ids = tuple(self)
+
+
+def stage_tuples(stages: dict) -> tuple[tuple, tuple]:
+    """A stage map's (channel, stage) pairs and channel ids as tuples: the
+    shared ones of a `StageMap`, new ones for any other map."""
+    if type(stages) is StageMap:
+        return stages.pairs, stages.channel_ids
+    return tuple(stages.items()), tuple(stages)
 
 
 @dataclass(frozen=True)
@@ -106,7 +130,7 @@ class RadioEnvironment:
     window_ticks: int
     # what `sense` returns while no PU was active in the window; shared,
     # so callers must not mutate it
-    clean: dict
+    clean: StageMap
     # `pus` split by model, each in PU-list order
     markov: tuple[PUState, ...] = ()
     periodic: tuple[PUState, ...] = ()
@@ -141,7 +165,8 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0,
             state.active_ticks[state.channel] = 1
         states.append(state)
     # sense's formula with no interference: 1.0 / (1.0 + 0.0) is 1.0
-    clean = dict.fromkeys(range(channel_count), quantize(1.0, quant_stages))
+    clean = StageMap(dict.fromkeys(range(channel_count),
+                                   quantize(1.0, quant_stages)))
     return RadioEnvironment(
         channel_count=channel_count, pus=tuple(states),
         pathloss_exponent=pathloss_exponent,
@@ -309,7 +334,7 @@ def sense(env: RadioEnvironment, pos: tuple[float, float]) -> dict:
         for state in near:
             if state.active_ticks:
                 if out is env.clean:
-                    out = out.copy()
+                    out = dict(out)     # a plain map, owned by this caller
                 for ch in state.active_ticks:
                     out.pop(ch, None)
         return out

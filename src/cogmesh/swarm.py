@@ -8,7 +8,9 @@ the local standing choice through a bounded arctan curve. Periodic sensing
 blends the weights back toward the measured channel qualities, which is the
 disturbance that lets the selection track the radio environment. The master
 channel is simply the argmax weight. Sensing arrives as the stage map that
-`radio.sense` returns: available channel -> quality stage, ascending.
+`radio.sense` returns: available channel -> quality stage, ascending. A
+HELLO carries its sender's stage map as `HelloMessage.stages`, the map
+itself when the sender passes it, so HELLOs built from one map share it.
 """
 
 from __future__ import annotations
@@ -67,22 +69,26 @@ class HelloMessage:
 
     `protocol.emit_hello` builds every HELLO on the wire, so `channels`
     lists each channel once and it and each neighbor's channel tuple are
-    sorted by channel id. `stages` (channel -> stage) and `channel_ids` are
-    derived from `channels` when the message is built."""
+    sorted by channel id. `channel_ids` and `stages` (channel -> stage) are
+    derived from `channels` when the message is built, unless the sender
+    passes the ones it already holds: `protocol.Node.hello` passes its stage
+    map and the channel ids it derived from that map once, so the HELLOs
+    built from one map share them. Neither is ever mutated."""
 
     sender: int
     master: int
     channels: tuple[tuple[int, int], ...]           # (channel, q_stage)
     neighbor_list: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
     # entries: (neighbor id, neighbor master, neighbor channels)
-    channel_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    stages: dict = field(init=False, repr=False, compare=False)
+    channel_ids: tuple[int, ...] = field(default=None, repr=False, compare=False)
+    stages: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         put = object.__setattr__            # the record is frozen
-        stages = dict(self.channels)
-        put(self, "stages", stages)
-        put(self, "channel_ids", tuple(stages))
+        if self.stages is None:
+            put(self, "stages", dict(self.channels))
+        if self.channel_ids is None:
+            put(self, "channel_ids", tuple(self.stages))
 
 
 def reward(delta_q: float, params: RewardParams) -> float:

@@ -540,6 +540,30 @@ class TestRun:
             assert n.master is not None
 
 
+class TestEventRecords:
+    def test_events_are_slotted_and_share_their_field_names(self):
+        world = World(ScenarioConfig(su_count=2))
+        world.log(3, "form", node=1, channel=2)
+        world.log(5, "form", node=0, channel=4)
+        world.log(6, "join", node=1, head=0, channel=4, slot=0)
+        a, b, c = world.events
+        assert not hasattr(a, "__dict__")
+        assert a.keys is b.keys and a.keys is not c.keys
+        assert [e.line() for e in world.events] == [
+            "tick=3 event=form node=1 channel=2",
+            "tick=5 event=form node=0 channel=4",
+            "tick=6 event=join node=1 head=0 channel=4 slot=0"]
+        assert (b.tick, b.kind, b.get("channel")) == (5, "form", 4)
+        assert (b.get("slot"), b.get("slot", -1)) == (None, -1)
+
+    def test_a_run_keeps_one_key_tuple_per_field_name_set(self):
+        res = run(ScenarioConfig(su_count=25, channel_count=4,
+                                 duration_ticks=600, seed=13))
+        assert {e.kind for e in res.events} >= {"form", "join", "gateway"}
+        assert len({id(e.keys) for e in res.events}) \
+            == len({e.keys for e in res.events})
+
+
 def scan_every_head_pair(world):
     """Reference discovery: try every pair of heads and scan the table of
     every node in both clusters for a 1-hop entry naming the other cluster."""

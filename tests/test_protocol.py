@@ -246,6 +246,18 @@ class TestNeighborTables:
                                  HelloMessage(2, 1, ((1, 3),)), tick=12) is True
         assert table == {2: NeighborEntry(1, (1,), 12, None)}
 
+    def test_one_hello_writes_one_stamp_per_master(self):
+        table, two_hop = {}, {}
+        hello = HelloMessage(2, 0, ((0, 3), (1, 2)),
+                             ((3, 1, (1,)), (4, 0, (0,)), (5, 1, (0, 1))))
+        upsert_from_hello(table, two_hop, hello, tick=50, self_id=1)
+        assert two_hop == {3: (1, 50), 4: (0, 50), 5: (1, 50)}
+        assert two_hop[3] is two_hop[5]
+        # a later HELLO writes its own stamps
+        upsert_from_hello(table, two_hop, HelloMessage(6, 1, ((1, 2),),
+                                                       ((5, 1, (1,)),)), tick=60)
+        assert two_hop[5] == (1, 60) and two_hop[3] == (1, 50)
+
     def test_evict_reports_only_one_hop_drops(self):
         table, two_hop = {}, {}
         upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
@@ -443,6 +455,24 @@ class TestObservationState:
         a, b = world.nodes
         assert world.sense(a) is world.sense(b) is world.env.clean
 
+    def test_nodes_on_one_map_share_its_tuples(self):
+        # nodes that adopt the shared clean map share its HELLO channel
+        # tuple, and their HELLOs share its stage dict and channel ids
+        world = World(ScenarioConfig(su_count=2, pu_count=0, channel_count=3))
+        a, b = world.nodes
+        for node in (a, b):
+            node.apply_observations(world.sense(node))
+            node.master = 0
+        assert a.hello_channels is b.hello_channels
+        assert a.hello_channels == ((0, 3), (1, 3), (2, 3))
+        hello_a, hello_b = a.hello(), b.hello()
+        assert hello_a.stages is hello_b.stages is world.env.clean
+        assert hello_a.channel_ids is hello_b.channel_ids == (0, 1, 2)
+        a._hello = None                 # a rebuilt HELLO shares them too
+        assert a.hello() is not hello_a
+        assert a.hello().stages is hello_a.stages
+        assert a.hello().channel_ids is hello_a.channel_ids
+
 
 class TestOffMasterScan:
     def test_unscanned_two_hop_channel_first(self):
@@ -503,8 +533,8 @@ class TestRoleEntry:
     # the stage map and what is derived from it, both neighbor maps, the
     # last frame gap heard, and the HELLO kept for reuse
     PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
-                  "master", "weights", "stages", "hello_channels", "table",
-                  "two_hop", "frame_gap", "_hello"}
+                  "master", "weights", "stages", "hello_channels",
+                  "channel_ids", "table", "two_hop", "frame_gap", "_hello"}
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""
@@ -567,6 +597,31 @@ class TestRoleEntry:
         node._clear_role_state()
         assert sorted(n for n in role_scoped if getattr(node, n) is stale) == []
         assert all(getattr(node, n) is kept for n in self.PERSISTENT)
+
+    def test_sets_are_allocated_on_their_first_add(self):
+        cfg = ScenarioConfig()
+        a, b = (Node(i, (0.0, 0.0), Random(i), cfg) for i in (0, 1))
+        for node in (a, b):
+            node.apply_observations({0: 3, 1: 2, 2: 1})
+            node._restart_scan(None, 0)
+        # a fresh role holds the shared empty value, no set of its own
+        assert a.exch_done is b.exch_done is a.offscan_seen
+        assert not isinstance(a.exch_done, set) and a.exch_done == set()
+        for i, node in enumerate((a, b)):
+            hello = HelloMessage(5 + i, 0, ((0, 3),))
+            node._on_hello(HelloFrame(hello, cluster_head=5 + i, pra_start=10,
+                                      pra_len=4), 1, None)
+        assert (a.exch_done, b.exch_done) == ({5}, {6})
+        assert a.exch_done is not b.exch_done
+        sched = lay_out_superframe(cfg, (1,))
+        for node in (a, b):
+            node.become_head(0, {}, 0, 0)
+            assert node.exch_done == set() and node.offscan_seen == set()
+            node.sched = sched
+            node._in_frame(sched.data_start, sched.data_start, None, offscan=True)
+            assert node.offscan_seen == {node.offscan_ch}
+        assert a.offscan_seen is not b.offscan_seen
+        assert not isinstance(b.exch_done, set) and b.exch_done == set()
 
     def test_state_is_slotted_and_bound_from_the_start(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
