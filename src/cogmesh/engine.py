@@ -274,21 +274,21 @@ def config_from_mapping(mapping: dict, source: str = "config") -> ScenarioConfig
         raise ConfigError(exc.key, f"{exc.message} (in {source})") from exc
 
 
-def _coerce(value, ftype):
-    if ftype in ("bool", bool):
+def _coerce(value, ftype: str):
+    if ftype == "bool":
         if isinstance(value, bool):
             return value
         word = str(value).strip().lower()
         if word in _BOOL_WORDS:
             return _BOOL_WORDS[word]
         raise ValueError("expected a boolean")
-    if ftype in ("int", int):
+    if ftype == "int":
         if isinstance(value, bool):
             raise ValueError("expected an integer")
         if isinstance(value, int):
             return value
         return int(str(value).strip(), 0)
-    if ftype in ("float", float):
+    if ftype == "float":
         return float(value)
     return str(value).strip()
 
@@ -573,13 +573,12 @@ class World:
                  start_tick=su_start_ticks[i])
             for i in range(config.su_count)
         ]
-        # indexed by node id: in-range nodes in id order, and the same as a set
+        # indexed by node id: in-range nodes in id order
         try:
             self.adjacency = in_range_lists(su_positions, config.comm_range)
         except OverflowError:
             raise ConfigError("su_positions", "the squared distance of two nearby "
                                               "SUs must be finite") from None
-        self.adj_sets = [frozenset(near) for near in self.adjacency]
 
         self.tick = 0
         self.events: list[Event] = []
@@ -671,12 +670,12 @@ class World:
         range (the one range check; see the module docstring).
         """
         live = set(self.neg_by_working.values())
-        adj_sets = self.adj_sets
+        adjacency = self.adjacency
         for n in self.nodes:
-            if not adj_sets[n.id].issuperset(n.table):
-                far = min(n.table.keys() - adj_sets[n.id])
+            far = n.table.keys() - adjacency[n.id]
+            if far:
                 raise SimulationInvariantError(
-                    f"t={tick}: node {n.id} lists node {far}, out of its range")
+                    f"t={tick}: node {n.id} lists node {min(far)}, out of its range")
             if (n.members is not None) != (n.role is Role.HEAD):
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} ({n.role}) must keep a member map "
@@ -708,7 +707,7 @@ class World:
                 if m == head:
                     raise SimulationInvariantError(
                         f"t={tick}: head {head} lists itself as a member")
-                if head not in adj_sets[m]:
+                if head not in adjacency[m]:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} out of range of head {head}")
                 mn = self.nodes[m]

@@ -22,10 +22,10 @@ Past the beacon, heads and members share one in-frame path (`_in_frame`);
 a member adds only its HELLO in its ND mini-slot. Every sensing round goes
 through `_do_sensing`. A node keeps the stage map that `radio.sense` returned
 (available channel -> stage, ascending) as `Node.stages`, and scanning, the
-swarm and the HELLO channel tuple all read it. A node derives that tuple and
-the map's channel ids once per map it adopts, and every HELLO it builds
-takes the map and those ids as they are; nodes that adopt the radio's one
-shared clean map (`radio.StageMap`) share its tuples instead.
+swarm and the HELLO channel tuple all read it. A node derives that tuple
+once per map it adopts, and every HELLO it builds takes the map and the
+tuple as they are; nodes that adopt the radio's one shared clean map
+(`radio.StageMap`) share its tuple instead.
 
 A node reads its constants (periods, scan interval, TTL, reward curve) from
 the validated `engine.ScenarioConfig` it is given as `Node.p`; nothing here
@@ -37,7 +37,9 @@ edges of what it is doing: its start tick, the end of a scan interval or a
 join wait, its own transmissions, and, inside a cluster frame, the period
 edges of the superframe it follows (`SuperframeSchedule.edges`), its own
 mini-slot and the frame end. Each full step therefore records the next such
-tick in `Node.wake`, and `step` returns at once before it. Whatever changes a
+tick in `Node.wake`, and `step` returns at once before it. Inside a frame,
+`_sleep_in_frame` derives that tick from the schedule, the frame's gap and a
+member's mini-slot; nothing stores it. Whatever changes a
 node's plans from outside its own step clears `wake` so that its next step
 runs in full: every role entry (`_clear_role_state`, hence `become_head`,
 `become_member`, `_restart_scan` and the engine's reformation commits), a
@@ -49,7 +51,8 @@ keeps its member map (`Node.members`, member id -> mini-slot) and
 It times members out from `Node.member_heard`, member id -> the last of its
 frames (`frames_in_cluster`) that heard the member (an admission counts as
 heard in the frame before), and at each frame start drops the members not
-heard in the last `neighbor_ttl_superframes` frames.
+heard in the last `neighbor_ttl_superframes` frames. Its beacon carries a
+copy of the member map, and a receiver looks its own id up in it.
 
 `Node` declares its state in `__slots__`, as do `NeighborEntry`, `ScanState`
 and the per-message records, so no instance carries a `__dict__`. The
@@ -59,10 +62,10 @@ from their first add (before it, both are the shared empty `NONE_YET`). Every
 HELLO a node sends, in a scan exchange, a beacon or its ND mini-slot, comes
 from `Node.hello`. It rebuilds the message with `emit_hello` only when its
 master or its `hello_channels` tuple changed, or when the 1-hop content the
-HELLO lists changed: `upsert_from_hello` and `evict_stale` report a 1-hop
-entry added, dropped, or given a new master or channel set, and the node
-then drops the HELLO it kept. A refresh that moves only an entry's
-`last_seen` or `cluster_head` keeps it.
+HELLO lists, each neighbor's id and master, changed: `upsert_from_hello` and
+`evict_stale` report a 1-hop entry added, dropped, or given a new master,
+and the node then drops the HELLO it kept. A refresh that moves only an
+entry's `last_seen` or `cluster_head` keeps it.
 """
 
 from __future__ import annotations
@@ -172,23 +175,11 @@ def lay_out_superframe(params: ScenarioConfig,
     )
 
 
-def frame_breaks(sched: SuperframeSchedule, gap: int,
-                 slot: int | None = None) -> tuple[int, ...]:
-    """Sorted ticks into a frame at which a node following `sched` has to
-    step: the schedule's edges, a member's HELLO mini-slot and the tick after
-    it, and `gap`, the start of the next frame."""
-    if slot is None:
-        return sched.edges + (gap,)
-    own = sched.nd_start + slot
-    return tuple(sorted({*sched.edges, own, own + 1, gap}))
-
-
 @dataclass(slots=True)
 class NeighborEntry:
     """A 1-hop neighbor as its last HELLO or beacon described it."""
 
     master: int
-    channels: tuple[int, ...]      # sorted channel ids, as on the wire
     last_seen: int
     cluster_head: int | None = None
 
@@ -223,7 +214,9 @@ class Beacon:
     frame_start: int
     gap: int                               # ticks to the next frame start
     schedule: SuperframeSchedule
-    members: tuple[tuple[int, int], ...]   # (node id, mini-slot)
+    # a copy of the head's map, node id -> mini-slot; left out of == and
+    # hash, because a dict is not hashable
+    members: dict = field(compare=False)
     rejects: tuple[int, ...]
     hello: HelloMessage
 
@@ -292,17 +285,14 @@ def handle_join_request(members: dict, requester: int,
 
 
 def emit_hello(node_id: int, master: int, channels: tuple, table,
-               channel_ids: tuple | None = None,
                stages: dict | None = None) -> HelloMessage:
     """Build this node's HELLO: `channels`, the sorted (channel, q_stage)
     pairs of its available channels (`Node.hello_channels`), and the one-hop
-    neighbor list with each neighbor's channel set. `channel_ids` and
-    `stages`, the map `channels` lists, are derived unless passed."""
-    # ids are unique, so the tuples sort by id alone
-    neighbors = tuple(sorted(
-        [(nid, e.master, e.channels) for nid, e in table.items()]))
-    return HelloMessage(node_id, master, channels, neighbors, channel_ids,
-                        stages)
+    neighbor list, (id, master) sorted by id. `stages`, the map `channels`
+    lists, is derived unless passed."""
+    # ids are unique, so the pairs sort by id alone
+    neighbors = tuple(sorted([(nid, e.master) for nid, e in table.items()]))
+    return HelloMessage(node_id, master, channels, neighbors, stages)
 
 
 def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int,
@@ -317,25 +307,22 @@ def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int
     entries one HELLO writes share one (master, tick) tuple per master.
     Known 1-hop entries are updated in place.
 
-    Returns whether the 1-hop content a HELLO lists (ids, masters, channel
-    sets) changed: a new sender, or a known one with a new master or
-    channel set."""
+    Returns whether the 1-hop content a HELLO lists (ids and masters)
+    changed: a new sender, or a known one with a new master."""
     sender = hello.sender
     master = hello.master
-    channels = hello.channel_ids
     e = table.get(sender)
     if e is None:
-        table[sender] = NeighborEntry(master, channels, tick, cluster_head)
+        table[sender] = NeighborEntry(master, tick, cluster_head)
         two_hop.pop(sender, None)
         changed = True
     else:
-        changed = e.master != master or e.channels != channels
+        changed = e.master != master
         e.master = master
-        e.channels = channels
         e.last_seen = tick
         e.cluster_head = cluster_head
     stamps = {}                     # master -> its (master, tick) tuple
-    for nid, nmaster, _ in hello.neighbor_list:
+    for nid, nmaster in hello.neighbor_list:
         if nid not in table and nid != self_id:
             stamp = stamps.get(nmaster)
             if stamp is None:
@@ -427,11 +414,11 @@ class Node:
     __slots__ = (
         # outlive a role: set in __init__
         "id", "pos", "rng", "p", "start_tick", "role", "listen", "master",
-        "weights", "stages", "hello_channels", "channel_ids", "table",
-        "two_hop", "frame_gap", "_hello",
+        "weights", "stages", "hello_channels", "table", "two_hop",
+        "frame_gap", "_hello",
         # scoped to one role: set in _clear_role_state
         "wake", "scan", "join_target", "join_tx_tick", "join_attempts",
-        "exch_tx_tick", "exch_done", "head_id", "slot", "sched", "breaks",
+        "exch_tx_tick", "exch_done", "head_id", "slot", "sched",
         "frame_start", "have_beacon", "beacons_missed", "frames_in_cluster",
         "offscan_ch", "offscan_seen", "member_grace", "members",
         "frame_offset", "member_heard", "join_queue", "lock",
@@ -451,7 +438,6 @@ class Node:
         self.weights: dict = {}
         self.stages: dict = {}             # the last stage map sensed
         self.hello_channels: tuple = ()    # its (channel, stage) pairs
-        self.channel_ids: tuple = ()       # and its channel ids
         self.table: dict = {}
         self.two_hop: dict = {}
         self.frame_gap = params.frame_len
@@ -462,28 +448,26 @@ class Node:
 
     def apply_observations(self, stages: dict):
         """Adopt a stage map from `sense` and derive, once per map, the HELLO
-        channel tuple and channel ids; nodes that adopt one shared
-        `radio.StageMap` share its tuples. A map equal to the one adopted is
-        skipped, so the tuples, and the HELLO that `hello` keeps, stay as
-        they are: equal maps list the same channels in the same ascending
-        order."""
+        channel tuple; nodes that adopt one shared `radio.StageMap` share its
+        tuple. A map equal to the one adopted is skipped, so the tuple, and
+        the HELLO that `hello` keeps, stay as they are: equal maps list the
+        same channels in the same ascending order."""
         if stages == self.stages:
             return
         self.stages = stages
-        self.hello_channels, self.channel_ids = radio.stage_tuples(stages)
+        self.hello_channels = radio.stage_pairs(stages)
 
     def hello(self) -> HelloMessage:
         """This node's HELLO as `emit_hello` builds it. The last one built is
         handed out again while its master is the node's master, its channel
         tuple is the node's current `hello_channels` and the 1-hop content
-        of `table` is unchanged since: whatever adds, drops or changes a
-        1-hop entry's master or channels clears `_hello`."""
+        of `table` is unchanged since: whatever adds, drops or changes the
+        master of a 1-hop entry clears `_hello`."""
         h = self._hello
         channels = self.hello_channels
         if h is None or h.master != self.master or h.channels is not channels:
             h = self._hello = emit_hello(self.id, self.master, channels,
-                                         self.table, self.channel_ids,
-                                         self.stages)
+                                         self.table, self.stages)
         return h
 
     def _select_current(self) -> int:
@@ -526,7 +510,6 @@ class Node:
         self.head_id: int | None = None
         self.slot: int | None = None
         self.sched: SuperframeSchedule | None = None
-        self.breaks: tuple[int, ...] = ()   # frame_breaks of the frame followed
         self.frame_start: int | None = None
         self.have_beacon = False
         self.beacons_missed = 0
@@ -754,11 +737,10 @@ class Node:
         self.frame_gap = self.p.frame_len
         if self.p.frame_jitter_max:
             self.frame_gap += self.rng.randrange(self.p.frame_jitter_max + 1)
-        self.breaks = frame_breaks(self.sched, self.frame_gap)
         beacon = Beacon(
             head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
-            members=tuple(sorted(members.items())), rejects=tuple(rejects),
+            members=dict(members), rejects=tuple(rejects),
             hello=self.hello(),
         )
         ctx.transmit(self, self.master, beacon)
@@ -833,9 +815,20 @@ class Node:
             self._frame_end(tick, ctx)
 
     def _sleep_in_frame(self, rel: int):
-        """Keep doing what this tick does until the frame's next break."""
-        breaks = self.breaks
-        self.wake = self.frame_start + breaks[bisect_right(breaks, rel)]
+        """Keep doing what this tick does until the frame's next break: the
+        schedule's next edge, a member's HELLO mini-slot or the tick after
+        it, or else `frame_gap`, the start of the next frame."""
+        edges = self.sched.edges
+        i = bisect_right(edges, rel)
+        nxt = edges[i] if i < len(edges) else self.frame_gap
+        slot = self.slot
+        if slot is not None:
+            own = self.sched.nd_start + slot
+            if rel == own:
+                own += 1                # the tick after its HELLO
+            if rel < own < nxt:
+                nxt = own
+        self.wake = self.frame_start + nxt
 
     def _frame_end(self, tick: int, ctx):
         if evict_stale(self.table, self.two_hop, tick, self.p.ttl_ticks):
@@ -903,9 +896,9 @@ class Node:
         self.wake = 0
         s = self.scan
         s.heard = True
-        members = dict(b.members)
-        if self.id in members and b.head == self.join_target:
-            self._complete_join(b, members[self.id], tick, ctx)
+        slot = b.members.get(self.id)
+        if slot is not None and b.head == self.join_target:
+            self._complete_join(b, slot, tick, ctx)
             return
         if self.id in b.rejects and b.head == self.join_target:
             self._give_up_join(b.head)
@@ -938,19 +931,17 @@ class Node:
                 slot=slot)
 
     def _sync_with_beacon(self, b: Beacon, tick: int, ctx):
-        members = dict(b.members)
-        if self.id not in members:
-            new = self._select_current()
-            self._leave_for(new, tick, ctx)
+        slot = b.members.get(self.id)
+        if slot is None:
+            self._leave_for(self._select_current(), tick, ctx)
             return
-        self._follow_beacon(b, members[self.id])
+        self._follow_beacon(b, slot)
 
     def _follow_beacon(self, b: Beacon, slot: int):
         """Adopt the frame the head's beacon announces."""
         self.wake = 0
         self.slot = slot
         self.sched = b.schedule
-        self.breaks = frame_breaks(b.schedule, b.gap, slot)
         self.frame_start = b.frame_start
         self.frame_gap = b.gap
         self.have_beacon = True

@@ -28,8 +28,8 @@ bounds the largest far-field sum the window can build there; where that
 bound quantizes to the clean stage, no far-field sum can move a stage, and
 `sense` reads only the near PUs. A window without any active PU, and such a
 position whose near PUs were all idle, return one shared clean stage map,
-a `StageMap` that also keeps, once, the tuples a node and its HELLOs derive
-from a map (`stage_tuples`). In a PU-free run every node adopts that map.
+a `StageMap` that also keeps, once, the (channel, stage) pairs a node's
+HELLOs list (`stage_pairs`). In a PU-free run every node adopts that map.
 
 Scenario values are validated once, when `engine.ScenarioConfig` is built;
 nothing here checks its arguments again.
@@ -47,24 +47,23 @@ ChannelId = int
 
 class StageMap(dict):
     """A stage map that `sense` hands to many callers: the clean map. It keeps,
-    derived once, its (channel, stage) `pairs` and its `channel_ids` as
-    tuples, so every node that adopts it, and every HELLO built from it,
-    shares one copy of each. Like every stage map it is never mutated."""
+    derived once, its (channel, stage) `pairs` as a tuple, so every node that
+    adopts it, and every HELLO built from it, shares one copy. Like every
+    stage map it is never mutated."""
 
-    __slots__ = ("pairs", "channel_ids")
+    __slots__ = ("pairs",)
 
     def __init__(self, stages: dict):
         super().__init__(stages)
         self.pairs = tuple(self.items())
-        self.channel_ids = tuple(self)
 
 
-def stage_tuples(stages: dict) -> tuple[tuple, tuple]:
-    """A stage map's (channel, stage) pairs and channel ids as tuples: the
-    shared ones of a `StageMap`, new ones for any other map."""
+def stage_pairs(stages: dict) -> tuple:
+    """A stage map's (channel, stage) pairs as a tuple: the shared one of a
+    `StageMap`, a new one for any other map."""
     if type(stages) is StageMap:
-        return stages.pairs, stages.channel_ids
-    return tuple(stages.items()), tuple(stages)
+        return stages.pairs
+    return tuple(stages.items())
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ channel is simply the argmax weight. Sensing arrives as the stage map that
 `radio.sense` returns: available channel -> quality stage, ascending. A
 HELLO carries its sender's stage map as `HelloMessage.stages`, the map
 itself when the sender passes it, so HELLOs built from one map share it.
+Its neighbor list names each of the sender's 1-hop neighbors with that
+neighbor's master, (id, master), which is all that 2-hop discovery reads.
 """
 
 from __future__ import annotations
@@ -68,27 +70,22 @@ class HelloMessage:
     channel qualities, and its one-hop neighbor list.
 
     `protocol.emit_hello` builds every HELLO on the wire, so `channels`
-    lists each channel once and it and each neighbor's channel tuple are
-    sorted by channel id. `channel_ids` and `stages` (channel -> stage) are
-    derived from `channels` when the message is built, unless the sender
-    passes the ones it already holds: `protocol.Node.hello` passes its stage
-    map and the channel ids it derived from that map once, so the HELLOs
-    built from one map share them. Neither is ever mutated."""
+    lists each channel once, sorted by channel id, and `neighbor_list` is
+    sorted by neighbor id. `stages` (channel -> stage) is derived from
+    `channels` when the message is built, unless the sender passes the map
+    it already holds: `protocol.Node.hello` passes its stage map, so the
+    HELLOs built from one map share it. It is never mutated."""
 
     sender: int
     master: int
     channels: tuple[tuple[int, int], ...]           # (channel, q_stage)
-    neighbor_list: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
-    # entries: (neighbor id, neighbor master, neighbor channels)
-    channel_ids: tuple[int, ...] = field(default=None, repr=False, compare=False)
+    neighbor_list: tuple[tuple[int, int], ...] = ()  # (neighbor id, its master)
     stages: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        put = object.__setattr__            # the record is frozen
         if self.stages is None:
-            put(self, "stages", dict(self.channels))
-        if self.channel_ids is None:
-            put(self, "channel_ids", tuple(self.stages))
+            # the record is frozen
+            object.__setattr__(self, "stages", dict(self.channels))
 
 
 def reward(delta_q: float, params: RewardParams) -> float:

@@ -370,7 +370,6 @@ class TestAdjacency:
         world = World(ScenarioConfig(su_count=len(positions), comm_range=comm_range),
                       su_positions=positions)
         assert world.adjacency == brute_force_adjacency(positions, comm_range)
-        assert world.adj_sets == [frozenset(near) for near in world.adjacency]
 
     @pytest.mark.parametrize("comm_range", [1e-310, 250.0])
     def test_generated_positions(self, comm_range):
@@ -612,8 +611,7 @@ class TestGatewayDiscovery:
                 0, {m: i for i, m in enumerate(members)}, 0, 0)
 
         def knows(x, nid):
-            world.nodes[x].table[nid] = NeighborEntry(master=0, channels=(),
-                                                      last_seen=0)
+            world.nodes[x].table[nid] = NeighborEntry(master=0, last_seen=0)
 
         def knows_two_hop(x, nid):
             world.nodes[x].two_hop[nid] = (0, 0)
@@ -648,7 +646,7 @@ class TestGatewayDiscovery:
         world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(3)])
         for head, members in ((0, {1: 0}), (2, {})):
             world.nodes[head].become_head(0, members, 0, 0)
-        world.nodes[1].table[2] = NeighborEntry(master=0, channels=(), last_seen=0)
+        world.nodes[1].table[2] = NeighborEntry(master=0, last_seen=0)
         assert world._discovered_pairs() == [(0, 2)]
         with mock.patch.object(engine, "select_gateways", return_value=None):
             with pytest.raises(SimulationInvariantError,
@@ -737,9 +735,9 @@ class TestClusterView:
         # delivery alone writes tables, so an entry names a node in range
         world = World(ScenarioConfig(su_count=3, comm_range=15.0),
                       su_positions=[(10.0 * i, 0.0) for i in range(3)])
-        world.nodes[0].table[1] = NeighborEntry(master=0, channels=(), last_seen=0)
+        world.nodes[0].table[1] = NeighborEntry(master=0, last_seen=0)
         world._validate(25)
-        world.nodes[0].table[2] = NeighborEntry(master=0, channels=(), last_seen=0)
+        world.nodes[0].table[2] = NeighborEntry(master=0, last_seen=0)
         with pytest.raises(SimulationInvariantError,
                            match="node 0 lists node 2, out of its range"):
             world._validate(25)

@@ -1,6 +1,7 @@
 """Scanning, joining, superframes, neighbor maps, and gateway selection."""
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from itertools import combinations
 from random import Random
 from types import SimpleNamespace
@@ -190,21 +191,21 @@ class TestNeighborTables:
         # it on master 0)
         table, two_hop = {}, {}
         hello = HelloMessage(sender=2, master=0, channels=((0, 3), (1, 2)),
-                             neighbor_list=((3, 0, (0, 1)),))
+                             neighbor_list=((3, 0),))
         upsert_from_hello(table, two_hop, hello, tick=50, cluster_head=0, self_id=1)
-        assert table == {2: NeighborEntry(0, (0, 1), 50, 0)}
+        assert table == {2: NeighborEntry(0, 50, 0)}
         assert two_hop == {3: (0, 50)}
 
     def test_one_hop_dominates_two_hop(self):
         table, two_hop = {}, {}
         upsert_from_hello(table, two_hop, HelloMessage(3, 0, ((0, 3),)), tick=10)
         upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
-                                                       ((3, 0, (0,)),)), tick=20)
+                                                       ((3, 0),)), tick=20)
         assert 3 not in two_hop
         assert table[3].last_seen == 10
         # and a 2-hop id heard directly moves to the 1-hop table
         upsert_from_hello(table, two_hop, HelloMessage(4, 1, ((1, 3),),
-                                                       ((5, 1, (1,)),)), tick=30)
+                                                       ((5, 1),)), tick=30)
         assert two_hop == {5: (1, 30)}
         upsert_from_hello(table, two_hop, HelloMessage(5, 1, ((1, 3),)), tick=31)
         assert two_hop == {} and table[5].last_seen == 31
@@ -212,16 +213,16 @@ class TestNeighborTables:
     def test_self_never_enters_own_table(self):
         table, two_hop = {}, {}
         upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
-                                                       ((1, 0, (0,)),)),
+                                                       ((1, 0),)),
                           tick=5, self_id=1)
         assert 1 not in table and 1 not in two_hop
 
     def test_stale_entries_evicted(self):
         table, two_hop = {}, {}
         upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
-                                                       ((6, 0, (0,)),)), tick=0)
+                                                       ((6, 0),)), tick=0)
         upsert_from_hello(table, two_hop, HelloMessage(4, 0, ((0, 3),),
-                                                       ((7, 0, (0,)),)), tick=70)
+                                                       ((7, 0),)), tick=70)
         evict_stale(table, two_hop, tick=100, ttl_ticks=75)
         assert 2 not in table and 4 in table
         assert 6 not in two_hop and 7 in two_hop
@@ -231,37 +232,53 @@ class TestNeighborTables:
 
     def test_upsert_reports_a_change_of_listed_content(self):
         table, two_hop = {}, {}
-        hello = HelloMessage(2, 0, ((0, 3), (1, 2)), ((7, 0, (0,)),))
+        hello = HelloMessage(2, 0, ((0, 3), (1, 2)), ((7, 0),))
         assert upsert_from_hello(table, two_hop, hello, tick=5) is True
         # a refresh that moves only last_seen or cluster_head lists the same
         assert upsert_from_hello(table, two_hop, hello, tick=9) is False
         assert upsert_from_hello(table, two_hop, hello, tick=9,
                                  cluster_head=4) is False
-        # the sender's stages and neighbor list are not listed content
+        # the sender's stages, channel set and neighbor list are not listed
+        # content; only its master is
         assert upsert_from_hello(table, two_hop,
                                  HelloMessage(2, 0, ((0, 1), (1, 3))), tick=10) is False
         assert upsert_from_hello(table, two_hop,
-                                 HelloMessage(2, 1, ((0, 1), (1, 3))), tick=11) is True
+                                 HelloMessage(2, 0, ((1, 3),)), tick=11) is False
         assert upsert_from_hello(table, two_hop,
                                  HelloMessage(2, 1, ((1, 3),)), tick=12) is True
-        assert table == {2: NeighborEntry(1, (1,), 12, None)}
+        assert table == {2: NeighborEntry(1, 12, None)}
 
     def test_one_hello_writes_one_stamp_per_master(self):
         table, two_hop = {}, {}
         hello = HelloMessage(2, 0, ((0, 3), (1, 2)),
-                             ((3, 1, (1,)), (4, 0, (0,)), (5, 1, (0, 1))))
+                             ((3, 1), (4, 0), (5, 1)))
         upsert_from_hello(table, two_hop, hello, tick=50, self_id=1)
         assert two_hop == {3: (1, 50), 4: (0, 50), 5: (1, 50)}
         assert two_hop[3] is two_hop[5]
         # a later HELLO writes its own stamps
         upsert_from_hello(table, two_hop, HelloMessage(6, 1, ((1, 2),),
-                                                       ((5, 1, (1,)),)), tick=60)
+                                                       ((5, 1),)), tick=60)
         assert two_hop[5] == (1, 60) and two_hop[3] == (1, 50)
+
+    def test_kept_hello_survives_a_neighbor_channel_change(self):
+        # a HELLO lists each neighbor's id and master, so one that changes
+        # only its sender's channel set leaves the node's HELLO as it was
+        node = Node(1, (0.0, 0.0), Random(0), ScenarioConfig())
+        node.apply_observations({0: 3, 1: 2})
+        node.master = 0
+        node._on_hello(HelloFrame(HelloMessage(2, 0, ((0, 3), (1, 2)))), 5, None)
+        kept = node.hello()
+        assert kept.neighbor_list == ((2, 0),)
+        node._on_hello(HelloFrame(HelloMessage(2, 0, ((1, 2),))), 6, None)
+        assert node.hello() is kept
+        node._on_hello(HelloFrame(HelloMessage(2, 1, ((1, 2),))), 7, None)
+        assert node.hello() is not kept
+        assert node.hello().neighbor_list == ((2, 1),)
 
     def test_evict_reports_only_one_hop_drops(self):
         table, two_hop = {}, {}
         upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
-                                                       ((6, 0, (0,)),)), tick=0)
+                                                       ((6, 0),)), tick=0)
         upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),)), tick=50)
         assert evict_stale(table, two_hop, tick=100, ttl_ticks=75) is False
         assert two_hop == {} and 2 in table
@@ -280,10 +297,10 @@ class TestNeighborTables:
         two_hop = {}
         upsert_from_hello(table, two_hop, HelloMessage(2, 1, ((1, 2),)), tick=0)
         upsert_from_hello(table, two_hop, HelloMessage(9, 0, ((0, 1),),
-                                                       ((8, 0, (0,)),)), tick=0)
+                                                       ((8, 0),)), tick=0)
         hello = emit_hello(1, 0, ((0, 3),), table)
-        # only 1-hop entries are listed, sorted by id, with channel sets
-        assert hello.neighbor_list == ((2, 1, (1,)), (9, 0, (0,)))
+        # only 1-hop entries are listed, sorted by id, with their masters
+        assert hello.neighbor_list == ((2, 1), (9, 0))
 
 
 @dataclass
@@ -293,7 +310,6 @@ class OneTableEntry:
     id: int
     hops: int
     master: int
-    channels: tuple
     last_seen: int
     relay: int | None = None
     cluster_head: int | None = None
@@ -304,24 +320,22 @@ def one_table_upsert(table, hello, tick, cluster_head=None, self_id=None):
     sender = hello.sender
     e = table.get(sender)
     if e is None:
-        table[sender] = OneTableEntry(sender, 1, hello.master, hello.channel_ids,
-                                      tick, None, cluster_head)
+        table[sender] = OneTableEntry(sender, 1, hello.master, tick, None,
+                                      cluster_head)
     else:
         e.hops = 1
         e.master = hello.master
-        e.channels = hello.channel_ids
         e.last_seen = tick
         e.relay = None
         e.cluster_head = cluster_head
-    for nid, nmaster, nchannels in hello.neighbor_list:
+    for nid, nmaster in hello.neighbor_list:
         if nid == self_id or nid == sender:
             continue
         e = table.get(nid)
         if e is None:
-            table[nid] = OneTableEntry(nid, 2, nmaster, nchannels, tick, sender)
+            table[nid] = OneTableEntry(nid, 2, nmaster, tick, sender)
         elif e.hops == 2:
             e.master = nmaster
-            e.channels = nchannels
             e.last_seen = tick
             e.relay = sender
             e.cluster_head = None
@@ -359,12 +373,11 @@ node_ids = st.integers(min_value=0, max_value=9)
 channels = st.integers(min_value=0, max_value=4)
 stage_maps = st.dictionaries(channels, st.integers(min_value=0, max_value=3),
                              max_size=4)
-channel_sets = st.lists(channels, unique=True, max_size=3).map(lambda c: tuple(sorted(c)))
 
 
 def wire_hello(sender, master, stages, listed):
     return HelloMessage(sender, master, tuple(sorted(stages.items())),
-                        tuple((nid, m, c) for nid, (m, c) in sorted(listed.items())))
+                        tuple(sorted(listed.items())))
 
 
 # (kind, ticks since the last step, HELLO or TTL, cluster head); a HELLO may
@@ -373,7 +386,7 @@ hello_steps = st.tuples(
     st.just("hello"), st.integers(min_value=0, max_value=40),
     st.builds(wire_hello, st.integers(min_value=1, max_value=9), channels,
               stage_maps,
-              st.dictionaries(node_ids, st.tuples(channels, channel_sets), max_size=6)),
+              st.dictionaries(node_ids, channels, max_size=6)),
     st.one_of(st.none(), node_ids))
 evict_steps = st.tuples(st.just("evict"), st.integers(min_value=0, max_value=40),
                         st.integers(min_value=0, max_value=60), st.none())
@@ -400,15 +413,15 @@ class TestNeighborMapsOracle:
             else:
                 evict_stale(table, two_hop, tick, payload)
                 one_table_evict(oracle, tick, payload)
-            assert ({nid: (e.master, e.channels, e.last_seen, e.cluster_head)
+            assert ({nid: (e.master, e.last_seen, e.cluster_head)
                      for nid, e in table.items()}
-                    == {nid: (e.master, e.channels, e.last_seen, e.cluster_head)
+                    == {nid: (e.master, e.last_seen, e.cluster_head)
                         for nid, e in oracle.items() if e.hops == 1})
             assert two_hop == {nid: (e.master, e.last_seen)
                                for nid, e in oracle.items() if e.hops == 2}
             assert SELF not in table and SELF not in two_hop
             assert (emit_hello(SELF, 0, (), table).neighbor_list
-                    == tuple(sorted((e.id, e.master, e.channels)
+                    == tuple(sorted((e.id, e.master)
                                     for e in oracle.values() if e.hops == 1)))
             for master, stages, visited, seed in queries:
                 rng, oracle_rng = Random(seed), Random(seed)
@@ -457,7 +470,7 @@ class TestObservationState:
 
     def test_nodes_on_one_map_share_its_tuples(self):
         # nodes that adopt the shared clean map share its HELLO channel
-        # tuple, and their HELLOs share its stage dict and channel ids
+        # tuple, and their HELLOs share it as their stage dict
         world = World(ScenarioConfig(su_count=2, pu_count=0, channel_count=3))
         a, b = world.nodes
         for node in (a, b):
@@ -467,11 +480,11 @@ class TestObservationState:
         assert a.hello_channels == ((0, 3), (1, 3), (2, 3))
         hello_a, hello_b = a.hello(), b.hello()
         assert hello_a.stages is hello_b.stages is world.env.clean
-        assert hello_a.channel_ids is hello_b.channel_ids == (0, 1, 2)
+        assert hello_a.channels is a.hello_channels
         a._hello = None                 # a rebuilt HELLO shares them too
         assert a.hello() is not hello_a
         assert a.hello().stages is hello_a.stages
-        assert a.hello().channel_ids is hello_a.channel_ids
+        assert a.hello().channels is hello_a.channels
 
 
 class TestOffMasterScan:
@@ -508,7 +521,7 @@ class TestSelectGateways:
     def tables_from(self, one_hop):
         tables = {}
         for a, b in one_hop:
-            tables.setdefault(a, {})[b] = NeighborEntry(0, (0,), 0)
+            tables.setdefault(a, {})[b] = NeighborEntry(0, 0)
         return tables
 
     def test_single_gateway_one_hop_to_both_heads(self):
@@ -533,8 +546,8 @@ class TestRoleEntry:
     # the stage map and what is derived from it, both neighbor maps, the
     # last frame gap heard, and the HELLO kept for reuse
     PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
-                  "master", "weights", "stages", "hello_channels",
-                  "channel_ids", "table", "two_hop", "frame_gap", "_hello"}
+                  "master", "weights", "stages", "hello_channels", "table",
+                  "two_hop", "frame_gap", "_hello"}
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""
@@ -626,7 +639,7 @@ class TestRoleEntry:
     def test_state_is_slotted_and_bound_from_the_start(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         assert [n for n in Node.__slots__ if not hasattr(node, n)] == []
-        records = (node, NeighborEntry(0, (0,), 0),
+        records = (node, NeighborEntry(0, 0),
                    ScanState(visited={0}, current=0, interval_end=5))
         assert [r for r in records if hasattr(r, "__dict__")] == []
 
@@ -701,7 +714,7 @@ class TestFormationWalkthrough:
         assert 6 in b.two_hop                # G relayed by E or F
         assert b.two_hop[6][0] == 1
         hello = emit_hello(1, b.master, b.hello_channels, b.table)
-        listed = {nid for nid, _, _ in hello.neighbor_list}
+        listed = {nid for nid, _ in hello.neighbor_list}
         assert {4, 5} <= listed
 
     def test_two_hop_node_exchanges_and_moves_on(self):
@@ -794,7 +807,7 @@ class TestJoinContention:
             node.step(t, ctx)
             if t % cfg.frame_len == 1:
                 node.on_message(Beacon(7, 0, t, cfg.frame_len, cfg.layouts[(1,)],
-                                       (), (), hello), t, ctx)
+                                       {}, (), hello), t, ctx)
                 beacons += 1
                 if beacons <= JOIN_ATTEMPT_LIMIT:
                     assert (node.join_target, node.join_attempts) == (7, beacons)
@@ -817,7 +830,7 @@ class TestJoinContention:
         node.step(0, ctx)
         interval_end = node.scan.interval_end
         deadline = interval_end + 2 * cfg.frame_len
-        node.on_message(Beacon(7, 0, 1, cfg.frame_len, cfg.layouts[(1,)], (),
+        node.on_message(Beacon(7, 0, 1, cfg.frame_len, cfg.layouts[(1,)], {},
                                (), HelloMessage(7, 0, ((0, 3),))), 1, ctx)
         assert node.join_target == 7 and node.join_tx_tick < interval_end
         for t in range(1, deadline):
@@ -831,6 +844,56 @@ class TestJoinContention:
         assert node.scan.interval_end == deadline + cfg.scan_interval_ticks
         assert ctx.sent == [(0, JoinRequest(0, 7))]
         assert ctx.events == []
+
+
+def frame_breaks(sched, gap, slot=None):
+    """Reference: the sorted ticks into a frame at which a node following
+    `sched` has to step: the schedule's edges, a member's HELLO mini-slot and
+    the tick after it, and `gap`, the start of the next frame."""
+    if slot is None:
+        return sched.edges + (gap,)
+    own = sched.nd_start + slot
+    return tuple(sorted({*sched.edges, own, own + 1, gap}))
+
+
+class TestFrameBreaks:
+    @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
+    def test_derived_wake_matches_the_reference_breaks(self, detect_periods):
+        cfg = ScenarioConfig(detect_periods=detect_periods, frame_jitter_max=4,
+                             scan_interval_ticks=40)
+        node = Node(0, (0.0, 0.0), Random(0), cfg)
+        node.frame_start = 1000
+        for sched in cfg.layouts.values():
+            for slot in (None, *range(cfg.max_slots)):
+                for gap in range(cfg.frame_len,
+                                 cfg.frame_len + cfg.frame_jitter_max + 1):
+                    breaks = frame_breaks(sched, gap, slot)
+                    node.sched, node.slot, node.frame_gap = sched, slot, gap
+                    for rel in range(gap):
+                        node._sleep_in_frame(rel)
+                        assert node.wake == 1000 + breaks[bisect_right(breaks, rel)], \
+                            (sched.edges, slot, gap, rel)
+
+
+class TestBeaconMembers:
+    def test_a_sent_beacon_keeps_the_map_it_was_sent_with(self):
+        cfg = ScenarioConfig(channel_count=1, swarm_enabled=False,
+                             reform_enabled=False)
+        sent = []
+        ctx = SimpleNamespace(sense=lambda node: {0: 3},
+                              transmit=lambda node, channel, msg: sent.append(msg))
+        head = Node(0, (0.0, 0.0), Random(0), cfg)
+        head.apply_observations({0: 3})
+        head.become_head(0, {1: 0, 2: 1}, frame_offset=0, frame_start=0)
+        head.step(0, ctx)
+        (beacon,) = sent
+        assert beacon.members == {1: 0, 2: 1}
+        head.members[3] = 2
+        del head.members[1]
+        assert beacon.members == {1: 0, 2: 1}
+        # the map is not compared, so the record stays hashable
+        assert beacon == replace(beacon, members={})
+        assert hash(beacon) == hash(replace(beacon, members={}))
 
 
 class TestMemberTimeout:
@@ -849,7 +912,7 @@ class TestMemberTimeout:
                 return {0: 3}
 
             def transmit(self, node, channel, msg):
-                beacons[msg.frame_start] = {m for m, _ in msg.members}
+                beacons[msg.frame_start] = set(msg.members)
 
         ctx = Ctx()
         head = Node(0, (0.0, 0.0), Random(0), cfg)

@@ -37,7 +37,7 @@ def graph_from_edges(n, edges):
 
 
 def table_with(one_hop):
-    return {nid: NeighborEntry(0, (0,), 0) for nid in one_hop}
+    return {nid: NeighborEntry(0, 0) for nid in one_hop}
 
 
 def head(nid, members, master=0):

@@ -379,9 +379,8 @@ class TestSelectMaster:
 
 
 class TestRecords:
-    def test_hello_derives_its_channel_ids_and_stages(self):
+    def test_hello_derives_its_stages(self):
         msg = HelloMessage(sender=4, master=2, channels=((0, 1), (2, 3), (5, 0)))
-        assert msg.channel_ids == (0, 2, 5)
         assert msg.stages == {0: 1, 2: 3, 5: 0}
         # derived fields are not compared, so equal payloads stay equal
         assert msg == HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0)))
