@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Scenario files are line-based `key = value` with `#` comments; unknown keys
-are rejected with the offending line. Outputs are a pure function of the
-config file bytes plus the flag overrides: metrics.csv (one row per sample),
-events.log (tick-stamped protocol events), summary.txt (final-window means),
-and config.txt (the fully resolved configuration, for provenance).
+Scenario files are UTF-8 text, line-based `key = value` with `#` comments;
+unknown keys are rejected with the offending line. Outputs, written as UTF-8,
+are a pure function of the config file bytes plus the flag overrides:
+metrics.csv (one row per sample), events.log (tick-stamped protocol events),
+summary.txt (final-window means), and config.txt (the fully resolved
+configuration, for provenance).
 
     cogmesh run --config scenario.cfg --seed 7 --out out/
     cogmesh sweep --config scenario.cfg --seeds 1,2,3 --out out/
@@ -34,12 +35,14 @@ class RunRequest:
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
-    """Parse a scenario file into a validated config."""
+    """Parse a scenario file, read as UTF-8, into a validated config."""
     mapping = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(path, f"unreadable scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"scenario file is not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,11 +122,11 @@ def _summary_text(result: RunResult) -> str:
 def write_run_outputs(result: RunResult, out_dir: str):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(_metrics_csv(result))
-    with (out / "events.log").open("w") as f:
+    (out / "metrics.csv").write_text(_metrics_csv(result), encoding="utf-8")
+    with (out / "events.log").open("w", encoding="utf-8") as f:
         f.writelines(e.line() + "\n" for e in result.events)
-    (out / "summary.txt").write_text(_summary_text(result))
-    (out / "config.txt").write_text(_config_text(result.config))
+    (out / "summary.txt").write_text(_summary_text(result), encoding="utf-8")
+    (out / "config.txt").write_text(_config_text(result.config), encoding="utf-8")
 
 
 def run_single(req: RunRequest) -> RunResult:
@@ -148,7 +151,7 @@ def run_sweep(req: RunRequest):
         results.append(result)
     out = Path(req.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+    (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return results
 
 
@@ -172,7 +175,7 @@ def run_compare(req: RunRequest):
     for seed, a, b, c, d in rows:
         lines.append(f"{seed},{a:.6f},{b:.6f},{c:.6f},{d:.6f}")
     lines.append("mean,%.6f,%.6f,%.6f,%.6f" % means)
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return rows, means
 
 

@@ -21,11 +21,9 @@ channel.
 Past the beacon, heads and members share one in-frame path (`_in_frame`);
 a member adds only its HELLO in its ND mini-slot. Every sensing round goes
 through `_do_sensing`. A node keeps the stage map that `radio.sense` returned
-(available channel -> stage, ascending) as `Node.stages`, and scanning, the
-swarm and the HELLO channel tuple all read it. A node derives that tuple
-once per map it adopts, and every HELLO it builds takes the map and the
-tuple as they are; nodes that adopt the radio's one shared clean map
-(`radio.StageMap`) share its tuple instead.
+(available channel -> stage, ascending) as `Node.stages`, and scanning and
+the swarm read it. Every HELLO it builds carries that map as it is, so
+nodes that adopt the radio's one shared clean map send that one map.
 
 A node reads its constants (periods, scan interval, TTL, reward curve) from
 the validated `engine.ScenarioConfig` it is given as `Node.p`; nothing here
@@ -55,14 +53,15 @@ heard in the last `neighbor_ttl_superframes` frames. Its beacon carries a
 copy of the member map, and a receiver looks its own id up in it.
 
 `Node` declares its state in `__slots__`, as do `NeighborEntry`, `ScanState`
-and the per-message records, so no instance carries a `__dict__`. The
-entries that one HELLO writes into `two_hop` share one (master, tick) tuple
-per master, and a role's `exch_done` and `offscan_seen` sets exist only
-from their first add (before it, both are the shared empty `NONE_YET`). Every
+and the per-message records, so no instance carries a `__dict__`. A scan is
+one `ScanState`: its channel walk, its join in flight and its HELLO
+exchanges. The entries that one HELLO writes into `two_hop` share one
+(master, tick) tuple per master, and a role's `offscan_seen` set exists
+only from its first add (before it, the shared empty `NONE_YET`). Every
 HELLO a node sends, in a scan exchange, a beacon or its ND mini-slot, comes
 from `Node.hello`. It rebuilds the message with `emit_hello` only when its
-master or its `hello_channels` tuple changed, or when the 1-hop content the
-HELLO lists, each neighbor's id and master, changed: `upsert_from_hello` and
+master or its stage map changed, or when the 1-hop content the HELLO lists,
+each neighbor's id and master, changed: `upsert_from_hello` and
 `evict_stale` report a 1-hop entry added, dropped, or given a new master,
 and the node then drops the HELLO it kept. A refresh that moves only an
 entry's `last_seen` or `cluster_head` keeps it.
@@ -76,7 +75,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING
 
-from cogmesh import radio, swarm
+from cogmesh import swarm
 from cogmesh.swarm import HelloMessage, NoAvailableChannels
 
 if TYPE_CHECKING:
@@ -92,7 +91,7 @@ PUBLIC_RA = "public_ra"
 # join requests a scanning node sends to one cluster before it gives up on it
 JOIN_ATTEMPT_LIMIT = 4
 
-# the empty `exch_done` and `offscan_seen` that every role entry starts from
+# the empty `offscan_seen` that every role entry starts from
 NONE_YET = frozenset()
 
 
@@ -191,6 +190,14 @@ class ScanState:
     interval_end: int              # tick at which the scan interval is over
     heard: bool = False            # a HELLO or beacon arrived this interval
     rejections: set = field(default_factory=set)
+    # the join in flight: the head asked, the tick of its request and the
+    # requests sent so far
+    join_target: int | None = None
+    join_tx_tick: int | None = None
+    join_attempts: int = 0
+    # the armed HELLO exchange's tick, and the heads already answered
+    exch_tx_tick: int | None = None
+    exch_done: set = field(default_factory=set)
 
 
 # --- scan outcomes -----------------------------------------------------------
@@ -284,15 +291,12 @@ def handle_join_request(members: dict, requester: int,
     return None
 
 
-def emit_hello(node_id: int, master: int, channels: tuple, table,
-               stages: dict | None = None) -> HelloMessage:
-    """Build this node's HELLO: `channels`, the sorted (channel, q_stage)
-    pairs of its available channels (`Node.hello_channels`), and the one-hop
-    neighbor list, (id, master) sorted by id. `stages`, the map `channels`
-    lists, is derived unless passed."""
+def emit_hello(node_id: int, master: int, table, stages: dict) -> HelloMessage:
+    """Build this node's HELLO: its stage map `stages`, as it is, and the
+    one-hop neighbor list, (id, master) sorted by id."""
     # ids are unique, so the pairs sort by id alone
     neighbors = tuple(sorted([(nid, e.master) for nid, e in table.items()]))
-    return HelloMessage(node_id, master, channels, neighbors, stages)
+    return HelloMessage(node_id, master, neighbor_list=neighbors, stages=stages)
 
 
 def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int,
@@ -414,14 +418,12 @@ class Node:
     __slots__ = (
         # outlive a role: set in __init__
         "id", "pos", "rng", "p", "start_tick", "role", "listen", "master",
-        "weights", "stages", "hello_channels", "table", "two_hop",
-        "frame_gap", "_hello",
+        "weights", "stages", "table", "two_hop", "frame_gap", "_hello",
         # scoped to one role: set in _clear_role_state
-        "wake", "scan", "join_target", "join_tx_tick", "join_attempts",
-        "exch_tx_tick", "exch_done", "head_id", "slot", "sched",
-        "frame_start", "have_beacon", "beacons_missed", "frames_in_cluster",
-        "offscan_ch", "offscan_seen", "member_grace", "members",
-        "frame_offset", "member_heard", "join_queue", "lock",
+        "wake", "scan", "head_id", "slot", "sched", "frame_start",
+        "have_beacon", "beacons_missed", "frames_in_cluster", "offscan_ch",
+        "offscan_seen", "member_grace", "members", "frame_offset",
+        "member_heard", "join_first", "lock",
     )
 
     def __init__(self, node_id: int, pos, rng: Random, params: ScenarioConfig,
@@ -437,7 +439,6 @@ class Node:
         self.master: int | None = None
         self.weights: dict = {}
         self.stages: dict = {}             # the last stage map sensed
-        self.hello_channels: tuple = ()    # its (channel, stage) pairs
         self.table: dict = {}
         self.two_hop: dict = {}
         self.frame_gap = params.frame_len
@@ -447,27 +448,22 @@ class Node:
     # -- helpers --
 
     def apply_observations(self, stages: dict):
-        """Adopt a stage map from `sense` and derive, once per map, the HELLO
-        channel tuple; nodes that adopt one shared `radio.StageMap` share its
-        tuple. A map equal to the one adopted is skipped, so the tuple, and
-        the HELLO that `hello` keeps, stay as they are: equal maps list the
-        same channels in the same ascending order."""
-        if stages == self.stages:
-            return
-        self.stages = stages
-        self.hello_channels = radio.stage_pairs(stages)
+        """Adopt a stage map from `sense`. A map equal to the one adopted is
+        skipped, so the HELLO that `hello` keeps stays as it is: equal maps
+        list the same channels in the same ascending order."""
+        if stages != self.stages:
+            self.stages = stages
 
     def hello(self) -> HelloMessage:
         """This node's HELLO as `emit_hello` builds it. The last one built is
-        handed out again while its master is the node's master, its channel
-        tuple is the node's current `hello_channels` and the 1-hop content
-        of `table` is unchanged since: whatever adds, drops or changes the
-        master of a 1-hop entry clears `_hello`."""
+        handed out again while its master is the node's master, it carries
+        the node's current stage map and the 1-hop content of `table` is
+        unchanged since: whatever adds, drops or changes the master of a
+        1-hop entry clears `_hello`."""
         h = self._hello
-        channels = self.hello_channels
-        if h is None or h.master != self.master or h.channels is not channels:
-            h = self._hello = emit_hello(self.id, self.master, channels,
-                                         self.table, self.stages)
+        if h is None or h.master != self.master or h.stages is not self.stages:
+            h = self._hello = emit_hello(self.id, self.master, self.table,
+                                         self.stages)
         return h
 
     def _select_current(self) -> int:
@@ -487,7 +483,8 @@ class Node:
             return
         self.weights = swarm.apply_hello(self.weights, hello, self.stages,
                                          self.p.reward)
-        if self.role is Role.SCANNING and self.join_target is None:
+        # a node with a scan is scanning; one without weights returned above
+        if self.scan is not None and self.scan.join_target is None:
             self.master = swarm.select_master(self.weights)
 
     # -- lifecycle --
@@ -500,11 +497,6 @@ class Node:
         runs in full."""
         self.wake = 0
         self.scan: ScanState | None = None
-        self.join_target: int | None = None
-        self.join_tx_tick: int | None = None
-        self.join_attempts = 0
-        self.exch_tx_tick: int | None = None
-        self.exch_done: set | frozenset = NONE_YET   # a set from its first add
 
         # member/cluster frame state (heads use the same frame fields)
         self.head_id: int | None = None
@@ -521,7 +513,7 @@ class Node:
         self.members: dict | None = None   # a head's: member id -> mini-slot
         self.frame_offset: int | None = None
         self.member_heard: dict = {}   # a head's: member id -> frame last heard
-        self.join_queue: list = []
+        self.join_first: int | None = None   # a head's: see `_on_join_request`
         self.lock = None               # the live Negotiation locking it
 
     def become_head(self, master: int, members: dict, frame_offset: int,
@@ -631,11 +623,11 @@ class Node:
             return
         s = self.scan
         sent = True
-        if self.join_tx_tick == tick:
-            ctx.transmit(self, s.current, JoinRequest(self.id, self.join_target))
-        elif self.exch_tx_tick == tick:
+        if s.join_tx_tick == tick:
+            ctx.transmit(self, s.current, JoinRequest(self.id, s.join_target))
+        elif s.exch_tx_tick == tick:
             ctx.transmit(self, s.current, HelloFrame(self.hello()))
-            self.exch_tx_tick = None
+            s.exch_tx_tick = None
         else:
             self.listen = s.current
             sent = False
@@ -643,7 +635,7 @@ class Node:
             if not sent:
                 self._sleep_scanning(tick, s.interval_end)
             return
-        if self.join_target is not None:
+        if s.join_target is not None:
             # request in flight: allow the response window to play out; a
             # target is taken only before `interval_end`, a tick the node steps
             deadline = s.interval_end + 2 * self.p.frame_len
@@ -651,14 +643,14 @@ class Node:
                 if not sent:
                     self._sleep_scanning(tick, deadline)
                 return
-            self._give_up_join(self.join_target)
+            self._give_up_join(s.join_target)
         self._advance_scan(tick, ctx)
 
     def _sleep_scanning(self, tick: int, until: int):
         """Listen on the scan channel up to `until` or the node's next
         transmission, whichever comes first."""
         wake = until
-        for t in (self.join_tx_tick, self.exch_tx_tick):
+        for t in (self.scan.join_tx_tick, self.scan.exch_tx_tick):
             if t is not None and tick < t < wake:
                 wake = t
         self.wake = wake
@@ -666,13 +658,14 @@ class Node:
     def _give_up_join(self, head: int):
         """Drop the join in flight and never ask `head` again this scan."""
         self.wake = 0
-        self.scan.rejections.add(head)
-        self.join_target = None
-        self.join_tx_tick = None
+        s = self.scan
+        s.rejections.add(head)
+        s.join_target = None
+        s.join_tx_tick = None
 
     def _advance_scan(self, tick: int, ctx):
         s = self.scan
-        self.exch_tx_tick = None
+        s.exch_tx_tick = None
         if not self._do_sensing(tick, ctx):
             return
         outcome = finish_scan_interval(s, self.stages, self.rng)
@@ -722,17 +715,16 @@ class Node:
             if ended - heard[m] >= self.p.neighbor_ttl_superframes:
                 del members[m]
                 del heard[m]
-        rejects = []
-        if self.join_queue:
-            self.join_queue.sort()
-            _, first = self.join_queue[0]
+        rejects = ()
+        first = self.join_first
+        if first is not None:
+            self.join_first = None
             slot = handle_join_request(members, first, self.p.max_slots)
             if slot is None:
-                rejects.append(first)
+                rejects = (first,)
             else:
                 members[first] = slot
                 heard[first] = ended
-            self.join_queue = []
         self.sched = build_superframe(self.p, self.rng)
         self.frame_gap = self.p.frame_len
         if self.p.frame_jitter_max:
@@ -740,7 +732,7 @@ class Node:
         beacon = Beacon(
             head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
-            members=dict(members), rejects=tuple(rejects),
+            members=dict(members), rejects=rejects,
             hello=self.hello(),
         )
         ctx.transmit(self, self.master, beacon)
@@ -852,11 +844,15 @@ class Node:
             self._on_join_request(msg, tick)
 
     def _on_join_request(self, msg: JoinRequest, tick: int):
+        """Keep the first request heard in this frame's public RA: the one
+        the next frame start can admit. A node hears at most one message per
+        tick, so the first heard is the earliest sent."""
         if self.role is not Role.HEAD or msg.head != self.id or self.sched is None:
             return
         rel = tick - self.frame_start
-        if self.sched.pra_start <= rel < self.sched.pra_start + self.sched.pra_len:
-            self.join_queue.append((tick, msg.sender))
+        if (self.join_first is None and self.sched.pra_start <= rel
+                < self.sched.pra_start + self.sched.pra_len):
+            self.join_first = msg.sender
 
     def _on_hello(self, frame: HelloFrame, tick: int, ctx):
         hello = frame.hello
@@ -866,18 +862,16 @@ class Node:
         self._absorb_pheromone(hello)
         if self.role is Role.HEAD and hello.sender in self.members:
             self.member_heard[hello.sender] = self.frames_in_cluster
-        if self.role is Role.SCANNING and self.scan is not None:
-            self.scan.heard = True
+        s = self.scan
+        if s is not None:
+            s.heard = True
             if (frame.cluster_head is not None and frame.pra_start is not None
-                    and frame.cluster_head not in self.exch_done
-                    and self.exch_tx_tick is None):
+                    and frame.cluster_head not in s.exch_done
+                    and s.exch_tx_tick is None):
                 t0 = frame.pra_start + self.rng.randrange(frame.pra_len)
-                if t0 > tick and t0 != self.join_tx_tick:
-                    self.exch_tx_tick = t0
-                    if self.exch_done:
-                        self.exch_done.add(frame.cluster_head)
-                    else:
-                        self.exch_done = {frame.cluster_head}
+                if t0 > tick and t0 != s.join_tx_tick:
+                    s.exch_tx_tick = t0
+                    s.exch_done.add(frame.cluster_head)
                     self.wake = 0
 
     def _on_beacon(self, b: Beacon, tick: int, ctx):
@@ -897,28 +891,28 @@ class Node:
         s = self.scan
         s.heard = True
         slot = b.members.get(self.id)
-        if slot is not None and b.head == self.join_target:
+        if slot is not None and b.head == s.join_target:
             self._complete_join(b, slot, tick, ctx)
             return
-        if self.id in b.rejects and b.head == self.join_target:
+        if self.id in b.rejects and b.head == s.join_target:
             self._give_up_join(b.head)
             self.master = self._select_current()
             ctx.log(tick, "reject", node=self.id, head=b.head, channel=b.master)
             return
         if b.head in s.rejections:
             return
-        if self.join_target is None:
-            self.join_target = b.head
-            self.join_attempts = 1
+        if s.join_target is None:
+            s.join_target = b.head
+            s.join_attempts = 1
             self.master = b.master
-            self.join_tx_tick = self._pra_backoff(b, tick)
-        elif self.join_target == b.head and self.join_tx_tick < tick:
-            if self.join_attempts >= JOIN_ATTEMPT_LIMIT:
+            s.join_tx_tick = self._pra_backoff(b, tick)
+        elif s.join_target == b.head and s.join_tx_tick < tick:
+            if s.join_attempts >= JOIN_ATTEMPT_LIMIT:
                 self._give_up_join(b.head)
                 self.master = self._select_current()
             else:
-                self.join_attempts += 1
-                self.join_tx_tick = self._pra_backoff(b, tick)
+                s.join_attempts += 1
+                s.join_tx_tick = self._pra_backoff(b, tick)
 
     def _pra_backoff(self, b: Beacon, tick: int) -> int:
         sched = b.schedule

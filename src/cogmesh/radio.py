@@ -28,8 +28,8 @@ bounds the largest far-field sum the window can build there; where that
 bound quantizes to the clean stage, no far-field sum can move a stage, and
 `sense` reads only the near PUs. A window without any active PU, and such a
 position whose near PUs were all idle, return one shared clean stage map,
-a `StageMap` that also keeps, once, the (channel, stage) pairs a node's
-HELLOs list (`stage_pairs`). In a PU-free run every node adopts that map.
+`RadioEnvironment.clean`. In a PU-free run every node adopts that map, and
+every HELLO carries it.
 
 Scenario values are validated once, when `engine.ScenarioConfig` is built;
 nothing here checks its arguments again.
@@ -43,27 +43,6 @@ from dataclasses import dataclass, field
 from random import Random
 
 ChannelId = int
-
-
-class StageMap(dict):
-    """A stage map that `sense` hands to many callers: the clean map. It keeps,
-    derived once, its (channel, stage) `pairs` as a tuple, so every node that
-    adopts it, and every HELLO built from it, shares one copy. Like every
-    stage map it is never mutated."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, stages: dict):
-        super().__init__(stages)
-        self.pairs = tuple(self.items())
-
-
-def stage_pairs(stages: dict) -> tuple:
-    """A stage map's (channel, stage) pairs as a tuple: the shared one of a
-    `StageMap`, a new one for any other map."""
-    if type(stages) is StageMap:
-        return stages.pairs
-    return tuple(stages.items())
 
 
 @dataclass(frozen=True)
@@ -129,7 +108,7 @@ class RadioEnvironment:
     window_ticks: int
     # what `sense` returns while no PU was active in the window; shared,
     # so callers must not mutate it
-    clean: StageMap
+    clean: dict
     # `pus` split by model, each in PU-list order
     markov: tuple[PUState, ...] = ()
     periodic: tuple[PUState, ...] = ()
@@ -164,8 +143,7 @@ def make_environment(channel_count, pus=(), pathloss_exponent=2.0,
             state.active_ticks[state.channel] = 1
         states.append(state)
     # sense's formula with no interference: 1.0 / (1.0 + 0.0) is 1.0
-    clean = StageMap(dict.fromkeys(range(channel_count),
-                                   quantize(1.0, quant_stages)))
+    clean = dict.fromkeys(range(channel_count), quantize(1.0, quant_stages))
     return RadioEnvironment(
         channel_count=channel_count, pus=tuple(states),
         pathloss_exponent=pathloss_exponent,

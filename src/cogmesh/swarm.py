@@ -9,16 +9,16 @@ blends the weights back toward the measured channel qualities, which is the
 disturbance that lets the selection track the radio environment. The master
 channel is simply the argmax weight. Sensing arrives as the stage map that
 `radio.sense` returns: available channel -> quality stage, ascending. A
-HELLO carries its sender's stage map as `HelloMessage.stages`, the map
-itself when the sender passes it, so HELLOs built from one map share it.
-Its neighbor list names each of the sender's 1-hop neighbors with that
-neighbor's master, (id, master), which is all that 2-hop discovery reads.
+HELLO's quality payload is that map, `HelloMessage.stages`: the sender's
+own, so HELLOs built from one map share it. Its neighbor list names each
+of the sender's 1-hop neighbors with that neighbor's master, (id, master),
+which is all that 2-hop discovery reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 # channel id -> weight; invariant: values sum to 1 over the available set
 WeightList = dict[int, float]
@@ -66,26 +66,27 @@ class RewardParams:
 
 @dataclass(frozen=True, slots=True)
 class HelloMessage:
-    """Pheromone carrier: sender id, its master channel, its quantized
-    channel qualities, and its one-hop neighbor list.
+    """Pheromone carrier: sender id, its master channel, its one-hop
+    neighbor list, and `stages`, its stage map (available channel ->
+    quantized quality stage, ascending).
 
-    `protocol.emit_hello` builds every HELLO on the wire, so `channels`
-    lists each channel once, sorted by channel id, and `neighbor_list` is
-    sorted by neighbor id. `stages` (channel -> stage) is derived from
-    `channels` when the message is built, unless the sender passes the map
-    it already holds: `protocol.Node.hello` passes its stage map, so the
-    HELLOs built from one map share it. It is never mutated."""
+    `protocol.emit_hello` builds every HELLO on the wire from the sender's
+    own stage map, so the HELLOs built from one map share it; it is never
+    mutated. `neighbor_list` is sorted by neighbor id. `channels`, the same
+    payload as (channel, stage) pairs, is only an argument: it fills `stages`
+    when no map is passed, and is not stored. `stages` is compared but not
+    hashed, because a dict is not hashable."""
 
     sender: int
     master: int
-    channels: tuple[tuple[int, int], ...]           # (channel, q_stage)
+    channels: InitVar[tuple[tuple[int, int], ...]] = ()  # (channel, q_stage)
     neighbor_list: tuple[tuple[int, int], ...] = ()  # (neighbor id, its master)
-    stages: dict = field(default=None, repr=False, compare=False)
+    stages: dict = field(default=None, hash=False)
 
-    def __post_init__(self):
+    def __post_init__(self, channels):
         if self.stages is None:
             # the record is frozen
-            object.__setattr__(self, "stages", dict(self.channels))
+            object.__setattr__(self, "stages", dict(channels))
 
 
 def reward(delta_q: float, params: RewardParams) -> float:

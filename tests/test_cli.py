@@ -1,9 +1,14 @@
 """Scenario file parsing, output files, and the command-line entry point."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogmesh
 from cogmesh.cli import (
     RunRequest,
     main,
@@ -17,7 +22,7 @@ from cogmesh.engine import ConfigError
 
 def write(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -184,6 +189,36 @@ class TestMain:
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_non_utf8_file_exits_nonzero_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "latin.cfg"
+        bad.write_bytes(b"su_count = 8\n# caf\xff\n")
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--ticks", "100"],
+        ["sweep", "--seeds", "1,2", "--ticks", "100"],
+        ["compare", "--seeds", "1,2", "--ticks", "100"],
+    ])
+    def test_no_file_access_depends_on_the_locale(self, tmp_path, command):
+        # every read and write names its encoding, so none warns when the
+        # locale's default would have been used
+        cfg_path = write(tmp_path, BASIC)
+        src = str(Path(cogmesh.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "cogmesh.cli",
+             command[0], "--config", cfg_path, *command[1:],
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, encoding="utf-8", env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "EncodingWarning" not in proc.stderr
 
     def test_compare_command_prints_table(self, tmp_path, capsys):
         cfg_path = write(tmp_path, BASIC)

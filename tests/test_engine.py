@@ -444,6 +444,23 @@ class TestDeliverMessages:
         assert sorted((relabel[r], m) for r, m in base_d) == sorted(d2)
         assert sorted((relabel[r], m) for r, m in base_x) == sorted(x2)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_receiver_gets_at_most_one_message_per_tick(self, data):
+        # a head keeps only the first join request of a frame's public RA;
+        # that is the earliest sent only because no tick delivers a node two
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        ids = st.integers(min_value=0, max_value=n - 1)
+        adjacency = {i: sorted(data.draw(st.sets(ids)) - {i}) for i in range(n)}
+        channels = st.integers(min_value=0, max_value=2)
+        listening = {i: data.draw(st.none() | channels) for i in range(n)}
+        txs = data.draw(st.lists(st.tuples(ids, channels, st.integers()),
+                                 max_size=6))
+        delivered, dropped = deliver_messages(txs, tuned(listening), adjacency)
+        receivers = [r for r, _ in delivered]
+        assert len(receivers) == len(set(receivers))
+        assert not set(receivers) & {r for r, _ in dropped}
+
 
 class TestMetrics:
     def test_concentrated_counts_stddev(self):
@@ -902,7 +919,7 @@ class TestHelloMemo:
         def transmit_checked(world, node, channel, msg):
             if isinstance(msg, (HelloFrame, Beacon)):
                 assert msg.hello == emit_hello(node.id, node.master,
-                                               node.hello_channels, node.table)
+                                               node.table, node.stages)
             transmit(world, node, channel, msg)
 
         with mock.patch.object(World, "transmit", transmit_checked):

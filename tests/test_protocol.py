@@ -289,16 +289,16 @@ class TestNeighborTables:
     def test_emit_hello_contents(self):
         node = Node(1, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations({0: 3, 1: 2})
-        assert node.hello_channels == ((0, 3), (1, 2))
         table = {}
-        hello = emit_hello(1, 0, node.hello_channels, table)
+        hello = emit_hello(1, 0, table, node.stages)
         assert hello.neighbor_list == ()
-        assert hello.channels == ((0, 3), (1, 2))
+        # the HELLO carries the node's stage map itself
+        assert hello.stages is node.stages and hello.stages == {0: 3, 1: 2}
         two_hop = {}
         upsert_from_hello(table, two_hop, HelloMessage(2, 1, ((1, 2),)), tick=0)
         upsert_from_hello(table, two_hop, HelloMessage(9, 0, ((0, 1),),
                                                        ((8, 0),)), tick=0)
-        hello = emit_hello(1, 0, ((0, 3),), table)
+        hello = emit_hello(1, 0, table, {0: 3})
         # only 1-hop entries are listed, sorted by id, with their masters
         assert hello.neighbor_list == ((2, 1), (9, 0))
 
@@ -420,7 +420,7 @@ class TestNeighborMapsOracle:
             assert two_hop == {nid: (e.master, e.last_seen)
                                for nid, e in oracle.items() if e.hops == 2}
             assert SELF not in table and SELF not in two_hop
-            assert (emit_hello(SELF, 0, (), table).neighbor_list
+            assert (emit_hello(SELF, 0, table, {}).neighbor_list
                     == tuple(sorted((e.id, e.master)
                                     for e in oracle.values() if e.hops == 1)))
             for master, stages, visited, seed in queries:
@@ -432,35 +432,32 @@ class TestNeighborMapsOracle:
 
 
 class TestObservationState:
-    # a node adopts each stage map from `sense` and derives its HELLO
-    # channel tuple once per map; an equal map changes nothing
+    # a node adopts each stage map from `sense`, and its HELLO carries that
+    # map; an equal map changes nothing
 
     def test_same_list_keeps_the_derived_state(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         stages = {0: 1, 1: 3}
         node.apply_observations(stages)
-        derived = (node.stages, node.hello_channels)
-        assert derived == ({0: 1, 1: 3}, ((0, 1), (1, 3)))
-        node.apply_observations(stages)
+        hello = node.hello()
+        node.apply_observations(dict(stages))
         assert node.stages is stages
-        assert all(a is b for a, b in
-                   zip((node.stages, node.hello_channels), derived))
+        assert node.hello() is hello and hello.stages is stages
 
     def test_new_list_recomputes_the_derived_state(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations({0: 1, 1: 3})
-        stages, hello_channels = node.stages, node.hello_channels
+        stages = node.stages
         hello = node.hello()
+        assert hello.stages is stages
         node.apply_observations({0: 1, 1: 3})
         assert node.stages is stages
-        assert node.hello_channels is hello_channels
         assert node.hello() is hello
         other = {1: 0, 3: 2}
         node.apply_observations(other)
         assert node.stages is other
-        assert node.hello_channels == ((1, 0), (3, 2))
         assert node.hello() is not hello
-        assert node.hello().channels == ((1, 0), (3, 2))
+        assert node.hello().stages is other
 
     def test_quiet_windows_hand_out_one_list(self):
         # every quiet window hands out the one shared clean map
@@ -468,23 +465,21 @@ class TestObservationState:
         a, b = world.nodes
         assert world.sense(a) is world.sense(b) is world.env.clean
 
-    def test_nodes_on_one_map_share_its_tuples(self):
-        # nodes that adopt the shared clean map share its HELLO channel
-        # tuple, and their HELLOs share it as their stage dict
+    def test_nodes_on_one_map_share_it(self):
+        # nodes that adopt the shared clean map send it as their HELLOs'
+        # stage map
         world = World(ScenarioConfig(su_count=2, pu_count=0, channel_count=3))
         a, b = world.nodes
         for node in (a, b):
             node.apply_observations(world.sense(node))
             node.master = 0
-        assert a.hello_channels is b.hello_channels
-        assert a.hello_channels == ((0, 3), (1, 3), (2, 3))
+        assert a.stages is b.stages is world.env.clean
+        assert a.stages == {0: 3, 1: 3, 2: 3}
         hello_a, hello_b = a.hello(), b.hello()
         assert hello_a.stages is hello_b.stages is world.env.clean
-        assert hello_a.channels is a.hello_channels
-        a._hello = None                 # a rebuilt HELLO shares them too
+        a._hello = None                 # a rebuilt HELLO shares it too
         assert a.hello() is not hello_a
         assert a.hello().stages is hello_a.stages
-        assert a.hello().channels is hello_a.channels
 
 
 class TestOffMasterScan:
@@ -543,28 +538,25 @@ class TestSelectGateways:
 
 class TestRoleEntry:
     # attributes that outlive a role: identity, clocking, channel choice,
-    # the stage map and what is derived from it, both neighbor maps, the
+    # the stage map, both neighbor maps, the
     # last frame gap heard, and the HELLO kept for reuse
     PERSISTENT = {"id", "pos", "rng", "p", "start_tick", "role", "listen",
-                  "master", "weights", "stages", "hello_channels", "table",
-                  "two_hop", "frame_gap", "_hello"}
+                  "master", "weights", "stages", "table", "two_hop",
+                  "frame_gap", "_hello"}
 
     def busy_node(self):
         """A node caught mid-join while still holding head bookkeeping."""
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
         node.role = Role.SCANNING
-        node.scan = ScanState(visited={0, 1}, current=1, interval_end=5)
-        node.join_target = 7
-        node.join_tx_tick = 40
-        node.join_attempts = 2
-        node.exch_tx_tick = 41
-        node.exch_done = {5}
+        node.scan = ScanState(visited={0, 1}, current=1, interval_end=5,
+                              join_target=7, join_tx_tick=40, join_attempts=2,
+                              exch_tx_tick=41, exch_done={5})
         node.offscan_ch = 3
         node.offscan_seen = {3}
         node.members = {4: 0}
         node.frame_offset = 2
         node.member_heard = {4: 2}
-        node.join_queue = [(38, 6)]
+        node.join_first = 6
         node.lock = (0, 30)
         return node
 
@@ -574,13 +566,11 @@ class TestRoleEntry:
         assert node.role is Role.ORDINARY
         assert (node.head_id, node.master, node.slot, node.member_grace) \
             == (9, 2, 1, 120)
+        # the join and the exchanges in flight went with the scan
         assert node.scan is None
-        assert node.join_target is None and node.join_tx_tick is None
-        assert node.join_attempts == 0
-        assert node.exch_tx_tick is None and node.exch_done == set()
         assert node.offscan_ch is None and node.offscan_seen == set()
         assert node.members is None and node.frame_offset is None
-        assert node.member_heard == {} and node.join_queue == []
+        assert node.member_heard == {} and node.join_first is None
         assert node.lock is None
         assert node.sched is None and node.frame_start is None
 
@@ -593,8 +583,8 @@ class TestRoleEntry:
         assert node.frame_offset == 4
         assert node.frame_start == 54
         assert node.member_heard == {5: -1, 8: -1}
-        assert node.join_queue == []
-        assert node.scan is None and node.join_target is None
+        assert node.join_first is None
+        assert node.scan is None
         assert node.head_id is None and node.slot is None
         assert node.lock is None
 
@@ -611,30 +601,30 @@ class TestRoleEntry:
         assert sorted(n for n in role_scoped if getattr(node, n) is stale) == []
         assert all(getattr(node, n) is kept for n in self.PERSISTENT)
 
-    def test_sets_are_allocated_on_their_first_add(self):
+    def test_sets_are_made_per_scan_or_on_their_first_add(self):
         cfg = ScenarioConfig()
         a, b = (Node(i, (0.0, 0.0), Random(i), cfg) for i in (0, 1))
         for node in (a, b):
             node.apply_observations({0: 3, 1: 2, 2: 1})
             node._restart_scan(None, 0)
-        # a fresh role holds the shared empty value, no set of its own
-        assert a.exch_done is b.exch_done is a.offscan_seen
-        assert not isinstance(a.exch_done, set) and a.exch_done == set()
+        # each scan has its own exchange set; a fresh role holds the shared
+        # empty `offscan_seen`, no set of its own
+        assert a.scan.exch_done == set() and a.scan.exch_done is not b.scan.exch_done
+        assert a.offscan_seen is b.offscan_seen
+        assert not isinstance(a.offscan_seen, set) and a.offscan_seen == set()
         for i, node in enumerate((a, b)):
             hello = HelloMessage(5 + i, 0, ((0, 3),))
             node._on_hello(HelloFrame(hello, cluster_head=5 + i, pra_start=10,
                                       pra_len=4), 1, None)
-        assert (a.exch_done, b.exch_done) == ({5}, {6})
-        assert a.exch_done is not b.exch_done
+        assert (a.scan.exch_done, b.scan.exch_done) == ({5}, {6})
         sched = lay_out_superframe(cfg, (1,))
         for node in (a, b):
             node.become_head(0, {}, 0, 0)
-            assert node.exch_done == set() and node.offscan_seen == set()
+            assert node.scan is None and node.offscan_seen == set()
             node.sched = sched
             node._in_frame(sched.data_start, sched.data_start, None, offscan=True)
             assert node.offscan_seen == {node.offscan_ch}
         assert a.offscan_seen is not b.offscan_seen
-        assert not isinstance(b.exch_done, set) and b.exch_done == set()
 
     def test_state_is_slotted_and_bound_from_the_start(self):
         node = Node(0, (0.0, 0.0), Random(0), ScenarioConfig())
@@ -713,7 +703,7 @@ class TestFormationWalkthrough:
         assert 5 in b.table
         assert 6 in b.two_hop                # G relayed by E or F
         assert b.two_hop[6][0] == 1
-        hello = emit_hello(1, b.master, b.hello_channels, b.table)
+        hello = emit_hello(1, b.master, b.table, b.stages)
         listed = {nid for nid, _ in hello.neighbor_list}
         assert {4, 5} <= listed
 
@@ -779,6 +769,27 @@ class TestJoinContention:
         gap = joins[1][0] - joins[0][0]
         assert gap >= cfg.beacon_ticks + 20   # roughly one superframe apart
 
+    def test_head_admits_the_first_request_of_its_public_ra(self):
+        # 9 asks before 3 in one public RA: the head admits 9 and neither
+        # admits nor rejects 3, which asks again after the next beacon
+        cfg = ScenarioConfig(channel_count=1, swarm_enabled=False,
+                             reform_enabled=False, frame_jitter_max=0)
+        ctx = self.Ctx()
+        ctx.sense = lambda node: {0: 3}
+        head = Node(0, (0.0, 0.0), Random(0), cfg)
+        head.apply_observations({0: 3})
+        head.become_head(0, {}, frame_offset=0, frame_start=0)
+        head.step(0, ctx)
+        pra = head.sched.pra_start
+        for t in range(1, cfg.frame_len + 1):
+            if t in (pra, pra + 1):
+                sender = 9 if t == pra else 3
+                head.on_message(JoinRequest(sender, head.id), t, ctx)
+            head.step(t, ctx)
+        beacon = ctx.sent[-1][1]
+        assert isinstance(beacon, Beacon) and beacon.frame_start == cfg.frame_len
+        assert beacon.members == {9: 0} and beacon.rejects == ()
+
     def test_full_cluster_rejects_and_requester_moves_on(self):
         cfg = ScenarioConfig(su_count=4, channel_count=2, comm_range=300.0,
                              duration_ticks=400, startup_spread_ticks=0,
@@ -810,10 +821,12 @@ class TestJoinContention:
                                        {}, (), hello), t, ctx)
                 beacons += 1
                 if beacons <= JOIN_ATTEMPT_LIMIT:
-                    assert (node.join_target, node.join_attempts) == (7, beacons)
+                    assert (node.scan.join_target, node.scan.join_attempts) \
+                        == (7, beacons)
                     assert node.master == 0
                 else:
-                    assert node.join_target is None and node.join_tx_tick is None
+                    assert node.scan.join_target is None
+                    assert node.scan.join_tx_tick is None
                     assert node.scan.rejections == {7}
                     assert node.master == 1
         assert node.role is Role.SCANNING and t < node.scan.interval_end
@@ -832,14 +845,15 @@ class TestJoinContention:
         deadline = interval_end + 2 * cfg.frame_len
         node.on_message(Beacon(7, 0, 1, cfg.frame_len, cfg.layouts[(1,)], {},
                                (), HelloMessage(7, 0, ((0, 3),))), 1, ctx)
-        assert node.join_target == 7 and node.join_tx_tick < interval_end
+        assert node.scan.join_target == 7
+        assert node.scan.join_tx_tick < interval_end
         for t in range(1, deadline):
             node.step(t, ctx)
-        assert (node.role, node.scan.current, node.join_target) \
+        assert (node.role, node.scan.current, node.scan.join_target) \
             == (Role.SCANNING, 0, 7)
         assert node.scan.rejections == set()
         node.step(deadline, ctx)
-        assert node.join_target is None and node.scan.rejections == {7}
+        assert node.scan.join_target is None and node.scan.rejections == {7}
         assert node.scan.current == 1
         assert node.scan.interval_end == deadline + cfg.scan_interval_ticks
         assert ctx.sent == [(0, JoinRequest(0, 7))]

@@ -4,7 +4,7 @@
 oracles below are the compositions they replaced, kept here so that every
 result can be required to match them bit for bit."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import math
 from random import Random
@@ -12,6 +12,8 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cogmesh.engine import ScenarioConfig
+from cogmesh.protocol import Beacon
 from cogmesh.swarm import (
     HelloMessage,
     NoAvailableChannels,
@@ -66,7 +68,7 @@ def composed_apply_hello(weights, msg, local_stages, params):
         return weights
     local_stage = local_stages[select_master(weights)]
     reported = None
-    for ch, stage in msg.channels:
+    for ch, stage in msg.stages.items():
         if ch == target:
             reported = stage
             break
@@ -382,9 +384,24 @@ class TestRecords:
     def test_hello_derives_its_stages(self):
         msg = HelloMessage(sender=4, master=2, channels=((0, 1), (2, 3), (5, 0)))
         assert msg.stages == {0: 1, 2: 3, 5: 0}
-        # derived fields are not compared, so equal payloads stay equal
         assert msg == HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0)))
         assert hash(msg) == hash(HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0))))
+
+    def test_pairs_and_map_build_one_hello(self):
+        stages = {0: 1, 2: 3, 5: 0}
+        pairs = HelloMessage(4, 2, channels=tuple(stages.items()),
+                             neighbor_list=((7, 2),))
+        mapped = HelloMessage(4, 2, neighbor_list=((7, 2),), stages=stages)
+        assert pairs == mapped and mapped.stages is stages
+        # the map is compared but not hashed: a dict is not hashable
+        assert pairs != HelloMessage(4, 2, ((0, 1),), ((7, 2),))
+        assert hash(pairs) == hash(mapped) == hash(
+            HelloMessage(4, 2, neighbor_list=((7, 2),), stages={0: 2}))
+        moved = replace(mapped, master=5)
+        assert (moved.master, moved.stages) == (5, stages)
+        beacon = Beacon(4, 2, 0, 25, ScenarioConfig().layouts[(1,)], {}, (),
+                        mapped)
+        assert replace(beacon, frame_start=25).hello is mapped
 
     @pytest.mark.parametrize("record, name", [
         (HelloMessage(1, 0, ((0, 2),)), "master"),
