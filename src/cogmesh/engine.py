@@ -39,10 +39,10 @@ commit drops the links of the clusters it rebuilds at once.
 scenario default, checks its values when it is built (so a config parsed,
 built in code or derived with `dataclasses.replace` is valid once it
 exists), and is handed as it is to every `Node` and to the superframe
-builder, which read the values derived from it (`frame_len`, `ttl_ticks`,
-`layouts`, `reward`) as cached properties. The one bound on the superframe
-is a scan interval longer than its longest frame, `frame_len +
-frame_jitter_max`.
+builder, which read the values derived from it (`frame_len`, `pra_start`,
+`ttl_ticks`, `layouts`, `reward`) as cached properties. The one bound on
+the superframe is a scan interval longer than its longest frame,
+`frame_len + frame_jitter_max`.
 """
 
 from __future__ import annotations
@@ -233,6 +233,12 @@ class ScenarioConfig:
         return (self.beacon_ticks + self.max_slots + self.data_ticks
                 + self.intra_ra_ticks + self.public_ra_ticks
                 + self.detect_periods * self.detect_ticks)
+
+    @cached_property
+    def pra_start(self) -> int:
+        """Ticks into a frame at which its public RA, the last main period,
+        starts."""
+        return self.frame_len - self.public_ra_ticks
 
     @cached_property
     def ttl_ticks(self) -> int:
@@ -866,8 +872,9 @@ class World:
                        (when, _PHASE[kind], self._seq, kind, neg, head))
 
     def _next_pra_start(self, head: Node, tick: int) -> int:
-        frame_start = _next_boundary(tick + 1, head.frame_offset, self.cfg.frame_len)
-        return frame_start + self.cfg.frame_len - self.cfg.public_ra_ticks
+        frame_len = self.cfg.frame_len
+        return (_next_boundary(tick + 1, head.frame_offset, frame_len)
+                + self.cfg.pra_start)
 
     def _reform_timers(self, tick: int):
         """Run the queued entries due by `tick` of live negotiations:

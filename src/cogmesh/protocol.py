@@ -25,10 +25,18 @@ through `_do_sensing`. A node keeps the stage map that `radio.sense` returned
 the swarm read it. Every HELLO it builds carries that map as it is, so
 nodes that adopt the radio's one shared clean map send that one map.
 
-A node reads its constants (periods, scan interval, TTL, reward curve) from
-the validated `engine.ScenarioConfig` it is given as `Node.p`; nothing here
-checks them again. `build_superframe` picks one of the config's `layouts`,
-each laid out once by `lay_out_superframe`.
+A node reads its constants (period lengths, scan interval, TTL, reward
+curve) from the validated `engine.ScenarioConfig` it is given as `Node.p`;
+nothing here checks them again. `build_superframe` picks one of the config's
+`layouts`, each laid out once by `lay_out_superframe`.
+
+A message carries only what its receiver cannot know. Every node reads the
+same config, and delivery hands a message over on the tick it is sent. So
+a beacon names its head and the head's master only through its HELLO, and
+the frame it announces starts at the tick a receiver hears it; a member's
+HELLO frame names its cluster head and the tick its public RA starts, whose
+length is the config's `public_ra_ticks`. A HELLO heard in either record
+takes one path (`_hear_hello`) into the neighbor maps and the weights.
 
 The engine clocks every node on every tick, but a node acts only at the
 edges of what it is doing: its start tick, the end of a scan interval or a
@@ -81,13 +89,6 @@ from cogmesh.swarm import HelloMessage, NoAvailableChannels
 if TYPE_CHECKING:
     from cogmesh.engine import ScenarioConfig
 
-BEACON = "beacon"
-ND = "nd"
-DETECT = "detect"
-DATA = "data"
-INTRA_RA = "intra_ra"
-PUBLIC_RA = "public_ra"
-
 # join requests a scanning node sends to one cluster before it gives up on it
 JOIN_ATTEMPT_LIMIT = 4
 
@@ -107,16 +108,17 @@ MEMBER_ROLES = (Role.ORDINARY, Role.GATEWAY)
 
 @dataclass(frozen=True)
 class SuperframeSchedule:
-    """One superframe layout: (kind, start, length) periods in tick order.
-    Each detection block is kept as its (start, end) ticks into the frame, so
-    the layout's size does not depend on the blocks' length."""
+    """One superframe layout, in ticks into the frame. Its five main parts
+    run in a fixed order: beacon (from tick 0), ND mini-slots, data,
+    intra-cluster RA and public RA, each as long as the config says;
+    detection blocks sit in the gaps before some of the last four. So the
+    public RA is always the frame's last `public_ra_ticks` ticks
+    (`ScenarioConfig.pra_start`), and a layout keeps only what the gaps
+    move: where ND and data start and each detection block's (start, end)
+    ticks, so the layout's size does not depend on the blocks' length."""
 
-    periods: tuple[tuple[str, int, int], ...]
     nd_start: int
     data_start: int
-    data_len: int
-    pra_start: int
-    pra_len: int
     detect_blocks: tuple[tuple[int, int], ...]
     # ticks into the frame where a node stops doing what it did the tick
     # before: rel 1, detection-block and data-period edges, the frame's last
@@ -126,7 +128,7 @@ class SuperframeSchedule:
 
 def build_superframe(params: ScenarioConfig, rng: Random) -> SuperframeSchedule:
     """One superframe; spectrum-detection blocks land in gaps between the
-    five main periods at positions drawn fresh each frame."""
+    frame's five main parts at positions drawn fresh each frame."""
     return params.layouts[tuple(sorted(rng.sample(range(1, 5), params.detect_periods)))]
 
 
@@ -134,43 +136,24 @@ def lay_out_superframe(params: ScenarioConfig,
                        gaps: tuple[int, ...]) -> SuperframeSchedule:
     """The superframe with one detection block before each main period whose
     index is in `gaps` (sorted, each in 1..4)."""
-    main = [
-        (BEACON, params.beacon_ticks),
-        (ND, params.max_slots),
-        (DATA, params.data_ticks),
-        (INTRA_RA, params.intra_ra_ticks),
-        (PUBLIC_RA, params.public_ra_ticks),
-    ]
-    seq = []
-    for i, period in enumerate(main):
-        if i in gaps:
-            seq.append((DETECT, params.detect_ticks))
-        seq.append(period)
-    periods = []
-    start = 0
-    nd_start = data_start = data_len = pra_start = pra_len = 0
+    lengths = (params.beacon_ticks, params.max_slots, params.data_ticks,
+               params.intra_ra_ticks, params.public_ra_ticks)
+    starts = []
     blocks = []
-    edges = {1}
-    for kind, length in seq:
-        periods.append((kind, start, length))
-        if kind == ND:
-            nd_start = start
-        elif kind == DATA:
-            data_start, data_len = start, length
-            edges.update((start, start + length))
-        elif kind == PUBLIC_RA:
-            pra_start, pra_len = start, length
-        elif kind == DETECT:
-            blocks.append((start, start + length))
-            edges.update((start, start + length))
+    start = 0
+    for i, length in enumerate(lengths):
+        if i in gaps:
+            blocks.append((start, start + params.detect_ticks))
+            start += params.detect_ticks
+        starts.append(start)
         start += length
-    edges.add(start - 1)
+    data_start = starts[2]
+    edges = {1, data_start, data_start + params.data_ticks, start - 1}
+    for block in blocks:
+        edges.update(block)
     return SuperframeSchedule(
-        periods=tuple(periods), nd_start=nd_start,
-        data_start=data_start, data_len=data_len,
-        pra_start=pra_start, pra_len=pra_len,
-        detect_blocks=tuple(blocks),
-        edges=tuple(sorted(edges)),
+        nd_start=starts[1], data_start=data_start,
+        detect_blocks=tuple(blocks), edges=tuple(sorted(edges)),
     )
 
 
@@ -216,9 +199,11 @@ class ContinueScan:
 
 @dataclass(frozen=True, slots=True)
 class Beacon:
-    head: int
-    master: int
-    frame_start: int
+    """A head's beacon, sent on its master at the first tick of each frame
+    and heard on that tick, so the frame starts at the tick a receiver hears
+    it. The head and its master are the sender and master of `hello`, the
+    head's own HELLO."""
+
     gap: int                               # ticks to the next frame start
     schedule: SuperframeSchedule
     # a copy of the head's map, node id -> mini-slot; left out of == and
@@ -230,14 +215,14 @@ class Beacon:
 
 @dataclass(frozen=True, slots=True)
 class HelloFrame:
-    """HELLO on the wire: pheromone payload plus the sender's cluster head and
-    the absolute window of the current public random-access period (the Frame
-    Map advertisement)."""
+    """HELLO on the wire: pheromone payload, plus, from a member's ND
+    mini-slot, its cluster head and the absolute start tick of its cluster's
+    current public random-access period (the Frame Map advertisement); the
+    period is `public_ra_ticks` long."""
 
     hello: HelloMessage
     cluster_head: int | None = None
     pra_start: int | None = None
-    pra_len: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -478,7 +463,13 @@ class Node:
             return self.master
         return min(ch for ch, s in stages.items() if s == best)
 
-    def _absorb_pheromone(self, hello: HelloMessage):
+    def _hear_hello(self, hello: HelloMessage, tick: int,
+                    cluster_head: int | None):
+        """Fold a HELLO heard in a HELLO frame or a beacon into the neighbor
+        maps, and absorb its pheromone."""
+        if upsert_from_hello(self.table, self.two_hop, hello, tick,
+                             cluster_head, self.id):
+            self._hello = None
         if not self.p.swarm_enabled or not self.weights:
             return
         self.weights = swarm.apply_hello(self.weights, hello, self.stages,
@@ -730,7 +721,6 @@ class Node:
         if self.p.frame_jitter_max:
             self.frame_gap += self.rng.randrange(self.p.frame_jitter_max + 1)
         beacon = Beacon(
-            head=self.id, master=self.master, frame_start=tick,
             gap=self.frame_gap, schedule=self.sched,
             members=dict(members), rejects=rejects,
             hello=self.hello(),
@@ -769,12 +759,10 @@ class Node:
             if rel == self.p.frame_len - 1:
                 self._frame_end(tick, ctx)
             return
-        sched = self.sched
-        if rel == sched.nd_start + self.slot:
+        if rel == self.sched.nd_start + self.slot:
             ctx.transmit(self, self.master, HelloFrame(
                 self.hello(), cluster_head=self.head_id,
-                pra_start=self.frame_start + sched.pra_start,
-                pra_len=sched.pra_len))
+                pra_start=self.frame_start + self.p.pra_start))
         else:
             self._in_frame(rel, tick, ctx, offscan=True)
 
@@ -790,8 +778,9 @@ class Node:
                 if rel == blocks[0][0]:
                     self._do_sensing(tick, ctx)
                 return
-        if offscan and sched.data_start <= rel < sched.data_start + sched.data_len:
-            if rel == sched.data_start:
+        data_start = sched.data_start
+        if offscan and data_start <= rel < data_start + self.p.data_ticks:
+            if rel == data_start:
                 self.offscan_ch = select_offmaster_scan(
                     self.master, self.stages, self.two_hop,
                     self.offscan_seen, self.rng)
@@ -846,42 +835,39 @@ class Node:
     def _on_join_request(self, msg: JoinRequest, tick: int):
         """Keep the first request heard in this frame's public RA: the one
         the next frame start can admit. A node hears at most one message per
-        tick, so the first heard is the earliest sent."""
-        if self.role is not Role.HEAD or msg.head != self.id or self.sched is None:
+        tick, so the first heard is the earliest sent. A head steps before
+        delivery and lays out each frame at its start, so a head that has no
+        schedule yet has not reached its first frame: `rel` is negative."""
+        if self.role is not Role.HEAD or msg.head != self.id:
             return
         rel = tick - self.frame_start
-        if (self.join_first is None and self.sched.pra_start <= rel
-                < self.sched.pra_start + self.sched.pra_len):
+        if self.join_first is None and self.p.pra_start <= rel < self.p.frame_len:
             self.join_first = msg.sender
 
     def _on_hello(self, frame: HelloFrame, tick: int, ctx):
         hello = frame.hello
-        if upsert_from_hello(self.table, self.two_hop, hello, tick,
-                             frame.cluster_head, self.id):
-            self._hello = None
-        self._absorb_pheromone(hello)
+        self._hear_hello(hello, tick, frame.cluster_head)
         if self.role is Role.HEAD and hello.sender in self.members:
             self.member_heard[hello.sender] = self.frames_in_cluster
         s = self.scan
         if s is not None:
             s.heard = True
-            if (frame.cluster_head is not None and frame.pra_start is not None
+            # only a member's ND HELLO names its head, and its public RA
+            if (frame.cluster_head is not None
                     and frame.cluster_head not in s.exch_done
                     and s.exch_tx_tick is None):
-                t0 = frame.pra_start + self.rng.randrange(frame.pra_len)
+                t0 = frame.pra_start + self.rng.randrange(self.p.public_ra_ticks)
                 if t0 > tick and t0 != s.join_tx_tick:
                     s.exch_tx_tick = t0
                     s.exch_done.add(frame.cluster_head)
                     self.wake = 0
 
     def _on_beacon(self, b: Beacon, tick: int, ctx):
-        if upsert_from_hello(self.table, self.two_hop, b.hello, tick, b.head,
-                             self.id):
-            self._hello = None
-        self._absorb_pheromone(b.hello)
+        head = b.hello.sender
+        self._hear_hello(b.hello, tick, head)
         if self.role is Role.SCANNING:
             self._scan_beacon(b, tick, ctx)
-        elif self.role in MEMBER_ROLES and b.head == self.head_id:
+        elif self.role in MEMBER_ROLES and head == self.head_id:
             self._sync_with_beacon(b, tick, ctx)
 
     def _scan_beacon(self, b: Beacon, tick: int, ctx):
@@ -890,38 +876,42 @@ class Node:
         self.wake = 0
         s = self.scan
         s.heard = True
+        head = b.hello.sender
         slot = b.members.get(self.id)
-        if slot is not None and b.head == s.join_target:
+        if slot is not None and head == s.join_target:
             self._complete_join(b, slot, tick, ctx)
             return
-        if self.id in b.rejects and b.head == s.join_target:
-            self._give_up_join(b.head)
+        if self.id in b.rejects and head == s.join_target:
+            self._give_up_join(head)
             self.master = self._select_current()
-            ctx.log(tick, "reject", node=self.id, head=b.head, channel=b.master)
+            ctx.log(tick, "reject", node=self.id, head=head,
+                    channel=b.hello.master)
             return
-        if b.head in s.rejections:
+        if head in s.rejections:
             return
         if s.join_target is None:
-            s.join_target = b.head
+            s.join_target = head
             s.join_attempts = 1
-            self.master = b.master
-            s.join_tx_tick = self._pra_backoff(b, tick)
-        elif s.join_target == b.head and s.join_tx_tick < tick:
+            self.master = b.hello.master
+            s.join_tx_tick = self._pra_backoff(tick)
+        elif s.join_target == head and s.join_tx_tick < tick:
             if s.join_attempts >= JOIN_ATTEMPT_LIMIT:
-                self._give_up_join(b.head)
+                self._give_up_join(head)
                 self.master = self._select_current()
             else:
                 s.join_attempts += 1
-                s.join_tx_tick = self._pra_backoff(b, tick)
+                s.join_tx_tick = self._pra_backoff(tick)
 
-    def _pra_backoff(self, b: Beacon, tick: int) -> int:
-        sched = b.schedule
-        return b.frame_start + sched.pra_start + self.rng.randrange(sched.pra_len)
+    def _pra_backoff(self, tick: int) -> int:
+        """A random tick of the public RA of the frame whose beacon arrived
+        at `tick`."""
+        return tick + self.p.pra_start + self.rng.randrange(self.p.public_ra_ticks)
 
     def _complete_join(self, b: Beacon, slot: int, tick: int, ctx):
-        self.become_member(b.head, b.master, slot, None)
-        self._follow_beacon(b, slot)
-        ctx.log(tick, "join", node=self.id, head=b.head, channel=b.master,
+        head, master = b.hello.sender, b.hello.master
+        self.become_member(head, master, slot, None)
+        self._follow_beacon(b, slot, tick)
+        ctx.log(tick, "join", node=self.id, head=head, channel=master,
                 slot=slot)
 
     def _sync_with_beacon(self, b: Beacon, tick: int, ctx):
@@ -929,14 +919,14 @@ class Node:
         if slot is None:
             self._leave_for(self._select_current(), tick, ctx)
             return
-        self._follow_beacon(b, slot)
+        self._follow_beacon(b, slot, tick)
 
-    def _follow_beacon(self, b: Beacon, slot: int):
-        """Adopt the frame the head's beacon announces."""
+    def _follow_beacon(self, b: Beacon, slot: int, tick: int):
+        """Adopt the frame the head's beacon, heard at `tick`, starts."""
         self.wake = 0
         self.slot = slot
         self.sched = b.schedule
-        self.frame_start = b.frame_start
+        self.frame_start = tick
         self.frame_gap = b.gap
         self.have_beacon = True
         self.beacons_missed = 0

@@ -18,7 +18,7 @@ which is all that 2-hop discovery reads.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 # channel id -> weight; invariant: values sum to 1 over the available set
 WeightList = dict[int, float]
@@ -66,27 +66,19 @@ class RewardParams:
 
 @dataclass(frozen=True, slots=True)
 class HelloMessage:
-    """Pheromone carrier: sender id, its master channel, its one-hop
-    neighbor list, and `stages`, its stage map (available channel ->
-    quantized quality stage, ascending).
+    """Pheromone carrier: sender id, its master channel, `stages`, its
+    stage map (available channel -> quantized quality stage, ascending),
+    and its one-hop neighbor list.
 
     `protocol.emit_hello` builds every HELLO on the wire from the sender's
     own stage map, so the HELLOs built from one map share it; it is never
-    mutated. `neighbor_list` is sorted by neighbor id. `channels`, the same
-    payload as (channel, stage) pairs, is only an argument: it fills `stages`
-    when no map is passed, and is not stored. `stages` is compared but not
-    hashed, because a dict is not hashable."""
+    mutated. `neighbor_list` is sorted by neighbor id. `stages` is compared
+    but not hashed, because a dict is not hashable."""
 
     sender: int
     master: int
-    channels: InitVar[tuple[tuple[int, int], ...]] = ()  # (channel, q_stage)
+    stages: dict = field(hash=False)
     neighbor_list: tuple[tuple[int, int], ...] = ()  # (neighbor id, its master)
-    stages: dict = field(default=None, hash=False)
-
-    def __post_init__(self, channels):
-        if self.stages is None:
-            # the record is frozen
-            object.__setattr__(self, "stages", dict(channels))
 
 
 def reward(delta_q: float, params: RewardParams) -> float:

@@ -63,7 +63,7 @@ def test_criterion_1_weight_conservation():
         stage_pool.append(stages)
     hello_pool = [
         HelloMessage(sender=0, master=rng.randrange(8),
-                     channels=tuple((c, rng.randrange(4)) for c in channels))
+                     stages={c: rng.randrange(4) for c in channels})
         for _ in range(400)
     ]
 

@@ -29,6 +29,7 @@ from cogmesh.engine import (
 from cogmesh.protocol import (
     Beacon,
     HelloFrame,
+    JoinRequest,
     NeighborEntry,
     Node,
     Role,
@@ -905,6 +906,52 @@ class TestStandingChoice:
 
         with mock.patch.object(Node, "_select_current", select_checked):
             World(cfg, validate=True).run()
+
+
+class TestWireFacts:
+    """What a receiver takes from its config and the tick it hears a message
+    instead of from the wire. A beacon heard at tick t comes from a head
+    whose frame starts at t, on the master that the beacon's HELLO names and
+    with the schedule the beacon carries. A join request reaches a head
+    without a schedule only before its first frame starts. A HELLO frame
+    names a cluster head exactly when it names a public RA."""
+
+    @staticmethod
+    def run_checked(cfg) -> int:
+        """Run `cfg` with every delivered message checked; returns the
+        number of beacons heard."""
+        on_message = Node.on_message
+        beacons = [0]
+
+        def on_message_checked(node, msg, tick, ctx):
+            if isinstance(msg, Beacon):
+                beacons[0] += 1
+                head = ctx.nodes[msg.hello.sender]
+                assert head.role is Role.HEAD
+                assert head.frame_start == tick
+                assert head.master == msg.hello.master
+                assert head.sched is msg.schedule
+            elif isinstance(msg, JoinRequest):
+                if (msg.head == node.id and node.role is Role.HEAD
+                        and node.sched is None):
+                    assert tick < node.frame_start
+            elif isinstance(msg, HelloFrame):
+                assert (msg.cluster_head is None) == (msg.pra_start is None)
+            on_message(node, msg, tick, ctx)
+
+        with mock.patch.object(Node, "on_message", on_message_checked):
+            World(cfg, validate=True).run()
+        return beacons[0]
+
+    @given(small_scenarios())
+    @settings(max_examples=50, deadline=None)
+    def test_small_scenarios(self, cfg):
+        self.run_checked(cfg)
+
+    # mesh1600 takes longest and adds no case the others lack
+    @pytest.mark.parametrize("name", sorted(set(BASES) - {"mesh1600"}))
+    def test_golden_bases(self, name):
+        assert self.run_checked(BASES[name]()) > 0
 
 
 class TestHelloMemo:

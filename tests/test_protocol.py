@@ -11,12 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from cogmesh.engine import ScenarioConfig, World
 from cogmesh.protocol import (
-    BEACON,
-    DATA,
-    DETECT,
-    INTRA_RA,
-    ND,
-    PUBLIC_RA,
     JOIN_ATTEMPT_LIMIT,
     Beacon,
     ContinueScan,
@@ -48,12 +42,83 @@ def static_pu(pid, pos, channel, radius, power=0.01):
                        protection_radius=radius, interference_power=power)
 
 
+BEACON = "beacon"
+ND = "nd"
+DETECT = "detect"
+DATA = "data"
+INTRA_RA = "intra_ra"
+PUBLIC_RA = "public_ra"
+
+
+@dataclass(frozen=True)
+class ReferenceLayout:
+    """A superframe layout that lists every period as (kind, start, length)
+    in tick order, with the derived fields of the layouts that kept them."""
+
+    periods: tuple[tuple[str, int, int], ...]
+    nd_start: int
+    data_start: int
+    data_len: int
+    pra_start: int
+    pra_len: int
+    detect_blocks: tuple[tuple[int, int], ...]
+    edges: tuple[int, ...]
+
+
+def reference_layout(params, gaps):
+    """Reference for `lay_out_superframe`: the five main periods with one
+    detection block before each main period whose index is in `gaps`."""
+    main = [
+        (BEACON, params.beacon_ticks),
+        (ND, params.max_slots),
+        (DATA, params.data_ticks),
+        (INTRA_RA, params.intra_ra_ticks),
+        (PUBLIC_RA, params.public_ra_ticks),
+    ]
+    seq = []
+    for i, period in enumerate(main):
+        if i in gaps:
+            seq.append((DETECT, params.detect_ticks))
+        seq.append(period)
+    periods = []
+    start = 0
+    nd_start = data_start = data_len = pra_start = pra_len = 0
+    blocks = []
+    edges = {1}
+    for kind, length in seq:
+        periods.append((kind, start, length))
+        if kind == ND:
+            nd_start = start
+        elif kind == DATA:
+            data_start, data_len = start, length
+            edges.update((start, start + length))
+        elif kind == PUBLIC_RA:
+            pra_start, pra_len = start, length
+        elif kind == DETECT:
+            blocks.append((start, start + length))
+            edges.update((start, start + length))
+        start += length
+    edges.add(start - 1)
+    return ReferenceLayout(
+        periods=tuple(periods), nd_start=nd_start,
+        data_start=data_start, data_len=data_len,
+        pra_start=pra_start, pra_len=pra_len,
+        detect_blocks=tuple(blocks),
+        edges=tuple(sorted(edges)),
+    )
+
+
+def drawn_gaps(params, seed):
+    """The detection-block gaps that `build_superframe` draws from `seed`."""
+    return tuple(sorted(Random(seed).sample(range(1, 5), params.detect_periods)))
+
+
 class TestSuperframe:
     def test_default_layout_totals_25_ticks(self):
-        sched = build_superframe(ScenarioConfig(), Random(0))
-        assert sum(length for _, _, length in sched.periods) == 25
-        lengths = {kind: 0 for kind, _, _ in sched.periods}
-        for kind, _, length in sched.periods:
+        ref = reference_layout(ScenarioConfig(), drawn_gaps(ScenarioConfig(), 0))
+        assert sum(length for _, _, length in ref.periods) == 25
+        lengths = {kind: 0 for kind, _, _ in ref.periods}
+        for kind, _, length in ref.periods:
             lengths[kind] += length
         assert lengths == {BEACON: 1, ND: 8, DATA: 8, INTRA_RA: 2,
                            PUBLIC_RA: 4, DETECT: 2}
@@ -61,19 +126,21 @@ class TestSuperframe:
     def test_main_period_order_with_detect_between(self):
         params = ScenarioConfig(detect_periods=3)
         for seed in range(20):
-            sched = build_superframe(params, Random(seed))
-            mains = [kind for kind, _, _ in sched.periods if kind != DETECT]
+            ref = reference_layout(params, drawn_gaps(params, seed))
+            mains = [kind for kind, _, _ in ref.periods if kind != DETECT]
             assert mains == [BEACON, ND, DATA, INTRA_RA, PUBLIC_RA]
             # detection blocks sit strictly between the main periods
-            assert sched.periods[0][0] == BEACON
-            assert sched.periods[-1][0] == PUBLIC_RA
-            assert sched.pra_start + sched.pra_len == params.frame_len
+            assert ref.periods[0][0] == BEACON
+            assert ref.periods[-1][0] == PUBLIC_RA
+            assert ref.pra_start + ref.pra_len == params.frame_len
 
     def test_single_mini_slot(self):
         params = ScenarioConfig(max_slots=1)
-        sched = build_superframe(params, Random(1))
-        nd = [p for p in sched.periods if p[0] == ND]
+        ref = reference_layout(params, drawn_gaps(params, 1))
+        nd = [p for p in ref.periods if p[0] == ND]
         assert len(nd) == 1 and nd[0][2] == 1
+        sched = build_superframe(params, Random(1))
+        assert sched.edges == ref.edges and sched.nd_start == nd[0][1]
 
     def test_detect_positions_reproducible_under_replay(self):
         a = [build_superframe(ScenarioConfig(), Random(99)) for _ in range(5)]
@@ -89,12 +156,13 @@ class TestSuperframe:
         assert list(params.layouts) == list(combinations(range(1, 5), detect_periods))
         for gaps, sched in params.layouts.items():
             assert sched == lay_out_superframe(params, gaps)
-            kinds = [kind for kind, _, _ in sched.periods]
+            ref = reference_layout(params, gaps)
+            kinds = [kind for kind, _, _ in ref.periods]
             # one detection block right before each main period named in gaps
             assert [mains.index(kinds[k + 1]) for k, kind in enumerate(kinds)
                     if kind == DETECT] == list(gaps)
-            assert sched.detect_blocks == tuple(
-                (start, start + length) for kind, start, length in sched.periods
+            assert sched.detect_blocks == ref.detect_blocks == tuple(
+                (start, start + length) for kind, start, length in ref.periods
                 if kind == DETECT)
 
     @pytest.mark.parametrize("detect_ticks", [1, 3, 2**64])
@@ -102,9 +170,32 @@ class TestSuperframe:
         params = ScenarioConfig(detect_periods=2, detect_ticks=detect_ticks,
                                 scan_interval_ticks=2**66)
         for gaps, sched in params.layouts.items():
-            assert len(sched.periods) == 7 and len(sched.detect_blocks) == 2
+            ref = reference_layout(params, gaps)
+            assert len(ref.periods) == 7 and len(sched.detect_blocks) == 2
             assert all(end - start == detect_ticks for start, end in sched.detect_blocks)
-            assert sched.pra_start + sched.pra_len == params.frame_len
+            assert ref.pra_start + ref.pra_len == params.frame_len
+
+    @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
+    @pytest.mark.parametrize("detect_ticks", [1, 2, 3, 2**32, 2**64])
+    def test_layout_keeps_what_the_reference_moves(self, detect_periods,
+                                                   detect_ticks):
+        # every gap set: the layout's fields are the reference's, and the
+        # fields it dropped are the config's constants
+        params = ScenarioConfig(detect_periods=detect_periods,
+                                detect_ticks=detect_ticks, frame_jitter_max=0,
+                                scan_interval_ticks=2**67)
+        for gaps in combinations(range(1, 5), detect_periods):
+            sched = lay_out_superframe(params, gaps)
+            ref = reference_layout(params, gaps)
+            assert ((sched.nd_start, sched.data_start, sched.detect_blocks,
+                     sched.edges)
+                    == (ref.nd_start, ref.data_start, ref.detect_blocks,
+                        ref.edges))
+            assert (ref.pra_start, ref.pra_start + ref.pra_len) \
+                == (params.pra_start, params.frame_len)
+            assert ref.periods[-1] == (PUBLIC_RA, params.pra_start,
+                                       params.public_ra_ticks)
+            assert ref.data_len == params.data_ticks
 
     @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
     def test_draw_consumes_the_rng_as_one_sample(self, detect_periods):
@@ -190,7 +281,7 @@ class TestNeighborTables:
         # B hears C's HELLO listing D: C becomes 1-hop, D 2-hop (C reported
         # it on master 0)
         table, two_hop = {}, {}
-        hello = HelloMessage(sender=2, master=0, channels=((0, 3), (1, 2)),
+        hello = HelloMessage(sender=2, master=0, stages={0: 3, 1: 2},
                              neighbor_list=((3, 0),))
         upsert_from_hello(table, two_hop, hello, tick=50, cluster_head=0, self_id=1)
         assert table == {2: NeighborEntry(0, 50, 0)}
@@ -198,30 +289,30 @@ class TestNeighborTables:
 
     def test_one_hop_dominates_two_hop(self):
         table, two_hop = {}, {}
-        upsert_from_hello(table, two_hop, HelloMessage(3, 0, ((0, 3),)), tick=10)
-        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+        upsert_from_hello(table, two_hop, HelloMessage(3, 0, {0: 3}), tick=10)
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, {0: 3},
                                                        ((3, 0),)), tick=20)
         assert 3 not in two_hop
         assert table[3].last_seen == 10
         # and a 2-hop id heard directly moves to the 1-hop table
-        upsert_from_hello(table, two_hop, HelloMessage(4, 1, ((1, 3),),
+        upsert_from_hello(table, two_hop, HelloMessage(4, 1, {1: 3},
                                                        ((5, 1),)), tick=30)
         assert two_hop == {5: (1, 30)}
-        upsert_from_hello(table, two_hop, HelloMessage(5, 1, ((1, 3),)), tick=31)
+        upsert_from_hello(table, two_hop, HelloMessage(5, 1, {1: 3}), tick=31)
         assert two_hop == {} and table[5].last_seen == 31
 
     def test_self_never_enters_own_table(self):
         table, two_hop = {}, {}
-        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, {0: 3},
                                                        ((1, 0),)),
                           tick=5, self_id=1)
         assert 1 not in table and 1 not in two_hop
 
     def test_stale_entries_evicted(self):
         table, two_hop = {}, {}
-        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, {0: 3},
                                                        ((6, 0),)), tick=0)
-        upsert_from_hello(table, two_hop, HelloMessage(4, 0, ((0, 3),),
+        upsert_from_hello(table, two_hop, HelloMessage(4, 0, {0: 3},
                                                        ((7, 0),)), tick=70)
         evict_stale(table, two_hop, tick=100, ttl_ticks=75)
         assert 2 not in table and 4 in table
@@ -232,7 +323,7 @@ class TestNeighborTables:
 
     def test_upsert_reports_a_change_of_listed_content(self):
         table, two_hop = {}, {}
-        hello = HelloMessage(2, 0, ((0, 3), (1, 2)), ((7, 0),))
+        hello = HelloMessage(2, 0, {0: 3, 1: 2}, ((7, 0),))
         assert upsert_from_hello(table, two_hop, hello, tick=5) is True
         # a refresh that moves only last_seen or cluster_head lists the same
         assert upsert_from_hello(table, two_hop, hello, tick=9) is False
@@ -241,22 +332,22 @@ class TestNeighborTables:
         # the sender's stages, channel set and neighbor list are not listed
         # content; only its master is
         assert upsert_from_hello(table, two_hop,
-                                 HelloMessage(2, 0, ((0, 1), (1, 3))), tick=10) is False
+                                 HelloMessage(2, 0, {0: 1, 1: 3}), tick=10) is False
         assert upsert_from_hello(table, two_hop,
-                                 HelloMessage(2, 0, ((1, 3),)), tick=11) is False
+                                 HelloMessage(2, 0, {1: 3}), tick=11) is False
         assert upsert_from_hello(table, two_hop,
-                                 HelloMessage(2, 1, ((1, 3),)), tick=12) is True
+                                 HelloMessage(2, 1, {1: 3}), tick=12) is True
         assert table == {2: NeighborEntry(1, 12, None)}
 
     def test_one_hello_writes_one_stamp_per_master(self):
         table, two_hop = {}, {}
-        hello = HelloMessage(2, 0, ((0, 3), (1, 2)),
+        hello = HelloMessage(2, 0, {0: 3, 1: 2},
                              ((3, 1), (4, 0), (5, 1)))
         upsert_from_hello(table, two_hop, hello, tick=50, self_id=1)
         assert two_hop == {3: (1, 50), 4: (0, 50), 5: (1, 50)}
         assert two_hop[3] is two_hop[5]
         # a later HELLO writes its own stamps
-        upsert_from_hello(table, two_hop, HelloMessage(6, 1, ((1, 2),),
+        upsert_from_hello(table, two_hop, HelloMessage(6, 1, {1: 2},
                                                        ((5, 1),)), tick=60)
         assert two_hop[5] == (1, 60) and two_hop[3] == (1, 50)
 
@@ -266,20 +357,20 @@ class TestNeighborTables:
         node = Node(1, (0.0, 0.0), Random(0), ScenarioConfig())
         node.apply_observations({0: 3, 1: 2})
         node.master = 0
-        node._on_hello(HelloFrame(HelloMessage(2, 0, ((0, 3), (1, 2)))), 5, None)
+        node._on_hello(HelloFrame(HelloMessage(2, 0, {0: 3, 1: 2})), 5, None)
         kept = node.hello()
         assert kept.neighbor_list == ((2, 0),)
-        node._on_hello(HelloFrame(HelloMessage(2, 0, ((1, 2),))), 6, None)
+        node._on_hello(HelloFrame(HelloMessage(2, 0, {1: 2})), 6, None)
         assert node.hello() is kept
-        node._on_hello(HelloFrame(HelloMessage(2, 1, ((1, 2),))), 7, None)
+        node._on_hello(HelloFrame(HelloMessage(2, 1, {1: 2})), 7, None)
         assert node.hello() is not kept
         assert node.hello().neighbor_list == ((2, 1),)
 
     def test_evict_reports_only_one_hop_drops(self):
         table, two_hop = {}, {}
-        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),),
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, {0: 3},
                                                        ((6, 0),)), tick=0)
-        upsert_from_hello(table, two_hop, HelloMessage(2, 0, ((0, 3),)), tick=50)
+        upsert_from_hello(table, two_hop, HelloMessage(2, 0, {0: 3}), tick=50)
         assert evict_stale(table, two_hop, tick=100, ttl_ticks=75) is False
         assert two_hop == {} and 2 in table
         assert evict_stale(table, two_hop, tick=126, ttl_ticks=75) is True
@@ -295,8 +386,8 @@ class TestNeighborTables:
         # the HELLO carries the node's stage map itself
         assert hello.stages is node.stages and hello.stages == {0: 3, 1: 2}
         two_hop = {}
-        upsert_from_hello(table, two_hop, HelloMessage(2, 1, ((1, 2),)), tick=0)
-        upsert_from_hello(table, two_hop, HelloMessage(9, 0, ((0, 1),),
+        upsert_from_hello(table, two_hop, HelloMessage(2, 1, {1: 2}), tick=0)
+        upsert_from_hello(table, two_hop, HelloMessage(9, 0, {0: 1},
                                                        ((8, 0),)), tick=0)
         hello = emit_hello(1, 0, table, {0: 3})
         # only 1-hop entries are listed, sorted by id, with their masters
@@ -376,7 +467,7 @@ stage_maps = st.dictionaries(channels, st.integers(min_value=0, max_value=3),
 
 
 def wire_hello(sender, master, stages, listed):
-    return HelloMessage(sender, master, tuple(sorted(stages.items())),
+    return HelloMessage(sender, master, dict(sorted(stages.items())),
                         tuple(sorted(listed.items())))
 
 
@@ -613,9 +704,9 @@ class TestRoleEntry:
         assert a.offscan_seen is b.offscan_seen
         assert not isinstance(a.offscan_seen, set) and a.offscan_seen == set()
         for i, node in enumerate((a, b)):
-            hello = HelloMessage(5 + i, 0, ((0, 3),))
-            node._on_hello(HelloFrame(hello, cluster_head=5 + i, pra_start=10,
-                                      pra_len=4), 1, None)
+            hello = HelloMessage(5 + i, 0, {0: 3})
+            node._on_hello(HelloFrame(hello, cluster_head=5 + i, pra_start=10),
+                           1, None)
         assert (a.scan.exch_done, b.scan.exch_done) == ({5}, {6})
         sched = lay_out_superframe(cfg, (1,))
         for node in (a, b):
@@ -780,14 +871,16 @@ class TestJoinContention:
         head.apply_observations({0: 3})
         head.become_head(0, {}, frame_offset=0, frame_start=0)
         head.step(0, ctx)
-        pra = head.sched.pra_start
+        pra = cfg.pra_start
         for t in range(1, cfg.frame_len + 1):
             if t in (pra, pra + 1):
                 sender = 9 if t == pra else 3
                 head.on_message(JoinRequest(sender, head.id), t, ctx)
             head.step(t, ctx)
+        # the head's next frame starts at `frame_len`, with this beacon
+        assert len(ctx.sent) == 2 and head.frame_start == cfg.frame_len
         beacon = ctx.sent[-1][1]
-        assert isinstance(beacon, Beacon) and beacon.frame_start == cfg.frame_len
+        assert isinstance(beacon, Beacon)
         assert beacon.members == {9: 0} and beacon.rejects == ()
 
     def test_full_cluster_rejects_and_requester_moves_on(self):
@@ -812,13 +905,13 @@ class TestJoinContention:
                              scan_interval_ticks=200)
         ctx = self.Ctx()
         node = Node(0, (0.0, 0.0), Random(0), cfg)
-        hello = HelloMessage(7, 0, ((0, 3),))
+        hello = HelloMessage(7, 0, {0: 3})
         beacons = 0
         for t in range(1 + (JOIN_ATTEMPT_LIMIT + 2) * cfg.frame_len + 1):
             node.step(t, ctx)
             if t % cfg.frame_len == 1:
-                node.on_message(Beacon(7, 0, t, cfg.frame_len, cfg.layouts[(1,)],
-                                       {}, (), hello), t, ctx)
+                node.on_message(Beacon(cfg.frame_len, cfg.layouts[(1,)], {}, (),
+                                       hello), t, ctx)
                 beacons += 1
                 if beacons <= JOIN_ATTEMPT_LIMIT:
                     assert (node.scan.join_target, node.scan.join_attempts) \
@@ -843,8 +936,8 @@ class TestJoinContention:
         node.step(0, ctx)
         interval_end = node.scan.interval_end
         deadline = interval_end + 2 * cfg.frame_len
-        node.on_message(Beacon(7, 0, 1, cfg.frame_len, cfg.layouts[(1,)], {},
-                               (), HelloMessage(7, 0, ((0, 3),))), 1, ctx)
+        node.on_message(Beacon(cfg.frame_len, cfg.layouts[(1,)], {}, (),
+                               HelloMessage(7, 0, {0: 3})), 1, ctx)
         assert node.scan.join_target == 7
         assert node.scan.join_tx_tick < interval_end
         for t in range(1, deadline):
@@ -926,7 +1019,8 @@ class TestMemberTimeout:
                 return {0: 3}
 
             def transmit(self, node, channel, msg):
-                beacons[msg.frame_start] = set(msg.members)
+                # a head sends its beacon at its frame's start
+                beacons[node.frame_start] = set(msg.members)
 
         ctx = Ctx()
         head = Node(0, (0.0, 0.0), Random(0), cfg)
@@ -934,7 +1028,7 @@ class TestMemberTimeout:
         head.become_head(0, {1: 0, 2: 1, 3: 2}, frame_offset=10, frame_start=10)
 
         def hello_from(sender, t):
-            head.on_message(HelloFrame(HelloMessage(sender, 0, ((0, 3),)),
+            head.on_message(HelloFrame(HelloMessage(sender, 0, {0: 3}),
                                        cluster_head=0), t, ctx)
 
         join_tick = None
@@ -945,7 +1039,7 @@ class TestMemberTimeout:
             if t >= 10 and (t - 10) % cfg.frame_len == 5:
                 hello_from(1, t)
             if t == 10:
-                join_tick = t + head.sched.pra_start
+                join_tick = t + cfg.pra_start
             if t == join_tick:
                 head.on_message(JoinRequest(4, 0), t, ctx)
         assert beacons == {

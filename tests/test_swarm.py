@@ -34,8 +34,7 @@ def stage_map(stages):
 
 
 def hello(master, stages, sender=99):
-    return HelloMessage(sender=sender, master=master,
-                        channels=tuple(sorted(stages.items())))
+    return HelloMessage(sender=sender, master=master, stages=stage_map(stages))
 
 
 # --- oracles: the multi-step forms of the swarm kernels ----------------------
@@ -382,30 +381,34 @@ class TestSelectMaster:
 
 class TestRecords:
     def test_hello_derives_its_stages(self):
-        msg = HelloMessage(sender=4, master=2, channels=((0, 1), (2, 3), (5, 0)))
+        msg = HelloMessage(sender=4, master=2, stages={0: 1, 2: 3, 5: 0})
         assert msg.stages == {0: 1, 2: 3, 5: 0}
-        assert msg == HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0)))
-        assert hash(msg) == hash(HelloMessage(4, 2, ((0, 1), (2, 3), (5, 0))))
+        assert msg == HelloMessage(4, 2, {0: 1, 2: 3, 5: 0})
+        assert hash(msg) == hash(HelloMessage(4, 2, {0: 1, 2: 3, 5: 0}))
 
-    def test_pairs_and_map_build_one_hello(self):
+    def test_one_map_builds_one_hello(self):
         stages = {0: 1, 2: 3, 5: 0}
-        pairs = HelloMessage(4, 2, channels=tuple(stages.items()),
-                             neighbor_list=((7, 2),))
         mapped = HelloMessage(4, 2, neighbor_list=((7, 2),), stages=stages)
-        assert pairs == mapped and mapped.stages is stages
+        assert mapped == HelloMessage(4, 2, dict(stages), ((7, 2),))
+        assert mapped.stages is stages
         # the map is compared but not hashed: a dict is not hashable
-        assert pairs != HelloMessage(4, 2, ((0, 1),), ((7, 2),))
-        assert hash(pairs) == hash(mapped) == hash(
+        assert mapped != HelloMessage(4, 2, {0: 1}, ((7, 2),))
+        assert hash(mapped) == hash(
             HelloMessage(4, 2, neighbor_list=((7, 2),), stages={0: 2}))
         moved = replace(mapped, master=5)
         assert (moved.master, moved.stages) == (5, stages)
-        beacon = Beacon(4, 2, 0, 25, ScenarioConfig().layouts[(1,)], {}, (),
-                        mapped)
-        assert replace(beacon, frame_start=25).hello is mapped
+        beacon = Beacon(25, ScenarioConfig().layouts[(1,)], {}, (), mapped)
+        assert replace(beacon, gap=30).hello is mapped
+
+    def test_a_hello_needs_its_map_and_has_no_pairs(self):
+        with pytest.raises(TypeError):
+            HelloMessage(4, 2)
+        with pytest.raises(AttributeError):
+            HelloMessage(4, 2, {0: 1}).channels
 
     @pytest.mark.parametrize("record, name", [
-        (HelloMessage(1, 0, ((0, 2),)), "master"),
-        (HelloMessage(1, 0, ((0, 2),)), "stages"),
+        (HelloMessage(1, 0, {0: 2}), "master"),
+        (HelloMessage(1, 0, {0: 2}), "stages"),
     ])
     def test_frozen(self, record, name):
         with pytest.raises(FrozenInstanceError):
