@@ -67,7 +67,12 @@ from cogmesh.protocol import (
     _next_boundary,
 )
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
-from cogmesh.reformation import Negotiation, build_local_graph, greedy_mds
+from cogmesh.reformation import (
+    Negotiation,
+    build_local_graph,
+    cluster_nodes,
+    greedy_mds,
+)
 from cogmesh.swarm import RewardParamError, RewardParams
 
 
@@ -738,12 +743,12 @@ class World:
         for key in [key for key, gateways in links.items()
                     if not self._link_valid(key, gateways)]:
             del links[key]
-        tables = {n.id: n.table for n in self.nodes}
+        nodes = self.nodes
         for key in self._discovered_pairs():
             if key in links:
                 continue
             ha, hb = key
-            gateways = select_gateways(self.nodes[ha], self.nodes[hb], tables)
+            gateways = select_gateways(nodes[ha], nodes[hb], nodes)
             if gateways is None:
                 raise SimulationInvariantError(
                     f"t={tick}: discovered clusters {ha} and {hb} have no "
@@ -806,7 +811,7 @@ class World:
         """The head of the cluster `node` heads, or lists it as a member."""
         if node.role is Role.HEAD:
             return node
-        if node.role in MEMBER_ROLES and node.head_id is not None:
+        if node.role in MEMBER_ROLES:
             head = self.nodes[node.head_id]
             if head.members is not None and node.id in head.members:
                 return head
@@ -833,23 +838,21 @@ class World:
             # one cluster cannot become fewer: no plan can gain
             return
         master = host.master
-        tables = {}
+        nodes = self.nodes
         for hn in heads:
             for nid in (hn.id, *hn.members):
-                peer = self.nodes[nid]
-                if master not in peer.stages:
+                if master not in nodes[nid].stages:
                     # every planned cluster is on the host master
                     return
-                tables[nid] = peer.table
-        graph = build_local_graph(heads, tables)
-        plan = greedy_mds(graph, node.id, max_members=self.cfg.max_slots)
-        if plan.gain < 1:
+        affected = {hn.id: cluster_nodes(hn) for hn in heads}
+        plan = greedy_mds(build_local_graph(affected, nodes), node.id,
+                          max_members=self.cfg.max_slots)
+        if len(plan) >= len(heads):
             return
-        affected = graph.clusters
-        neg = Negotiation(working=node.id, plan=plan, affected=affected,
+        neg = Negotiation(node.id, master, plan, affected,
                           waiting=set(affected) - {node.id})
         self.log(tick, "reform", working=node.id, status="proposed",
-                 gain=plan.gain)
+                 gain=neg.gain)
         self.neg_by_working[node.id] = neg
         self._push(tick + 2 * self.cfg.frame_len + 1, "deadline", neg)
         for head in sorted(affected):
@@ -902,10 +905,9 @@ class World:
                 return                              # silence -> timeout
             if node.lock is not None or head in self.neg_by_working:
                 return                              # busy head stays silent
-            current = frozenset({head} | set(node.members))
             # the decision goes back out in the tail of the same public RA
             reply_at = tick + 1
-            if current != neg.affected.get(head):
+            if cluster_nodes(node) != neg.affected.get(head):
                 self._push(reply_at, "deny", neg, head)
                 return
             node.lock = neg
@@ -938,18 +940,18 @@ class World:
     def _cancel(self, neg: Negotiation, tick: int):
         self._finish(neg)
         self.log(tick, "reform", working=neg.working, status="cancelled",
-                 gain=neg.plan.gain)
+                 gain=neg.gain)
 
     def _commit_valid(self, neg: Negotiation) -> bool:
         for head, snapshot in neg.affected.items():
-            members = self.nodes[head].members
-            if members is None or frozenset({head} | set(members)) != snapshot:
+            hn = self.nodes[head]
+            if hn.members is None or cluster_nodes(hn) != snapshot:
                 return False
         # `greedy_mds` grouped along table edges within the mini-slot budget
-        for _, members in neg.plan.clusters:
+        for _, members in neg.clusters:
             for m in members:
                 node = self.nodes[m]
-                if neg.plan.master not in node.stages:
+                if neg.master not in node.stages:
                     return False
                 # a node that silently left an affected cluster (and may even
                 # head its own by now) makes the plan stale; heads keep such
@@ -970,21 +972,19 @@ class World:
             self._cancel(neg, tick)
             return
         self._finish(neg)
-        pre = len(neg.affected)
-        post = len(neg.plan.clusters)
-        old_offsets = {head: self.nodes[head].frame_offset
-                       for head in neg.affected}
         grace = tick + self.cfg.ttl_ticks
-        master = neg.plan.master
-        for head, members in neg.plan.clusters:
-            offset = old_offsets.get(head)
+        master = neg.master
+        # each node is in one planned cluster, so a planned head's offset is
+        # still its own: an affected head keeps it, a member (None) draws one
+        for head, members in neg.clusters:
+            hn = self.nodes[head]
+            offset = hn.frame_offset
             if offset is None:
-                offset = self.nodes[head].rng.randrange(self.cfg.frame_len)
+                offset = hn.rng.randrange(self.cfg.frame_len)
             slot_map = {m: i for i, m in enumerate(sorted(m for m in members
                                                           if m != head))}
-            self.nodes[head].become_head(
-                master, slot_map, offset,
-                _next_boundary(tick, offset, self.cfg.frame_len))
+            hn.become_head(master, slot_map, offset,
+                           _next_boundary(tick, offset, self.cfg.frame_len))
             for m, slot in slot_map.items():
                 self.nodes[m].become_member(head, master, slot, grace)
         affected = neg.affected
@@ -993,7 +993,7 @@ class World:
             del self.links[key]
         self._refresh_gateway_roles()
         self.log(tick, "reform", working=neg.working, status="committed",
-                 gain=neg.plan.gain, pre=pre, post=post)
+                 gain=neg.gain, pre=len(affected), post=len(neg.clusters))
 
 
 def run(config: ScenarioConfig) -> RunResult:

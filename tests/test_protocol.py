@@ -604,27 +604,28 @@ class TestSelectGateways:
         self.a = SimpleNamespace(id=0, members={1: 0, 2: 1})
         self.b = SimpleNamespace(id=10, members={11: 0, 12: 1})
 
-    def tables_from(self, one_hop):
-        tables = {}
+    def nodes_from(self, one_hop):
+        """Nodes 0..12, indexed by id, whose tables hold `one_hop`."""
+        nodes = [SimpleNamespace(table={}) for _ in range(13)]
         for a, b in one_hop:
-            tables.setdefault(a, {})[b] = NeighborEntry(0, 0)
-        return tables
+            nodes[a].table[b] = NeighborEntry(0, 0)
+        return nodes
 
     def test_single_gateway_one_hop_to_both_heads(self):
         # node 1 hears both heads directly and carries the link alone
-        tables = self.tables_from([(1, 0), (1, 10)])
-        assert select_gateways(self.a, self.b, tables) == (1,)
+        nodes = self.nodes_from([(1, 0), (1, 10)])
+        assert select_gateways(self.a, self.b, nodes) == (1,)
 
     def test_lowest_id_single_gateway_wins(self):
-        tables = self.tables_from([(2, 0), (2, 10), (11, 0), (11, 10)])
-        assert select_gateways(self.a, self.b, tables) == (2,)
+        nodes = self.nodes_from([(2, 0), (2, 10), (11, 0), (11, 10)])
+        assert select_gateways(self.a, self.b, nodes) == (2,)
 
     def test_pair_fallback_lowest_ids(self):
-        tables = self.tables_from([(2, 12), (1, 11)])
-        assert select_gateways(self.a, self.b, tables) == (1, 11)
+        nodes = self.nodes_from([(2, 12), (1, 11)])
+        assert select_gateways(self.a, self.b, nodes) == (1, 11)
 
     def test_disjoint_clusters_have_no_link(self):
-        assert select_gateways(self.a, self.b, {}) is None
+        assert select_gateways(self.a, self.b, self.nodes_from([])) is None
 
 
 class TestRoleEntry:

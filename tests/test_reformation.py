@@ -12,11 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from cogmesh import engine
 from cogmesh.engine import ScenarioConfig, SimulationInvariantError, World
-from cogmesh.protocol import NeighborEntry
+from cogmesh.protocol import NeighborEntry, Node, Role
 from cogmesh.reformation import (
-    LocalGraph,
     Negotiation,
     build_local_graph,
+    cluster_nodes,
     greedy_mds,
 )
 
@@ -24,50 +24,62 @@ from test_engine import small_scenarios
 
 
 def graph_from_edges(n, edges):
-    """LocalGraph of singleton clusters over nodes 0..n-1, on master 0."""
+    """The local graph (edge map) over nodes 0..n-1."""
     adj = {i: set() for i in range(n)}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    return LocalGraph(
-        master=0,
-        edges={i: frozenset(v) for i, v in adj.items()},
-        clusters={i: frozenset({i}) for i in range(n)},
-    )
+    return {i: frozenset(v) for i, v in adj.items()}
+
+
+def singleton_gain(plan, graph):
+    """The gain its negotiation states for `plan` over the graph's
+    singleton clusters."""
+    affected = {i: frozenset({i}) for i in graph}
+    return Negotiation(0, 0, plan, affected, set()).gain
 
 
 def table_with(one_hop):
     return {nid: NeighborEntry(0, 0) for nid in one_hop}
 
 
+def nodes_with(tables, n):
+    """Nodes 0..n-1, indexed by id, as `build_local_graph` reads them."""
+    return [SimpleNamespace(table=tables.get(i, {})) for i in range(n)]
+
+
 def head(nid, members, master=0):
-    """A cluster head as `build_local_graph` reads it."""
+    """A cluster head as `cluster_nodes` and the planner's callers read it."""
     return SimpleNamespace(id=nid, master=master, members=members)
+
+
+def clusters_of(heads):
+    return {h.id: cluster_nodes(h) for h in heads}
 
 
 class TestBuildLocalGraph:
     def test_single_cluster_graph(self):
         host = head(0, {1: 0, 2: 1})
         tables = {0: table_with([1, 2]), 1: table_with([0]), 2: table_with([0])}
-        g = build_local_graph([host], tables)
-        assert set(g.edges) == {0, 1, 2}
-        assert g.clusters == {0: {0, 1, 2}}
-        assert g.edges[0] == {1, 2}
+        affected = clusters_of([host])
+        edges = build_local_graph(affected, nodes_with(tables, 3))
+        assert set(edges) == {0, 1, 2}
+        assert affected == {0: {0, 1, 2}}
+        assert edges[0] == {1, 2}
 
     def test_union_of_host_and_neighbor_cluster(self):
         host = head(0, {1: 0, 2: 1})
         other = head(10, {11: 0, 12: 1, 13: 2})
-        tables = {i: {} for i in (0, 1, 2, 10, 11, 12, 13)}
-        tables[2] = table_with([11])
-        g = build_local_graph([host, other], tables)
-        assert len(g.edges) == 7
-        assert 11 in g.edges[2] and 2 in g.edges[11]
+        tables = {2: table_with([11])}
+        edges = build_local_graph(clusters_of([host, other]), nodes_with(tables, 14))
+        assert len(edges) == 7
+        assert 11 in edges[2] and 2 in edges[11]
 
     def test_edges_come_from_either_sides_table(self):
         host = head(0, {1: 0})
-        tables = {0: {}, 1: table_with([0])}
-        g = build_local_graph([host], tables)
-        assert g.edges[0] == {1}
+        tables = {1: table_with([0])}
+        edges = build_local_graph(clusters_of([host]), nodes_with(tables, 2))
+        assert edges[0] == {1}
 
     @given(st.dictionaries(st.integers(0, 9), st.sets(st.integers(0, 12), max_size=6),
                            max_size=10))
@@ -77,29 +89,30 @@ class TestBuildLocalGraph:
         host = head(0, {i: i for i in range(1, 5)})
         other = head(5, {6: 0, 7: 1})
         tables = {nid: table_with(ids) for nid, ids in listed.items()}
-        g = build_local_graph([host, other], tables)
-        ids = sorted(g.edges)
+        edges = build_local_graph(clusters_of([host, other]), nodes_with(tables, 10))
+        ids = sorted(edges)
+        assert ids == list(range(8))
         expected = {a: {b for b in ids if b != a and (
             b in tables.get(a, {}) or a in tables.get(b, {}))} for a in ids}
-        assert g.edges == expected
+        assert edges == expected
 
 
 class TestGreedyMds:
     def test_star_collapses_to_hub(self):
         g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
         plan = greedy_mds(g, 0)
-        assert len(plan.clusters) == 1
-        assert plan.clusters[0][0] == 0
-        assert sorted(plan.clusters[0][1]) == [0, 1, 2, 3, 4]
-        assert plan.gain == 4
+        assert len(plan) == 1
+        assert plan[0][0] == 0
+        assert sorted(plan[0][1]) == [0, 1, 2, 3, 4]
+        assert singleton_gain(plan, g) == 4
 
     def test_path_trace_and_permitted_suboptimality(self):
         # a-b-c with the working node at the end: {a,b} then {c}; the exact
         # minimum dominating set {b} is smaller, which the heuristic may miss
         g = graph_from_edges(3, [(0, 1), (1, 2)])
         plan = greedy_mds(g, 0)
-        assert [sorted(c[1]) for c in plan.clusters] == [[0, 1], [2]]
-        assert plan.gain == 1
+        assert [sorted(c[1]) for c in plan] == [[0, 1], [2]]
+        assert singleton_gain(plan, g) == 1
         assert exact_min_ds_size(3, {(0, 1), (1, 2)}) == 1
 
     def test_max_degree_rule_with_lowest_id_ties(self):
@@ -107,13 +120,13 @@ class TestGreedyMds:
         # remaining neighbor; the lower id wins the next head slot
         g = graph_from_edges(6, [(0, 1), (2, 3), (4, 5)])
         plan = greedy_mds(g, 0)
-        heads = [c[0] for c in plan.clusters]
+        heads = [c[0] for c in plan]
         assert heads == [0, 2, 4]
 
     def test_mini_slot_cap_limits_cluster_size(self):
         g = graph_from_edges(6, [(0, i) for i in range(1, 6)])
         plan = greedy_mds(g, 0, max_members=2)
-        first = plan.clusters[0]
+        first = plan[0]
         assert len(first[1]) == 3            # head + 2 members
         assert partitions_along_edges(plan, g)
 
@@ -123,7 +136,7 @@ class TestGreedyMds:
             n = rng.randrange(2, 11)
             g, edges = random_connected_graph(n, rng)
             plan = greedy_mds(g, rng.randrange(n))
-            heads = {c[0] for c in plan.clusters}
+            heads = {c[0] for c in plan}
             assert is_dominating_set(n, edges, heads)
             assert partitions_along_edges(plan, g)
             assert len(heads) >= exact_min_ds_size(n, edges)
@@ -164,8 +177,8 @@ def reference_greedy_mds(control_of, edges, cluster_count, working_id,
 
 @st.composite
 def one_master_locals(draw):
-    """Heads on one master that partition nodes 0..n-1, the nodes' tables
-    (which may name nodes outside the graph, and even their owner), a
+    """Heads on one master that partition nodes 0..n-1, the nodes (whose
+    tables may name nodes outside the graph, and even their owner), a
     working node of the host cluster and a mini-slot budget."""
     master = draw(st.integers(0, 7))
     n = draw(st.integers(1, 14))
@@ -179,7 +192,7 @@ def one_master_locals(draw):
         st.integers(0, n - 1), st.sets(st.integers(0, n + 2), max_size=6))).items()}
     working = draw(st.sampled_from([head_ids[0], *members[head_ids[0]]]))
     budget = draw(st.sampled_from([1, 2, 3, 8, None]))
-    return heads, tables, working, budget
+    return heads, nodes_with(tables, n), working, budget
 
 
 class TestOneMasterPlanner:
@@ -189,15 +202,16 @@ class TestOneMasterPlanner:
     @given(one_master_locals())
     @settings(max_examples=300, deadline=None)
     def test_same_plan_as_the_per_node_channel_planner(self, local):
-        heads, tables, working, budget = local
-        graph = build_local_graph(heads, tables)
-        plan = greedy_mds(graph, working, max_members=budget)
-        control_of = {nid: heads[0].master for nid in graph.edges}
-        clusters, gain = reference_greedy_mds(control_of, graph.edges, len(heads),
+        heads, nodes, working, budget = local
+        affected = clusters_of(heads)
+        edges = build_local_graph(affected, nodes)
+        plan = greedy_mds(edges, working, max_members=budget)
+        control_of = {nid: heads[0].master for nid in edges}
+        clusters, gain = reference_greedy_mds(control_of, edges, len(heads),
                                               working, budget)
-        assert plan.master == heads[0].master
-        assert plan.clusters == tuple((h, members) for h, _, members in clusters)
-        assert plan.gain == gain
+        assert plan == tuple((h, members) for h, _, members in clusters)
+        assert Negotiation(working, heads[0].master, plan, affected,
+                           set()).gain == gain
 
     @given(small_scenarios())
     # PUs on 4 channels spread the masters, and clusters on other masters
@@ -208,12 +222,20 @@ class TestOneMasterPlanner:
     @settings(max_examples=200, deadline=None)
     def test_every_planned_graph_shares_one_master(self, cfg):
         build = engine.build_local_graph
+        masters = []
 
-        def build_checked(heads, tables):
-            assert len({h.master for h in heads}) == 1
-            return build(heads, tables)
+        def build_checked(affected, nodes):
+            masters[:] = {nodes[h].master for h in affected}
+            assert len(masters) == 1
+            return build(affected, nodes)
 
-        with mock.patch.object(engine, "build_local_graph", build_checked):
+        def negotiation_checked(working, master, clusters, affected, waiting):
+            # the plan is on the master its clusters share
+            assert [master] == masters
+            return Negotiation(working, master, clusters, affected, waiting)
+
+        with mock.patch.object(engine, "build_local_graph", build_checked), \
+                mock.patch.object(engine, "Negotiation", negotiation_checked):
             World(replace(cfg, reform_enabled=True)).run()
 
 
@@ -233,16 +255,15 @@ def random_connected_graph(n, rng):
 
 def partitions_along_edges(plan, graph):
     """Each node of the graph is in exactly one planned cluster, which its
-    head leads on the graph's master, and each member is an edge away from
-    its head."""
+    head leads, and each member is an edge away from its head."""
     covered = []
-    for head, members in plan.clusters:
+    for head, members in plan:
         if head not in members:
             return False
-        if any(m != head and m not in graph.edges[head] for m in members):
+        if any(m != head and m not in graph[head] for m in members):
             return False
         covered.extend(members)
-    return plan.master == graph.master and sorted(covered) == sorted(graph.edges)
+    return sorted(covered) == sorted(graph)
 
 
 def is_dominating_set(n, edges, heads):
@@ -430,6 +451,127 @@ class TestNegotiationScenarios:
         assert working.id not in world.neg_by_working and working.lock is None
 
 
+class TestStaleAtCommit:
+    """A plan whose world changed after its acks is cancelled, with every
+    lock released and no cluster changed."""
+
+    def run_until(self, world, neg, done):
+        """Run the reform timers tick by tick from `world.tick` until
+        `done()` holds, while `neg` is live."""
+        for t in range(world.tick, world.tick + 5 * world.cfg.frame_len):
+            world.tick = t
+            world._reform_timers(t)
+            if done() or world.neg_by_working.get(neg.working) is not neg:
+                return
+        raise AssertionError("the negotiation never got there")
+
+    def assert_cancelled(self, world, neg, snapshot):
+        last = world.events[-1]
+        assert (last.kind, last.get("status")) == ("reform", "cancelled")
+        assert neg.working not in world.neg_by_working
+        assert all(n.lock is None for n in world.nodes)
+        assert not [e for e in world.reform_queue if e[4] is neg
+                    and e[3] == "commit"]
+        assert {h: (n.master, dict(n.members))
+                for h, n in world.clusters.items()} == snapshot
+
+    def test_working_member_dropped_after_the_last_ack(self):
+        # node 1 joins head 0's cluster; head 2 stays a singleton. Once the
+        # last ack is on its way, head 0 drops node 1, so the working node
+        # has no host to time the commit from
+        cfg = ScenarioConfig(su_count=3, channel_count=1, comm_range=160.0,
+                             duration_ticks=600, startup_spread_ticks=0,
+                             reform_enabled=False, seed=2)
+        world = World(cfg, su_positions=[(0.0, 0.0), (100.0, 0.0), (250.0, 0.0)],
+                      su_start_ticks=[0, 200, 0])
+        world.run()
+        working, host = world.nodes[1], world.nodes[0]
+        assert world._host_head(working) is host and working.role is not Role.HEAD
+        world.try_reform(working, world.tick)
+        neg = world.neg_by_working[working.id]
+        assert set(neg.affected) == {0, 2}
+
+        def last_ack_queued():
+            return {e[5] for e in world.reform_queue
+                    if e[4] is neg and e[3] == "ack"} == neg.waiting
+
+        self.run_until(world, neg, last_ack_queued)
+        assert world.neg_by_working.get(working.id) is neg and neg.waiting
+        del host.members[working.id]
+        del host.member_heard[working.id]
+        snapshot = {h: (n.master, dict(n.members))
+                    for h, n in world.clusters.items()}
+        self.run_until(world, neg, lambda: not neg.waiting)
+        assert not neg.waiting
+        assert world._host_head(working) is None
+        self.assert_cancelled(world, neg, snapshot)
+
+    def test_singleton_head_reformed_off_the_plan_master(self):
+        # two singleton heads on master 0. Once every ack is in, head 1
+        # loses channel 0 and re-forms alone on channel 1: its snapshot
+        # {1} still matches, and only the plan master test sees the change
+        cfg = ScenarioConfig(su_count=2, channel_count=2, comm_range=300.0,
+                             duration_ticks=600, startup_spread_ticks=0,
+                             reform_enabled=False, seed=1)
+        world = World(cfg, su_positions=[(100.0, 100.0), (250.0, 100.0)])
+        world.run()
+        working, other = world.nodes
+        world.try_reform(working, world.tick)
+        neg = world.neg_by_working[working.id]
+        assert neg.master == 0 and neg.affected == {0: {0}, 1: {1}}
+
+        self.run_until(world, neg, lambda: not neg.waiting)
+        assert world.neg_by_working.get(working.id) is neg
+        other.stages = {1: other.stages[1]}
+        other.weights = {1: 1.0}
+        other._form_cluster(1, world.tick, world)
+        assert other.members == {} and other.master == 1
+        snapshot = {h: (n.master, dict(n.members))
+                    for h, n in world.clusters.items()}
+        self.run_until(world, neg, lambda: False)
+        self.assert_cancelled(world, neg, snapshot)
+
+
+class TestCommitOffsets:
+    """A commit reads each planned head's frame offset in place: every node
+    is in one planned cluster, a HEAD is admitted only from the affected
+    heads, and a member keeps no offset. So the offset each planned head
+    reads equals a snapshot of the affected heads' offsets taken before
+    the commit changes any node."""
+
+    @given(small_scenarios())
+    # commits where planned heads keep their offsets and members draw theirs
+    @example(ScenarioConfig(su_count=24, channel_count=3, duration_ticks=1200,
+                            reform_cadence=1, seed=1))
+    @example(ScenarioConfig(su_count=24, channel_count=3, duration_ticks=1200,
+                            reform_cadence=1, seed=2))
+    @settings(max_examples=100, deadline=None)
+    def test_each_head_reads_its_offset_from_before_the_commit(self, cfg):
+        world = World(replace(cfg, reform_enabled=True))
+        apply_commit = world._apply_commit
+        become_head = Node.become_head
+        committing = []     # the affected heads' offsets, while a commit runs
+
+        def apply_checked(neg, tick):
+            committing.append({h: world.nodes[h].frame_offset for h in neg.affected})
+            try:
+                apply_commit(neg, tick)
+            finally:
+                committing.pop()
+
+        def become_head_checked(node, master, members, frame_offset, frame_start):
+            if committing:
+                before = committing[-1].get(node.id)
+                assert node.frame_offset == before
+                if before is not None:
+                    assert frame_offset == before
+            become_head(node, master, members, frame_offset, frame_start)
+
+        world._apply_commit = apply_checked
+        with mock.patch.object(Node, "become_head", become_head_checked):
+            world.run()
+
+
 class TestReformQueue:
     """One timed queue drives every reformation step."""
 
@@ -442,7 +584,7 @@ class TestReformQueue:
         world._cancel = lambda neg, tick: seen.append(("timeout", neg.working))
 
         def negotiation(working, waiting=()):
-            return Negotiation(working=working, plan=None, affected={},
+            return Negotiation(working, master=0, clusters=(), affected={},
                                waiting=set(waiting))
 
         late = negotiation(0, waiting={5})
