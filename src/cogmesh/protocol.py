@@ -365,9 +365,10 @@ def select_gateways(head_a: Node, head_b: Node, nodes) -> tuple[int, ...] | None
 
     Two nodes are linked when either one's table lists the other (`nodes` is
     indexed by id); a table lists only other nodes in range (the engine
-    checks this), so no range test is needed here. A node linked to both heads becomes the single
-    gateway `(x,)`, lowest id first; failing that, the lowest-id linked pair
-    `(a, b)`, a from head_a's cluster and b from head_b's, carries the link.
+    checks this), so no range test is needed here. A node linked to both
+    heads becomes the single gateway `(x,)`, lowest id first; failing that,
+    the lowest-id linked pair `(a, b)`, a from head_a's cluster and b from
+    head_b's, carries the link.
     Heads themselves only ever appear in the pair form.
     """
     def linked(x, y):

@@ -223,12 +223,15 @@ def step_environment(env: RadioEnvironment, rng: Random) -> None:
 
 def quantize(q_raw: float, stages: int) -> int:
     """Quality in [0, 1] -> stage index in [0, stages-1], uniform bins,
-    monotone; 1.0 is the top stage."""
+    monotone; 1.0 is the top stage.
+
+    Every caller passes a `q_raw` in [0, 1]: 1.0, or 1 / (1 + x) with x >= 0,
+    where x is a sum of far-field terms (each >= 0, as
+    `ScenarioConfig.pu_power` is) or `_geometry`'s bound (at least 2**-1000).
+    """
     s = int(stages * q_raw)
     if s >= stages:
         return stages - 1
-    if s < 0:
-        return 0
     return s
 
 

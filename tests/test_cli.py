@@ -156,11 +156,16 @@ class TestMain:
         assert code == 0
         assert "run complete" in capsys.readouterr().out
 
-    def test_error_exits_nonzero_with_diagnostic(self, tmp_path, capsys):
-        bad = write(tmp_path, "su_count = -3\n")
+    # a bad value, and a key that the superframe bound's removal made unknown
+    @pytest.mark.parametrize("key, value", [
+        ("su_count", "-3"), ("max_superframe_ticks", "32")])
+    def test_error_exits_nonzero_with_diagnostic(self, tmp_path, capsys,
+                                                 key, value):
+        bad = write(tmp_path, f"{key} = {value}\n")
         code = main(["run", "--config", bad, "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "su_count" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_invalid_override_exits_nonzero_before_writing(self, tmp_path,
                                                            capsys):

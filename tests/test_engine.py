@@ -5,6 +5,7 @@ import dataclasses
 import math
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cogmesh import engine
-from cogmesh.cli import _config_text, parse_scenario, write_run_outputs
+from cogmesh.cli import _config_text, parse_scenario
 from cogmesh.engine import (
     ConfigError,
     ScenarioConfig,
@@ -36,7 +37,7 @@ from cogmesh.protocol import (
     emit_hello,
 )
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
-from test_golden import BASES
+from test_golden import BASES, SCALE_BASES, output_files
 
 
 class TestConfig:
@@ -377,6 +378,13 @@ class TestAdjacency:
         world = World(ScenarioConfig(su_count=60, comm_range=comm_range))
         positions = [n.pos for n in world.nodes]
         assert world.adjacency == brute_force_adjacency(positions, comm_range)
+
+    def test_scale_set_up_takes_at_most_a_second(self):
+        # set-up buckets SUs into comm-range cells, about 0.1 s for 3200 SUs;
+        # testing every pair took 2-4 s, so a return to quadratic set-up fails
+        start = time.perf_counter()
+        World(BASES["mesh3200"]())
+        assert time.perf_counter() - start <= 1.0
 
 
 def tuned(channels):
@@ -819,14 +827,6 @@ def run_recording_heads(cfg):
     return world.run(), heads
 
 
-def output_files(result):
-    """metrics.csv and events.log of a run, by name."""
-    with tempfile.TemporaryDirectory() as out:
-        write_run_outputs(result, out)
-        return {name: (Path(out) / name).read_bytes()
-                for name in ("metrics.csv", "events.log")}
-
-
 @st.composite
 def long_scenarios(draw):
     """Up to 80 SUs over 200-1500 ticks at about the default density, long
@@ -948,8 +948,8 @@ class TestWireFacts:
     def test_small_scenarios(self, cfg):
         self.run_checked(cfg)
 
-    # mesh1600 takes longest and adds no case the others lack
-    @pytest.mark.parametrize("name", sorted(set(BASES) - {"mesh1600"}))
+    # the scale bases take longest and add no case the others lack
+    @pytest.mark.parametrize("name", sorted(set(BASES) - SCALE_BASES))
     def test_golden_bases(self, name):
         assert self.run_checked(BASES[name]()) > 0
 

@@ -12,6 +12,7 @@ only on an interpreter that reproduces those sequences.
 
 import hashlib
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,11 @@ from cogmesh.engine import ScenarioConfig, World
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SIDE_200 = 1000.0 * math.sqrt(4)     # default density (50 SUs per km^2) at n=200
 SIDE_1600 = 1000.0 * math.sqrt(32)   # the same density at n=1600
+SIDE_3200 = 1000.0 * math.sqrt(64)   # and at n=3200
+
+# the scale cases, which take longer than all other bases together; only
+# their golden digests run them
+SCALE_BASES = {"mesh1600", "mesh3200"}
 
 BASES = {
     "default": lambda: parse_scenario(str(SCENARIOS / "default.cfg")),
@@ -69,6 +75,11 @@ BASES = {
                                        area_width=SIDE_1600,
                                        area_height=SIDE_1600,
                                        duration_ticks=500),
+    # 200 ticks form about a thousand clusters and a few thousand gateway
+    # links, so maintenance and link validation run on links at scale
+    "mesh3200": lambda: ScenarioConfig(su_count=3200, area_width=SIDE_3200,
+                                       area_height=SIDE_3200,
+                                       duration_ticks=200),
     # PUs on air long enough, and wide enough, that nodes lose every channel:
     # heads, gateways, ordinary members and scanning nodes all rescan with
     # nothing left to choose (a `master-change` event with new=-1)
@@ -106,20 +117,26 @@ GOLDEN = {
     ("loud_pus", 1): "4d2021442809b9c07f3bafb754334fa2755e35303cdcb1d2e1fb963f56b8dae3",
     ("loud_pus", 2): "04bbe419fca60c3b5c93ebfde812de3e358a42470afff1f7ef1e75510840daa7",
     ("mesh1600", 1): "2f2930778a100ec1f34cb72aac7f337074944dc61766af55a34a7876976e009b",
+    ("mesh3200", 1): "fc002ae3df14765e2741ffef079cb5e368e18b86a396e03efa7edabb19dc6c2b",
     ("blackout", 1): "5d1d940029594a7a8a542590a4d057a4919071cd0a2945aec8b850b5e1331435",
     ("blackout", 2): "6317404402d7f757f4ed0ac5ffe0a6cefd039de3bc87d929eee773a515dbf8a4",
 }
 
 
-def output_digest(cfg: ScenarioConfig, out_dir: Path) -> str:
-    write_run_outputs(World(cfg, validate=True).run(), str(out_dir))
-    h = hashlib.sha256()
-    h.update((out_dir / "metrics.csv").read_bytes())
-    h.update((out_dir / "events.log").read_bytes())
-    return h.hexdigest()
+def output_files(result):
+    """metrics.csv and events.log of a run, by name."""
+    with tempfile.TemporaryDirectory() as out:
+        write_run_outputs(result, out)
+        return {name: (Path(out) / name).read_bytes()
+                for name in ("metrics.csv", "events.log")}
+
+
+def digest(outputs):
+    """The golden digest of a run's output files."""
+    return hashlib.sha256(outputs["metrics.csv"] + outputs["events.log"]).hexdigest()
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
-def test_golden_digest(name, seed, tmp_path):
-    cfg = replace(BASES[name](), seed=seed)
-    assert output_digest(cfg, tmp_path) == GOLDEN[(name, seed)]
+def test_golden_digest(name, seed):
+    result = World(replace(BASES[name](), seed=seed), validate=True).run()
+    assert digest(output_files(result)) == GOLDEN[(name, seed)]

@@ -24,7 +24,6 @@ the clusters that the commit rebuilt. A commit in one copy therefore gives a
 node of the other copy its lagging GATEWAY role early.
 """
 
-import hashlib
 from dataclasses import replace
 from functools import lru_cache
 from itertools import product
@@ -33,12 +32,10 @@ import pytest
 from hypothesis import given, settings
 
 from cogmesh.engine import World
-from test_engine import output_files, small_scenarios
-from test_golden import BASES, GOLDEN
+from test_engine import small_scenarios
+from test_golden import BASES, GOLDEN, SCALE_BASES, digest, output_files
 
-# every golden base but the scale case, which alone takes longer than all of
-# these together
-PROPERTY_BASES = sorted(name for name in BASES if name != "mesh1600")
+PROPERTY_BASES = sorted(set(BASES) - SCALE_BASES)
 PU_FREE_BASES = [name for name in PROPERTY_BASES if BASES[name]().pu_count == 0]
 SEEDS = (1, 2)
 # node 42 joins head 5 at tick 576 and stays ORDINARY until the maintenance
@@ -68,11 +65,6 @@ def run_with_inputs(cfg):
     inputs = drawn_inputs(world)
     result = world.run()
     return inputs, result.events, output_files(result)
-
-
-def digest(outputs):
-    """The golden digest of a run's output files."""
-    return hashlib.sha256(outputs["metrics.csv"] + outputs["events.log"]).hexdigest()
 
 
 @lru_cache(maxsize=None)

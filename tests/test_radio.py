@@ -454,6 +454,18 @@ class TestQuantize:
     def test_interior_bin(self):
         assert quantize(0.6, 4) == 2
 
+    @given(pu_worlds(), st.floats(0.1, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_far_field_terms_are_never_negative(self, world, exponent):
+        # quantize has no branch for q_raw < 0: sense passes it 1 / (1 + acc),
+        # and acc sums these terms; a window past the shown margin keeps them
+        channel_count, pus, positions = world
+        env = make_environment(channel_count, pus, pathloss_exponent=exponent,
+                               history_ticks=2**32 + 1)
+        for pos in positions:
+            _, terms = radio._geometry(env, pos)
+            assert all(term >= 0.0 for term in terms or () if term is not None)
+
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=10.0),
            st.integers(min_value=2, max_value=16))
