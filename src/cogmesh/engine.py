@@ -58,9 +58,11 @@ from types import MappingProxyType
 
 from cogmesh import radio
 from cogmesh.protocol import (
+    GATEWAY,
+    HEAD,
     MEMBER_ROLES,
+    ORDINARY,
     Node,
-    Role,
     SuperframeSchedule,
     lay_out_superframe,
     select_gateways,
@@ -394,7 +396,8 @@ def deliver_messages(transmissions: list, nodes, adjacency):
     `listen` is c, except the tick's senders (one half-duplex radio each);
     two or more arrivals at one receiver collide and are all dropped there.
     `nodes[i].listen` is node i's channel, `adjacency[i]` lists its in-range
-    nodes. Returns (delivered, dropped) as (receiver, message) lists.
+    nodes. Returns (delivered, dropped) as (receiver, message) lists, in
+    transmission order.
     """
     senders = {sender for sender, _, _ in transmissions}
     heard = []
@@ -404,6 +407,8 @@ def deliver_messages(transmissions: list, nodes, adjacency):
             if nodes[r].listen == channel and r not in senders:
                 heard.append((r, msg))
                 arrivals[r] = arrivals.get(r, 0) + 1
+    if len(arrivals) == len(heard):
+        return heard, []                 # one arrival at each receiver
     delivered = [hit for hit in heard if arrivals[hit[0]] == 1]
     dropped = [hit for hit in heard if arrivals[hit[0]] > 1]
     return delivered, dropped
@@ -677,17 +682,20 @@ class World:
         node keeps a member map exactly while it heads a cluster (checked
         first: `clusters` holds the nodes that keep one), a reform lock must
         be a negotiation still in progress, and every node weights only
-        channels of its stage map. Every table entry names another node in
-        range (the one range check; see the module docstring).
+        channels of its stage map, in a map of its own: `swarm.apply_hello`
+        updates it in place, so no other node and no stage map may hold it.
+        Every table entry names another node in range (the one range check;
+        see the module docstring).
         """
         live = set(self.neg_by_working.values())
         adjacency = self.adjacency
-        for n in self.nodes:
+        nodes = self.nodes
+        for n in nodes:
             far = n.table.keys() - adjacency[n.id]
             if far:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} lists node {min(far)}, out of its range")
-            if (n.members is not None) != (n.role is Role.HEAD):
+            if (n.members is not None) != (n.role is HEAD):
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} ({n.role}) must keep a member map "
                     f"exactly while it heads a cluster")
@@ -704,6 +712,17 @@ class World:
             if n.lock is not None and n.lock not in live:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} holds a lock of a finished plan")
+        weight_maps = {id(n.weights): n for n in nodes}
+        if len(weight_maps) < len(nodes):
+            n = next(n for n in nodes if weight_maps[id(n.weights)] is not n)
+            raise SimulationInvariantError(
+                f"t={tick}: nodes {n.id} and {weight_maps[id(n.weights)].id} "
+                f"share one weight map")
+        stage_maps = {id(n.stages) for n in nodes}
+        if not stage_maps.isdisjoint(weight_maps):
+            n = next(n for n in nodes if id(n.weights) in stage_maps)
+            raise SimulationInvariantError(
+                f"t={tick}: node {n.id} weights in a stage map")
         max_slots = self.cfg.max_slots
         for head, hn in self.clusters.items():
             if len(hn.members) > max_slots:
@@ -800,16 +819,16 @@ class World:
         for gateways in self.links.values():
             gateway_nodes.update(gateways)
         for n in self.nodes:
-            if n.role is Role.ORDINARY and n.id in gateway_nodes:
-                n.role = Role.GATEWAY
-            elif n.role is Role.GATEWAY and n.id not in gateway_nodes:
-                n.role = Role.ORDINARY
+            if n.role is ORDINARY and n.id in gateway_nodes:
+                n.role = GATEWAY
+            elif n.role is GATEWAY and n.id not in gateway_nodes:
+                n.role = ORDINARY
 
     # -- reformation --
 
     def _host_head(self, node: Node) -> Node | None:
         """The head of the cluster `node` heads, or lists it as a member."""
-        if node.role is Role.HEAD:
+        if node.role is HEAD:
             return node
         if node.role in MEMBER_ROLES:
             head = self.nodes[node.head_id]
@@ -957,7 +976,7 @@ class World:
                 # head its own by now) makes the plan stale; heads keep such
                 # members listed until the mini-slot TTL fires, so the check
                 # has to look at the node's own state
-                if node.role is Role.HEAD:
+                if node.role is HEAD:
                     if m not in neg.affected:
                         return False
                 elif node.role in MEMBER_ROLES:

@@ -19,7 +19,11 @@ without joining or forming starts its own cluster on a random available
 channel.
 
 Past the beacon, heads and members share one in-frame path (`_in_frame`);
-a member adds only its HELLO in its ND mini-slot. Every sensing round goes
+a member adds only its HELLO in its ND mini-slot. A layout names, beside
+each of its edges, the kind of the segment that starts there
+(`SuperframeSchedule.kinds`: a detection block, the data period, or a
+stretch on the master), so a tick's action needs no walk over the
+detection blocks. Every sensing round goes
 through `_do_sensing`. A node keeps the stage map that `radio.sense` returned
 (available channel -> stage, ascending) as `Node.stages`, and scanning and
 the swarm read it. Every HELLO it builds carries that map as it is, so
@@ -35,8 +39,10 @@ same config, and delivery hands a message over on the tick it is sent. So
 a beacon names its head and the head's master only through its HELLO, and
 the frame it announces starts at the tick a receiver hears it; a member's
 HELLO frame names its cluster head and the tick its public RA starts, whose
-length is the config's `public_ra_ticks`. A HELLO heard in either record
-takes one path (`_hear_hello`) into the neighbor maps and the weights.
+length is the config's `public_ra_ticks`. `Node.on_message` dispatches on
+a message's exact type. A HELLO heard in either record takes one path
+(`_hear_hello`) into the neighbor maps and the weights, which
+`swarm.apply_hello` updates in place.
 
 The engine clocks every node on every tick, but a node acts only at the
 edges of what it is doing: its start tick, the end of a scan interval or a
@@ -45,7 +51,13 @@ edges of the superframe it follows (`SuperframeSchedule.edges`), its own
 mini-slot and the frame end. Each full step therefore records the next such
 tick in `Node.wake`, and `step` returns at once before it. Inside a frame,
 `_sleep_in_frame` derives that tick from the schedule, the frame's gap and a
-member's mini-slot; nothing stores it. Whatever changes a
+member's mini-slot, and the same search of the edges finds the kind of
+segment the tick lies in; nothing stores either. It is a frame tick's one
+wake computation: `_in_frame` calls it, as do a member's HELLO tick and its
+ticks without a beacon. A member also wakes on the tick after its HELLO.
+When its mini-slot starts right at a detection block's end, its HELLO tick
+is that block's end edge and leaves `listen` as the block set it (None);
+that next tick puts it back on the master. Whatever changes a
 node's plans from outside its own step clears `wake` so that its next step
 runs in full: every role entry (`_clear_role_state`, hence `become_head`,
 `become_member`, `_restart_scan` and the engine's reformation commits), a
@@ -80,6 +92,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -103,7 +116,12 @@ class Role(enum.Enum):
     GATEWAY = "gateway"
 
 
-MEMBER_ROLES = (Role.ORDINARY, Role.GATEWAY)
+# The roles under module names, which the per-tick paths read: in CPython 3.11
+# reading `Role.HEAD` calls a descriptor, at about 15 times the cost of
+# reading a global.
+SCANNING, HEAD, ORDINARY, GATEWAY = (Role.SCANNING, Role.HEAD, Role.ORDINARY,
+                                     Role.GATEWAY)
+MEMBER_ROLES = (ORDINARY, GATEWAY)
 
 
 @dataclass(frozen=True)
@@ -114,8 +132,9 @@ class SuperframeSchedule:
     detection blocks sit in the gaps before some of the last four. So the
     public RA is always the frame's last `public_ra_ticks` ticks
     (`ScenarioConfig.pra_start`), and a layout keeps only what the gaps
-    move: where ND and data start and each detection block's (start, end)
-    ticks, so the layout's size does not depend on the blocks' length."""
+    move: where ND and data start, each detection block's (start, end)
+    ticks and the edges between them, so the layout's size does not depend
+    on the blocks' length."""
 
     nd_start: int
     data_start: int
@@ -124,6 +143,16 @@ class SuperframeSchedule:
     # before: rel 1, detection-block and data-period edges, the frame's last
     # tick; sorted
     edges: tuple[int, ...]
+    # what a node does from each edge up to the next one: DETECT, DATA or
+    # ON_MASTER
+    kinds: tuple[str, ...]
+
+
+# the kinds of the segments between a layout's edges: a detection block, the
+# data period, or any other stretch, where a node listens on its master
+DETECT = "detect"
+DATA = "data"
+ON_MASTER = "master"
 
 
 def build_superframe(params: ScenarioConfig, rng: Random) -> SuperframeSchedule:
@@ -148,12 +177,18 @@ def lay_out_superframe(params: ScenarioConfig,
         starts.append(start)
         start += length
     data_start = starts[2]
-    edges = {1, data_start, data_start + params.data_ticks, start - 1}
+    data_end = data_start + params.data_ticks
+    edges = {1, data_start, data_end, start - 1}
     for block in blocks:
         edges.update(block)
+    edges = tuple(sorted(edges))
+    kinds = tuple(
+        DETECT if any(b0 <= e < b1 for b0, b1 in blocks)
+        else DATA if data_start <= e < data_end else ON_MASTER
+        for e in edges)
     return SuperframeSchedule(
         nd_start=starts[1], data_start=data_start,
-        detect_blocks=tuple(blocks), edges=tuple(sorted(edges)),
+        detect_blocks=tuple(blocks), edges=edges, kinds=kinds,
     )
 
 
@@ -321,14 +356,14 @@ def upsert_from_hello(table: dict, two_hop: dict, hello: HelloMessage, tick: int
 
 
 def evict_stale(table: dict, two_hop: dict, tick: int, ttl_ticks: int) -> bool:
-    """Drop the entries of both maps not refreshed within the TTL window;
-    returns whether a 1-hop entry was dropped."""
-    dead = [nid for nid, e in table.items() if tick - e.last_seen > ttl_ticks]
+    """Drop the entries of both maps not refreshed within the TTL window
+    (last seen before `tick - ttl_ticks`); returns whether a 1-hop entry
+    was dropped."""
+    oldest = tick - ttl_ticks
+    dead = [nid for nid, e in table.items() if e.last_seen < oldest]
     for nid in dead:
         del table[nid]
-    dead_two_hop = [nid for nid, (_, seen) in two_hop.items()
-                    if tick - seen > ttl_ticks]
-    for nid in dead_two_hop:
+    for nid in [nid for nid, (_, seen) in two_hop.items() if seen < oldest]:
         del two_hop[nid]
     return bool(dead)
 
@@ -342,22 +377,20 @@ def select_offmaster_scan(master: int, stages: dict, two_hop: dict,
     index); otherwise sample the remaining channels with probability
     proportional to (q_stage + 1).
     """
-    near = stages.keys() & {m for m, _ in two_hop.values()}
+    near = {m for m, _ in two_hop.values()}
+    near.intersection_update(stages)
     near.discard(master)
     near -= visited
     if near:
         return min(near)
-    cands = sorted(ch for ch in stages if ch != master)
+    cands = [ch for ch in stages if ch != master]
     if not cands:
         return None
-    weights = [stages[ch] + 1 for ch in cands]
-    pick = rng.random() * sum(weights)
-    acc = 0.0
-    for ch, w in zip(cands, weights):
-        acc += w
-        if pick < acc:
-            return ch
-    return cands[-1]
+    cands.sort()
+    # the first channel whose running total exceeds the pick
+    bounds = list(accumulate([stages[ch] + 1 for ch in cands]))
+    i = bisect_right(bounds, rng.random() * bounds[-1])
+    return cands[i] if i < len(cands) else cands[-1]
 
 
 def select_gateways(head_a: Node, head_b: Node, nodes) -> tuple[int, ...] | None:
@@ -375,17 +408,15 @@ def select_gateways(head_a: Node, head_b: Node, nodes) -> tuple[int, ...] | None
         return y in nodes[x].table or x in nodes[y].table
 
     ha, hb = head_a.id, head_b.id
-    nodes_a = [ha] + sorted(head_a.members)
-    nodes_b = [hb] + sorted(head_b.members)
-    singles = sorted(
-        x for x in set(nodes_a) | set(nodes_b)
-        if x not in (ha, hb) and linked(x, ha) and linked(x, hb)
-    )
-    if singles:
-        return (singles[0],)
-    pairs = sorted((a, b) for a in nodes_a for b in nodes_b if linked(a, b))
-    if pairs:
-        return pairs[0]
+    # the first hit in ascending order is the lowest
+    for x in sorted((head_a.members.keys() | head_b.members.keys()) - {ha, hb}):
+        if linked(x, ha) and linked(x, hb):
+            return (x,)
+    nodes_b = sorted([hb, *head_b.members])
+    for a in sorted([ha, *head_a.members]):
+        for b in nodes_b:
+            if linked(a, b):
+                return (a, b)
     return None
 
 
@@ -471,13 +502,15 @@ class Node:
         if upsert_from_hello(self.table, self.two_hop, hello, tick,
                              cluster_head, self.id):
             self._hello = None
-        if not self.p.swarm_enabled or not self.weights:
+        weights = self.weights
+        if not weights or not self.p.swarm_enabled:
             return
-        self.weights = swarm.apply_hello(self.weights, hello, self.stages,
-                                         self.p.reward)
+        # updates the node's own map in place
+        swarm.apply_hello(weights, hello, self.stages, self.p.reward)
         # a node with a scan is scanning; one without weights returned above
-        if self.scan is not None and self.scan.join_target is None:
-            self.master = swarm.select_master(self.weights)
+        scan = self.scan
+        if scan is not None and scan.join_target is None:
+            self.master = swarm.select_master(weights)
 
     # -- lifecycle --
 
@@ -513,7 +546,7 @@ class Node:
         """Head a cluster on `master` with the member map `members`; its
         first frame starts at `frame_start`."""
         self._clear_role_state()
-        self.role = Role.HEAD
+        self.role = HEAD
         self.master = master
         self.members = members
         self.frame_offset = frame_offset
@@ -526,7 +559,7 @@ class Node:
         at the `grace` tick unless a beacon arrives before it. `grace` is
         None only when the caller follows a beacon at once."""
         self._clear_role_state()
-        self.role = Role.ORDINARY
+        self.role = ORDINARY
         self.master = master
         self.head_id = head
         self.slot = slot
@@ -541,7 +574,7 @@ class Node:
 
     def _restart_scan(self, first_channel: int | None, tick: int):
         """(Re-)enter scanning; with no channels the node idles dormant."""
-        self.role = Role.SCANNING
+        self.role = SCANNING
         self._clear_role_state()
         if not self.stages:
             self.master = None
@@ -567,9 +600,9 @@ class Node:
                 self.wake = self.start_tick
                 return
             self.activate(tick, ctx)
-        if self.role is Role.SCANNING:
+        if self.role is SCANNING:
             self._step_scan(tick, ctx)
-        elif self.role is Role.HEAD:
+        elif self.role is HEAD:
             self._step_head(tick, ctx)
         else:
             self._step_member(tick, ctx)
@@ -586,7 +619,7 @@ class Node:
         if self.p.swarm_enabled:
             self.weights = swarm.refresh_from_sensing(self.weights, self.stages,
                                                       self.p.alpha)
-        if self.master not in self.stages and self.role is not Role.SCANNING:
+        if self.master not in self.stages and self.role is not SCANNING:
             new = self._select_current()
             self._leave_for(new, tick, ctx)
             return False
@@ -692,7 +725,6 @@ class Node:
         if rel == 0:
             self._head_frame_start(tick, ctx)
             return
-        self._sleep_in_frame(rel)
         self._in_frame(rel, tick, ctx, offscan=not self.members)
 
     def _head_frame_start(self, tick: int, ctx):
@@ -749,68 +781,72 @@ class Node:
         if rel == 0:
             self.listen = self.master
             return
+        if self.have_beacon and rel != self.sched.nd_start + self.slot:
+            self._in_frame(rel, tick, ctx, offscan=True)
+            return
         self._sleep_in_frame(rel)
-        if rel == 1 and not self.have_beacon:
+        if self.have_beacon:                # its HELLO mini-slot
+            ctx.transmit(self, self.master, HelloFrame(
+                self.hello(), cluster_head=self.head_id,
+                pra_start=self.frame_start + self.p.pra_start))
+            return
+        if rel == 1:
             self.beacons_missed += 1
             if self.beacons_missed >= self.p.neighbor_ttl_superframes:
                 self._leave_for(self._select_current(), tick, ctx)
                 return
-        if not self.have_beacon:
-            self.listen = self.master
-            if rel == self.p.frame_len - 1:
-                self._frame_end(tick, ctx)
-            return
-        if rel == self.sched.nd_start + self.slot:
-            ctx.transmit(self, self.master, HelloFrame(
-                self.hello(), cluster_head=self.head_id,
-                pra_start=self.frame_start + self.p.pra_start))
-        else:
-            self._in_frame(rel, tick, ctx, offscan=True)
-
-    def _in_frame(self, rel: int, tick: int, ctx, offscan: bool):
-        """Sense in the detection blocks (never a frame's last tick), listen
-        off the master through the data period when `offscan` and on it
-        otherwise, and close the frame on its last tick."""
-        sched = self.sched
-        blocks = sched.detect_blocks
-        for start, end in blocks:
-            if start <= rel < end:
-                self.listen = None
-                if rel == blocks[0][0]:
-                    self._do_sensing(tick, ctx)
-                return
-        data_start = sched.data_start
-        if offscan and data_start <= rel < data_start + self.p.data_ticks:
-            if rel == data_start:
-                self.offscan_ch = select_offmaster_scan(
-                    self.master, self.stages, self.two_hop,
-                    self.offscan_seen, self.rng)
-                if self.offscan_ch is not None:
-                    if self.offscan_seen:
-                        self.offscan_seen.add(self.offscan_ch)
-                    else:
-                        self.offscan_seen = {self.offscan_ch}
-            self.listen = self.offscan_ch if self.offscan_ch is not None else self.master
-        else:
-            self.listen = self.master
+        self.listen = self.master
         if rel == self.p.frame_len - 1:
             self._frame_end(tick, ctx)
 
-    def _sleep_in_frame(self, rel: int):
+    def _in_frame(self, rel: int, tick: int, ctx, offscan: bool):
+        """Sleep to the frame's next break and act on tick `rel` by the kind
+        of segment it lies in, both from one `_sleep_in_frame` search: in a
+        detection block listen nowhere and sense at the first block's start
+        (never a frame's last tick); in the data period listen off the
+        master when `offscan`, on a channel picked at its start; elsewhere
+        listen on the master, and close the frame on its last tick."""
+        kind = self._sleep_in_frame(rel)
+        if kind is DETECT:
+            self.listen = None
+            if rel == self.sched.detect_blocks[0][0]:
+                self._do_sensing(tick, ctx)
+        elif kind is DATA and offscan:
+            if rel == self.sched.data_start:
+                ch = self.offscan_ch = select_offmaster_scan(
+                    self.master, self.stages, self.two_hop,
+                    self.offscan_seen, self.rng)
+                if ch is not None:
+                    if self.offscan_seen:
+                        self.offscan_seen.add(ch)
+                    else:
+                        self.offscan_seen = {ch}
+            ch = self.offscan_ch
+            self.listen = self.master if ch is None else ch
+        else:
+            self.listen = self.master
+            if rel == self.p.frame_len - 1:
+                self._frame_end(tick, ctx)
+
+    def _sleep_in_frame(self, rel: int) -> str:
         """Keep doing what this tick does until the frame's next break: the
         schedule's next edge, a member's HELLO mini-slot or the tick after
-        it, or else `frame_gap`, the start of the next frame."""
-        edges = self.sched.edges
+        it, or else `frame_gap`, the start of the next frame. Returns the
+        kind of the segment that tick `rel` (at least 1) lies in, found by
+        the same search."""
+        sched = self.sched
+        edges = sched.edges
         i = bisect_right(edges, rel)
         nxt = edges[i] if i < len(edges) else self.frame_gap
         slot = self.slot
         if slot is not None:
-            own = self.sched.nd_start + slot
+            own = sched.nd_start + slot
             if rel == own:
                 own += 1                # the tick after its HELLO
             if rel < own < nxt:
                 nxt = own
         self.wake = self.frame_start + nxt
+        return sched.kinds[i - 1]
 
     def _frame_end(self, tick: int, ctx):
         if evict_stale(self.table, self.two_hop, tick, self.p.ttl_ticks):
@@ -826,11 +862,12 @@ class Node:
     # -- message handling ----------------------------------------------------------
 
     def on_message(self, msg, tick: int, ctx):
-        if isinstance(msg, HelloFrame):
+        kind = type(msg)
+        if kind is HelloFrame:
             self._on_hello(msg, tick, ctx)
-        elif isinstance(msg, Beacon):
+        elif kind is Beacon:
             self._on_beacon(msg, tick, ctx)
-        elif isinstance(msg, JoinRequest):
+        elif kind is JoinRequest:
             self._on_join_request(msg, tick)
 
     def _on_join_request(self, msg: JoinRequest, tick: int):
@@ -839,7 +876,7 @@ class Node:
         tick, so the first heard is the earliest sent. A head steps before
         delivery and lays out each frame at its start, so a head that has no
         schedule yet has not reached its first frame: `rel` is negative."""
-        if self.role is not Role.HEAD or msg.head != self.id:
+        if self.role is not HEAD or msg.head != self.id:
             return
         rel = tick - self.frame_start
         if self.join_first is None and self.p.pra_start <= rel < self.p.frame_len:
@@ -848,7 +885,7 @@ class Node:
     def _on_hello(self, frame: HelloFrame, tick: int, ctx):
         hello = frame.hello
         self._hear_hello(hello, tick, frame.cluster_head)
-        if self.role is Role.HEAD and hello.sender in self.members:
+        if self.role is HEAD and hello.sender in self.members:
             self.member_heard[hello.sender] = self.frames_in_cluster
         s = self.scan
         if s is not None:
@@ -866,7 +903,7 @@ class Node:
     def _on_beacon(self, b: Beacon, tick: int, ctx):
         head = b.hello.sender
         self._hear_hello(b.hello, tick, head)
-        if self.role is Role.SCANNING:
+        if self.role is SCANNING:
             self._scan_beacon(b, tick, ctx)
         elif self.role in MEMBER_ROLES and head == self.head_id:
             self._sync_with_beacon(b, tick, ctx)

@@ -13,6 +13,16 @@ HELLO's quality payload is that map, `HelloMessage.stages`: the sender's
 own, so HELLOs built from one map share it. Its neighbor list names each
 of the sender's 1-hop neighbors with that neighbor's master, (id, master),
 which is all that 2-hop discovery reads.
+
+Both kernels run once per event, so each makes one pass and builds as
+little as it can, with every float expression as the composition they
+replaced wrote it (`tests/test_swarm.py` keeps that composition as the
+oracle). `apply_hello` updates the weight map it is given in place: each
+node owns its map, and no other node or record holds it. Sensing replaces
+the map: `refresh_from_sensing` returns a new one over the new stage map's
+channels. Its sums stay `sum()` calls on purpose: from CPython 3.12 float
+`sum()` is compensated, so a hand-written loop would round differently on
+some interpreters.
 """
 
 from __future__ import annotations
@@ -109,7 +119,7 @@ def select_master(weights: WeightList) -> int:
 
 def apply_hello(weights: WeightList, hello: HelloMessage, stages: dict,
                 params: RewardParams) -> WeightList:
-    """Update a weight list from one received HELLO.
+    """Update a weight list from one received HELLO, in place.
 
     The advertised master is reinforced by r*(1-W) and every other channel
     decays by (1-r), keeping the sum at one. r is `reward` of the sender's
@@ -118,9 +128,14 @@ def apply_hello(weights: WeightList, hello: HelloMessage, stages: dict,
     must be in `stages`. A HELLO for a channel that is not locally
     available, or whose stage the sender does not report, changes nothing:
     a node cannot adopt a channel it cannot use.
+
+    `weights` itself is updated and returned, its channel order unchanged.
+    A node owns its map and shares it with no other node or record
+    (`engine.World._validate` checks this), so no copy is needed.
     """
     target = hello.master
-    if target not in weights:
+    w = weights.get(target)
+    if w is None:
         return weights
     reported = hello.stages.get(target)
     if reported is None:
@@ -130,10 +145,10 @@ def apply_hello(weights: WeightList, hello: HelloMessage, stages: dict,
     if r is None:
         r = params.rewards[delta] = reward(float(delta), params)
     decay = 1.0 - r
-    out = {ch: w * decay for ch, w in weights.items()}
-    w = weights[target]
-    out[target] = w + r * (1.0 - w)
-    return out
+    for ch, v in weights.items():
+        weights[ch] = v * decay
+    weights[target] = w + r * (1.0 - w)
+    return weights
 
 
 def initial_weights(stages: dict) -> WeightList:
@@ -160,15 +175,22 @@ def refresh_from_sensing(weights: WeightList, stages: dict,
     equals `initial_weights(stages)` for every alpha. `alpha` must lie in
     [0, 1]; configuration validation checks that, not each call.
 
-    The result weights exactly the channels of `stages`. Running this after
-    every new stage map keeps a node's weight channels a subset of its
-    stage-map channels, the invariant that `apply_hello` relies on.
+    The result is a new map over exactly the channels of `stages`, in their
+    order. Running this after every new stage map keeps a node's weight
+    channels a subset of its stage-map channels, the invariant that
+    `apply_hello` relies on. Past the two `sum()` calls (kept on purpose;
+    see the module docstring) it makes one pass over the stage map,
+    computing each Q entry where it is blended in; Q is built as a map
+    (`initial_weights`) only when it is the result.
     """
-    target = initial_weights(stages)
-    kept = [weights.get(ch, 0.0) for ch in target]
+    kept = [weights.get(ch, 0.0) for ch in stages]
     mass = sum(kept)
     if mass <= 0.0:
-        return target
+        return initial_weights(stages)      # raises when `stages` is empty
     keep = 1.0 - alpha
-    return {ch: keep * (w / mass) + alpha * q
-            for (ch, q), w in zip(target.items(), kept)}
+    total = sum(stages.values())
+    if total == 0:
+        q = alpha * (1.0 / len(stages))
+        return {ch: keep * (w / mass) + q for ch, w in zip(stages, kept)}
+    return {ch: keep * (w / mass) + alpha * (s / total)
+            for (ch, s), w in zip(stages.items(), kept)}

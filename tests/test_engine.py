@@ -769,6 +769,37 @@ class TestClusterView:
             world._validate(25)
 
 
+class TestWeightMapOwnership:
+    """`swarm.apply_hello` updates a node's weight map in place, so the map
+    must be the node's own."""
+
+    def world(self):
+        world = World(ScenarioConfig(su_count=3, channel_count=2),
+                      su_positions=[(10.0 * i, 0.0) for i in range(3)])
+        for node in world.nodes:
+            node.apply_observations({0: 3, 1: 2})
+            node._restart_scan(None, 0)
+        return world
+
+    def test_own_maps_pass(self):
+        world = self.world()
+        assert len({id(n.weights) for n in world.nodes}) == 3
+        world._validate(25)
+
+    def test_a_shared_weight_map_fails_validation(self):
+        world = self.world()
+        world.nodes[2].weights = world.nodes[0].weights
+        with pytest.raises(SimulationInvariantError,
+                           match="nodes 0 and 2 share one weight map"):
+            world._validate(25)
+
+    def test_a_stage_map_as_weights_fails_validation(self):
+        world = self.world()
+        world.nodes[1].weights = world.nodes[1].stages
+        with pytest.raises(SimulationInvariantError,
+                           match="node 1 weights in a stage map"):
+            world._validate(25)
+
 @st.composite
 def small_scenarios(draw):
     """Small valid scenarios over both PU models, sensing windows of 1-8

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogmesh import protocol
 from cogmesh.engine import ScenarioConfig, World
 from cogmesh.protocol import (
     JOIN_ATTEMPT_LIMIT,
@@ -196,6 +197,26 @@ class TestSuperframe:
             assert ref.periods[-1] == (PUBLIC_RA, params.pra_start,
                                        params.public_ra_ticks)
             assert ref.data_len == params.data_ticks
+
+    @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
+    @pytest.mark.parametrize("detect_ticks", [1, 2, 2**64])
+    def test_each_edge_names_the_kind_of_its_segment(self, detect_periods,
+                                                     detect_ticks):
+        # the segment from an edge to the next lies in one reference period:
+        # a detection block, the data period, or one where a node listens
+        # on its master
+        params = ScenarioConfig(detect_periods=detect_periods,
+                                detect_ticks=detect_ticks, frame_jitter_max=0,
+                                scan_interval_ticks=2**67)
+        kind_of = {DETECT: protocol.DETECT, DATA: protocol.DATA}
+        for gaps in combinations(range(1, 5), detect_periods):
+            sched = lay_out_superframe(params, gaps)
+            ref = reference_layout(params, gaps)
+            assert len(sched.kinds) == len(sched.edges)
+            for edge, kind in zip(sched.edges, sched.kinds):
+                (period,) = [k for k, start, length in ref.periods
+                             if start <= edge < start + length]
+                assert kind is kind_of.get(period, protocol.ON_MASTER)
 
     @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
     def test_draw_consumes_the_rng_as_one_sample(self, detect_periods):
@@ -981,6 +1002,177 @@ class TestFrameBreaks:
                         node._sleep_in_frame(rel)
                         assert node.wake == 1000 + breaks[bisect_right(breaks, rel)], \
                             (sched.edges, slot, gap, rel)
+
+
+# --- the in-frame tick as it was before the segment kinds: the reference ------
+
+def reference_sleep_in_frame(node, rel):
+    edges = node.sched.edges
+    i = bisect_right(edges, rel)
+    nxt = edges[i] if i < len(edges) else node.frame_gap
+    slot = node.slot
+    if slot is not None:
+        own = node.sched.nd_start + slot
+        if rel == own:
+            own += 1                # the tick after its HELLO
+        if rel < own < nxt:
+            nxt = own
+    node.wake = node.frame_start + nxt
+
+
+def reference_in_frame(node, rel, tick, ctx, offscan):
+    sched = node.sched
+    blocks = sched.detect_blocks
+    for start, end in blocks:
+        if start <= rel < end:
+            node.listen = None
+            if rel == blocks[0][0]:
+                node._do_sensing(tick, ctx)
+            return
+    data_start = sched.data_start
+    if offscan and data_start <= rel < data_start + node.p.data_ticks:
+        if rel == data_start:
+            node.offscan_ch = protocol.select_offmaster_scan(
+                node.master, node.stages, node.two_hop, node.offscan_seen,
+                node.rng)
+            if node.offscan_ch is not None:
+                if node.offscan_seen:
+                    node.offscan_seen.add(node.offscan_ch)
+                else:
+                    node.offscan_seen = {node.offscan_ch}
+        node.listen = node.offscan_ch if node.offscan_ch is not None else node.master
+    else:
+        node.listen = node.master
+    if rel == node.p.frame_len - 1:
+        node._frame_end(tick, ctx)
+
+
+def reference_frame_tick(node, rel, tick, ctx):
+    """A step at `rel` >= 1 into the frame of a head, or of a member that
+    heard the frame's beacon, as `step` took it before."""
+    node.wake = tick + 1
+    reference_sleep_in_frame(node, rel)
+    if node.slot is None:
+        reference_in_frame(node, rel, tick, ctx, offscan=not node.members)
+    elif rel == node.sched.nd_start + node.slot:
+        ctx.transmit(node, node.master, HelloFrame(
+            node.hello(), cluster_head=node.head_id,
+            pra_start=node.frame_start + node.p.pra_start))
+    else:
+        reference_in_frame(node, rel, tick, ctx, offscan=True)
+
+
+class ActingNode(Node):
+    """A node that records the actions of a frame tick in `actions` instead
+    of sensing or closing its frame."""
+
+    def _do_sensing(self, tick, ctx):
+        self.actions.append("sense")
+        return True
+
+    def _frame_end(self, tick, ctx):
+        self.actions.append("frame end")
+
+
+FRAME_START = 1000
+UNSET = -7                              # a `listen` no tick writes
+
+
+def framed_node(cfg, sched, gap, slot, members):
+    """A head (`slot` None) with the member map `members`, or a member in
+    mini-slot `slot` that heard its beacon, in a frame of `sched` that
+    started at FRAME_START and lasts `gap` ticks."""
+    node = ActingNode(5, (0.0, 0.0), Random(3), cfg)
+    node.apply_observations({0: 3, 1: 1, 2: 2})
+    if slot is None:
+        node.become_head(0, dict(members), 0, FRAME_START)
+    else:
+        node.become_member(9, 0, slot, None)
+        node.have_beacon = True
+    node.sched, node.frame_gap, node.frame_start = sched, gap, FRAME_START
+    node.offscan_ch = 2                 # as if picked at the data period's start
+    node.listen = UNSET
+    node.actions = []
+    return node
+
+
+class TestFrameTick:
+    """The in-frame tick against the reference above: one search of the
+    schedule's edges gives both the wake and the kind of segment a tick
+    lies in."""
+
+    @pytest.fixture
+    def picks(self, monkeypatch):
+        """Records each off-master pick, by whichever path makes it."""
+        picks = []
+        pick = protocol.select_offmaster_scan
+
+        def recorded(*args):
+            picks.append(args[0])
+            return pick(*args)
+        monkeypatch.setattr(protocol, "select_offmaster_scan", recorded)
+        return picks
+
+    def tick_both(self, cfg, sched, gap, slot, members, rel, picks):
+        """(listen, wake, actions, off-master channel) of the reference's
+        tick and of `step`'s."""
+        out = []
+        for run in (reference_frame_tick, None):
+            node = framed_node(cfg, sched, gap, slot, members)
+            sent = []
+            ctx = SimpleNamespace(transmit=lambda n, ch, msg: sent.append(
+                ("HELLO", ch, msg)))
+            picks.clear()
+            tick = FRAME_START + rel
+            if run is None:
+                node.wake = 0
+                node.step(tick, ctx)
+            else:
+                run(node, rel, tick, ctx)
+            actions = node.actions + [("pick", m) for m in picks] + sent
+            out.append((node.listen, node.wake, actions, node.offscan_ch))
+        return out
+
+    @pytest.mark.parametrize("detect_periods", [1, 2, 3, 4])
+    def test_every_tick_matches_the_reference(self, detect_periods, picks):
+        cfg = ScenarioConfig(detect_periods=detect_periods, frame_jitter_max=4,
+                             scan_interval_ticks=40)
+        roles = [(None, {}), (None, {7: 0})] + [(slot, {})
+                                                 for slot in range(cfg.max_slots)]
+        acted = set()
+        for sched in cfg.layouts.values():
+            for slot, members in roles:
+                for gap in range(cfg.frame_len,
+                                 cfg.frame_len + cfg.frame_jitter_max + 1):
+                    for rel in range(1, gap):
+                        want, got = self.tick_both(cfg, sched, gap, slot,
+                                                   members, rel, picks)
+                        assert got == want, (sched.edges, slot, members, gap, rel)
+                        acted.update(a if isinstance(a, str) else a[0]
+                                     for a in got[2])
+        # every action of a frame tick was compared
+        assert acted == {"sense", "pick", "frame end", "HELLO"}
+
+    def test_slot_zero_right_after_a_block_keeps_the_wake_after_its_hello(self):
+        # detection blocks before ND and intra RA: ND starts at the first
+        # block's end, so mini-slot 0's HELLO tick is that block's end edge
+        cfg = ScenarioConfig(detect_periods=2)
+        sched = cfg.layouts[(1, 3)]
+        assert sched.detect_blocks[0] == (1, 3) and sched.nd_start == 3
+        node = framed_node(cfg, sched, cfg.frame_len, 0, {})
+        sent = []
+        ctx = SimpleNamespace(transmit=lambda n, ch, msg: sent.append(msg))
+        node.wake = 0
+        node.step(FRAME_START + 1, ctx)
+        assert (node.listen, node.actions) == (None, ["sense"])
+        assert node.wake == FRAME_START + 3
+        node.step(FRAME_START + 3, ctx)
+        # the HELLO tick leaves the block's `listen` as it was; the node
+        # wakes on the next tick to listen on its master again
+        assert len(sent) == 1 and node.listen is None
+        assert node.wake == FRAME_START + 4
+        node.step(FRAME_START + 4, ctx)
+        assert node.listen == node.master == 0
 
 
 class TestBeaconMembers:

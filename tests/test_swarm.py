@@ -224,29 +224,35 @@ class TestApplyHello:
     @settings(max_examples=400, deadline=None)
     def test_bit_identical_to_the_composition(self, sensed, msg, params):
         weights, local = sensed
+        # the kernel updates its map in place, so it gets a copy and the
+        # oracle, which builds a new map, gets the original
+        mine = dict(weights)
         # reuses `params`, so later draws also read its reward memo
-        got = apply_hello(weights, msg, local, params)
+        got = apply_hello(mine, msg, local, params)
         want = composed_apply_hello(weights, msg, local, params)
         assert same_bits(got, want)
-        # a HELLO that changes nothing hands back the same list
-        assert (got is weights) == (want is weights)
+        # the map passed in is the map handed back
+        assert got is mine
 
     @given(weighted_stage_maps().filter(lambda sensed: sensed[0]),
            st.lists(hellos, max_size=30), reward_params)
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_over_sequences(self, sensed, msgs, params):
         weights, local = sensed
-        got = want = weights
+        mine = dict(weights)
+        want = weights
         for msg in msgs:
-            got = apply_hello(got, msg, local, params)
+            assert apply_hello(mine, msg, local, params) is mine
             want = composed_apply_hello(want, msg, local, params)
-            assert same_bits(got, want)
+            assert same_bits(mine, want)
 
     def test_reward_memo_holds_the_reward_of_each_stage_gap(self):
         params = RewardParams(a=0.7)
         w = {0: 0.2, 1: 0.8}
         for reported in range(4):
-            apply_hello(w, hello(0, {0: reported}), {0: 0, 1: 2}, params)
+            # a copy each time: the kernel updates the map it is given, and
+            # every call must see the local choice ch1 at stage 2
+            apply_hello(dict(w), hello(0, {0: reported}), {0: 0, 1: 2}, params)
         assert params.rewards == {d: reward(float(d), params) for d in (-2, -1, 0, 1)}
         # the memo is no part of the constants' identity
         assert params == RewardParams(a=0.7) and hash(params) == hash(RewardParams(a=0.7))
@@ -310,6 +316,8 @@ class TestRefreshFromSensing:
                      st.sampled_from([0.0, 0.1, 1.0])))
     @example({0: 0.0, 1: 0.0}, {0: 2, 1: 1}, 0.3)
     @example({0: 1.0}, {0: 0, 1: 0}, 0.5)
+    # all-zero stages over 5 channels: alpha * (1/5) and alpha / 5 round apart
+    @example({0: 1.0}, {c: 0 for c in range(5)}, 0.1)
     @settings(max_examples=400, deadline=None)
     def test_bit_identical_to_the_composition(self, weights, stages, alpha):
         got = refresh_from_sensing(weights, stages, alpha)

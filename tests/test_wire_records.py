@@ -48,6 +48,7 @@ READERS = {
         "data_start": "cogmesh.protocol:Node._in_frame",
         "detect_blocks": "cogmesh.protocol:Node._in_frame",
         "edges": "cogmesh.protocol:Node._sleep_in_frame",
+        "kinds": "cogmesh.protocol:Node._sleep_in_frame",
     },
 }
 
