@@ -30,10 +30,10 @@ Gateway maintenance, once per `frame_len` ticks, drops every link that
 `_link_valid` rejects and links each newly discovered pair. A pair is
 discovered only through a 1-hop table entry x -> y across the two clusters,
 so `select_gateways` finds at least the pair form, and a pair it cannot link
-raises `SimulationInvariantError`. Links lag by design: a head
-that leaves its cluster leaves `links` alone, so a link to a dissolved
-cluster, and its nodes' GATEWAY role, last until the next pass; a reformation
-commit drops the links of the clusters it rebuilds at once.
+raises `SimulationInvariantError`. Only the pass writes `links` and gives or
+takes the GATEWAY role, so links lag by design: a head leaving its cluster
+and a reformation commit leave `links` alone, and a stale link, with its
+nodes' GATEWAY role, lasts until the next pass.
 
 `ScenarioConfig` is the one frozen parameter object. It declares every
 scenario default, checks its values when it is built (so a config parsed,
@@ -341,7 +341,9 @@ class RunResult:
     samples: list
     events: list
     settle_ticks: dict
-    gateway_latencies: list    # (head_a, head_b, discovered_tick, linked_tick)
+    # (head_a, head_b, discovered_tick, linked_tick); both ticks are the
+    # tick of the maintenance pass that made the link
+    gateway_latencies: list
 
 
 def largest_same_master_component(neighbors: list, masters: list) -> int:
@@ -1006,13 +1008,8 @@ class World:
                            _next_boundary(tick, offset, self.cfg.frame_len))
             for m, slot in slot_map.items():
                 self.nodes[m].become_member(head, master, slot, grace)
-        affected = neg.affected
-        for key in [key for key in self.links
-                    if key[0] in affected or key[1] in affected]:
-            del self.links[key]
-        self._refresh_gateway_roles()
         self.log(tick, "reform", working=neg.working, status="committed",
-                 gain=neg.gain, pre=len(affected), post=len(neg.clusters))
+                 gain=neg.gain, pre=len(neg.affected), post=len(neg.clusters))
 
 
 def run(config: ScenarioConfig) -> RunResult:

@@ -37,6 +37,7 @@ from cogmesh.protocol import (
     emit_hello,
 )
 from cogmesh.radio import MarkovActivity, PeriodicActivity, PrimaryUser
+from cogmesh.reformation import Negotiation, cluster_nodes
 from test_golden import BASES, SCALE_BASES, output_files
 
 
@@ -719,6 +720,51 @@ class TestLinkInvariant:
             world._validate_links(32)
         world._gateway_maintenance(32)
         world._validate_links(32)
+
+    def test_a_commit_leaves_links_and_roles_to_the_next_pass(self):
+        # clusters 0 {1, 2}, 3 {4}, 5 {6} and 7 {8}; node 9 is in none
+        cfg = ScenarioConfig(su_count=10, channel_count=1, duration_ticks=100)
+        world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(10)])
+        for n in world.nodes:
+            n.stages = {0: 1}
+        for head, members in ((0, [1, 2]), (3, [4]), (5, [6]), (7, [8])):
+            world.nodes[head].become_head(
+                0, {m: i for i, m in enumerate(members)}, 0, 0)
+            for i, m in enumerate(members):
+                world.nodes[m].become_member(head, 0, i, None)
+        world.nodes[0].table[4] = NeighborEntry(master=0, last_seen=0)
+        world.nodes[5].table[8] = NeighborEntry(master=0, last_seen=0)
+        links = {
+            (0, 3): (0, 4),     # touches rebuilt head 0, stays valid
+            (5, 7): (5, 8),     # touches rebuilt head 5, stays valid
+            (3, 7): (4, 9),     # elsewhere, stale: 9 is in no cluster
+        }
+        world.links.update(links)
+        world._refresh_gateway_roles()
+        # node 8 enters its member role again after that pass: ORDINARY while
+        # its link stays, until the next pass makes it GATEWAY again
+        world.nodes[8].become_member(7, 0, 0, None)
+        roles = [n.role for n in world.nodes]
+        assert (roles[4], roles[8]) == (Role.GATEWAY, Role.ORDINARY)
+
+        # node 2 moves from cluster 0 to cluster 5; every node keeps its role
+        affected = {h: cluster_nodes(world.nodes[h]) for h in (0, 5)}
+        neg = Negotiation(0, 0, ((0, (0, 1)), (5, (2, 5, 6))), affected, set())
+        world.neg_by_working[0] = neg
+        world._apply_commit(neg, 40)
+        assert world.events[-1].get("status") == "committed"
+        assert world.nodes[5].members.keys() == {2, 6}
+        assert world.links == links
+        assert [n.role for n in world.nodes] == roles
+
+        logged = len(world.events)
+        world._gateway_maintenance(64)
+        del links[(3, 7)]
+        assert world.links == links
+        assert world.events[logged:] == []
+        roles[8] = Role.GATEWAY
+        assert [n.role for n in world.nodes] == roles
+        world._validate_links(64)
 
 
 class TestClusterView:

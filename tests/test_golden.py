@@ -90,36 +90,36 @@ BASES = {
 }
 
 GOLDEN = {
-    ("default", 1): "ead3728592c5394bb1810ab6e99e9f8eba70bcf97bc3e7432840b14b40c88cf0",
-    ("default", 2): "705373ef74811c39a31bba106f22126f8bb1317290cb03df2ecb61b9bcebe3dc",
-    ("default", 3): "9b470f3faf8e6cca349ad31364029d725f49d1b95c0cac12c286ae8324e970e7",
-    ("default_swarm_off", 1): "5a009c3027e635483beab5ff22764f766892c5e5331792d592f9080c1d0e18ec",
-    ("default_swarm_off", 2): "4f1b6ab23aec13f326d06313c6fe999d067e2cfd884b4b1aec30b2ad5dcb7236",
-    ("default_swarm_off", 3): "e0951c9cd2f385b2ecb45ed1ce1e50c92c6496aec386c310b9a1877d99bc8f85",
-    ("dynamic_pus", 1): "675fd6eb0521b7a9057877f70bcbd969d5c08a0b428ada651211a02a60ad0111",
-    ("dynamic_pus", 2): "f2c0e92634ab9c49ca8cf7c587fa4cc9dfb6bbba6be654e91d749f6a9d34f6fd",
-    ("dynamic_pus", 3): "4b7ba99d4a4db22b7544bf9d52d96f832c91aceee2fc5c8a914dc3e5e9e67506",
-    ("markov", 1): "3df5915d7cf4cf768d2976408f2becab4bc2f473291cff970517c5a2aae048e2",
-    ("markov", 2): "eaa212bb6c5bbb0cfdf18e18beb77f6c3bf177a701785e8e15ac8f770e3e76f0",
-    ("markov", 3): "608c23764f7171c8dabf61836a3b5d00983271796ac67730e204d0d37c896182",
+    ("default", 1): "726d2949c7c3456b749f29e84e47f54c4bdd7fd353f703dabe3f1819e8b2c8e9",
+    ("default", 2): "3de068e9a3dbb3e7b94002da1c41e61488466b31e406ffd3da3ade908f6c1ecd",
+    ("default", 3): "161b68bc74e917e616b118deab6e709ea4a60eb85fa872901cd69cde1e39c34d",
+    ("default_swarm_off", 1): "1cd69fad9651b933d66b15841f7b55923bb227ca8b92a85d57ab99f8d681510b",
+    ("default_swarm_off", 2): "65645d17e5bbb290a209bbd40d139a016b18e8ef0b9f866e5edf4636215bdfe8",
+    ("default_swarm_off", 3): "23b99a43331210b30d4f253bebf878657dbbcaba42098b8a9486d6fa960f0bfe",
+    ("dynamic_pus", 1): "8dc8592b24bc63b9e13e5a0f7cc5904a1ca3608dcc0fe05dd6ef3566a06b1662",
+    ("dynamic_pus", 2): "ecc10a0a3f11f70788dca99fdf52b5cf040a23c2eb8a1099b3cfbab3470f07c9",
+    ("dynamic_pus", 3): "f4c911d1e0317eab98872747e5897679e8cf4bc674d788309b44a3ba84109430",
+    ("markov", 1): "bd358460c923273f102a5c3cfde803ad63f436e4173ddf0c3d056a59cd5a7cd5",
+    ("markov", 2): "72e1224a3d68e06783393203b47209d021b16766ff9e8fe643b468adc08b62cb",
+    ("markov", 3): "8e66922a7b6de5737516b848cca5533a99e7ca3ba902b15179499351c3c29f68",
     ("single_channel", 1): "bf83d8e2c98187036e731e3d767f2663ce155e8b96aabf805cf8e59505c1001a",
     ("single_channel", 2): "ecb080ea4540ee995415f0b77af67906926abd106da39a27faa30edcd43b86e1",
     ("single_channel", 3): "e3431436dea6083959b66f3feb69f5eb1767c508dd19a59dcac65a6aada6020d",
-    ("n200", 1): "8ffd2f1ad3337328f6e5b1436bd3c0f002a135356d0d33a444f0562a97c34353",
+    ("n200", 1): "4be47220f03aacdbf9075f7a1c4a4f5ed78b45d9854f80208b5016298cc98977",
     ("markov_window", 1): "472b08ee73c99b3f97c5c02172f0c6ff9efda17ef8e9f876bc2c1ee93a912a30",
     ("markov_window", 2): "5a657a5aafeb3eb2e0a817817df002093d4700497d8bd1750fff9a3ac7a7bdac",
-    ("markov_window", 3): "f8c53a0b9a5f02a54b6012a3b2327a7b733aeb25bffb94dd3e9b821f363fb63b",
-    ("hop_window", 1): "103a0b812f3e27ac41afb21931f9b383d96a4dafa88e7080d4ab5f9a69a97647",
-    ("hop_window", 2): "3c3523f6f95f44222b1e501a002e9b9a5317e484b75c991628feaf7306e82c1d",
+    ("markov_window", 3): "4d58f6d9c3461d28099e34a66b73a13fa6e4d9e7a2dbd07952448216f9c75e8d",
+    ("hop_window", 1): "549fbfbe3491930439848b7ecf8ff9d35f7ecd82b858e7bdbbdf944189c2f259",
+    ("hop_window", 2): "8a2dcb039d04e23719c06255698d3cce6c02029b6f2fb4ed52fc352c148fc83b",
     ("hop_window", 3): "72f96a2e7e3373f77167f38e5b3311ad71f00e5863dedfc8c23b2723f7bbbec6",
-    ("one_cell", 1): "40a14b18cf6a0f500cb96ea0c3b353515136ae92dec3b31d8ea7e7992526db1e",
-    ("long_thin", 1): "d50f254e04e964b5224a0d9f2a8f4dd2be8fc4b9f1e4f5b09820237256e5a5bf",
+    ("one_cell", 1): "cf49e75081573c2e1c67ce1a808120c73abd5c354ca01f4b16add12bd02bfd1a",
+    ("long_thin", 1): "efb5aca519209acc9f41dc80bbabc73c84553c99ace1a4ccebc857bc441f9057",
     ("loud_pus", 1): "4d2021442809b9c07f3bafb754334fa2755e35303cdcb1d2e1fb963f56b8dae3",
-    ("loud_pus", 2): "04bbe419fca60c3b5c93ebfde812de3e358a42470afff1f7ef1e75510840daa7",
-    ("mesh1600", 1): "2f2930778a100ec1f34cb72aac7f337074944dc61766af55a34a7876976e009b",
-    ("mesh3200", 1): "fc002ae3df14765e2741ffef079cb5e368e18b86a396e03efa7edabb19dc6c2b",
-    ("blackout", 1): "5d1d940029594a7a8a542590a4d057a4919071cd0a2945aec8b850b5e1331435",
-    ("blackout", 2): "6317404402d7f757f4ed0ac5ffe0a6cefd039de3bc87d929eee773a515dbf8a4",
+    ("loud_pus", 2): "59b161b0feb3d3ad8d14c14660301ef7e90dcce91e212fb55da4587eb077b0a8",
+    ("mesh1600", 1): "ff9cf2aed784f6ff161a9090fb0aeba47b0a59528fb32ef5be9c9877a90c0b2f",
+    ("mesh3200", 1): "9f430fe017d4331085febf81904c6acaf4f8530dfe7a93989725b5892a6deb4c",
+    ("blackout", 1): "e8469cb7232acc08bf661c536f8c1d291d8fe0c34c559fd172276ba8018df865",
+    ("blackout", 2): "e3b570515bc0ee1d246624350649c74c6ee56b3b1968f27e1cd54ac9b5acc470",
 }
 
 

@@ -16,12 +16,6 @@ parts of the network that cannot hear each other.
   Markov PUs draw from one environment stream in PU order, so a second
   group's PUs would shift the first group's draws, and every PU adds
   far-field interference at every position.
-
-Locality fails on one golden base today, and that case is marked as an
-expected failure: a reformation commit calls `World._refresh_gateway_roles`,
-which re-derives the gateway role of every node in the network, not only of
-the clusters that the commit rebuilt. A commit in one copy therefore gives a
-node of the other copy its lagging GATEWAY role early.
 """
 
 from dataclasses import replace
@@ -38,17 +32,6 @@ from test_golden import BASES, GOLDEN, SCALE_BASES, digest, output_files
 PROPERTY_BASES = sorted(set(BASES) - SCALE_BASES)
 PU_FREE_BASES = [name for name in PROPERTY_BASES if BASES[name]().pu_count == 0]
 SEEDS = (1, 2)
-# node 42 joins head 5 at tick 576 and stays ORDINARY until the maintenance
-# pass at tick 600; beside a copy, that copy's commit at tick 597 makes it
-# GATEWAY, and its master-change at tick 600 logs role=gateway
-COMMIT_REFRESHES_EVERY_ROLE = pytest.mark.xfail(
-    strict=True, reason="a reformation commit refreshes the gateway role of "
-                        "every node (World._apply_commit)")
-LOCALITY_CASES = [
-    pytest.param(name, seed, marks=COMMIT_REFRESHES_EVERY_ROLE)
-    if (name, seed) == ("long_thin", 1) else (name, seed)
-    for name, seed in product(PU_FREE_BASES, SEEDS)
-]
 # the fields of an event that name a node
 NODE_FIELDS = ("node", "head", "working", "cluster_a", "cluster_b")
 
@@ -120,7 +103,7 @@ class TestTransposition:
 
 
 class TestLocality:
-    @pytest.mark.parametrize("name, seed", LOCALITY_CASES)
+    @pytest.mark.parametrize("name, seed", product(PU_FREE_BASES, SEEDS))
     def test_golden_base(self, name, seed):
         inputs, events, _ = golden_base_run(name, seed)
         cfg = replace(BASES[name](), seed=seed)
