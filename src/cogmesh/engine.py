@@ -30,10 +30,12 @@ Gateway maintenance, once per `frame_len` ticks, drops every link that
 `_link_valid` rejects and links each newly discovered pair. A pair is
 discovered only through a 1-hop table entry x -> y across the two clusters,
 so `select_gateways` finds at least the pair form, and a pair it cannot link
-raises `SimulationInvariantError`. Only the pass writes `links` and gives or
-takes the GATEWAY role, so links lag by design: a head leaving its cluster
-and a reformation commit leave `links` alone, and a stale link, with its
-nodes' GATEWAY role, lasts until the next pass.
+raises `SimulationInvariantError`. Only the pass writes `links` and
+`World.gateway_keys` (gateway node -> its link keys), so a link may go stale
+between passes: a head leaving its cluster and a reformation commit leave it
+until the next pass. Nothing reads a link there but the `role=` label of a
+`master-change` event (`World.leave`), which checks `_link_valid`; the
+engine writes no node role.
 
 `ScenarioConfig` is the one frozen parameter object. It declares every
 scenario default, checks its values when it is built (so a config parsed,
@@ -58,9 +60,7 @@ from types import MappingProxyType
 
 from cogmesh import radio
 from cogmesh.protocol import (
-    GATEWAY,
     HEAD,
-    MEMBER_ROLES,
     ORDINARY,
     Node,
     SuperframeSchedule,
@@ -606,6 +606,7 @@ class World:
         # (head_a, head_b), head_a < head_b -> its gateway nodes: (x,) for a
         # single gateway, (a, b) with a in head_a's cluster for a pair
         self.links: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.gateway_keys: dict = {}   # gateway node id -> its link keys
         self.gateway_latencies: list = []
         self.neg_by_working: dict = {}     # working node id -> live negotiation
         self.reform_queue: list = []       # heap, see `_push`
@@ -701,7 +702,7 @@ class World:
                 raise SimulationInvariantError(
                     f"t={tick}: node {n.id} ({n.role}) must keep a member map "
                     f"exactly while it heads a cluster")
-            if n.role in MEMBER_ROLES and n.head_id is None:
+            if n.role is ORDINARY and n.head_id is None:
                 raise SimulationInvariantError(
                     f"t={tick}: member {n.id} has no cluster")
             if n.role is not None and n.stages and n.master is None:
@@ -743,15 +744,15 @@ class World:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} out of range of head {head}")
                 mn = self.nodes[m]
-                if mn.role in MEMBER_ROLES and mn.head_id == head \
+                if mn.role is ORDINARY and mn.head_id == head \
                         and mn.master != hn.master:
                     raise SimulationInvariantError(
                         f"t={tick}: member {m} master disagrees with cluster")
 
     def _validate_links(self, tick: int):
         """Right after gateway maintenance, every link joins two live
-        clusters through valid gateway nodes. (Between passes `links` may
-        keep links that have gone stale.)"""
+        clusters through valid gateway nodes. (Between passes a link may go
+        stale; `leave`, its one reader there, checks it with `_link_valid`.)"""
         for (ha, hb), gateways in self.links.items():
             if not self._link_valid((ha, hb), gateways):
                 raise SimulationInvariantError(
@@ -778,7 +779,10 @@ class World:
             self.gateway_latencies.append((ha, hb, tick, tick))
             self.log(tick, "gateway", cluster_a=ha, cluster_b=hb,
                      nodes=":".join(str(x) for x in gateways))
-        self._refresh_gateway_roles()
+        gateway_keys = self.gateway_keys = {}
+        for key, gateways in links.items():
+            for x in gateways:
+                gateway_keys.setdefault(x, []).append(key)
 
     def _discovered_pairs(self) -> list:
         """Head pairs (ha, hb), ha < hb, in sorted order, such that a node of
@@ -816,23 +820,13 @@ class World:
         a, b = gateways
         return (a == ha or a in ma) and (b == hb or b in mb)
 
-    def _refresh_gateway_roles(self):
-        gateway_nodes = set()
-        for gateways in self.links.values():
-            gateway_nodes.update(gateways)
-        for n in self.nodes:
-            if n.role is ORDINARY and n.id in gateway_nodes:
-                n.role = GATEWAY
-            elif n.role is GATEWAY and n.id not in gateway_nodes:
-                n.role = ORDINARY
-
     # -- reformation --
 
     def _host_head(self, node: Node) -> Node | None:
         """The head of the cluster `node` heads, or lists it as a member."""
         if node.role is HEAD:
             return node
-        if node.role in MEMBER_ROLES:
+        if node.role is ORDINARY:
             head = self.nodes[node.head_id]
             if head.members is not None and node.id in head.members:
                 return head
@@ -883,10 +877,19 @@ class World:
             when = self._next_pra_start(self.nodes[head], tick)
             self._push(when, "req", neg, head)
 
-    def cancel_reform(self, node: Node):
+    def leave(self, node: Node, new_master: int | None, tick: int):
+        """`node` leaves its role for a rescan at `new_master`: cancel its
+        live negotiation, and log a change of master with the role it left,
+        `gateway` for a member carrying a link that `_link_valid` accepts."""
         neg = self.neg_by_working.get(node.id)
         if neg is not None:
-            self._cancel(neg, self.tick)
+            self._cancel(neg, tick)
+        if new_master != node.master:
+            keys = self.gateway_keys.get(node.id, ()) if node.role is ORDINARY else ()
+            gateway = any(self._link_valid(key, self.links[key]) for key in keys)
+            self.log(tick, "master-change", node=node.id, old=node.master,
+                     new=-1 if new_master is None else new_master,
+                     role="gateway" if gateway else node.role.value)
 
     def _push(self, when: int, kind: str, neg: Negotiation, head: int | None = None):
         """Queue (when, phase, seq, kind, neg, head); `head` is the cluster
@@ -981,7 +984,7 @@ class World:
                 if node.role is HEAD:
                     if m not in neg.affected:
                         return False
-                elif node.role in MEMBER_ROLES:
+                elif node.role is ORDINARY:
                     if node.head_id not in neg.affected:
                         return False
                 else:

@@ -112,16 +112,13 @@ NONE_YET = frozenset()
 class Role(enum.Enum):
     SCANNING = "scanning"
     HEAD = "head"
-    ORDINARY = "ordinary"
-    GATEWAY = "gateway"
+    ORDINARY = "ordinary"    # a member; whether it is a gateway is a link fact
 
 
 # The roles under module names, which the per-tick paths read: in CPython 3.11
 # reading `Role.HEAD` calls a descriptor, at about 15 times the cost of
 # reading a global.
-SCANNING, HEAD, ORDINARY, GATEWAY = (Role.SCANNING, Role.HEAD, Role.ORDINARY,
-                                     Role.GATEWAY)
-MEMBER_ROLES = (ORDINARY, GATEWAY)
+SCANNING, HEAD, ORDINARY = Role.SCANNING, Role.HEAD, Role.ORDINARY
 
 
 @dataclass(frozen=True)
@@ -627,14 +624,11 @@ class Node:
 
     def _leave_for(self, new_master: int | None, tick: int, ctx):
         """Leave the current role (a head's cluster dissolves with it) and
-        rescan at the new standing choice. `None` means that no channel is
-        left: the change is logged as new=-1 and the node idles dormant."""
-        old = self.master
-        ctx.cancel_reform(self)
-        if new_master != old:
-            ctx.log(tick, "master-change", node=self.id, old=old,
-                    new=-1 if new_master is None else new_master,
-                    role=self.role.value)
+        rescan at the new standing choice; `None` means that no channel is
+        left, and the node idles dormant. `World.leave` first cancels the
+        node's live negotiation and logs the change of master, new=-1 for
+        `None`, with the role left."""
+        ctx.leave(self, new_master, tick)
         self._restart_scan(new_master, tick)
 
     # -- scanning ----------------------------------------------------------------
@@ -905,7 +899,7 @@ class Node:
         self._hear_hello(b.hello, tick, head)
         if self.role is SCANNING:
             self._scan_beacon(b, tick, ctx)
-        elif self.role in MEMBER_ROLES and head == self.head_id:
+        elif self.role is ORDINARY and head == self.head_id:
             self._sync_with_beacon(b, tick, ctx)
 
     def _scan_beacon(self, b: Beacon, tick: int, ctx):

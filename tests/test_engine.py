@@ -740,12 +740,9 @@ class TestLinkInvariant:
             (3, 7): (4, 9),     # elsewhere, stale: 9 is in no cluster
         }
         world.links.update(links)
-        world._refresh_gateway_roles()
-        # node 8 enters its member role again after that pass: ORDINARY while
-        # its link stays, until the next pass makes it GATEWAY again
+        # node 8 enters its member role again while its link stays
         world.nodes[8].become_member(7, 0, 0, None)
         roles = [n.role for n in world.nodes]
-        assert (roles[4], roles[8]) == (Role.GATEWAY, Role.ORDINARY)
 
         # node 2 moves from cluster 0 to cluster 5; every node keeps its role
         affected = {h: cluster_nodes(world.nodes[h]) for h in (0, 5)}
@@ -762,7 +759,7 @@ class TestLinkInvariant:
         del links[(3, 7)]
         assert world.links == links
         assert world.events[logged:] == []
-        roles[8] = Role.GATEWAY
+        # nor does a pass write a role: the gateway nodes 4 and 8 stay members
         assert [n.role for n in world.nodes] == roles
         world._validate_links(64)
 
@@ -1048,6 +1045,102 @@ class TestHelloMemo:
 
         with mock.patch.object(World, "transmit", transmit_checked):
             World(cfg, validate=True).run()
+
+
+class TestGatewayLabel:
+    """The `role=` field of a `master-change` event names the role the node
+    left, except that a member carrying a link that `_link_valid` accepts
+    left as `gateway`. The label reads the links themselves, so a link gone
+    stale since the last maintenance pass does not count, and a member that
+    re-entered its role since then does."""
+
+    def world(self, *entries):
+        """Clusters 0 {1, 2} and 3 {4}, all nodes in range on channel 0 of
+        two, each (x, y) of `entries` a 1-hop entry of x's table, after one
+        maintenance pass. The pass leaves every role as it was."""
+        cfg = ScenarioConfig(su_count=6, channel_count=2, duration_ticks=100)
+        world = World(cfg, su_positions=[(10.0 * i, 0.0) for i in range(6)])
+        for n in world.nodes:
+            n.stages = {0: 1, 1: 1}
+        for head, members in ((0, [1, 2]), (3, [4])):
+            world.nodes[head].become_head(
+                0, {m: i for i, m in enumerate(members)}, 0, 0)
+            for i, m in enumerate(members):
+                world.nodes[m].become_member(head, 0, i, None)
+        for x, y in entries:
+            world.nodes[x].table[y] = NeighborEntry(master=0, last_seen=0)
+        roles = [n.role for n in world.nodes]
+        world._gateway_maintenance(32)
+        assert [n.role for n in world.nodes] == roles
+        return world
+
+    @staticmethod
+    def label(world, nid, tick=40):
+        """The `role=` label as node `nid` leaves its role for channel 1."""
+        logged = len(world.events)
+        world.nodes[nid]._leave_for(1, tick, world)
+        (event,) = [e for e in world.events[logged:] if e.kind == "master-change"]
+        return event.get("role")
+
+    def test_a_member_carrying_a_valid_link_is_a_gateway(self):
+        world = self.world((1, 0), (1, 3))      # 1 alone links 0 and 3
+        assert world.links == {(0, 3): (1,)}
+        assert self.label(world, 1) == "gateway"
+
+    def test_a_link_gone_stale_before_the_pass_does_not_count(self):
+        world = self.world((1, 0), (1, 3))
+        assert self.label(world, 3) == "head"   # the far cluster dissolves
+        assert world.links == {(0, 3): (1,)}    # until the next pass
+        assert self.label(world, 1) == "ordinary"
+
+    def test_a_member_that_reentered_its_role_after_the_pass_is_a_gateway(self):
+        world = self.world((1, 0), (1, 3))
+        world.nodes[1].become_member(0, 0, 0, None)
+        assert self.label(world, 1) == "gateway"
+
+    def test_a_head_carrying_a_pair_link_is_a_head(self):
+        world = self.world((0, 4))              # no single gateway: 0 and 4
+        assert world.links == {(0, 3): (0, 4)}
+        assert self.label(world, 4) == "gateway"
+        assert self.label(world, 0) == "head"
+
+    @staticmethod
+    def label_by_scan(world, node):
+        """The label as a scan of every link in `World.links` reads it."""
+        if node.role is Role.ORDINARY and any(
+                node.id in gateways and world._link_valid(key, gateways)
+                for key, gateways in world.links.items()):
+            return "gateway"
+        return node.role.value
+
+    def run_checked(self, cfg) -> list:
+        """Run `cfg`, checking each `master-change` label against the scan;
+        returns the labels."""
+        leave = World.leave
+        labels = []
+
+        def leave_checked(world, node, new_master, tick):
+            want = self.label_by_scan(world, node)
+            logged = len(world.events)
+            leave(world, node, new_master, tick)
+            for event in world.events[logged:]:
+                if event.kind == "master-change":
+                    assert event.get("role") == want
+                    labels.append(want)
+
+        with mock.patch.object(World, "leave", leave_checked):
+            World(cfg, validate=True).run()
+        return labels
+
+    @given(small_scenarios())
+    @settings(max_examples=50, deadline=None)
+    def test_small_scenarios(self, cfg):
+        self.run_checked(cfg)
+
+    # nodes leave their roles often in both, gateways among them
+    @pytest.mark.parametrize("name", ["blackout", "dynamic_pus"])
+    def test_golden_bases(self, name):
+        assert "gateway" in self.run_checked(BASES[name]())
 
 
 class TestScenarioFuzz:

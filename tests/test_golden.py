@@ -90,36 +90,36 @@ BASES = {
 }
 
 GOLDEN = {
-    ("default", 1): "726d2949c7c3456b749f29e84e47f54c4bdd7fd353f703dabe3f1819e8b2c8e9",
-    ("default", 2): "3de068e9a3dbb3e7b94002da1c41e61488466b31e406ffd3da3ade908f6c1ecd",
-    ("default", 3): "161b68bc74e917e616b118deab6e709ea4a60eb85fa872901cd69cde1e39c34d",
+    ("default", 1): "6783dbd7f5debfb6c51c59a386e6513b8cef645ddfe7dfd48a2456c9277b1442",
+    ("default", 2): "8edc2fb4cedb9d099f880b48016d27fa7e30ffa36937f524ead38ce034b91250",
+    ("default", 3): "e3289d4aef556559b9f1dee78ee93072a12ee019ecf7d5309e80b705163e42a3",
     ("default_swarm_off", 1): "1cd69fad9651b933d66b15841f7b55923bb227ca8b92a85d57ab99f8d681510b",
     ("default_swarm_off", 2): "65645d17e5bbb290a209bbd40d139a016b18e8ef0b9f866e5edf4636215bdfe8",
     ("default_swarm_off", 3): "23b99a43331210b30d4f253bebf878657dbbcaba42098b8a9486d6fa960f0bfe",
-    ("dynamic_pus", 1): "8dc8592b24bc63b9e13e5a0f7cc5904a1ca3608dcc0fe05dd6ef3566a06b1662",
-    ("dynamic_pus", 2): "ecc10a0a3f11f70788dca99fdf52b5cf040a23c2eb8a1099b3cfbab3470f07c9",
-    ("dynamic_pus", 3): "f4c911d1e0317eab98872747e5897679e8cf4bc674d788309b44a3ba84109430",
+    ("dynamic_pus", 1): "9699000969a61b0a1e7fa5afe55cc574c8f84e5ca77da9d304a690c9cf64c875",
+    ("dynamic_pus", 2): "9becdf0d3ab6ac1b16ddcf8b1a437c4e0dfe91397982ee5f8020e38706f58ae9",
+    ("dynamic_pus", 3): "6b9519cbc8374b88eaf75ee21d4db2678c27a36b8f9de7814dce0b18413215de",
     ("markov", 1): "bd358460c923273f102a5c3cfde803ad63f436e4173ddf0c3d056a59cd5a7cd5",
-    ("markov", 2): "72e1224a3d68e06783393203b47209d021b16766ff9e8fe643b468adc08b62cb",
+    ("markov", 2): "a497361453240ee3088a162d3ae56e0c266ac2d166c8a6f3f10263cd0568ff0b",
     ("markov", 3): "8e66922a7b6de5737516b848cca5533a99e7ca3ba902b15179499351c3c29f68",
     ("single_channel", 1): "bf83d8e2c98187036e731e3d767f2663ce155e8b96aabf805cf8e59505c1001a",
     ("single_channel", 2): "ecb080ea4540ee995415f0b77af67906926abd106da39a27faa30edcd43b86e1",
     ("single_channel", 3): "e3431436dea6083959b66f3feb69f5eb1767c508dd19a59dcac65a6aada6020d",
-    ("n200", 1): "4be47220f03aacdbf9075f7a1c4a4f5ed78b45d9854f80208b5016298cc98977",
-    ("markov_window", 1): "472b08ee73c99b3f97c5c02172f0c6ff9efda17ef8e9f876bc2c1ee93a912a30",
-    ("markov_window", 2): "5a657a5aafeb3eb2e0a817817df002093d4700497d8bd1750fff9a3ac7a7bdac",
+    ("n200", 1): "98197b986894a0dc5f35c3ab5ef0bf84bdb703fd0c225b632b91622625c2f4c6",
+    ("markov_window", 1): "a0664a83549090875bb7b3dc6b56bc616df1306f54a738f35cc2fd624be19077",
+    ("markov_window", 2): "ea96dc4e08c568fb10bea09a5dc37cd2f399e40e971ced0064ab48a231997d4e",
     ("markov_window", 3): "4d58f6d9c3461d28099e34a66b73a13fa6e4d9e7a2dbd07952448216f9c75e8d",
-    ("hop_window", 1): "549fbfbe3491930439848b7ecf8ff9d35f7ecd82b858e7bdbbdf944189c2f259",
-    ("hop_window", 2): "8a2dcb039d04e23719c06255698d3cce6c02029b6f2fb4ed52fc352c148fc83b",
-    ("hop_window", 3): "72f96a2e7e3373f77167f38e5b3311ad71f00e5863dedfc8c23b2723f7bbbec6",
-    ("one_cell", 1): "cf49e75081573c2e1c67ce1a808120c73abd5c354ca01f4b16add12bd02bfd1a",
-    ("long_thin", 1): "efb5aca519209acc9f41dc80bbabc73c84553c99ace1a4ccebc857bc441f9057",
-    ("loud_pus", 1): "4d2021442809b9c07f3bafb754334fa2755e35303cdcb1d2e1fb963f56b8dae3",
+    ("hop_window", 1): "3682f676a2767a1c6366f2624157edaed4efdd10641426e5a1d8af6326833b74",
+    ("hop_window", 2): "0ef661846ae85403aebedeb18ba3b4e7cc426d690169da562a98dc190ef59fe2",
+    ("hop_window", 3): "217eafe51ef7dfe06131b29e644de3aa32740d89350f02e2caadece8d0b0ee45",
+    ("one_cell", 1): "9b7c78eb41700749d4c507aa378eb635fa3251735e1628228bc3e81708f4d47b",
+    ("long_thin", 1): "6478ee43b8bf617fb54c08e85025a0415d873a2aaa2bee296c4d5929e5ae43d1",
+    ("loud_pus", 1): "a3c38d633e0ea1d05d6b484dc2ebac5f1428061dd560156af1aa7b953ea61c1d",
     ("loud_pus", 2): "59b161b0feb3d3ad8d14c14660301ef7e90dcce91e212fb55da4587eb077b0a8",
-    ("mesh1600", 1): "ff9cf2aed784f6ff161a9090fb0aeba47b0a59528fb32ef5be9c9877a90c0b2f",
-    ("mesh3200", 1): "9f430fe017d4331085febf81904c6acaf4f8530dfe7a93989725b5892a6deb4c",
-    ("blackout", 1): "e8469cb7232acc08bf661c536f8c1d291d8fe0c34c559fd172276ba8018df865",
-    ("blackout", 2): "e3b570515bc0ee1d246624350649c74c6ee56b3b1968f27e1cd54ac9b5acc470",
+    ("mesh1600", 1): "3ddfc96233ca4137d7a422f2dfe5b8e79fc26f4c493da2c1a806dde6710fe68a",
+    ("mesh3200", 1): "8633d7a282d86bf8da35b95e102fbd16c65bbc2a8dad5dc19e67561de66bda5e",
+    ("blackout", 1): "f5bba26c1d9e3b444ec0a3933a1309cc00bc19499096956af9511cb0f3e190cd",
+    ("blackout", 2): "c0ee907daac269fa8955ffe6771328f69dc1562011fcb0a6b4b6f09500608c41",
 }
 
 

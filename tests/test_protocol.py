@@ -840,7 +840,10 @@ class TestFormationWalkthrough:
             or (0, 4) in pairs
         assert pairs[(0, 4)] == "1"          # B alone carries the link
         assert world.links[(0, 4)] == (1,)
-        assert world.nodes[1].role is Role.GATEWAY
+        # a member that carries a valid link: it would leave as a gateway
+        assert world.nodes[1].role is Role.ORDINARY
+        assert (0, 4) in world.gateway_keys[1]
+        assert world._link_valid((0, 4), (1,))
 
     def test_neighbor_maps_are_disjoint_and_exclude_self(self):
         world, res = self.build()
